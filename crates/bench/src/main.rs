@@ -268,8 +268,10 @@ fn run_suite_serial(
 /// Results land in per-experiment slots indexed by registry position, so
 /// the summary (and every `results/*.json`) keeps registry order no
 /// matter how the tasks get scheduled. Per-experiment wall clocks overlap
-/// under this scheduler (workers help whichever task is queued), so they
-/// sum to more than the suite's wall clock. Panics never reach the
+/// under this scheduler (idle workers take whichever task is queued), so
+/// they sum to more than the suite's wall clock; a thread waiting inside
+/// an experiment only helps that experiment's own tasks, so busy times
+/// stay per-experiment. Panics never reach the
 /// shared pool's scope join — [`run_one`] catches them at the experiment
 /// boundary, so one failing experiment cannot poison the batch.
 fn run_suite_parallel(

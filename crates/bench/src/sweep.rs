@@ -794,6 +794,9 @@ impl SweepCtx {
             }
         }
         let report = result?;
+        // Audit the end state: the capacity points are the only runs at
+        // footprints the test suite cannot reach.
+        sys.validate()?;
         let (store_reads, store_writes, store_divergent_writes) = sys.page_store().stats();
         let probe = CapacityProbe {
             metadata_heap_bytes: sys.metadata_heap_bytes() as u64,

@@ -71,6 +71,14 @@ pub enum TmccError {
         /// Human-readable description of the violated invariant.
         detail: String,
     },
+    /// The data pages reach into the page-table region, so table pages
+    /// would alias data pages.
+    TableRegionOverlap {
+        /// Identity-mapped data pages (PPNs `0..data_pages`).
+        data_pages: u64,
+        /// First PPN of the page-table region.
+        table_region_base: u64,
+    },
     /// The run was cancelled through its [`crate::RunHandle`] (the bench
     /// watchdog arms one per sweep point and cancels on deadline overrun).
     Cancelled {
@@ -131,6 +139,11 @@ impl fmt::Display for TmccError {
             TmccError::InvariantViolation { detail } => {
                 write!(f, "invariant violation: {detail}")
             }
+            TmccError::TableRegionOverlap { data_pages, table_region_base } => write!(
+                f,
+                "{data_pages} data pages overlap the page-table region starting at PPN \
+                 {table_region_base:#x}"
+            ),
             TmccError::Cancelled { at_access } => {
                 write!(f, "run cancelled after {at_access} accesses")
             }
@@ -161,6 +174,10 @@ mod tests {
 
         let e = TmccError::UnmappedVpn { vpn: 0xabc };
         assert!(e.to_string().contains("0xabc"));
+
+        let e = TmccError::TableRegionOverlap { data_pages: 4096, table_region_base: 0x400 };
+        let msg = e.to_string();
+        assert!(msg.contains("4096 data pages") && msg.contains("0x400"));
 
         let e = TmccError::Codec {
             context: "sealed page decode",

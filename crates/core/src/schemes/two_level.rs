@@ -40,11 +40,10 @@ use rand::{Rng, SeedableRng};
 use std::collections::VecDeque;
 use tmcc_deflate::{DeflateParams, DeflateScratch, DeflateTiming, IbmDeflateModel, MemDeflate};
 use tmcc_sim_dram::DramSim;
-use tmcc_sim_mem::{CteBuffer, CteCache, CteCacheConfig, PageTable};
-use tmcc_types::addr::{BlockAddr, DramAddr, Ppn, PAGE_SIZE};
+use tmcc_sim_mem::{CteBuffer, CteBufferEntry, CteCache, CteCacheConfig, PageTable};
+use tmcc_types::addr::{BlockAddr, DramAddr, Ppn, BLOCKS_PER_PAGE, PAGE_SIZE};
 use tmcc_types::bitvec::BitVec;
 use tmcc_types::cte::{Cte, MemoryLevel, TruncatedCte};
-use tmcc_types::fxhash::FxHashMap;
 use tmcc_types::ptb::{CompressedPtb, PtbGeometry};
 use tmcc_types::pte::{PageTableBlock, PTES_PER_PTB};
 
@@ -78,6 +77,72 @@ const CTE_SCRUB_REFILL_NS: f64 = 60.0;
 /// sequential sweep touching one packed word per frame.
 const FREE_MAP_REBUILD_NS_PER_FRAME: f64 = 0.5;
 
+/// Present bit of a [`PtbEmbeddings`] word; the low 28 bits hold the
+/// truncated CTE's frame.
+const EMBED_PRESENT: u32 = 1 << 31;
+
+/// The CTEs physically embedded in every compressed PTB (§V-A1), stored
+/// densely by PTB position in the table region: one word per PTE slot.
+///
+/// Table pages are allocated sequentially from the table-region base (the
+/// layout [`PageMetaStore`] relies on too), so a PTB's position is its
+/// block address minus the region's first block — a PTB fetch reads its
+/// eight words without hashing.
+#[derive(Default)]
+struct PtbEmbeddings {
+    /// First block address of the table region.
+    base_block: u64,
+    /// `PTES_PER_PTB` words per PTB: [`EMBED_PRESENT`] | frame, or 0 for
+    /// a slot with no embedded CTE.
+    words: Vec<u32>,
+    /// Per PTB: whether its encoding compressed, i.e. has room for
+    /// embedded CTEs at all. A repair never writes into a PTB without it.
+    compressed: BitVec,
+}
+
+impl PtbEmbeddings {
+    /// A store covering every PTB of `page_table`, none embedded yet.
+    fn new(page_table: &PageTable) -> Self {
+        let ptbs = page_table.table_page_count() * BLOCKS_PER_PAGE;
+        Self {
+            base_block: page_table.table_region_base() * BLOCKS_PER_PAGE as u64,
+            words: vec![0; ptbs * PTES_PER_PTB],
+            compressed: BitVec::with_len(ptbs),
+        }
+    }
+
+    /// Position of the PTB at `block`; `None` outside the table region.
+    fn position(&self, block: BlockAddr) -> Option<usize> {
+        let pos = block.raw().checked_sub(self.base_block)?;
+        (pos < self.compressed.len() as u64).then_some(pos as usize)
+    }
+
+    /// The embedded CTE of each PTE slot of the PTB at `pos`.
+    fn ctes(&self, pos: usize) -> impl Iterator<Item = Option<TruncatedCte>> + '_ {
+        self.words[pos * PTES_PER_PTB..(pos + 1) * PTES_PER_PTB]
+            .iter()
+            .map(|&w| (w & EMBED_PRESENT != 0).then(|| TruncatedCte::new(w & !EMBED_PRESENT)))
+    }
+
+    /// Records a fresh encoding of the PTB at `pos`: `Some(slots)` when it
+    /// compressed, `None` when it did not (and so embeds nothing).
+    fn store(&mut self, pos: usize, slots: Option<[Option<TruncatedCte>; PTES_PER_PTB]>) {
+        self.compressed.set_to(pos, slots.is_some());
+        let words = &mut self.words[pos * PTES_PER_PTB..(pos + 1) * PTES_PER_PTB];
+        for (word, cte) in words.iter_mut().zip(slots.unwrap_or_default()) {
+            *word = cte.map_or(0, |t| EMBED_PRESENT | t.frame());
+        }
+    }
+
+    /// The lazy repair of §V-A2: overwrites one slot of a compressed PTB
+    /// with the verified CTE.
+    fn repair(&mut self, block: BlockAddr, slot: usize, correct: TruncatedCte) {
+        if let Some(pos) = self.position(block).filter(|&pos| self.compressed.get(pos)) {
+            self.words[pos * PTES_PER_PTB + slot] = EMBED_PRESENT | correct.frame();
+        }
+    }
+}
+
 /// The shared two-level scheme.
 pub struct TwoLevelScheme {
     toggles: TmccToggles,
@@ -92,11 +157,9 @@ pub struct TwoLevelScheme {
     recency: RecencyList,
     cte_cache: CteCache,
     cte_buffer: CteBuffer,
-    /// Modelled embedded CTEs per PTB block (what is physically stored in
-    /// the compressed PTB encoding in DRAM).
-    ptb_embed: FxHashMap<u64, [Option<TruncatedCte>; PTES_PER_PTB]>,
-    /// Latest PTB location of each PPN's PTE, for lazy repair.
-    ptb_slot_of: FxHashMap<u64, (u64, usize)>,
+    /// Modelled embedded CTEs per PTB (what is physically stored in the
+    /// compressed PTB encodings in DRAM); empty without embedded CTEs.
+    ptb_embed: PtbEmbeddings,
     size_model: SizeModel,
     timing: DeflateTiming,
     ibm: IbmDeflateModel,
@@ -177,7 +240,9 @@ impl TwoLevelScheme {
 
     /// Builds the scheme and performs initial placement, returning
     /// [`TmccError::InfeasibleBudget`] when the budget cannot hold the
-    /// workload even with every overflow page compressed into ML2.
+    /// workload even with every overflow page compressed into ML2, and
+    /// [`TmccError::TableRegionOverlap`] when the data pages reach into
+    /// the page table's region.
     #[allow(clippy::too_many_arguments)]
     pub fn try_new(
         toggles: TmccToggles,
@@ -189,17 +254,24 @@ impl TwoLevelScheme {
         seed: u64,
         recency_sample: f64,
     ) -> Result<Self, TmccError> {
+        let table_region_base = page_table.table_region_base();
+        if data_pages > table_region_base {
+            return Err(TmccError::TableRegionOverlap { data_pages, table_region_base });
+        }
         let evict_lo = ((budget_frames as usize) / 64).max(24);
         let mut s = Self {
             toggles,
-            pages: PageMetaStore::new(page_table.table_region_base()),
+            pages: PageMetaStore::new(table_region_base),
             ml1_free: Ml1FreeList::with_chunks(budget_frames),
             ml2: Ml2FreeLists::paper_classes(),
             recency: RecencyList::with_probability(seed, recency_sample),
             cte_cache: CteCache::new(cte_cfg),
             cte_buffer: CteBuffer::paper_default(),
-            ptb_embed: FxHashMap::default(),
-            ptb_slot_of: FxHashMap::default(),
+            ptb_embed: if toggles.embedded_ctes {
+                PtbEmbeddings::new(page_table)
+            } else {
+                PtbEmbeddings::default()
+            },
             size_model,
             timing: DeflateTiming::default(),
             ibm: IbmDeflateModel::default(),
@@ -391,8 +463,11 @@ impl TwoLevelScheme {
     }
 
     fn refresh_ptb_embedding(&mut self, block: BlockAddr, ptb: &PageTableBlock, g: PtbGeometry) {
+        let Some(pos) = self.ptb_embed.position(block) else {
+            return;
+        };
         let Ok(mut compressed) = CompressedPtb::compress(ptb, g) else {
-            self.ptb_embed.remove(&block.raw());
+            self.ptb_embed.store(pos, None);
             return;
         };
         let mut slots = [None; PTES_PER_PTB];
@@ -411,7 +486,7 @@ impl TwoLevelScheme {
                 }
             }
         }
-        self.ptb_embed.insert(block.raw(), slots);
+        self.ptb_embed.store(pos, Some(slots));
     }
 
     /// Re-derives the eviction watermarks after the budget changed.
@@ -571,12 +646,8 @@ impl TwoLevelScheme {
     /// Reconcile the CTE buffer and the stored PTB embedding with the
     /// verified CTE (the lazy update of §V-A2/3).
     fn repair_embedding(&mut self, ppn: Ppn, correct: TruncatedCte) {
-        if self.cte_buffer.reconcile(ppn, correct).is_some() {
-            if let Some(&(block, slot)) = self.ptb_slot_of.get(&ppn.raw()) {
-                if let Some(slots) = self.ptb_embed.get_mut(&block) {
-                    slots[slot] = Some(correct);
-                }
-            }
+        if let Some((block, slot)) = self.cte_buffer.reconcile(ppn, correct) {
+            self.ptb_embed.repair(block, slot, correct);
         }
     }
 
@@ -748,12 +819,13 @@ impl Scheme for TwoLevelScheme {
         if !self.toggles.embedded_ctes {
             return;
         }
-        let slots = self.ptb_embed.get(&block.raw()).copied().unwrap_or([None; PTES_PER_PTB]);
-        for (i, slot) in slots.iter().enumerate() {
-            let pte = ptb.entry(i);
+        let Some(pos) = self.ptb_embed.position(block) else {
+            return;
+        };
+        for (slot, cte) in self.ptb_embed.ctes(pos).enumerate() {
+            let pte = ptb.entry(slot);
             if pte.is_present() {
-                self.cte_buffer.insert(pte.ppn(), *slot, block);
-                self.ptb_slot_of.insert(pte.ppn().raw(), (block.raw(), i));
+                self.cte_buffer.insert(pte.ppn(), CteBufferEntry { cte, ptb_block: block, slot });
             }
         }
     }
@@ -1212,31 +1284,53 @@ mod tests {
     use super::*;
     use crate::size_model::PageSizes;
     use tmcc_sim_dram::InterleavePolicy;
+    use tmcc_sim_mem::page_table::WalkStep;
     use tmcc_sim_mem::PageTableConfig;
     use tmcc_types::addr::Vpn;
+    use tmcc_types::pte::PteFlags;
+
+    fn identity_table(data_pages: u64) -> PageTable {
+        let mut pt = PageTable::new(PageTableConfig::default());
+        for i in 0..data_pages {
+            pt.map(Vpn::new(i), Ppn::new(i));
+        }
+        pt
+    }
+
+    fn build_on(
+        toggles: TmccToggles,
+        pt: &PageTable,
+        data_pages: u64,
+        budget_frames: u32,
+    ) -> Result<TwoLevelScheme, TmccError> {
+        let model =
+            SizeModel::from_samples(vec![PageSizes { deflate_bytes: 1200, block_bytes: 3000 }]);
+        TwoLevelScheme::try_new(
+            toggles,
+            CteCacheConfig::tmcc(),
+            model,
+            pt,
+            data_pages,
+            budget_frames,
+            7,
+            0.15,
+        )
+    }
 
     fn build(
         toggles: TmccToggles,
         data_pages: u64,
         budget_frames: u32,
     ) -> (TwoLevelScheme, PageTable) {
-        let mut pt = PageTable::new(PageTableConfig::default());
-        for i in 0..data_pages {
-            pt.map(Vpn::new(i), Ppn::new(i));
-        }
-        let model =
-            SizeModel::from_samples(vec![PageSizes { deflate_bytes: 1200, block_bytes: 3000 }]);
-        let s = TwoLevelScheme::new(
-            toggles,
-            CteCacheConfig::tmcc(),
-            model,
-            &pt,
-            data_pages,
-            budget_frames,
-            7,
-            0.15,
-        );
+        let pt = identity_table(data_pages);
+        let s = build_on(toggles, &pt, data_pages, budget_frames).expect("feasible budget");
         (s, pt)
+    }
+
+    /// The leaf walk step for `vpn` and the PTB it fetches.
+    fn leaf_ptb(pt: &PageTable, vpn: u64) -> (WalkStep, PageTableBlock) {
+        let step = *pt.walk_path(Vpn::new(vpn)).unwrap().last().unwrap();
+        (step, pt.ptb_at(step.ptb_block).unwrap())
     }
 
     fn dram() -> DramSim {
@@ -1351,6 +1445,94 @@ mod tests {
         s.on_ptb_fetched(step.ptb_block, &ptb);
         let _ = s.access(&read_req(5, true), 1_000_000.0, &mut d, &mut stats).unwrap();
         assert_eq!(stats.ml1_parallel_correct, 1, "{stats:?}");
+    }
+
+    #[test]
+    fn repair_lands_in_the_harvested_slot_only() {
+        let (mut s, pt) = build(TmccToggles::full(), 3000, 2000);
+        let mut d = dram();
+        let mut stats = SimStats::default();
+        let (step, ptb) = leaf_ptb(&pt, 5);
+        s.on_ptb_fetched(step.ptb_block, &ptb);
+        let before = s.ptb_embed.words.clone();
+        // Migrate page 5 behind the embedding's back.
+        let new_frame = s.ml1_free.pop().unwrap();
+        let id = s.pages.id_of(5).unwrap();
+        assert!(s.pages.set_place(id, Placement::Ml1 { frame: new_frame }));
+        let _ = s.access(&read_req(5, true), 0.0, &mut d, &mut stats).unwrap();
+        assert_eq!(stats.ml1_parallel_mismatch, 1, "{stats:?}");
+        // Exactly one word of the whole store changed: the PTE's slot.
+        let pos = s.ptb_embed.position(step.ptb_block).unwrap();
+        let repaired = pos * PTES_PER_PTB + step.slot;
+        let changed: Vec<usize> =
+            (0..before.len()).filter(|&i| before[i] != s.ptb_embed.words[i]).collect();
+        assert_eq!(changed, vec![repaired]);
+        assert_eq!(s.ptb_embed.words[repaired], EMBED_PRESENT | new_frame);
+        // The next harvest of that PTB hands out the corrected CTE.
+        s.on_ptb_fetched(step.ptb_block, &ptb);
+        let expected = CteBufferEntry {
+            cte: Some(TruncatedCte::new(new_frame)),
+            ptb_block: step.ptb_block,
+            slot: step.slot,
+        };
+        assert_eq!(s.cte_buffer.lookup(Ppn::new(5)), Some(expected));
+    }
+
+    #[test]
+    fn repair_never_embeds_into_an_uncompressed_ptb() {
+        let mut pt = identity_table(3000);
+        // A read-only PTE breaks its PTB's status-bit uniformity, so that
+        // PTB keeps the uncompressed encoding and embeds no CTEs.
+        pt.map_with_flags(Vpn::new(5), Ppn::new(5), PteFlags::new(PteFlags::PRESENT, 0));
+        let mut s = build_on(TmccToggles::full(), &pt, 3000, 2000).unwrap();
+        let mut d = dram();
+        let mut stats = SimStats::default();
+        let (step, ptb) = leaf_ptb(&pt, 5);
+        let pos = s.ptb_embed.position(step.ptb_block).unwrap();
+        assert!(!s.ptb_embed.compressed.get(pos));
+        s.on_ptb_fetched(step.ptb_block, &ptb);
+        // Serial access; the verified CTE reconciles into the buffer entry,
+        // but there is no embedding to repair.
+        let _ = s.access(&read_req(5, true), 0.0, &mut d, &mut stats).unwrap();
+        assert_eq!(stats.ml1_serial, 1, "{stats:?}");
+        assert!(!s.ptb_embed.compressed.get(pos));
+        assert!(s.ptb_embed.ctes(pos).all(|cte| cte.is_none()));
+        // A fresh harvest still offers no CTE for the page.
+        s.cte_cache.invalidate(Ppn::new(5));
+        s.on_ptb_fetched(step.ptb_block, &ptb);
+        assert_eq!(s.cte_buffer.lookup(Ppn::new(5)).unwrap().cte, None);
+        let _ = s.access(&read_req(5, true), 1_000_000.0, &mut d, &mut stats).unwrap();
+        assert_eq!((stats.ml1_serial, stats.ml1_parallel_correct), (2, 0), "{stats:?}");
+    }
+
+    #[test]
+    fn harvest_outside_the_table_region_does_nothing() {
+        let (mut s, pt) = build(TmccToggles::full(), 3000, 2000);
+        let (step, ptb) = leaf_ptb(&pt, 5);
+        let past_end = pt.table_region_base() + pt.table_page_count() as u64;
+        for block in [Ppn::new(5).block(0), Ppn::new(past_end).block(0)] {
+            s.on_ptb_fetched(block, &ptb);
+            assert!(s.cte_buffer.is_empty(), "{block:?} is not a PTB");
+        }
+        s.on_ptb_fetched(step.ptb_block, &ptb);
+        assert_eq!(s.cte_buffer.len(), PTES_PER_PTB);
+    }
+
+    #[test]
+    fn data_pages_reaching_the_table_region_are_rejected() {
+        // Table pages from PPN 1024 would alias data pages 1024..4096.
+        let cfg = PageTableConfig { table_region_base: 1024, huge_pages: false };
+        let mut pt = PageTable::new(cfg);
+        for i in 0..4096u64 {
+            pt.map(Vpn::new(i), Ppn::new(i));
+        }
+        let err = build_on(TmccToggles::full(), &pt, 4096, 6000).map(|_| ()).unwrap_err();
+        assert_eq!(
+            err,
+            TmccError::TableRegionOverlap { data_pages: 4096, table_region_base: 1024 }
+        );
+        let pt = identity_table(4096);
+        build_on(TmccToggles::full(), &pt, 4096, 6000).unwrap().validate().unwrap();
     }
 
     #[test]

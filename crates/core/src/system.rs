@@ -157,9 +157,8 @@ impl System {
     /// the configured DRAM budget cannot hold the workload even fully
     /// compressed.
     pub fn try_new(cfg: SystemConfig) -> Result<Self, TmccError> {
-        let mut page_table =
-            PageTable::new(PageTableConfig { huge_pages: cfg.huge_pages, ..Default::default() });
         let pages = cfg.workload.sim_pages;
+        let mut page_table = PageTable::new(PageTableConfig::for_data_pages(pages, cfg.huge_pages));
         if cfg.huge_pages {
             for region in 0..pages.div_ceil(512) {
                 page_table.map(Vpn::new(region * 512), Ppn::new(region * 512));

@@ -1,9 +1,12 @@
 //! A generic set-associative cache model with LRU replacement.
 //!
-//! Used for the L1/L2/LLC tag arrays, the TLB, the page-walk cache and the
-//! CTE cache. The model tracks tags, dirtiness and one *payload* value per
-//! line (used, e.g., to hold the "compressed PTB" data bit the paper adds
-//! to every L2/L3 cacheline, §V-A4).
+//! Used for the L1/L2/LLC tag arrays, the TLB and the page-walk cache. The
+//! model tracks tags, dirtiness and one *payload* value per line (used,
+//! e.g., to hold the "compressed PTB" data bit the paper adds to every
+//! L2/L3 cacheline, §V-A4). The CTE cache and the CTE buffer have
+//! specialized layouts ([`PackedCteSlots`](crate::PackedCteSlots),
+//! [`CteBuffer`](crate::CteBuffer)); their parity tests keep this model
+//! as the reference for the replacement order they must reproduce.
 
 /// One resident line.
 #[derive(Debug, Clone)]

@@ -36,6 +36,20 @@ impl Default for PageTableConfig {
     }
 }
 
+impl PageTableConfig {
+    /// The layout for `data_pages` identity-mapped data pages (PPNs
+    /// `0..data_pages`). Table pages start at the default 2^26 mark, or,
+    /// for footprints beyond 256 GiB, at the first 2 MiB boundary above
+    /// the data range, so table pages never alias data pages.
+    pub fn for_data_pages(data_pages: u64, huge_pages: bool) -> Self {
+        let default = Self::default();
+        Self {
+            table_region_base: default.table_region_base.max(data_pages.next_multiple_of(512)),
+            huge_pages,
+        }
+    }
+}
+
 /// One step of a page walk: the PTB the walker fetches and what the chosen
 /// PTE points at.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -308,6 +322,17 @@ impl PageTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn table_region_sits_above_any_data_range() {
+        let base = PageTableConfig::default().table_region_base;
+        assert_eq!(PageTableConfig::for_data_pages(1000, false).table_region_base, base);
+        assert_eq!(PageTableConfig::for_data_pages(base, true).table_region_base, base);
+        let tib = 1u64 << 28;
+        let cfg = PageTableConfig::for_data_pages(tib, true);
+        assert_eq!((cfg.table_region_base, cfg.huge_pages), (tib, true));
+        assert_eq!(PageTableConfig::for_data_pages(base + 1, false).table_region_base, base + 512);
+    }
 
     #[test]
     fn map_translate_round_trip() {

@@ -3,9 +3,10 @@
 //! `std::collections::HashMap` defaults to SipHash-1-3, whose per-lookup
 //! cost shows up directly in the simulator's per-access loop (every page
 //! touch used to pay several hash invocations). The dense-slab refactor
-//! removes most of those maps entirely; the few that must remain — the
-//! page-table directory, the PTB embed/slot maps — key on small integers,
-//! where a multiply-fold hash is both far cheaper and collision-adequate.
+//! removes most of those maps entirely (the PTB-embedding store and the
+//! CTE buffer are dense too); the few that remain, such as the page-table
+//! directory, key on small integers, where a multiply-fold hash is both
+//! far cheaper and collision-adequate.
 //!
 //! The algorithm follows the well-known Firefox/rustc "Fx" construction:
 //! fold each input word into the state with an xor-rotate-multiply step

@@ -10,6 +10,12 @@ cargo build --release --workspace
 echo "==> cargo test --workspace"
 cargo test -q --workspace
 
+echo "==> benchmark tests (tmcc-benchmark, its own workspace)"
+# The benchmark keeps a traced copy of System's step loop and pins smoke
+# digests; its tests (copy fidelity, digest pins, statistics) make a step
+# loop or scheme change that breaks the benchmark fail here.
+cargo test -q --release --manifest-path tmcc-benchmark/Cargo.toml
+
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -q -- -D warnings
 
