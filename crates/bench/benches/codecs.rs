@@ -2,8 +2,7 @@
 //!
 //! These measure this *reproduction's software implementation* — useful
 //! for keeping the simulator fast — and are distinct from the modelled
-//! ASIC latencies of Table II (`cargo run -p tmcc-bench --bin
-//! table2_deflate_perf`).
+//! ASIC latencies of Table II (`tmcc-bench run table2_deflate_perf`).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use tmcc_compression::{

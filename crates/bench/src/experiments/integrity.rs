@@ -14,7 +14,7 @@
 //! The quiet point (zero flips) doubles as the golden-stability control:
 //! an empty plan draws nothing from the flip RNG, so its row must stay
 //! byte-identical to pre-integrity baselines. The sweep is journal-
-//! resumable (`int|` keys) and byte-identical at any `--jobs`.
+//! resumable and byte-identical at any `--jobs`.
 
 use crate::print_table;
 use crate::sweep::{Scale, SweepCtx};
@@ -101,7 +101,7 @@ pub fn run(ctx: &SweepCtx) {
     let (_, measured) = window(scale);
     let out: Vec<Row> = ctx.par_map(grid_events(scale), |(rate, events)| {
         let cfg = point_cfg(scale, events);
-        match ctx.try_run_integrity(cfg, measured) {
+        match ctx.try_run(cfg, measured) {
             Ok(r) => {
                 let s = &r.stats;
                 // Simulated wall time of the measured window, from the

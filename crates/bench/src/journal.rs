@@ -1,13 +1,13 @@
 //! The sweep journal: crash-safe checkpoint/resume for `tmcc-bench`.
 //!
-//! Every completed simulation run (one `SweepCtx::try_run` inside an
-//! experiment's config grid) appends one self-checking record to
+//! Every completed simulation run (a plain run, multi-tenant scenario or
+//! capacity point inside an experiment's config grid, all journaled by
+//! `SweepCtx::journaled`) appends one self-checking record to
 //! `<out>/.journal/sweep.journal`. A sweep killed mid-flight — OOM, CI
 //! timeout, SIGKILL — is resumed with `tmcc-bench run-all --resume`: runs
-//! whose records survive are *replayed* from the journal (the decoded
-//! [`tmcc::RunReport`] is bit-exact, so the regenerated `results/*.json`
-//! are byte-identical to an uninterrupted sweep), and only the remainder
-//! is simulated.
+//! whose records survive are *replayed* from the journal (decoded records
+//! are bit-exact, so the regenerated `results/*.json` are byte-identical
+//! to an uninterrupted sweep), and only the remainder is simulated.
 //!
 //! # Format
 //!
@@ -176,9 +176,9 @@ pub struct JournalRecord {
     /// Registry name of the experiment that ran the point.
     pub experiment: String,
     /// Fingerprint of the tuned config + access count (see
-    /// `SweepCtx::try_run`).
+    /// `SweepCtx::journaled`).
     pub key: u64,
-    /// The run's report as compact JSON (decoded lazily on replay).
+    /// The run's record as compact JSON (decoded lazily on replay).
     pub json: String,
 }
 

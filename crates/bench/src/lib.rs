@@ -1,10 +1,11 @@
-//! Shared harness for the experiment binaries.
+//! The experiment suite behind `tmcc-bench`.
 //!
-//! Every table and figure of the paper's evaluation has one binary in
-//! `src/bin/` (see DESIGN.md §4). They share this tiny library: pretty
-//! table printing, JSON result emission under `results/`, and the standard
-//! run helpers (iso-savings budgets, normalized comparisons, iso-perf
-//! search).
+//! Every table and figure of the paper's evaluation is one registered
+//! experiment (see [`registry`] and DESIGN.md §4), run with
+//! `tmcc-bench run <name>` or `tmcc-bench run-all`. They share the sweep
+//! harness ([`sweep::SweepCtx`]: run helpers, iso-perf search, JSON
+//! emission under `results/`) and this module's table printing and
+//! summary statistics.
 
 pub mod experiments;
 pub mod failures;
@@ -15,11 +16,8 @@ pub mod registry;
 pub mod sweep;
 pub mod watchdog;
 
-use serde::Serialize;
-use std::fs;
 use std::path::PathBuf;
-use tmcc::config::TmccToggles;
-use tmcc::{RunReport, SchemeKind, System, SystemConfig};
+use tmcc::{SchemeKind, System, SystemConfig};
 use tmcc_workloads::WorkloadProfile;
 
 /// Default measured accesses per run. Large enough to stabilize miss
@@ -57,21 +55,6 @@ pub fn results_dir() -> PathBuf {
     PathBuf::from(env_root()).join("results")
 }
 
-/// Writes a JSON result document under `results/<name>.json`.
-pub fn write_json<T: Serialize>(name: &str, value: &T) {
-    let dir = results_dir();
-    let _ = fs::create_dir_all(&dir);
-    let path = dir.join(format!("{name}.json"));
-    match serde_json::to_string_pretty(value) {
-        Ok(s) => {
-            if fs::write(&path, s).is_ok() {
-                println!("\n[results written to {}]", path.display());
-            }
-        }
-        Err(e) => eprintln!("could not serialize results: {e}"),
-    }
-}
-
 fn env_root() -> String {
     std::env::var("CARGO_MANIFEST_DIR")
         .map(|d| format!("{d}/../.."))
@@ -95,111 +78,12 @@ pub fn mean(values: &[f64]) -> f64 {
     }
 }
 
-/// Runs one workload under one scheme with an optional budget.
-pub fn run_scheme(
-    workload: &WorkloadProfile,
-    scheme: SchemeKind,
-    budget: Option<u64>,
-    accesses: u64,
-) -> RunReport {
-    let mut cfg = SystemConfig::new(workload.clone(), scheme);
-    cfg.dram_budget_bytes = budget;
-    System::new(cfg).run(accesses)
-}
-
-/// Runs a two-level scheme with explicit toggles (Fig. 20 ablations).
-pub fn run_two_level(
-    workload: &WorkloadProfile,
-    toggles: TmccToggles,
-    budget: u64,
-    accesses: u64,
-) -> RunReport {
-    let kind = if toggles.embedded_ctes && toggles.fast_deflate {
-        SchemeKind::Tmcc
-    } else {
-        SchemeKind::OsInspired
-    };
-    let cfg = SystemConfig::new(workload.clone(), kind).with_budget(budget).with_toggles(toggles);
-    System::new(cfg).run(accesses)
-}
-
-/// Runs Compresso and returns `(report, dram_used)` — the iso-savings
-/// anchor of Figs. 17/18/19.
-pub fn compresso_anchor(workload: &WorkloadProfile, accesses: u64) -> (RunReport, u64) {
-    let r = run_scheme(workload, SchemeKind::Compresso, None, accesses);
-    let used = r.stats.dram_used_bytes;
-    (r, used)
-}
-
 /// The feasible TMCC budget nearest `target` (clamped to the minimum
 /// feasible budget for the workload).
 pub fn feasible_budget(workload: &WorkloadProfile, target: u64) -> u64 {
     let cfg = SystemConfig::new(workload.clone(), SchemeKind::Tmcc);
     let min = System::min_budget_bytes(&cfg);
     target.max(min)
-}
-
-/// Binary-search the smallest DRAM budget at which `toggles` still
-/// delivers at least `perf_floor` accesses/µs (the Table IV methodology:
-/// "operating points where TMCC can still provide the same performance as
-/// Compresso"). Returns `(budget, report_at_budget)`.
-pub fn iso_perf_budget_search(
-    workload: &WorkloadProfile,
-    toggles: TmccToggles,
-    perf_floor: f64,
-    accesses: u64,
-) -> (u64, RunReport) {
-    let cfg = SystemConfig::new(workload.clone(), SchemeKind::Tmcc);
-    let min = System::min_budget_bytes(&cfg);
-    let max = workload.sim_pages * 4096 + (1 << 22);
-    let mut lo = min;
-    let mut hi = max;
-    let mut best: Option<(u64, RunReport)> = None;
-    for _ in 0..5 {
-        let mid = lo + (hi - lo) / 2;
-        let r = run_two_level(workload, toggles, mid, accesses);
-        if r.perf_accesses_per_us() >= perf_floor {
-            best = Some((mid, r));
-            hi = mid; // try to save more
-        } else {
-            lo = mid + 1;
-        }
-    }
-    best.unwrap_or_else(|| {
-        let r = run_two_level(workload, toggles, max, accesses);
-        (max, r)
-    })
-}
-
-/// Like [`iso_perf_budget_search`], but with an arbitrary config factory —
-/// used by the huge-page sensitivity study, which needs extra settings on
-/// every probe.
-pub fn iso_perf_budget_search_cfg(
-    workload: &WorkloadProfile,
-    make_cfg: impl Fn(u64) -> SystemConfig,
-    perf_floor: f64,
-    accesses: u64,
-) -> (u64, RunReport) {
-    let probe = SystemConfig::new(workload.clone(), SchemeKind::Tmcc);
-    let min = System::min_budget_bytes(&probe);
-    let max = workload.sim_pages * 4096 + (1 << 22);
-    let mut lo = min;
-    let mut hi = max;
-    let mut best: Option<(u64, RunReport)> = None;
-    for _ in 0..5 {
-        let mid = lo + (hi - lo) / 2;
-        let r = System::new(make_cfg(mid)).run(accesses);
-        if r.perf_accesses_per_us() >= perf_floor {
-            best = Some((mid, r));
-            hi = mid;
-        } else {
-            lo = mid + 1;
-        }
-    }
-    best.unwrap_or_else(|| {
-        let r = System::new(make_cfg(max)).run(accesses);
-        (max, r)
-    })
 }
 
 #[cfg(test)]

@@ -2,19 +2,18 @@
 //!
 //! ```text
 //! tmcc-bench list
-//! tmcc-bench run <name>... [--jobs N] [--quick|--test] [--profile] [--out DIR]
-//!                          [--resume] [--retries N]
-//! tmcc-bench run-all       [--jobs N] [--quick|--test] [--profile] [--out DIR]
+//! tmcc-bench run <name>... [--jobs N] [--quick|--test] [--out DIR]
+//!                          [--resume] [--retries N] [--point N]
+//! tmcc-bench run-all       [--jobs N] [--quick|--test] [--out DIR]
 //!                          [--resume] [--retries N]
 //! ```
 //!
-//! `run-all` executes every registered experiment and writes the same
-//! per-figure `results/*.json` files the standalone binaries write —
-//! byte-identically at any `--jobs` count — plus a consolidated
+//! `run <name>` runs the named experiments, each writing its
+//! `results/<name>.json`; `run-all` executes every registered experiment
+//! — byte-identically at any `--jobs` count — and adds a consolidated
 //! `results/BENCH_sweep.json` with wall-clock, accesses simulated and
-//! accesses/sec per experiment. `--profile` additionally collects the
-//! simulator's host-time phase split (workload / translation / data /
-//! maintenance).
+//! accesses/sec per experiment. Per-layer host-time attribution is the
+//! benchmark's job: `tmcc-benchmark --trace 1`.
 //!
 //! # Crash safety (DESIGN.md §6.2)
 //!
@@ -31,7 +30,6 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
-use tmcc::PhaseProfile;
 use tmcc_bench::failures::FailureSink;
 use tmcc_bench::journal::{JournalMeta, ResumeState, SweepJournal};
 use tmcc_bench::perf_gate;
@@ -45,7 +43,6 @@ use tmcc_bench::watchdog::Watchdog;
 struct Options {
     jobs: usize,
     scale: Scale,
-    profile: bool,
     out: PathBuf,
     resume: bool,
     retries: u32,
@@ -71,7 +68,6 @@ fn usage() -> ! {
          \x20 --jobs N             worker threads (default: one per CPU)\n\
          \x20 --quick              ~5x smaller runs (CI smoke scale)\n\
          \x20 --test               tiny runs (golden determinism scale)\n\
-         \x20 --profile            collect host-time per-phase timing\n\
          \x20 --out DIR            output directory (default: repo results/)\n\
          \x20 --resume             replay completed points from the sweep journal\n\
          \x20 --retries N          attempts per point = N + 1 (default: 2)\n\
@@ -85,7 +81,6 @@ fn parse_options(args: &[String]) -> Options {
     let mut opts = Options {
         jobs: 0,
         scale: Scale::Full,
-        profile: false,
         out: tmcc_bench::results_dir(),
         resume: false,
         retries: DEFAULT_RETRIES,
@@ -101,7 +96,6 @@ fn parse_options(args: &[String]) -> Options {
             }
             "--quick" => opts.scale = Scale::Quick,
             "--test" => opts.scale = Scale::Test,
-            "--profile" => opts.profile = true,
             "--out" => {
                 let v = it.next().unwrap_or_else(|| usage());
                 opts.out = PathBuf::from(v);
@@ -189,13 +183,18 @@ impl Harness {
         jobs: usize,
         pool: Arc<rayon::ThreadPool>,
     ) -> SweepCtx {
-        SweepCtx::with_pool(opts.scale, jobs, opts.out.clone(), opts.profile, pool)
-            .for_experiment(e.name, e.budget_weight)
-            .with_retries(opts.retries)
-            .with_point(opts.point)
-            .with_journal(Arc::clone(&self.journal))
-            .with_watchdog(Arc::clone(&self.watchdog))
-            .with_failures(Arc::clone(&self.failures))
+        SweepCtx::with_pool(
+            opts.scale,
+            jobs,
+            opts.out.clone(),
+            pool,
+            Arc::clone(&self.journal),
+            Arc::clone(&self.watchdog),
+            Arc::clone(&self.failures),
+        )
+        .for_experiment(e.name, e.budget_weight)
+        .with_retries(opts.retries)
+        .with_point(opts.point)
     }
 }
 
@@ -245,18 +244,14 @@ fn run_suite_serial(
     experiments: &[Experiment],
     opts: &Options,
     harness: &Harness,
-) -> (Vec<ExperimentTiming>, PhaseProfile) {
+) -> Vec<ExperimentTiming> {
     let pool = Arc::new(ThreadPoolBuilder::new().num_threads(1).build().expect("pool"));
     let mut timings = Vec::new();
-    let mut profile = PhaseProfile::default();
     for e in experiments {
         let ctx = harness.ctx_for(e, opts, 1, Arc::clone(&pool));
         timings.push(run_one(e, &ctx));
-        if let Some(p) = ctx.profile() {
-            accumulate_profile(&mut profile, &p);
-        }
     }
-    (timings, profile)
+    timings
 }
 
 /// Runs `experiments` as tasks on one shared work-stealing pool: every
@@ -279,7 +274,7 @@ fn run_suite_parallel(
     opts: &Options,
     harness: &Harness,
     jobs: usize,
-) -> (Vec<ExperimentTiming>, PhaseProfile) {
+) -> Vec<ExperimentTiming> {
     let pool = Arc::new(ThreadPoolBuilder::new().num_threads(jobs).build().expect("pool"));
     let ctxs: Vec<SweepCtx> =
         experiments.iter().map(|e| harness.ctx_for(e, opts, jobs, Arc::clone(&pool))).collect();
@@ -294,30 +289,17 @@ fn run_suite_parallel(
             });
         }
     });
-    let timings = slots
+    slots
         .into_iter()
         .map(|m| m.into_inner().expect("timing slot").expect("experiment ran"))
-        .collect();
-    let mut profile = PhaseProfile::default();
-    for p in ctxs.iter().filter_map(SweepCtx::profile) {
-        accumulate_profile(&mut profile, &p);
-    }
-    (timings, profile)
-}
-
-fn accumulate_profile(acc: &mut PhaseProfile, p: &PhaseProfile) {
-    acc.steps += p.steps;
-    acc.workload_ns += p.workload_ns;
-    acc.translation_ns += p.translation_ns;
-    acc.data_ns += p.data_ns;
-    acc.maintenance_ns += p.maintenance_ns;
+        .collect()
 }
 
 /// Runs `experiments`, timing each; returns the consolidated summary.
 fn run_suite(experiments: &[Experiment], opts: &Options, harness: &Harness) -> SweepSummary {
     let jobs = resolve_jobs(opts.jobs);
     let suite_start = Instant::now();
-    let (timings, profile) = if jobs <= 1 {
+    let timings = if jobs <= 1 {
         run_suite_serial(experiments, opts, harness)
     } else {
         run_suite_parallel(experiments, opts, harness, jobs)
@@ -332,7 +314,6 @@ fn run_suite(experiments: &[Experiment], opts: &Options, harness: &Harness) -> S
         total_accesses_simulated: total_accesses,
         accesses_per_sec: total_accesses as f64 / total_wall.as_secs_f64().max(1e-9),
         peak_rss_kb: tmcc_bench::hostmem::peak_rss_kb(),
-        profile,
     }
 }
 
@@ -357,19 +338,6 @@ fn print_summary(summary: &SweepSummary) {
         summary.total_accesses_simulated,
         summary.accesses_per_sec
     );
-    let p = &summary.profile;
-    if p.steps > 0 {
-        let (w, t, d, m) = p.shares();
-        println!(
-            "  phase profile over {} steps: workload {:.1}% / translation {:.1}% / \
-             data {:.1}% / maintenance {:.1}%",
-            p.steps,
-            w * 100.0,
-            t * 100.0,
-            d * 100.0,
-            m * 100.0
-        );
-    }
 }
 
 /// Writes `FAILURES.json` (or removes a stale one) and exits non-zero

@@ -2,8 +2,8 @@
 //! registered by name so `tmcc-bench` (and the golden determinism test)
 //! can enumerate and run them uniformly.
 //!
-//! Names double as the `results/<name>.json` file stems. The per-figure
-//! binaries in `src/bin/` are thin shims over [`run_standalone`].
+//! Names double as the `results/<name>.json` file stems; one experiment
+//! runs with `tmcc-bench run <name>`.
 
 use crate::experiments;
 use crate::sweep::SweepCtx;
@@ -191,20 +191,5 @@ pub fn find(name: &str) -> Result<Experiment, String> {
             "'{name}' is ambiguous: {}",
             matches.iter().map(|e| e.name).collect::<Vec<_>>().join(", ")
         )),
-    }
-}
-
-/// Entry point for the per-figure shim binaries: full scale, one worker
-/// per CPU, repo `results/` output.
-pub fn run_standalone(name: &str) {
-    match find(name) {
-        Ok(e) => {
-            let ctx = SweepCtx::standalone().for_experiment(e.name, e.budget_weight);
-            (e.run)(&ctx);
-        }
-        Err(msg) => {
-            eprintln!("{msg}");
-            std::process::exit(1);
-        }
     }
 }

@@ -1,34 +1,35 @@
-//! The shared sweep harness behind `tmcc-bench` and the per-figure
-//! binaries.
+//! The shared sweep harness behind `tmcc-bench`.
 //!
 //! Every experiment runs through a [`SweepCtx`]: it supplies the run
 //! [`Scale`], a worker pool for [`SweepCtx::par_map`] grids, the JSON
-//! output directory, and global counters (accesses simulated, optional
-//! host-time phase profile). Determinism is by construction — each config
-//! point carries its own seed, `par_map` returns results in input order
-//! regardless of scheduling, and the JSON emitters consume those ordered
-//! results — so `--jobs 1` and `--jobs N` produce byte-identical
+//! output directory, and per-experiment counters (accesses simulated,
+//! busy time, points replayed). Determinism is by construction — each
+//! config point carries its own seed, `par_map` returns results in input
+//! order regardless of scheduling, and the JSON emitters consume those
+//! ordered results — so `--jobs 1` and `--jobs N` produce byte-identical
 //! per-figure files.
 //!
 //! # Failure isolation (DESIGN.md §6.2)
 //!
-//! Under `tmcc-bench`, every `par_map` point runs inside a
-//! `catch_unwind` ring: a panicking, erroring, or timed-out point is
-//! retried up to `--retries` times (each retry deterministically
-//! re-seeded in [`SweepCtx::tune`]), and a point that exhausts its
-//! retries is quarantined into `results/FAILURES.json` — its experiment
-//! aborts, the rest of the fleet keeps running. The sweep journal
-//! ([`crate::journal`]) makes completed points replayable after a crash;
-//! the watchdog ([`crate::watchdog`]) cancels points that exceed their
-//! deadline through the simulator's cooperative [`RunHandle`].
+//! Every `par_map` point runs inside a `catch_unwind` ring: a panicking,
+//! erroring, or timed-out point is retried up to `--retries` times (each
+//! retry deterministically re-seeded in [`SweepCtx::tune`]), and a point
+//! that exhausts its retries is quarantined into `results/FAILURES.json`
+//! — its experiment aborts, the rest of the fleet keeps running. The
+//! sweep journal ([`crate::journal`]) makes completed points replayable
+//! after a crash; the watchdog ([`crate::watchdog`]) cancels points that
+//! exceed their deadline through the simulator's cooperative
+//! [`RunHandle`]. Every simulation run family (plain, multi-tenant,
+//! capacity) reaches journal and watchdog through one private path,
+//! `SweepCtx::journaled`.
 
 use crate::failures::{FailPoint, FailureCause, FailureSink, PointFailure};
 use crate::journal::{fingerprint, SweepJournal};
 use crate::watchdog::{effective_budget, Watchdog};
 use crate::DEFAULT_ACCESSES;
 use rayon::prelude::*;
-use rayon::{ThreadPool, ThreadPoolBuilder};
-use serde::Serialize;
+use rayon::ThreadPool;
+use serde::{Deserialize, Serialize};
 use std::cell::{Cell, RefCell};
 use std::fs;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -38,8 +39,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 use tmcc::config::TmccToggles;
 use tmcc::{
-    MultiTenantConfig, MultiTenantReport, MultiTenantSystem, PhaseProfile, RunHandle, RunReport,
-    SchemeKind, System, SystemConfig, TmccError,
+    MultiTenantConfig, MultiTenantReport, MultiTenantSystem, RunHandle, RunReport, SchemeKind,
+    System, SystemConfig, TmccError,
 };
 use tmcc_workloads::WorkloadProfile;
 
@@ -158,9 +159,9 @@ struct PointState {
 thread_local! {
     /// Retry state of the point currently executing on this worker.
     static POINT_CTX: Cell<PointState> = const { Cell::new(PointState { attempt: 0, timeouts: 0 }) };
-    /// Display form of the last simulator error [`SweepCtx::run`]
-    /// panicked on — lets the retry ring report a typed `sim-error`
-    /// cause instead of a generic panic.
+    /// Display form of the last simulator error [`or_retry`] panicked
+    /// on — lets the retry ring report a typed `sim-error` cause instead
+    /// of a generic panic.
     static LAST_SIM_ERROR: RefCell<Option<String>> = const { RefCell::new(None) };
     /// Seed of the most recently tuned config on this worker, recorded
     /// into `FAILURES.json` so a quarantined point can be replayed at
@@ -168,7 +169,7 @@ thread_local! {
     static LAST_POINT_SEED: Cell<Option<u64>> = const { Cell::new(None) };
 }
 
-/// Panic payload for a watchdog-cancelled run; [`SweepCtx::try_run`]
+/// Panic payload for a watchdog-cancelled run; [`SweepCtx::journaled`]
 /// throws it so timeouts route through the same retry ring as panics,
 /// even for callers that match on `Result` (the robustness sweep).
 struct PointTimeout {
@@ -197,14 +198,13 @@ pub struct SweepCtx {
     jobs: usize,
     pool: Arc<ThreadPool>,
     out_dir: PathBuf,
-    profile_enabled: bool,
     experiment: &'static str,
     budget_weight: f64,
     retries: u32,
     only_point: Option<usize>,
-    journal: Option<Arc<SweepJournal>>,
-    watchdog: Option<Arc<Watchdog>>,
-    failures: Option<Arc<FailureSink>>,
+    journal: Arc<SweepJournal>,
+    watchdog: Arc<Watchdog>,
+    failures: Arc<FailureSink>,
     accesses: AtomicU64,
     /// Summed worker time spent executing this experiment's points. Under
     /// the shared `run-all` pool an experiment's *span* includes time its
@@ -212,59 +212,40 @@ pub struct SweepCtx {
     /// is schedule-dependent; busy time is not.
     busy_ns: AtomicU64,
     points_replayed: AtomicU64,
-    prof_steps: AtomicU64,
-    prof_workload_ns: AtomicU64,
-    prof_translation_ns: AtomicU64,
-    prof_data_ns: AtomicU64,
-    prof_maintenance_ns: AtomicU64,
 }
 
 impl SweepCtx {
-    /// Builds a context with its own pool. `jobs == 0` means one worker
-    /// per available CPU.
-    pub fn new(scale: Scale, jobs: usize, out_dir: PathBuf, profile: bool) -> Self {
-        let jobs = resolve_jobs(jobs);
-        let pool = Arc::new(ThreadPoolBuilder::new().num_threads(jobs).build().expect("pool"));
-        Self::with_pool(scale, jobs, out_dir, profile, pool)
-    }
-
-    /// Builds a context over an existing shared pool. `jobs` must already
+    /// Builds a context over the sweep's shared worker pool and its
+    /// crash-safety plumbing: completed runs are appended to `journal`
+    /// (and runs already journaled are replayed instead of simulated),
+    /// every run gets a `watchdog` deadline, and points that exhaust
+    /// their retries are quarantined into `failures`. `jobs` must already
     /// be resolved (non-zero) and should match the pool's thread count.
     pub fn with_pool(
         scale: Scale,
         jobs: usize,
         out_dir: PathBuf,
-        profile: bool,
         pool: Arc<ThreadPool>,
+        journal: Arc<SweepJournal>,
+        watchdog: Arc<Watchdog>,
+        failures: Arc<FailureSink>,
     ) -> Self {
         Self {
             scale,
             jobs,
             pool,
             out_dir,
-            profile_enabled: profile,
             experiment: "",
             budget_weight: 1.0,
             retries: DEFAULT_RETRIES,
             only_point: None,
-            journal: None,
-            watchdog: None,
-            failures: None,
+            journal,
+            watchdog,
+            failures,
             accesses: AtomicU64::new(0),
             busy_ns: AtomicU64::new(0),
             points_replayed: AtomicU64::new(0),
-            prof_steps: AtomicU64::new(0),
-            prof_workload_ns: AtomicU64::new(0),
-            prof_translation_ns: AtomicU64::new(0),
-            prof_data_ns: AtomicU64::new(0),
-            prof_maintenance_ns: AtomicU64::new(0),
         }
-    }
-
-    /// Context for a standalone figure binary: full scale, auto jobs,
-    /// the repo `results/` directory.
-    pub fn standalone() -> Self {
-        Self::new(Scale::Full, 0, crate::results_dir(), false)
     }
 
     /// Names the experiment this context runs and sets its watchdog
@@ -273,27 +254,6 @@ impl SweepCtx {
     pub fn for_experiment(mut self, name: &'static str, budget_weight: f64) -> Self {
         self.experiment = name;
         self.budget_weight = budget_weight;
-        self
-    }
-
-    /// Attaches the shared sweep journal: completed runs are appended,
-    /// and runs already journaled are replayed instead of simulated.
-    pub fn with_journal(mut self, journal: Arc<SweepJournal>) -> Self {
-        self.journal = Some(journal);
-        self
-    }
-
-    /// Attaches the shared watchdog: every simulation run gets a
-    /// cancellation deadline.
-    pub fn with_watchdog(mut self, watchdog: Arc<Watchdog>) -> Self {
-        self.watchdog = Some(watchdog);
-        self
-    }
-
-    /// Attaches the shared failure sink, enabling the per-point retry +
-    /// quarantine ring in [`SweepCtx::par_map`].
-    pub fn with_failures(mut self, failures: Arc<FailureSink>) -> Self {
-        self.failures = Some(failures);
         self
     }
 
@@ -347,33 +307,19 @@ impl SweepCtx {
         self.points_replayed.load(Ordering::Relaxed)
     }
 
-    /// The experiment name this context was built for ("" standalone).
+    /// The experiment name this context was built for.
     pub fn experiment(&self) -> &'static str {
         self.experiment
-    }
-
-    /// Aggregated host-time phase profile, if profiling was requested.
-    pub fn profile(&self) -> Option<PhaseProfile> {
-        if !self.profile_enabled {
-            return None;
-        }
-        Some(PhaseProfile {
-            steps: self.prof_steps.load(Ordering::Relaxed),
-            workload_ns: self.prof_workload_ns.load(Ordering::Relaxed),
-            translation_ns: self.prof_translation_ns.load(Ordering::Relaxed),
-            data_ns: self.prof_data_ns.load(Ordering::Relaxed),
-            maintenance_ns: self.prof_maintenance_ns.load(Ordering::Relaxed),
-        })
     }
 
     /// Maps `f` over `items` on the worker pool; results come back in
     /// input order no matter how the workers are scheduled.
     ///
-    /// When a failure sink is attached (`tmcc-bench` runs), each point
-    /// runs inside the retry ring: a panic, simulator error, or watchdog
-    /// timeout is retried up to the configured `--retries` with a
-    /// deterministic re-seed, and a point that exhausts its attempts is
-    /// quarantined before the experiment aborts with [`PointAborted`].
+    /// Each point runs inside the retry ring: a panic, simulator error,
+    /// or watchdog timeout is retried up to the configured `--retries`
+    /// with a deterministic re-seed, and a point that exhausts its
+    /// attempts is quarantined before the experiment aborts with
+    /// [`PointAborted`].
     pub fn par_map<T, R, F>(&self, items: Vec<T>, f: F) -> Vec<R>
     where
         T: Send + Clone,
@@ -427,20 +373,12 @@ impl SweepCtx {
         }
     }
 
-    /// One point through the retry ring (or straight through when no
-    /// failure sink is attached — standalone binaries keep the legacy
-    /// fail-fast behavior).
+    /// One point through the retry ring.
     fn run_point<T, R, F>(&self, index: usize, item: T, f: &F) -> R
     where
         T: Clone,
         F: Fn(T) -> R,
     {
-        let Some(sink) = &self.failures else {
-            let start = Instant::now();
-            let r = f(item);
-            self.busy_ns.fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
-            return r;
-        };
         let attempts = self.retries + 1;
         let mut timeouts = 0u32;
         let mut last_cause = None;
@@ -485,7 +423,7 @@ impl SweepCtx {
             }
         }
         let cause = last_cause.unwrap_or(FailureCause::Panic { message: "unknown".into() });
-        sink.record(PointFailure {
+        self.failures.record(PointFailure {
             experiment: self.experiment,
             index,
             cause,
@@ -497,8 +435,7 @@ impl SweepCtx {
         std::panic::panic_any(PointAborted);
     }
 
-    /// Writes `results/<name>.json` under the context's output directory
-    /// (same bytes as the legacy per-binary `write_json`).
+    /// Writes `results/<name>.json` under the context's output directory.
     pub fn emit<T: Serialize>(&self, name: &str, value: &T) {
         let _ = fs::create_dir_all(&self.out_dir);
         let path = self.out_dir.join(format!("{name}.json"));
@@ -512,8 +449,8 @@ impl SweepCtx {
         }
     }
 
-    /// Applies the scale's warmup/footprint overrides and the profile
-    /// flag to a config, plus the executing point's retry adjustments:
+    /// Applies the scale's warmup/footprint overrides to a config, plus
+    /// the executing point's retry adjustments:
     /// retry attempts get a deterministic seed perturbation (a flaky
     /// point re-rolls its access stream instead of replaying the exact
     /// crash), and `--quick` runs halve the footprint per prior timeout
@@ -526,9 +463,6 @@ impl SweepCtx {
             cfg.workload.sim_pages = cfg.workload.sim_pages.min(cap);
         }
         cfg.size_samples = self.scale.size_samples();
-        if self.profile_enabled {
-            cfg.profile = true;
-        }
         let point = POINT_CTX.with(Cell::get);
         if point.attempt > 0 {
             cfg.seed ^= RESEED_GOLDEN.wrapping_mul(point.attempt as u64);
@@ -554,277 +488,137 @@ impl SweepCtx {
         cfg
     }
 
-    /// Runs one tuned config for `accesses` measured accesses, counting
-    /// the simulated work and (if enabled) the phase profile.
+    /// Runs one tuned config for `accesses` measured accesses, panicking
+    /// on a simulator error so the point routes through the retry ring.
     pub fn run(&self, cfg: SystemConfig, accesses: u64) -> RunReport {
-        match self.try_run(cfg, accesses) {
-            Ok(r) => r,
-            Err(e) => {
-                // Leave the typed error for the retry ring's classifier;
-                // the panic itself is what routes control there.
-                LAST_SIM_ERROR.with(|c| *c.borrow_mut() = Some(e.to_string()));
-                panic!("{e}")
-            }
-        }
+        or_retry(self.try_run(cfg, accesses))
     }
 
-    /// Fallible variant of [`SweepCtx::run`] (robustness sweeps record
-    /// the error instead of aborting).
-    ///
-    /// This is the journal's unit of replay: the tuned config + access
-    /// count fingerprint the run, a journal hit decodes the stored
-    /// report (bit-exact — downstream JSON stays byte-identical) instead
-    /// of simulating, and a completed run is appended before returning.
-    /// Watchdog cancellation is converted to a [`PointTimeout`] panic so
-    /// timeouts reach the retry ring even from callers that handle the
-    /// `Err` branch themselves.
+    /// Fallible variant of [`SweepCtx::run`] (the robustness and
+    /// integrity sweeps record the error instead of aborting), journaled
+    /// under the tuned config and access count.
     pub fn try_run(&self, cfg: SystemConfig, accesses: u64) -> Result<RunReport, TmccError> {
-        self.try_run_keyed("", cfg, accesses)
-    }
-
-    /// Integrity-storm counterpart of [`SweepCtx::try_run`]: identical
-    /// replay and journaling, but keys carry the `int|` prefix (like
-    /// `mt|` and `cap|`) so storm records — whose configs differ from a
-    /// plain run's only by the flip plan — live in their own key space
-    /// and can never shadow or be shadowed by another family's record.
-    pub fn try_run_integrity(
-        &self,
-        cfg: SystemConfig,
-        accesses: u64,
-    ) -> Result<RunReport, TmccError> {
-        self.try_run_keyed("int|", cfg, accesses)
-    }
-
-    /// Runs one integrity point, panicking on error so failures route
-    /// through the retry ring (the storm counterpart of [`SweepCtx::run`]).
-    pub fn run_integrity(&self, cfg: SystemConfig, accesses: u64) -> RunReport {
-        match self.try_run_integrity(cfg, accesses) {
-            Ok(r) => r,
-            Err(e) => {
-                LAST_SIM_ERROR.with(|c| *c.borrow_mut() = Some(e.to_string()));
-                panic!("{e}")
-            }
-        }
-    }
-
-    fn try_run_keyed(
-        &self,
-        key_prefix: &'static str,
-        cfg: SystemConfig,
-        accesses: u64,
-    ) -> Result<RunReport, TmccError> {
         let cfg = self.tune(cfg);
-        let warmup = cfg.warmup_accesses;
-        let key = fingerprint(&format!("{key_prefix}{cfg:?}|{accesses}"));
-        if let Some(journal) = &self.journal {
-            if let Some(json) = journal.lookup(self.experiment, key) {
-                match decode_report(json) {
-                    Ok(report) => {
-                        self.accesses.fetch_add(warmup + accesses, Ordering::Relaxed);
-                        self.points_replayed.fetch_add(1, Ordering::Relaxed);
-                        return Ok(report);
-                    }
-                    Err(detail) => eprintln!(
-                        "warning: [{}] journal record undecodable ({detail}); re-running",
-                        self.experiment
-                    ),
-                }
-            }
-        }
-        let mut sys = System::try_new(cfg)?;
-        let _guard = self.watchdog.as_ref().map(|dog| {
-            let handle = RunHandle::new();
-            sys.attach_handle(&handle);
-            dog.arm(self.point_budget(), &handle)
-        });
-        let result = sys.try_run(accesses);
-        // Count even failed runs: the work up to the failure was simulated.
-        self.accesses.fetch_add(warmup + accesses, Ordering::Relaxed);
-        let p = sys.phase_profile();
-        if p.steps > 0 {
-            self.prof_steps.fetch_add(p.steps, Ordering::Relaxed);
-            self.prof_workload_ns.fetch_add(p.workload_ns, Ordering::Relaxed);
-            self.prof_translation_ns.fetch_add(p.translation_ns, Ordering::Relaxed);
-            self.prof_data_ns.fetch_add(p.data_ns, Ordering::Relaxed);
-            self.prof_maintenance_ns.fetch_add(p.maintenance_ns, Ordering::Relaxed);
-        }
-        if let Err(e) = &result {
-            if e.is_cancelled() {
-                let budget_ms = self.point_budget().as_millis() as u64;
-                std::panic::panic_any(PointTimeout { budget_ms });
-            }
-        }
-        if let (Ok(report), Some(journal)) = (&result, &self.journal) {
-            match serde_json::to_string(report) {
-                Ok(json) => journal.append(self.experiment, key, &json),
-                Err(e) => eprintln!("warning: could not journal a run: {e}"),
-            }
-        }
-        result
+        let counted = cfg.warmup_accesses + accesses;
+        self.journaled(format!("{cfg:?}|{accesses}"), counted, |handle| {
+            let mut sys = System::try_new(cfg)?;
+            sys.attach_handle(handle);
+            sys.try_run(accesses)
+        })
     }
 
     /// Runs one multi-tenant scenario, panicking on error so failures
-    /// route through the retry ring (the MT counterpart of
-    /// [`SweepCtx::run`]).
+    /// route through the retry ring. The cancellation token is wired in
+    /// before construction, so admission warmups respect the deadline.
     pub fn run_mt(&self, cfg: MultiTenantConfig, accesses: u64) -> MultiTenantReport {
-        match self.try_run_mt(cfg, accesses) {
-            Ok(r) => r,
-            Err(e) => {
-                LAST_SIM_ERROR.with(|c| *c.borrow_mut() = Some(e.to_string()));
-                panic!("{e}")
-            }
-        }
-    }
-
-    /// Fallible multi-tenant counterpart of [`SweepCtx::try_run`]: same
-    /// journal replay (keys prefixed `mt|` so they can never collide
-    /// with single-system fingerprints), same watchdog arming — the
-    /// cancellation token is wired in before construction so admission
-    /// warmups respect the deadline — and the same timeout-to-panic
-    /// conversion into the retry ring.
-    pub fn try_run_mt(
-        &self,
-        cfg: MultiTenantConfig,
-        accesses: u64,
-    ) -> Result<MultiTenantReport, TmccError> {
         let cfg = self.tune_mt(cfg);
         let initial_warmups =
             cfg.warmup_accesses * cfg.initial_tenants.min(cfg.roster.len()) as u64;
-        let key = fingerprint(&format!("mt|{cfg:?}|{accesses}"));
-        if let Some(journal) = &self.journal {
-            if let Some(json) = journal.lookup(self.experiment, key) {
-                match decode_mt_report(json) {
-                    Ok(report) => {
-                        self.accesses.fetch_add(initial_warmups + accesses, Ordering::Relaxed);
-                        self.points_replayed.fetch_add(1, Ordering::Relaxed);
-                        return Ok(report);
-                    }
-                    Err(detail) => eprintln!(
-                        "warning: [{}] journal record undecodable ({detail}); re-running",
-                        self.experiment
-                    ),
-                }
-            }
-        }
-        let handle = RunHandle::new();
-        let _guard = self.watchdog.as_ref().map(|dog| dog.arm(self.point_budget(), &handle));
-        let result = MultiTenantSystem::try_new_cancellable(cfg, Some(&handle))
-            .and_then(|mut sys| sys.try_run(accesses));
-        // Count even failed scenarios: the work up to the failure ran.
-        self.accesses.fetch_add(initial_warmups + accesses, Ordering::Relaxed);
-        if let Err(e) = &result {
-            if e.is_cancelled() {
-                let budget_ms = self.point_budget().as_millis() as u64;
-                std::panic::panic_any(PointTimeout { budget_ms });
-            }
-        }
-        if let (Ok(report), Some(journal)) = (&result, &self.journal) {
-            match serde_json::to_string(report) {
-                Ok(json) => journal.append(self.experiment, key, &json),
-                Err(e) => eprintln!("warning: could not journal a run: {e}"),
-            }
-        }
-        result
+        or_retry(self.journaled(
+            format!("mt|{cfg:?}|{accesses}"),
+            initial_warmups + accesses,
+            |h| {
+                MultiTenantSystem::try_new_cancellable(cfg, Some(h))
+                    .and_then(|mut sys| sys.try_run(accesses))
+            },
+        ))
     }
 
     /// Runs one capacity/footprint point, panicking on error so failures
-    /// route through the retry ring (the capacity counterpart of
-    /// [`SweepCtx::run`]).
+    /// route through the retry ring. Beside the report it returns the
+    /// [`CapacityProbe`] — host-side metadata/store measurements a plain
+    /// [`RunReport`] cannot express, journaled with it — and the
+    /// *nondeterministic* [`HostCost`], which is `None` for replayed
+    /// points and must never feed a golden-compared results file.
     pub fn run_capacity(
         &self,
         cfg: SystemConfig,
         accesses: u64,
     ) -> (RunReport, CapacityProbe, Option<HostCost>) {
-        match self.try_run_capacity(cfg, accesses) {
-            Ok(r) => r,
-            Err(e) => {
-                LAST_SIM_ERROR.with(|c| *c.borrow_mut() = Some(e.to_string()));
-                panic!("{e}")
-            }
-        }
+        let cfg = self.tune(cfg);
+        let counted = cfg.warmup_accesses + accesses;
+        let mut host = None;
+        let record = self.journaled(format!("cap|{cfg:?}|{accesses}"), counted, |handle| {
+            let rss_before_kb = crate::hostmem::current_rss_kb();
+            let construct_start = Instant::now();
+            let mut sys = System::try_new(cfg)?;
+            let construct_ms = construct_start.elapsed().as_secs_f64() * 1e3;
+            sys.attach_handle(handle);
+            let run_start = Instant::now();
+            let report = sys.try_run(accesses)?;
+            let run_ms = run_start.elapsed().as_secs_f64() * 1e3;
+            // Audit the end state: the capacity points are the only runs at
+            // footprints the test suite cannot reach.
+            sys.validate()?;
+            let (store_reads, store_writes, store_divergent_writes) = sys.page_store().stats();
+            let probe = CapacityProbe {
+                metadata_heap_bytes: sys.metadata_heap_bytes() as u64,
+                store_heap_bytes: sys.page_store().heap_bytes() as u64,
+                store_reads,
+                store_writes,
+                store_divergent_writes,
+                pinned_pages: sys.page_store().pinned_pages() as u64,
+            };
+            host = Some(HostCost {
+                construct_ms,
+                run_ms,
+                rss_before_kb,
+                rss_after_kb: crate::hostmem::current_rss_kb(),
+            });
+            Ok(CapacityRecord { report, probe })
+        });
+        let CapacityRecord { report, probe } = or_retry(record);
+        (report, probe, host)
     }
 
-    /// Capacity counterpart of [`SweepCtx::try_run`]: same journal replay
-    /// (keys prefixed `cap|`) and watchdog arming, but the journal record
-    /// carries a [`CapacityProbe`] beside the report — the host-side
-    /// metadata/store measurements a plain [`RunReport`] cannot express.
-    /// The returned [`HostCost`] is the *nondeterministic* wall-clock/RSS
-    /// side and is `None` for replayed points; it must never feed a
-    /// golden-compared results file.
-    pub fn try_run_capacity(
+    /// The one journaled run path. A journal hit for `key_material`
+    /// (scoped to this experiment) decodes the stored record — bit-exact,
+    /// so downstream JSON stays byte-identical — instead of simulating;
+    /// otherwise `run` builds and simulates under a watchdog deadline on
+    /// its [`RunHandle`], and a completed record is appended before
+    /// returning. Replays and live attempts, failed ones included, are
+    /// all charged `counted` accesses, so a resumed sweep reports the
+    /// same simulated work as an uninterrupted one. Watchdog cancellation
+    /// becomes a [`PointTimeout`] panic, so timeouts reach the retry ring
+    /// even from callers that handle the `Err` branch.
+    fn journaled<R: Serialize + Deserialize>(
         &self,
-        cfg: SystemConfig,
-        accesses: u64,
-    ) -> Result<(RunReport, CapacityProbe, Option<HostCost>), TmccError> {
-        let cfg = self.tune(cfg);
-        let warmup = cfg.warmup_accesses;
-        let key = fingerprint(&format!("cap|{cfg:?}|{accesses}"));
-        if let Some(journal) = &self.journal {
-            if let Some(json) = journal.lookup(self.experiment, key) {
-                match decode_capacity(json) {
-                    Ok((report, probe)) => {
-                        self.accesses.fetch_add(warmup + accesses, Ordering::Relaxed);
-                        self.points_replayed.fetch_add(1, Ordering::Relaxed);
-                        return Ok((report, probe, None));
-                    }
-                    Err(detail) => eprintln!(
-                        "warning: [{}] journal record undecodable ({detail}); re-running",
-                        self.experiment
-                    ),
+        key_material: String,
+        counted: u64,
+        run: impl FnOnce(&RunHandle) -> Result<R, TmccError>,
+    ) -> Result<R, TmccError> {
+        let key = fingerprint(&key_material);
+        if let Some(json) = self.journal.lookup(self.experiment, key) {
+            let decoded = serde_json::from_str(json)
+                .map_err(|e| e.to_string())
+                .and_then(|v| R::from_value(&v));
+            match decoded {
+                Ok(record) => {
+                    self.accesses.fetch_add(counted, Ordering::Relaxed);
+                    self.points_replayed.fetch_add(1, Ordering::Relaxed);
+                    return Ok(record);
                 }
+                Err(detail) => eprintln!(
+                    "warning: [{}] journal record undecodable ({detail}); re-running",
+                    self.experiment
+                ),
             }
         }
-        let rss_before_kb = crate::hostmem::current_rss_kb();
-        let construct_start = Instant::now();
-        let mut sys = System::try_new(cfg)?;
-        let construct_ms = construct_start.elapsed().as_secs_f64() * 1e3;
-        let _guard = self.watchdog.as_ref().map(|dog| {
-            let handle = RunHandle::new();
-            sys.attach_handle(&handle);
-            dog.arm(self.point_budget(), &handle)
-        });
-        let run_start = Instant::now();
-        let result = sys.try_run(accesses);
-        let run_ms = run_start.elapsed().as_secs_f64() * 1e3;
-        self.accesses.fetch_add(warmup + accesses, Ordering::Relaxed);
-        if let Err(e) = &result {
-            if e.is_cancelled() {
-                let budget_ms = self.point_budget().as_millis() as u64;
-                std::panic::panic_any(PointTimeout { budget_ms });
+        let handle = RunHandle::new();
+        let _guard = self.watchdog.arm(self.point_budget(), &handle);
+        let result = run(&handle);
+        self.accesses.fetch_add(counted, Ordering::Relaxed);
+        if result.as_ref().is_err_and(TmccError::is_cancelled) {
+            let budget_ms = self.point_budget().as_millis() as u64;
+            std::panic::panic_any(PointTimeout { budget_ms });
+        }
+        if let Ok(record) = &result {
+            match serde_json::to_string(record) {
+                Ok(json) => self.journal.append(self.experiment, key, &json),
+                Err(e) => eprintln!("warning: could not journal a run: {e}"),
             }
         }
-        let report = result?;
-        // Audit the end state: the capacity points are the only runs at
-        // footprints the test suite cannot reach.
-        sys.validate()?;
-        let (store_reads, store_writes, store_divergent_writes) = sys.page_store().stats();
-        let probe = CapacityProbe {
-            metadata_heap_bytes: sys.metadata_heap_bytes() as u64,
-            store_heap_bytes: sys.page_store().heap_bytes() as u64,
-            store_reads,
-            store_writes,
-            store_divergent_writes,
-            pinned_pages: sys.page_store().pinned_pages() as u64,
-        };
-        let host = HostCost {
-            construct_ms,
-            run_ms,
-            rss_before_kb,
-            rss_after_kb: crate::hostmem::current_rss_kb(),
-        };
-        if let Some(journal) = &self.journal {
-            match (serde_json::to_string(&report), serde_json::to_string(&probe)) {
-                (Ok(r), Ok(p)) => {
-                    journal.append(
-                        self.experiment,
-                        key,
-                        &format!("{{\"report\":{r},\"probe\":{p}}}"),
-                    );
-                }
-                _ => eprintln!("warning: could not journal a capacity run"),
-            }
-        }
-        Ok((report, probe, Some(host)))
+        result
     }
 
     /// This context's watchdog deadline per simulation run.
@@ -832,7 +626,7 @@ impl SweepCtx {
         effective_budget(self.scale.point_budget().mul_f64(self.budget_weight.max(0.1)))
     }
 
-    /// [`crate::run_scheme`] through the context.
+    /// Runs one workload under one scheme with an optional budget.
     pub fn run_scheme(
         &self,
         workload: &WorkloadProfile,
@@ -845,7 +639,7 @@ impl SweepCtx {
         self.run(cfg, accesses)
     }
 
-    /// [`crate::run_two_level`] through the context.
+    /// Runs a two-level scheme with explicit toggles (Fig. 20 ablations).
     pub fn run_two_level(
         &self,
         workload: &WorkloadProfile,
@@ -853,24 +647,21 @@ impl SweepCtx {
         budget: u64,
         accesses: u64,
     ) -> RunReport {
-        let kind = if toggles.embedded_ctes && toggles.fast_deflate {
-            SchemeKind::Tmcc
-        } else {
-            SchemeKind::OsInspired
-        };
-        let cfg =
-            SystemConfig::new(workload.clone(), kind).with_budget(budget).with_toggles(toggles);
-        self.run(cfg, accesses)
+        self.run(two_level_cfg(workload, toggles, budget), accesses)
     }
 
-    /// [`crate::compresso_anchor`] through the context.
+    /// Runs Compresso and returns `(report, dram_used)` — the iso-savings
+    /// anchor of Figs. 17/18/19.
     pub fn compresso_anchor(&self, workload: &WorkloadProfile, accesses: u64) -> (RunReport, u64) {
         let r = self.run_scheme(workload, SchemeKind::Compresso, None, accesses);
         let used = r.stats.dram_used_bytes;
         (r, used)
     }
 
-    /// [`crate::iso_perf_budget_search`] through the context.
+    /// Binary-searches the smallest DRAM budget at which `toggles` still
+    /// delivers at least `perf_floor` accesses/µs (the Table IV
+    /// methodology: "operating points where TMCC can still provide the
+    /// same performance as Compresso"). Returns `(budget, report_at_budget)`.
     pub fn iso_perf_budget_search(
         &self,
         workload: &WorkloadProfile,
@@ -878,20 +669,17 @@ impl SweepCtx {
         perf_floor: f64,
         accesses: u64,
     ) -> (u64, RunReport) {
-        let kind = if toggles.embedded_ctes && toggles.fast_deflate {
-            SchemeKind::Tmcc
-        } else {
-            SchemeKind::OsInspired
-        };
         self.iso_perf_budget_search_cfg(
             workload,
-            |b| SystemConfig::new(workload.clone(), kind).with_budget(b).with_toggles(toggles),
+            |b| two_level_cfg(workload, toggles, b),
             perf_floor,
             accesses,
         )
     }
 
-    /// [`crate::iso_perf_budget_search_cfg`] through the context.
+    /// Like [`SweepCtx::iso_perf_budget_search`], but with an arbitrary
+    /// config factory — used by the huge-page sensitivity study, which
+    /// needs extra settings on every probe.
     pub fn iso_perf_budget_search_cfg(
         &self,
         workload: &WorkloadProfile,
@@ -922,6 +710,28 @@ impl SweepCtx {
     }
 }
 
+/// A two-level config with explicit toggles at `budget`: full TMCC when
+/// both optimizations are on, otherwise the OS-inspired design with the
+/// chosen subset (Fig. 20's ablations).
+fn two_level_cfg(workload: &WorkloadProfile, toggles: TmccToggles, budget: u64) -> SystemConfig {
+    let kind = if toggles.embedded_ctes && toggles.fast_deflate {
+        SchemeKind::Tmcc
+    } else {
+        SchemeKind::OsInspired
+    };
+    SystemConfig::new(workload.clone(), kind).with_budget(budget).with_toggles(toggles)
+}
+
+/// Unwraps a run result, panicking on a simulator error so it routes
+/// through the retry ring. The typed error is left for the ring's
+/// classifier; the panic itself is what routes control there.
+fn or_retry<R>(result: Result<R, TmccError>) -> R {
+    result.unwrap_or_else(|e| {
+        LAST_SIM_ERROR.with(|c| *c.borrow_mut() = Some(e.to_string()));
+        panic!("{e}")
+    })
+}
+
 /// Seed-perturbation constant for retry attempts (the golden-ratio
 /// multiplier also used by the workspace hasher). `seed ^ GOLDEN*attempt`
 /// is deterministic — re-running a resumed sweep retries with the same
@@ -947,23 +757,11 @@ fn classify_failure(payload: Box<dyn std::any::Any + Send>) -> FailureCause {
     FailureCause::Panic { message }
 }
 
-/// Decodes a journaled compact-JSON report (see `RunReport::from_value`).
-fn decode_report(json: &str) -> Result<RunReport, String> {
-    let value = serde_json::from_str(json).map_err(|e| e.to_string())?;
-    RunReport::from_value(&value)
-}
-
-/// Decodes a journaled multi-tenant report.
-fn decode_mt_report(json: &str) -> Result<MultiTenantReport, String> {
-    let value = serde_json::from_str(json).map_err(|e| e.to_string())?;
-    MultiTenantReport::from_value(&value)
-}
-
 /// Deterministic host-side measurements of one capacity point: the
 /// scheme's metadata heap and the lazy page store's activity. Everything
 /// here is a pure function of the config, so it is journaled beside the
 /// report and may feed golden-compared results files.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CapacityProbe {
     /// Host heap bytes of the scheme's metadata structures
     /// (`System::metadata_heap_bytes`).
@@ -980,21 +778,12 @@ pub struct CapacityProbe {
     pub pinned_pages: u64,
 }
 
-impl CapacityProbe {
-    /// Decodes a probe from its journaled JSON value.
-    pub fn from_value(v: &serde::Value) -> Result<Self, String> {
-        let mut f = serde::FieldReader::open(v, "CapacityProbe")?;
-        let probe = Self {
-            metadata_heap_bytes: f.u64("metadata_heap_bytes")?,
-            store_heap_bytes: f.u64("store_heap_bytes")?,
-            store_reads: f.u64("store_reads")?,
-            store_writes: f.u64("store_writes")?,
-            store_divergent_writes: f.u64("store_divergent_writes")?,
-            pinned_pages: f.u64("pinned_pages")?,
-        };
-        f.finish()?;
-        Ok(probe)
-    }
+/// The journal record of one capacity point: the run's report and its
+/// probe, `{"report": .., "probe": ..}`.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+struct CapacityRecord {
+    report: RunReport,
+    probe: CapacityProbe,
 }
 
 /// Nondeterministic host costs of one *live* capacity run (wall clock,
@@ -1010,16 +799,6 @@ pub struct HostCost {
     pub rss_before_kb: u64,
     /// Process RSS right after the run, kB.
     pub rss_after_kb: u64,
-}
-
-/// Decodes a journaled capacity record (`{"report": .., "probe": ..}`).
-fn decode_capacity(json: &str) -> Result<(RunReport, CapacityProbe), String> {
-    let value = serde_json::from_str(json).map_err(|e| e.to_string())?;
-    let mut f = serde::FieldReader::open(&value, "CapacityRecord")?;
-    let report = RunReport::from_value(f.value("report")?)?;
-    let probe = CapacityProbe::from_value(f.value("probe")?)?;
-    f.finish()?;
-    Ok((report, probe))
 }
 
 /// One experiment's entry in `BENCH_sweep.json`.
@@ -1070,6 +849,38 @@ pub struct SweepSummary {
     /// one-sidedly by `tmcc-bench perf-gate` against the checked-in
     /// baseline so metadata-footprint regressions fail CI.
     pub peak_rss_kb: u64,
-    /// Host-time phase profile (all zeros unless `--profile` was given).
-    pub profile: PhaseProfile,
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn capacity_record_keeps_the_journal_format_and_round_trips() {
+        let report = RunReport {
+            workload: "canneal",
+            scheme: SchemeKind::Tmcc,
+            stats: tmcc::SimStats { accesses: 1_000, elapsed_ns: 0.1 + 0.2, ..Default::default() },
+            dram: tmcc_sim_dram::DramStats::default(),
+            peak_bandwidth_gbps: 25.6,
+            bandwidth_utilization: 1.0 / 3.0,
+        };
+        let probe = CapacityProbe {
+            metadata_heap_bytes: 1 << 33,
+            store_heap_bytes: 12_288,
+            store_reads: 7,
+            store_writes: 3,
+            store_divergent_writes: 1,
+            pinned_pages: 1,
+        };
+        let record = CapacityRecord { report, probe };
+        let json = serde_json::to_string(&record).expect("serializes");
+        // The journal's capacity record format: both compact records,
+        // side by side under fixed keys.
+        let report_json = serde_json::to_string(&record.report).expect("serializes");
+        let probe_json = serde_json::to_string(&probe).expect("serializes");
+        assert_eq!(json, format!("{{\"report\":{report_json},\"probe\":{probe_json}}}"));
+        let decoded = CapacityRecord::from_value(&serde_json::from_str(&json).expect("parses"));
+        assert_eq!(decoded, Ok(record));
+    }
 }

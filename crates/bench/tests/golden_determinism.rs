@@ -69,8 +69,7 @@ fn run_all_is_byte_identical_across_job_counts() {
     // between runs, but its *simulated-work* accounting must not: the
     // schedulers (sequential outer loop vs. work-stealing pool) must
     // report the same per-experiment access counts in registry order.
-    // The vendored serde_json is serialization-only, so the assertions
-    // scan its deterministic pretty output instead of parsing a tree.
+    // The assertions scan the deterministic pretty output line by line.
     let texts: Vec<String> = [&d1, &d8]
         .iter()
         .map(|d| std::fs::read_to_string(d.join("BENCH_sweep.json")).expect("BENCH_sweep.json"))

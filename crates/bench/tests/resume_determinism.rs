@@ -1,13 +1,15 @@
 //! Crash-safety integration tests for the sweep harness: a run killed
 //! mid-sweep and resumed with `--resume` must emit byte-identical results,
-//! and a persistently failing point must be retried, quarantined into
-//! `FAILURES.json`, and must not poison the rest of the fleet.
+//! a persistently failing point must be retried, quarantined into
+//! `FAILURES.json`, and must not poison the rest of the fleet, and
+//! `--point` must replay one grid point on its own.
 //!
 //! Like `golden_determinism`, these drive the *release* binary — the
 //! suite is simulation-heavy and tier 1 has already paid for the build.
 
+use serde::Value;
 use std::path::{Path, PathBuf};
-use std::process::Command;
+use std::process::{Command, Stdio};
 use tmcc_bench::failures::{FAILURES_FILE, FAIL_POINT_ENV};
 use tmcc_bench::journal::{EXIT_AFTER_POINTS_CODE, EXIT_AFTER_POINTS_ENV};
 
@@ -33,17 +35,18 @@ fn release_binary() -> PathBuf {
     bin
 }
 
-/// Runs `run-all --test` into `out` with the crash/failure hooks in
-/// `envs`, returning the exit code. The hook variables are cleared first
-/// so an outer CI environment can't leak into the baseline runs.
-fn run_all(bin: &Path, out: &Path, extra_args: &[&str], envs: &[(&str, &str)]) -> i32 {
+/// Runs `tmcc-bench <args> --test --jobs 2 --out <out>` with the
+/// crash/failure hooks in `envs`, returning the exit code. The hook
+/// variables are cleared first so an outer CI environment can't leak into
+/// the baseline runs.
+fn bench(bin: &Path, args: &[&str], out: &Path, envs: &[(&str, &str)]) -> i32 {
     let mut cmd = Command::new(bin);
-    cmd.args(["run-all", "--test", "--jobs", "2", "--out"])
+    cmd.args(args)
+        .args(["--test", "--jobs", "2", "--out"])
         .arg(out)
-        .args(extra_args)
         .env_remove(EXIT_AFTER_POINTS_ENV)
         .env_remove(FAIL_POINT_ENV)
-        .stdout(std::process::Stdio::null());
+        .stdout(Stdio::null());
     for (k, v) in envs {
         cmd.env(k, v);
     }
@@ -76,6 +79,22 @@ fn field_values(text: &str, field: &str) -> Vec<String> {
     out
 }
 
+/// `(name, accesses_simulated, points_replayed)` per experiment of the
+/// `BENCH_sweep.json` summary in `dir`, in registry order.
+fn sweep_counts(dir: &Path) -> Vec<(String, u64, u64)> {
+    let text = std::fs::read_to_string(dir.join("BENCH_sweep.json")).expect("sweep summary");
+    let summary = serde_json::from_str(&text).expect("sweep summary parses");
+    let experiments = summary.get("experiments").and_then(Value::as_seq).expect("experiments");
+    experiments
+        .iter()
+        .map(|e| {
+            let count = |key| e.get(key).and_then(Value::as_u64).expect("a count");
+            let name = e.get("name").and_then(Value::as_str).expect("a name");
+            (name.to_string(), count("accesses_simulated"), count("points_replayed"))
+        })
+        .collect()
+}
+
 #[test]
 fn killed_run_resumes_byte_identically() {
     let bin = release_binary();
@@ -83,17 +102,17 @@ fn killed_run_resumes_byte_identically() {
     let baseline = fresh_dir(&tmp, "baseline");
     let resumed = fresh_dir(&tmp, "resumed");
 
-    assert_eq!(run_all(&bin, &baseline, &[], &[]), 0, "baseline run failed");
+    assert_eq!(bench(&bin, &["run-all"], &baseline, &[]), 0, "baseline run failed");
 
     // Crash the harness after 25 journaled points, then resume.
-    let code = run_all(&bin, &resumed, &[], &[(EXIT_AFTER_POINTS_ENV, "25")]);
+    let code = bench(&bin, &["run-all"], &resumed, &[(EXIT_AFTER_POINTS_ENV, "25")]);
     assert_eq!(code, EXIT_AFTER_POINTS_CODE, "crash hook must exit with the sentinel code");
     assert!(
         resumed.join(".journal").join("sweep.journal").exists()
             || std::fs::read_dir(resumed.join(".journal")).map(|d| d.count() > 0).unwrap_or(false),
         "killed run left no journal behind"
     );
-    assert_eq!(run_all(&bin, &resumed, &["--resume"], &[]), 0, "resume run failed");
+    assert_eq!(bench(&bin, &["run-all", "--resume"], &resumed, &[]), 0, "resume run failed");
 
     // Every per-experiment result must match the uninterrupted run.
     let experiments = tmcc_bench::registry::all();
@@ -109,13 +128,35 @@ fn killed_run_resumes_byte_identically() {
 
     // The resume must actually have replayed journaled points rather than
     // recomputing everything from scratch.
-    let sweep = std::fs::read_to_string(resumed.join("BENCH_sweep.json")).expect("sweep summary");
-    let replayed: u64 = field_values(&sweep, "points_replayed")
-        .iter()
-        .map(|v| v.parse::<u64>().expect("points_replayed is a count"))
-        .sum();
+    let replayed: u64 = sweep_counts(&resumed).iter().map(|e| e.2).sum();
     assert!(replayed > 0, "resume run replayed no journaled points");
     assert!(!resumed.join(FAILURES_FILE).exists(), "clean resume must not leave a FAILURES.json");
+
+    // Which 25 points the crash journaled depends on scheduling, so
+    // resume once more over the now-complete journal: every point
+    // replays, and each record family's decode must reproduce the
+    // baseline's results and its access accounting.
+    assert_eq!(bench(&bin, &["run-all", "--resume"], &resumed, &[]), 0, "full replay failed");
+    for e in &experiments {
+        let file = format!("{}.json", e.name);
+        assert_eq!(
+            read_result(&baseline, &file),
+            read_result(&resumed, &file),
+            "{file} differs between the uninterrupted run and a full replay"
+        );
+    }
+    let (base, replay) = (sweep_counts(&baseline), sweep_counts(&resumed));
+    assert_eq!(base.len(), replay.len(), "one summary entry per experiment");
+    for ((name, base_accesses, _), (_, accesses, _)) in base.iter().zip(&replay) {
+        assert_eq!(base_accesses, accesses, "{name}: replay changed accesses_simulated");
+    }
+    // One experiment per journal record family: plain runs, flip-plan
+    // runs, multi-tenant scenarios, capacity records.
+    for family in ["fig17_perf_vs_compresso", "integrity_storm", "mt_churn_storm", "capacity_cliff"]
+    {
+        let replayed = replay.iter().find(|(name, ..)| name == family).map(|e| e.2);
+        assert!(replayed > Some(0), "{family} replayed no journaled points");
+    }
 }
 
 #[test]
@@ -125,12 +166,13 @@ fn failing_point_is_quarantined_without_poisoning_the_fleet() {
     let baseline = fresh_dir(&tmp, "baseline");
     let poisoned = fresh_dir(&tmp, "poisoned");
 
-    assert_eq!(run_all(&bin, &baseline, &[], &[]), 0, "baseline run failed");
+    assert_eq!(bench(&bin, &["run-all"], &baseline, &[]), 0, "baseline run failed");
 
     // One point of one experiment fails on every attempt: the experiment
     // must be quarantined and the exit code must flag it.
     let victim = "fig16_mem_characterization";
-    let code = run_all(&bin, &poisoned, &[], &[(FAIL_POINT_ENV, &format!("{victim}:1"))]);
+    let fail_point = format!("{victim}:1");
+    let code = bench(&bin, &["run-all"], &poisoned, &[(FAIL_POINT_ENV, &fail_point)]);
     assert_eq!(code, 1, "quarantined points must surface as a non-zero exit");
 
     // The quarantine record names the point and counts 1 + 2 retries.
@@ -161,4 +203,35 @@ fn failing_point_is_quarantined_without_poisoning_the_fleet() {
         others += 1;
     }
     assert!(others >= 17, "expected the rest of the fleet to complete");
+}
+
+/// `run <exp> --point N` is how a `FAILURES.json` entry is reproduced: the
+/// point runs alone through the journal, watchdog and retry ring, and the
+/// exit code says whether it passed.
+#[test]
+fn point_replay_succeeds_rejects_out_of_range_and_quarantines_failures() {
+    let bin = release_binary();
+    let tmp = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("point_replay");
+    let victim = "fig16_mem_characterization";
+    let replay = |dir: &Path, point: &str, envs: &[(&str, &str)]| {
+        bench(&bin, &["run", victim, "--point", point], dir, envs)
+    };
+
+    let ok = fresh_dir(&tmp, "ok");
+    assert_eq!(replay(&ok, "1", &[]), 0, "an in-range point replays successfully");
+    assert!(!ok.join(FAILURES_FILE).exists(), "a passing replay quarantines nothing");
+
+    assert_eq!(replay(&fresh_dir(&tmp, "range"), "999", &[]), 1, "out-of-range point must fail");
+
+    let failed = fresh_dir(&tmp, "failed");
+    let fail_point = format!("{victim}:1");
+    assert_eq!(
+        replay(&failed, "1", &[(FAIL_POINT_ENV, &fail_point)]),
+        1,
+        "failing point must fail"
+    );
+    let failures =
+        std::fs::read_to_string(failed.join(FAILURES_FILE)).expect("FAILURES.json written");
+    assert!(failures.contains(&format!("\"{victim}\"")), "failure names the experiment");
+    assert_eq!(field_values(&failures, "index"), vec!["1"], "failure names the point index");
 }

@@ -1,12 +1,12 @@
 //! System configuration.
 
-use serde::Serialize;
+use serde::{Deserialize, Serialize};
 use tmcc_sim_dram::{DramConfig, InterleavePolicy};
 use tmcc_sim_mem::{CteCacheConfig, HierarchyConfig};
 use tmcc_workloads::WorkloadProfile;
 
 /// Which memory-compression scheme the memory controller implements.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum SchemeKind {
     /// A conventional memory system (no compression, no CTEs).
     NoCompression,
@@ -27,18 +27,6 @@ impl SchemeKind {
             SchemeKind::Compresso => "compresso",
             SchemeKind::OsInspired => "os-inspired",
             SchemeKind::Tmcc => "tmcc",
-        }
-    }
-
-    /// Inverse of the derive's fieldless-enum serialization (the variant
-    /// name as a string). Used by the sweep journal's report decoder.
-    pub fn from_variant(s: &str) -> Option<Self> {
-        match s {
-            "NoCompression" => Some(SchemeKind::NoCompression),
-            "Compresso" => Some(SchemeKind::Compresso),
-            "OsInspired" => Some(SchemeKind::OsInspired),
-            "Tmcc" => Some(SchemeKind::Tmcc),
-            _ => None,
         }
     }
 }
@@ -335,10 +323,6 @@ pub struct SystemConfig {
     /// [`crate::TmccError::InvariantViolation`] on the first
     /// inconsistency. Off by default (it walks every resident page).
     pub audit: bool,
-    /// Collect host-time per-phase timing ([`crate::PhaseProfile`]) for
-    /// every simulated access. Off by default; never affects simulated
-    /// results, only the profile readout.
-    pub profile: bool,
     /// Pages compressed with the real codecs to build the empirical
     /// [`crate::SizeModel`] at construction. The paper-scale default is
     /// 128; tiny harness scales shrink it because the codec sampling
@@ -382,7 +366,6 @@ impl SystemConfig {
             fault_plan: FaultPlan::none(),
             flip_plan: BitFlipPlan::none(),
             audit: false,
-            profile: false,
             size_samples: 128,
         }
     }
@@ -421,12 +404,6 @@ impl SystemConfig {
     /// style).
     pub fn with_audit(mut self) -> Self {
         self.audit = true;
-        self
-    }
-
-    /// Enables host-time per-phase profiling (builder style).
-    pub fn with_profile(mut self) -> Self {
-        self.profile = true;
         self
     }
 

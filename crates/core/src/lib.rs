@@ -60,7 +60,7 @@ pub use page_slab::{PageId, PageSlab};
 pub use recency::RecencyList;
 pub use size_model::{PageSizes, SizeModel};
 pub use stats::{Ml1ReadOutcome, RunReport, SimStats};
-pub use system::{PhaseProfile, System};
+pub use system::System;
 pub use tenancy::{
     ChurnKind, ChurnPlan, MultiTenantConfig, MultiTenantReport, MultiTenantSystem, QosPolicyKind,
     TenantReport, TenantSpec,

@@ -3,16 +3,16 @@
 //! Every figure in the paper's evaluation reads off one or more of these
 //! counters; the field docs say which.
 //!
-//! [`RunReport::from_value`] reconstructs a report from its own
-//! serialization — the decode half of the sweep journal's crash-safe
-//! replay. The decode is *exact* (integers and float bit patterns round
-//! trip), and *strict*: every field must be present and every key must be
-//! consumed, so a counter added to [`SimStats`] without a matching decode
-//! line fails loudly in the round-trip tests instead of silently
-//! replaying stale zeros after a resume.
+//! [`SimStats`] and [`RunReport`] derive their decode from the same field
+//! list as their serialization: the derived `Deserialize::from_value` is
+//! the decode half of the sweep journal's crash-safe replay. It is
+//! *exact* (integers and float bit patterns round trip) and *strict*
+//! (every field required, unknown keys rejected), so a new counter is one
+//! line here and a journal record from another layout fails loudly
+//! instead of replaying stale zeros after a resume.
 
 use crate::config::SchemeKind;
-use serde::{Serialize, Value};
+use serde::{Deserialize, Serialize, Value};
 use tmcc_sim_dram::DramStats;
 
 /// How an LLC-miss read to an ML1 page was served under TMCC (Fig. 19).
@@ -30,7 +30,7 @@ pub enum Ml1ReadOutcome {
 }
 
 /// Raw counters accumulated during a run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct SimStats {
     /// Workload accesses executed (the performance work unit).
     pub accesses: u64,
@@ -273,57 +273,6 @@ impl SimStats {
         }
         Ok(())
     }
-
-    /// Exact, strict inverse of this type's serialization (see the module
-    /// doc). Errors name the offending field.
-    pub fn from_value(v: &Value) -> Result<Self, String> {
-        let mut f = serde::FieldReader::open(v, "SimStats")?;
-        let stats = Self {
-            accesses: f.u64("accesses")?,
-            work_cycles: f.u64("work_cycles")?,
-            elapsed_ns: f.f64("elapsed_ns")?,
-            tlb_hits: f.u64("tlb_hits")?,
-            tlb_misses: f.u64("tlb_misses")?,
-            walker_fetches: f.u64("walker_fetches")?,
-            llc_miss_data: f.u64("llc_miss_data")?,
-            llc_miss_ptb: f.u64("llc_miss_ptb")?,
-            llc_writebacks: f.u64("llc_writebacks")?,
-            l3_miss_latency_sum_ns: f.f64("l3_miss_latency_sum_ns")?,
-            cte_hits: f.u64("cte_hits")?,
-            cte_misses: f.u64("cte_misses")?,
-            cte_misses_after_tlb_miss: f.u64("cte_misses_after_tlb_miss")?,
-            ml1_cte_hit: f.u64("ml1_cte_hit")?,
-            ml1_parallel_correct: f.u64("ml1_parallel_correct")?,
-            ml1_parallel_mismatch: f.u64("ml1_parallel_mismatch")?,
-            ml1_serial: f.u64("ml1_serial")?,
-            ml2_reads: f.u64("ml2_reads")?,
-            ml1_latency_sum_ns: f.f64("ml1_latency_sum_ns")?,
-            ml2_latency_sum_ns: f.f64("ml2_latency_sum_ns")?,
-            ml2_to_ml1_migrations: f.u64("ml2_to_ml1_migrations")?,
-            ml1_to_ml2_migrations: f.u64("ml1_to_ml2_migrations")?,
-            incompressible_evictions: f.u64("incompressible_evictions")?,
-            migration_stall_ns: f.f64("migration_stall_ns")?,
-            ml2_crit_penalties: f.u64("ml2_crit_penalties")?,
-            page_overflows: f.u64("page_overflows")?,
-            faults_injected: f.u64("faults_injected")?,
-            emergency_evictions: f.u64("emergency_evictions")?,
-            raw_fallbacks: f.u64("raw_fallbacks")?,
-            degraded_ns: f.f64("degraded_ns")?,
-            recoveries: f.u64("recoveries")?,
-            flips_injected: f.u64("flips_injected")?,
-            corruptions_detected: f.u64("corruptions_detected")?,
-            corruptions_corrected: f.u64("corruptions_corrected")?,
-            corruptions_uncorrectable: f.u64("corruptions_uncorrectable")?,
-            sdc_escapes: f.u64("sdc_escapes")?,
-            metadata_corruptions_detected: f.u64("metadata_corruptions_detected")?,
-            frames_poisoned: f.u64("frames_poisoned")?,
-            recovery_ns: f.f64("recovery_ns")?,
-            dram_used_bytes: f.u64("dram_used_bytes")?,
-            footprint_bytes: f.u64("footprint_bytes")?,
-        };
-        f.finish()?;
-        Ok(stats)
-    }
 }
 
 fn ratio(num: u64, den: u64) -> f64 {
@@ -339,9 +288,10 @@ fn ratio(num: u64, den: u64) -> f64 {
 /// Serializes deterministically: two runs with the same seed and fault
 /// plan produce byte-identical JSON (the determinism regression tests
 /// rely on this).
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RunReport {
     /// Workload name.
+    #[serde(deserialize_with = "intern_workload")]
     pub workload: &'static str,
     /// Scheme simulated.
     pub scheme: SchemeKind,
@@ -366,37 +316,17 @@ impl RunReport {
             self.stats.accesses as f64 / (self.stats.elapsed_ns / 1000.0)
         }
     }
+}
 
-    /// Exact, strict inverse of this type's serialization — the decode
-    /// half of the sweep journal's crash-safe replay (see the module
-    /// doc). `to_value(from_value(v)) == v` for any report this
-    /// workspace produced.
-    pub fn from_value(v: &Value) -> Result<Self, String> {
-        let mut f = serde::FieldReader::open(v, "RunReport")?;
-        let workload_name = f.str("workload")?;
-        // Reports carry `&'static str` workload names; intern decoded
-        // names through the profile table, leaking only for names no
-        // registered profile owns (e.g. future journal versions).
-        let workload = match tmcc_workloads::WorkloadProfile::by_name(workload_name) {
-            Some(profile) => profile.name,
-            None => &*Box::leak(workload_name.to_string().into_boxed_str()),
-        };
-        let scheme_variant = f.str("scheme")?;
-        let scheme = SchemeKind::from_variant(scheme_variant)
-            .ok_or_else(|| format!("RunReport: unknown scheme variant {scheme_variant:?}"))?;
-        let stats = SimStats::from_value(f.value("stats")?)?;
-        let dram = DramStats::from_value(f.value("dram")?)?;
-        let report = Self {
-            workload,
-            scheme,
-            stats,
-            dram,
-            peak_bandwidth_gbps: f.f64("peak_bandwidth_gbps")?,
-            bandwidth_utilization: f.f64("bandwidth_utilization")?,
-        };
-        f.finish()?;
-        Ok(report)
-    }
+/// Decodes a report's workload name. Reports carry `&'static str` names:
+/// known names are interned through the profile table, and only names no
+/// registered profile owns (e.g. future journal versions) are leaked.
+fn intern_workload(v: &Value) -> Result<&'static str, String> {
+    let name = String::from_value(v)?;
+    Ok(match tmcc_workloads::WorkloadProfile::by_name(&name) {
+        Some(profile) => profile.name,
+        None => Box::leak(name.into_boxed_str()),
+    })
 }
 
 #[cfg(test)]

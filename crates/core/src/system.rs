@@ -29,8 +29,6 @@ use crate::size_model::SizeModel;
 use crate::stats::{RunReport, SimStats};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::Serialize;
-use std::time::Instant;
 use tmcc_sim_dram::DramSim;
 use tmcc_sim_mem::hierarchy::NOC_LATENCY_NS;
 use tmcc_sim_mem::page_table::WalkStep;
@@ -43,45 +41,6 @@ use tmcc_workloads::{AccessStream, PageStore};
 const CORE_NS_PER_CYCLE: f64 = 1.0 / 2.8;
 /// How often (in accesses) background maintenance runs.
 const MAINTENANCE_PERIOD: u64 = 32;
-
-/// Host-time breakdown of the simulation loop, collected when
-/// `SystemConfig::profile` is set (the `tmcc-bench --profile` flag).
-///
-/// These are *wall-clock nanoseconds the simulator itself spends* per
-/// phase — the data that identifies which part of `System::run` to
-/// optimize — not simulated time.
-#[derive(Debug, Clone, Copy, Default, Serialize)]
-pub struct PhaseProfile {
-    /// Steps measured.
-    pub steps: u64,
-    /// Stream generation + fault injection.
-    pub workload_ns: u64,
-    /// TLB lookup, page walk, PTB fetches through the hierarchy/scheme.
-    pub translation_ns: u64,
-    /// The data access itself (hierarchy, scheme, writebacks).
-    pub data_ns: u64,
-    /// Scheme maintenance, audits, evicted-page cache flushes.
-    pub maintenance_ns: u64,
-}
-
-impl PhaseProfile {
-    /// Total profiled host time, ns.
-    pub fn total_ns(&self) -> u64 {
-        self.workload_ns + self.translation_ns + self.data_ns + self.maintenance_ns
-    }
-
-    /// `(workload, translation, data, maintenance)` shares of the total,
-    /// each in [0, 1].
-    pub fn shares(&self) -> (f64, f64, f64, f64) {
-        let total = self.total_ns().max(1) as f64;
-        (
-            self.workload_ns as f64 / total,
-            self.translation_ns as f64 / total,
-            self.data_ns as f64 / total,
-            self.maintenance_ns as f64 / total,
-        )
-    }
-}
 
 /// A complete simulated system.
 pub struct System {
@@ -129,8 +88,6 @@ pub struct System {
     /// — and with it every committed golden — is unchanged; the tenancy
     /// layer reads it for fleet tail-latency percentiles.
     latency: LatencyHistogram,
-    /// Host-time phase breakdown, populated when `cfg.profile` is set.
-    profile: PhaseProfile,
     /// Cooperative cancellation token, polled every
     /// [`CANCEL_CHECK_PERIOD`] accesses when attached.
     cancel: Option<RunHandle>,
@@ -242,7 +199,6 @@ impl System {
             evict_buf: Vec::new(),
             store,
             latency: LatencyHistogram::new(),
-            profile: PhaseProfile::default(),
             cancel: None,
             cfg,
         })
@@ -271,12 +227,6 @@ impl System {
     /// The configuration in use.
     pub fn config(&self) -> &SystemConfig {
         &self.cfg
-    }
-
-    /// Host-time per-phase profile accumulated so far. All-zero unless the
-    /// configuration enabled [`SystemConfig::profile`].
-    pub fn phase_profile(&self) -> &PhaseProfile {
-        &self.profile
     }
 
     /// Attaches a cancellation token. The simulation loop polls it every
@@ -367,9 +317,6 @@ impl System {
 
     /// Executes one workload access end to end.
     fn try_step(&mut self) -> Result<(), TmccError> {
-        // Host-time phase stamps, only taken under `cfg.profile`.
-        let t0 = self.cfg.profile.then(Instant::now);
-
         if self.total_accesses.is_multiple_of(CANCEL_CHECK_PERIOD) {
             if let Some(handle) = &self.cancel {
                 if handle.is_cancelled() {
@@ -393,8 +340,6 @@ impl System {
         let is_tmcc_ptb = matches!(self.cfg.scheme, SchemeKind::Tmcc)
             && self.cfg.toggles.embedded_ctes
             && !self.cfg.huge_pages;
-
-        let t1 = t0.map(|_| Instant::now());
 
         // 1. Address translation.
         let mut walked = false;
@@ -450,8 +395,6 @@ impl System {
             }
         };
 
-        let t2 = t0.map(|_| Instant::now());
-
         // 2. The data access itself.
         let block = ppn.block(ev.vaddr.page_offset() as usize / 64);
         let acc = self.hierarchy.access(block, ev.write, false);
@@ -471,8 +414,6 @@ impl System {
         self.now_ns += lat;
         self.stats.accesses = self.stats.accesses.saturating_add(1);
         self.latency.record((self.now_ns - mem_start_ns) as u64);
-
-        let t3 = t0.map(|_| Instant::now());
 
         // 3. Background maintenance.
         self.accesses_since_maintenance += 1;
@@ -494,14 +435,6 @@ impl System {
             }
         }
         self.evict_buf = evict_buf;
-
-        if let (Some(t0), Some(t1), Some(t2), Some(t3)) = (t0, t1, t2, t3) {
-            self.profile.steps += 1;
-            self.profile.workload_ns += (t1 - t0).as_nanos() as u64;
-            self.profile.translation_ns += (t2 - t1).as_nanos() as u64;
-            self.profile.data_ns += (t3 - t2).as_nanos() as u64;
-            self.profile.maintenance_ns += t3.elapsed().as_nanos() as u64;
-        }
         Ok(())
     }
 

@@ -2,17 +2,17 @@
 //!
 //! One [`TenantReport`] per roster slot (whether or not the tenant was
 //! ever admitted) rolled up into a [`MultiTenantReport`]. Like
-//! [`RunReport`], both types round-trip exactly through the vendored
-//! serde stand-in — `from_value` is the strict decode half the sweep
-//! journal uses to replay finished multi-tenant points after a crash.
+//! [`RunReport`], both types derive a strict, exact decode beside their
+//! serialization — the half the sweep journal uses to replay finished
+//! multi-tenant points after a crash.
 
 use crate::stats::RunReport;
-use serde::{Serialize, Value};
+use serde::{Deserialize, Serialize, Value};
 
 use super::qos::QosPolicyKind;
 
 /// Outcome and counters for one roster slot.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TenantReport {
     /// Tenant name (unique within the roster).
     pub name: String,
@@ -87,9 +87,10 @@ pub struct TenantReport {
 }
 
 /// The rolled-up result of one multi-tenant scenario.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MultiTenantReport {
     /// QoS policy display name.
+    #[serde(deserialize_with = "policy_name")]
     pub policy: &'static str,
     /// Pool size when the run ended, frames (churn ballooning moves it).
     pub pool_frames: u64,
@@ -129,106 +130,21 @@ pub struct MultiTenantReport {
     pub tenants: Vec<TenantReport>,
 }
 
-fn opt_u64(f: &mut serde::FieldReader<'_>, name: &str) -> Result<Option<u64>, String> {
-    match f.value(name)? {
-        Value::Null => Ok(None),
-        v => v.as_u64().map(Some).ok_or_else(|| format!("TenantReport: {name} is not a u64")),
-    }
-}
-
-impl TenantReport {
-    /// Exact, strict inverse of this type's serialization (see
-    /// [`RunReport::from_value`]).
-    pub fn from_value(v: &Value) -> Result<Self, String> {
-        let mut f = serde::FieldReader::open(v, "TenantReport")?;
-        let report = Self {
-            name: f.str("name")?.to_string(),
-            admitted: f.bool("admitted")?,
-            rejections: f.u64("rejections")?,
-            arrived_at: opt_u64(&mut f, "arrived_at")?,
-            departed_at: opt_u64(&mut f, "departed_at")?,
-            fault: match f.value("fault")? {
-                Value::Null => None,
-                v => Some(
-                    v.as_str()
-                        .ok_or_else(|| "TenantReport: fault is not a string".to_string())?
-                        .to_string(),
-                ),
-            },
-            weight: f.u64("weight")? as u32,
-            floor_frames: f.u64("floor_frames")? as u32,
-            demand_frames: f.u64("demand_frames")? as u32,
-            alloc_frames: f.u64("alloc_frames")? as u32,
-            min_alloc_frames: f.u64("min_alloc_frames")? as u32,
-            quanta: f.u64("quanta")?,
-            throttled_quanta: f.u64("throttled_quanta")?,
-            degraded_entries: f.u64("degraded_entries")?,
-            degraded_exits: f.u64("degraded_exits")?,
-            shrink_events: f.u64("shrink_events")?,
-            grow_events: f.u64("grow_events")?,
-            guarantee_breach_rounds: f.u64("guarantee_breach_rounds")?,
-            flips_injected: f.u64("flips_injected")?,
-            corruptions_detected: f.u64("corruptions_detected")?,
-            corruptions_corrected: f.u64("corruptions_corrected")?,
-            corruptions_uncorrectable: f.u64("corruptions_uncorrectable")?,
-            sdc_escapes: f.u64("sdc_escapes")?,
-            frames_poisoned: f.u64("frames_poisoned")?,
-            measured_accesses: f.u64("measured_accesses")?,
-            lat_p50_ns: f.u64("lat_p50_ns")?,
-            lat_p95_ns: f.u64("lat_p95_ns")?,
-            lat_p99_ns: f.u64("lat_p99_ns")?,
-            lat_p999_ns: f.u64("lat_p999_ns")?,
-            report: match f.value("report")? {
-                Value::Null => None,
-                v => Some(RunReport::from_value(v)?),
-            },
-        };
-        f.finish()?;
-        Ok(report)
-    }
-}
-
-impl MultiTenantReport {
-    /// Exact, strict inverse of this type's serialization.
-    pub fn from_value(v: &Value) -> Result<Self, String> {
-        let mut f = serde::FieldReader::open(v, "MultiTenantReport")?;
-        let policy_name = f.str("policy")?;
-        let policy = QosPolicyKind::from_name(policy_name)
-            .ok_or_else(|| format!("MultiTenantReport: unknown policy {policy_name:?}"))?
-            .name();
-        let tenants = f
-            .value("tenants")?
-            .as_seq()
-            .ok_or_else(|| "MultiTenantReport: tenants is not an array".to_string())?
-            .iter()
-            .map(TenantReport::from_value)
-            .collect::<Result<Vec<_>, _>>()?;
-        let report = Self {
-            policy,
-            pool_frames: f.u64("pool_frames")?,
-            quantum: f.u64("quantum")?,
-            total_accesses: f.u64("total_accesses")?,
-            rounds: f.u64("rounds")?,
-            churn_events_applied: f.u64("churn_events_applied")?,
-            admission_rejections: f.u64("admission_rejections")?,
-            guarantee_breach_rounds: f.u64("guarantee_breach_rounds")?,
-            fleet_lat_p50_ns: f.u64("fleet_lat_p50_ns")?,
-            fleet_lat_p95_ns: f.u64("fleet_lat_p95_ns")?,
-            fleet_lat_p99_ns: f.u64("fleet_lat_p99_ns")?,
-            fleet_lat_p999_ns: f.u64("fleet_lat_p999_ns")?,
-            overcommit_x100: f.u64("overcommit_x100")?,
-            achieved_footprint_bytes: f.u64("achieved_footprint_bytes")?,
-            breach_rate_ppm: f.u64("breach_rate_ppm")?,
-            tenants,
-        };
-        f.finish()?;
-        Ok(report)
-    }
+/// Decodes a report's policy display name, which must name a
+/// [`QosPolicyKind`] (interned as that policy's `&'static str`).
+fn policy_name(v: &Value) -> Result<&'static str, String> {
+    let name = String::from_value(v)?;
+    QosPolicyKind::from_name(&name)
+        .map(QosPolicyKind::name)
+        .ok_or_else(|| format!("unknown policy {name:?}"))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::SchemeKind;
+    use crate::stats::SimStats;
+    use tmcc_sim_dram::DramStats;
 
     fn tenant() -> TenantReport {
         TenantReport {
@@ -321,5 +237,126 @@ mod tests {
             }
         }
         assert!(MultiTenantReport::from_value(&v).is_err());
+    }
+
+    /// A report whose floats have non-round bit patterns.
+    fn run_report() -> RunReport {
+        RunReport {
+            workload: "canneal",
+            scheme: SchemeKind::Tmcc,
+            stats: SimStats {
+                accesses: 12_345,
+                elapsed_ns: 0.1 + 0.2,
+                tlb_hits: 11_000,
+                tlb_misses: 1_345,
+                l3_miss_latency_sum_ns: 1.0 / 3.0,
+                degraded_ns: 1e-300,
+                dram_used_bytes: 1 << 30,
+                footprint_bytes: 3 << 30,
+                ..Default::default()
+            },
+            dram: DramStats {
+                reads: 7,
+                writes: 3,
+                row_hits: 6,
+                row_misses: 4,
+                bus_busy_ns: 2f64.sqrt(),
+            },
+            peak_bandwidth_gbps: 102.4,
+            bandwidth_utilization: 0.312_499_999_9,
+        }
+    }
+
+    /// Sets (`Some`) or removes (`None`) one key of a serialized struct.
+    fn with_key(mut v: Value, key: &str, new: Option<Value>) -> Value {
+        let Value::Map(entries) = &mut v else { panic!("structs serialize to objects") };
+        match (entries.iter().position(|(k, _)| k == key), new) {
+            (Some(i), Some(x)) => entries[i].1 = x,
+            (Some(i), None) => drop(entries.remove(i)),
+            (None, Some(x)) => entries.push((key.to_string(), x)),
+            (None, None) => panic!("no key {key:?} to remove"),
+        }
+        v
+    }
+
+    /// The sweep journal's replay path — serialize to JSON text, parse,
+    /// decode — must give back the same value and the same bytes.
+    fn journal_round_trip<T: Serialize + Deserialize + PartialEq + std::fmt::Debug>(x: &T) {
+        let json = serde_json::to_string(x).expect("serializes");
+        let decoded = T::from_value(&serde_json::from_str(&json).expect("parses"));
+        assert_eq!(decoded.as_ref(), Ok(x));
+        assert_eq!(serde_json::to_string(&decoded.expect("decodes")).expect("serializes"), json);
+    }
+
+    #[test]
+    fn derived_decoders_round_trip_exactly_and_reject_bad_records() {
+        let report = run_report();
+        let admitted = TenantReport { report: Some(report.clone()), ..tenant() };
+        let mt = MultiTenantReport {
+            policy: QosPolicyKind::ProportionalShare.name(),
+            pool_frames: 1000,
+            quantum: 512,
+            total_accesses: 8192,
+            rounds: 16,
+            churn_events_applied: 3,
+            admission_rejections: 1,
+            guarantee_breach_rounds: 0,
+            fleet_lat_p50_ns: 128,
+            fleet_lat_p95_ns: 1024,
+            fleet_lat_p99_ns: 4096,
+            fleet_lat_p999_ns: 16384,
+            overcommit_x100: 150,
+            achieved_footprint_bytes: 4096 * 900,
+            breach_rate_ppm: 1250,
+            tenants: vec![admitted.clone(), tenant()],
+        };
+        journal_round_trip(&report.stats);
+        journal_round_trip(&report.dram);
+        journal_round_trip(&report);
+        journal_round_trip(&admitted);
+        journal_round_trip(&mt);
+        for scheme in [
+            SchemeKind::NoCompression,
+            SchemeKind::Compresso,
+            SchemeKind::OsInspired,
+            SchemeKind::Tmcc,
+        ] {
+            journal_round_trip(&scheme);
+        }
+
+        type Decode = fn(&Value) -> Result<(), String>;
+        let run: Decode = |v| RunReport::from_value(v).map(drop);
+        let one: Decode = |v| TenantReport::from_value(v).map(drop);
+        let fleet: Decode = |v| MultiTenantReport::from_value(v).map(drop);
+        let (r, t) = (report.to_value(), admitted.to_value());
+        let too_big = Value::U64(u64::from(u32::MAX) + 6);
+        // (case, record, decoder, a word the error must name)
+        let cases: [(&str, Value, Decode, &str); 6] = [
+            ("missing field", with_key(t.clone(), "quanta", None), one, "quanta"),
+            ("unknown key", with_key(r.clone(), "extra", Some(Value::Null)), run, "extra"),
+            (
+                "wrong JSON type",
+                with_key(t.clone(), "admitted", Some(Value::U64(1))),
+                one,
+                "admitted",
+            ),
+            ("u32 out of range", with_key(t, "weight", Some(too_big)), one, "weight"),
+            (
+                "unknown scheme",
+                with_key(r, "scheme", Some(Value::Str("Mystery".into()))),
+                run,
+                "Mystery",
+            ),
+            (
+                "unknown policy",
+                with_key(mt.to_value(), "policy", Some(Value::Str("mystery".into()))),
+                fleet,
+                "mystery",
+            ),
+        ];
+        for (case, value, decode, names) in cases {
+            let err = decode(&value).expect_err(case);
+            assert!(err.contains(names), "{case}: error {err:?} does not name {names:?}");
+        }
     }
 }

@@ -7,6 +7,7 @@
 //! one); the scenario as a whole must survive and stay auditable.
 
 use proptest::prelude::*;
+use serde::Deserialize;
 use tmcc::tenancy::{ChurnKind, ChurnPlan, MultiTenantConfig, MultiTenantSystem, TenantSpec};
 use tmcc::{FaultKind, FaultPlan, MultiTenantReport, QosPolicyKind, SchemeKind};
 use tmcc_workloads::WorkloadProfile;

@@ -103,7 +103,7 @@ struct RankState {
 }
 
 /// Aggregate counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, serde::Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct DramStats {
     /// Read bursts served.
     pub reads: u64,
@@ -118,21 +118,6 @@ pub struct DramStats {
 }
 
 impl DramStats {
-    /// Decodes a `DramStats` from its own serialization (strict: every
-    /// field present, no unknown keys) — the sweep journal's replay path.
-    pub fn from_value(v: &serde::Value) -> Result<Self, String> {
-        let mut f = serde::FieldReader::open(v, "DramStats")?;
-        let stats = Self {
-            reads: f.u64("reads")?,
-            writes: f.u64("writes")?,
-            row_hits: f.u64("row_hits")?,
-            row_misses: f.u64("row_misses")?,
-            bus_busy_ns: f.f64("bus_busy_ns")?,
-        };
-        f.finish()?;
-        Ok(stats)
-    }
-
     /// Row-buffer hit rate.
     pub fn row_hit_rate(&self) -> f64 {
         let total = self.row_hits + self.row_misses;

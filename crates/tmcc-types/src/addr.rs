@@ -16,7 +16,7 @@
 //! CTE table with a DRAM address — the exact confusion the paper's added
 //! translation layer invites.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 /// Size of an OS page in bytes (4 KiB, paper §II).
@@ -34,7 +34,7 @@ macro_rules! addr_newtype {
     ($(#[$meta:meta])* $name:ident) => {
         $(#[$meta])*
         #[derive(
-            Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
+            Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize,
         )]
         pub struct $name(u64);
 

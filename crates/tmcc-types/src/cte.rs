@@ -19,11 +19,11 @@
 //! convenience; its **DRAM cost** is modelled by
 //! [`BlockMetadata::SIZE_IN_DRAM`].
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 /// Which exclusive memory level a page currently resides in (paper §IV-A).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize)]
 pub enum MemoryLevel {
     /// Uncompressed (or bandwidth-compressed) fast level; accessed at block
     /// granularity.
@@ -34,7 +34,7 @@ pub enum MemoryLevel {
 }
 
 /// TMCC's 8-byte page-level compression translation entry (paper Fig. 13).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub struct Cte {
     /// 28-bit DRAM frame number (1 TiB per memory controller / 4 KiB frames).
     frame: u32,
@@ -145,7 +145,7 @@ impl fmt::Debug for Cte {
 /// Only the 28-bit DRAM frame number survives truncation: enough to launch a
 /// speculative DRAM access, which the memory controller later *verifies*
 /// against the full CTE fetched in parallel (paper Fig. 8b).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub struct TruncatedCte {
     frame: u32,
 }
@@ -189,7 +189,7 @@ impl fmt::Debug for TruncatedCte {
 /// where in DRAM it starts and how many bytes it compressed to. The page's
 /// data occupies up to eight 512 B chunks obtained from the hardware free
 /// list.
-#[derive(Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Serialize)]
 pub struct BlockMetadata {
     /// DRAM addresses (in 512 B-chunk units) backing this page, in use order.
     chunks: Vec<u32>,

@@ -20,7 +20,7 @@
 
 use crate::cte::TruncatedCte;
 use crate::pte::{PageTableBlock, Pte, PteFlags, PTES_PER_PTB};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 /// Bit budget of one 64-byte PTB.
@@ -44,7 +44,7 @@ const STATUS_BITS: u32 = 24;
 /// let g = PtbGeometry::from_capacities(1 << 40, 4.0);
 /// assert_eq!(g.embeddable_ctes(), 8);
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize)]
 pub struct PtbGeometry {
     /// Bits needed to name any OS physical page (PPN bits that can vary).
     ppn_bits: u32,
@@ -143,7 +143,7 @@ impl std::error::Error for PtbCompressError {}
 /// The struct keeps decoded fields (hardware would keep packed bits); the
 /// *capacity* rules are enforced from [`PtbGeometry`], so the simulator can
 /// never embed more CTEs than the bit budget allows.
-#[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug, Serialize)]
 pub struct CompressedPtb {
     geometry: PtbGeometry,
     status: PteFlags,
@@ -157,7 +157,6 @@ pub struct CompressedPtb {
     /// [`corrupt_embedded_bit`](Self::corrupt_embedded_bit) changes state
     /// without it, so [`audit_embedded`](Self::audit_embedded) detects any
     /// odd-weight upset of an embedded CTE separately from payload CRCs.
-    #[serde(default)]
     embedded_parity: u8,
 }
 

@@ -15,7 +15,7 @@
 //! [`crate::ptb`].
 
 use crate::addr::Ppn;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 /// Number of PTEs in one 64 B page-table block.
@@ -30,7 +30,7 @@ const PPN_MASK: u64 = ((1u64 << 40) - 1) << 12;
 /// Only a handful of individual flags are given names because the simulator
 /// needs them; the rest travel as opaque bits, exactly as hardware treats
 /// them.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Default, Serialize)]
 pub struct PteFlags {
     low: u16,  // 12 significant bits
     high: u16, // 12 significant bits
@@ -104,7 +104,7 @@ impl fmt::Debug for PteFlags {
 }
 
 /// A single 8-byte page-table entry.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Default, Serialize)]
 pub struct Pte(u64);
 
 impl Pte {
@@ -165,7 +165,7 @@ impl fmt::Debug for Pte {
 
 /// The 64-byte block of eight PTEs fetched by one page-walk step
 /// (paper Fig. 7b).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Default, Serialize)]
 pub struct PageTableBlock {
     entries: [Pte; PTES_PER_PTB],
 }
