@@ -16,11 +16,11 @@
 //! byte-identical to pre-integrity baselines. The sweep is journal-
 //! resumable and byte-identical at any `--jobs`.
 
+use super::robustness::{pressured_cfg, window};
 use crate::print_table;
 use crate::sweep::{Scale, SweepCtx};
 use serde::Serialize;
-use tmcc::{BitFlipPlan, SchemeKind, System, SystemConfig};
-use tmcc_workloads::WorkloadProfile;
+use tmcc::{BitFlipPlan, SystemConfig};
 
 /// Storm intensities: planned flip events inside the measured window.
 pub fn grid_events(scale: Scale) -> Vec<(&'static str, u64)> {
@@ -29,26 +29,6 @@ pub fn grid_events(scale: Scale) -> Vec<(&'static str, u64)> {
         Scale::Quick => vec![("quiet", 0), ("drizzle", 12), ("storm", 48)],
         Scale::Test => vec![("quiet", 0), ("storm", 12)],
     }
-}
-
-/// The robustness sweep's pressured configuration: canneal under a budget
-/// halfway between the feasibility floor and the uncompressed footprint,
-/// so both ML1 and ML2 hold substantial state for the flips to land in.
-fn pressured_cfg() -> SystemConfig {
-    let mut w = WorkloadProfile::by_name("canneal").expect("known workload");
-    w.sim_pages = 4_096;
-    let cfg = SystemConfig::new(w, SchemeKind::Tmcc);
-    let min = System::min_budget_bytes(&cfg);
-    let budget = min + (cfg.footprint_bytes().saturating_sub(min)) / 2;
-    cfg.with_budget(budget)
-}
-
-/// Measured window at `scale`: 2/5 of the standard run, matching the
-/// robustness sweep so the two families stay comparable.
-fn window(scale: Scale) -> (u64, u64) {
-    let measured = scale.accesses() * 2 / 5;
-    let warmup = scale.warmup().unwrap_or_else(|| pressured_cfg().warmup_accesses);
-    (warmup, measured)
 }
 
 /// One storm point: `events` flips spread over the middle 3/4 of the
@@ -73,7 +53,7 @@ pub fn grid_signature(scale: Scale) -> String {
         .collect()
 }
 
-#[derive(Serialize)]
+#[derive(Serialize, Default)]
 struct Row {
     rate: &'static str,
     flips_planned: u64,
@@ -135,25 +115,9 @@ pub fn run(ctx: &SweepCtx) {
                     perf_accesses_per_us: r.perf_accesses_per_us(),
                 }
             }
-            Err(e) => Row {
-                rate,
-                flips_planned: events,
-                completed: false,
-                error: Some(e.to_string()),
-                flips_injected: 0,
-                corruptions_detected: 0,
-                corruptions_corrected: 0,
-                corruptions_uncorrectable: 0,
-                sdc_escapes: 0,
-                metadata_corruptions_detected: 0,
-                frames_poisoned: 0,
-                detection_coverage: 0.0,
-                sdc_escape_rate: 0.0,
-                recovery_rate: 0.0,
-                recovery_ns: 0.0,
-                recovery_overhead_pct: 0.0,
-                perf_accesses_per_us: 0.0,
-            },
+            Err(e) => {
+                Row { rate, flips_planned: events, error: Some(e.to_string()), ..Row::default() }
+            }
         }
     });
     let rows: Vec<Vec<String>> = out

@@ -13,7 +13,7 @@
 //! `W + 5M/8` (the paper-scale run: 65k and 85k of a 60k+40k run).
 
 use crate::print_table;
-use crate::sweep::SweepCtx;
+use crate::sweep::{Scale, SweepCtx};
 use serde::Serialize;
 use tmcc::{FaultKind, FaultPlan, SchemeKind, System, SystemConfig};
 use tmcc_workloads::WorkloadProfile;
@@ -26,7 +26,7 @@ const SEVERITIES: &[(&str, u64)] = &[
     ("severe", 2),   // budget/2 reclaimed
 ];
 
-#[derive(Serialize)]
+#[derive(Serialize, Default)]
 struct Row {
     severity: &'static str,
     shrink_frames: u64,
@@ -42,7 +42,11 @@ struct Row {
     effective_ratio: f64,
 }
 
-fn pressured_cfg() -> SystemConfig {
+/// The pressured configuration the robustness and integrity sweeps share:
+/// canneal under TMCC with a budget halfway between the feasibility floor
+/// and the uncompressed footprint, so both ML1 and ML2 hold substantial
+/// state for balloon shocks and bit flips to land in.
+pub(crate) fn pressured_cfg() -> SystemConfig {
     let mut w = WorkloadProfile::by_name("canneal").expect("known workload");
     w.sim_pages = 4_096;
     let cfg = SystemConfig::new(w, SchemeKind::Tmcc);
@@ -51,11 +55,19 @@ fn pressured_cfg() -> SystemConfig {
     cfg.with_budget(budget)
 }
 
+/// `(warmup, measured)` accesses at `scale`: the measured window is 2/5
+/// of the scale's standard run (paper scale: 40k of 100k), after the
+/// scale's warmup, so the robustness and integrity families stay
+/// comparable.
+pub(crate) fn window(scale: Scale) -> (u64, u64) {
+    let measured = scale.accesses() * 2 / 5;
+    let warmup = scale.warmup().unwrap_or_else(|| pressured_cfg().warmup_accesses);
+    (warmup, measured)
+}
+
 pub fn run(ctx: &SweepCtx) {
-    // Measured window is 2/5 of the scale's standard run (paper scale:
-    // 40k of 100k); the shock sits inside it.
-    let measured = ctx.accesses() * 2 / 5;
-    let warmup = ctx.scale().warmup().unwrap_or_else(|| pressured_cfg().warmup_accesses);
+    // The shock sits inside the measured window.
+    let (warmup, measured) = window(ctx.scale());
     let shock_at = warmup + measured / 8;
     let relief_at = warmup + measured * 5 / 8;
     let out: Vec<Row> = ctx.par_map(SEVERITIES.to_vec(), |(severity, divisor)| {
@@ -87,16 +99,8 @@ pub fn run(ctx: &SweepCtx) {
             Err(e) => Row {
                 severity,
                 shrink_frames: shrink,
-                completed: false,
                 error: Some(e.to_string()),
-                faults_injected: 0,
-                emergency_evictions: 0,
-                raw_fallbacks: 0,
-                recoveries: 0,
-                degraded_ns: 0.0,
-                migration_stall_ns: 0.0,
-                perf_accesses_per_us: 0.0,
-                effective_ratio: 0.0,
+                ..Row::default()
             },
         }
     });

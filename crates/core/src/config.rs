@@ -1,5 +1,6 @@
 //! System configuration.
 
+use crate::schedule::Schedule;
 use serde::{Deserialize, Serialize};
 use tmcc_sim_dram::{DramConfig, InterleavePolicy};
 use tmcc_sim_mem::{CteCacheConfig, HierarchyConfig};
@@ -114,44 +115,13 @@ pub enum FaultKind {
     },
 }
 
-/// One scheduled fault.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FaultEvent {
-    /// Access count (measured from system construction, warmup included)
-    /// at which the fault fires — it is injected just before this access
-    /// executes.
-    pub at_access: u64,
-    /// What happens.
-    pub kind: FaultKind,
-}
-
-/// A deterministic, seed-independent schedule of runtime faults.
+/// A deterministic, seed-independent schedule of runtime faults, keyed to
+/// the system's access count (warmup included): each fault is injected
+/// just before the access its count names.
 ///
 /// The plan is part of [`SystemConfig`]; two runs with the same seed and
 /// the same plan are bit-identical.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct FaultPlan {
-    /// The scheduled faults, in any order (the system sorts internally).
-    pub events: Vec<FaultEvent>,
-}
-
-impl FaultPlan {
-    /// An empty plan (no faults).
-    pub fn none() -> Self {
-        Self::default()
-    }
-
-    /// Adds an event (builder style).
-    pub fn with(mut self, at_access: u64, kind: FaultKind) -> Self {
-        self.events.push(FaultEvent { at_access, kind });
-        self
-    }
-
-    /// Whether the plan schedules anything.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-}
+pub type FaultPlan = Schedule<FaultKind>;
 
 /// Which stored structure a scheduled bit flip lands in.
 ///
@@ -215,12 +185,9 @@ impl FlipShape {
     }
 }
 
-/// One scheduled bit-flip event.
+/// One memory upset: where it lands and how it is shaped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BitFlipEvent {
-    /// Access count (measured from system construction, warmup included)
-    /// at which the flip lands — injected just before this access.
-    pub at_access: u64,
+pub struct BitFlip {
     /// Which structure it lands in.
     pub target: FlipTarget,
     /// How many bits, and how spread out.
@@ -228,50 +195,31 @@ pub struct BitFlipEvent {
 }
 
 /// A deterministic schedule of memory upsets, the integrity-layer
-/// counterpart of [`FaultPlan`]: where a fault plan models *operational*
-/// shocks (ballooning, flush storms), a flip plan models *physical* ones.
+/// counterpart of [`FaultPlan`] on the same access clock: where a fault
+/// plan models *operational* shocks (ballooning, flush storms), a flip
+/// plan models *physical* ones.
 ///
 /// The plan is part of [`SystemConfig`]; two runs with the same seed and
 /// the same plan are bit-identical, and an empty plan draws zero random
 /// numbers — so every flip-free golden stays byte-identical.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct BitFlipPlan {
-    /// The scheduled flips, in any order (the system sorts internally).
-    pub events: Vec<BitFlipEvent>,
-}
+pub type BitFlipPlan = Schedule<BitFlip>;
 
 impl BitFlipPlan {
-    /// An empty plan (no flips).
-    pub fn none() -> Self {
-        Self::default()
-    }
-
-    /// Adds an event (builder style).
-    pub fn with(mut self, at_access: u64, target: FlipTarget, shape: FlipShape) -> Self {
-        self.events.push(BitFlipEvent { at_access, target, shape });
-        self
-    }
-
     /// A deterministic storm: `count` flips starting at `start`, one every
     /// `period` accesses, cycling round-robin through every target and,
     /// more slowly, through the shapes — so any prefix of the storm
     /// already covers the full target × shape matrix roughly uniformly.
     pub fn storm(start: u64, period: u64, count: u64) -> Self {
         let shapes = [FlipShape::Single, FlipShape::Burst, FlipShape::RowHammer];
-        let mut plan = Self::none();
-        for i in 0..count {
-            plan.events.push(BitFlipEvent {
-                at_access: start + i * period.max(1),
-                target: FlipTarget::ALL[(i % 4) as usize],
-                shape: shapes[((i / 4) % 3) as usize],
-            });
-        }
-        plan
-    }
-
-    /// Whether the plan schedules anything.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
+        (0..count).fold(Self::none(), |plan, i| {
+            plan.with(
+                start + i * period.max(1),
+                BitFlip {
+                    target: FlipTarget::ALL[(i % 4) as usize],
+                    shape: shapes[((i / 4) % 3) as usize],
+                },
+            )
+        })
     }
 }
 
@@ -443,7 +391,7 @@ mod tests {
         for target in FlipTarget::ALL {
             for shape in [FlipShape::Single, FlipShape::Burst] {
                 assert!(
-                    plan.events.iter().any(|e| e.target == target && e.shape == shape),
+                    plan.events.iter().any(|e| e.event == BitFlip { target, shape }),
                     "storm misses {} x {}",
                     target.name(),
                     shape.name()

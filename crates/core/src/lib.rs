@@ -18,8 +18,8 @@
 //!
 //! The top-level entry point is [`System`]: build one with a
 //! [`SystemConfig`], run it, and read a [`RunReport`] whose counters map
-//! one-to-one onto the paper's figures. The `tmcc-bench` crate contains a
-//! binary per table/figure.
+//! one-to-one onto the paper's figures. The `tmcc-bench` crate runs every
+//! table/figure through one entry point, `tmcc-bench run <name>`.
 //!
 //! # Examples
 //!
@@ -41,6 +41,7 @@ pub mod latency;
 pub mod page_meta;
 pub mod page_slab;
 pub mod recency;
+pub mod schedule;
 pub mod schemes;
 pub mod size_model;
 pub mod stats;
@@ -48,8 +49,7 @@ pub mod system;
 pub mod tenancy;
 
 pub use config::{
-    BitFlipEvent, BitFlipPlan, FaultEvent, FaultKind, FaultPlan, FlipShape, FlipTarget, SchemeKind,
-    SystemConfig,
+    BitFlip, BitFlipPlan, FaultKind, FaultPlan, FlipShape, FlipTarget, SchemeKind, SystemConfig,
 };
 pub use error::TmccError;
 pub use free_list::{CompressoFreeList, Ml1FreeList, Ml2FreeLists};
@@ -58,6 +58,7 @@ pub use latency::{LatencyHistogram, LATENCY_BINS};
 pub use page_meta::{PageInfo, PageMetaStore, Placement};
 pub use page_slab::{PageId, PageSlab};
 pub use recency::RecencyList;
+pub use schedule::{Schedule, Scheduled};
 pub use size_model::{PageSizes, SizeModel};
 pub use stats::{Ml1ReadOutcome, RunReport, SimStats};
 pub use system::System;

@@ -14,7 +14,7 @@ pub use compresso::CompressoScheme;
 pub use nocomp::NoCompressionScheme;
 pub use two_level::TwoLevelScheme;
 
-use crate::config::{BitFlipEvent, FaultKind, SchemeKind};
+use crate::config::{BitFlip, FaultKind, SchemeKind};
 use crate::error::TmccError;
 use crate::stats::SimStats;
 use tmcc_sim_dram::DramSim;
@@ -147,7 +147,7 @@ pub trait Scheme: Send {
     /// machinery: the upset lands as silent data corruption.
     fn apply_bit_flip(
         &mut self,
-        _flip: &BitFlipEvent,
+        _flip: BitFlip,
         _entropy: u64,
         _page: Option<FlipPageContext<'_>>,
         _now_ns: f64,

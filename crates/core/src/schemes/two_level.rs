@@ -27,7 +27,7 @@
 //! conservation and CTE/placement consistency at any point.
 
 use super::{cte_dram_addr, FlipPageContext, MemRequest, Scheme, SchemePressure};
-use crate::config::{BitFlipEvent, FaultKind, FlipShape, FlipTarget, SchemeKind, TmccToggles};
+use crate::config::{BitFlip, FaultKind, FlipShape, FlipTarget, SchemeKind, TmccToggles};
 use crate::error::TmccError;
 use crate::free_list::{Ml1FreeList, Ml2FreeLists};
 use crate::page_meta::{PageInfo, PageMetaStore, Placement};
@@ -1020,7 +1020,7 @@ impl Scheme for TwoLevelScheme {
     /// and [`MemDeflate::try_decompress_sealed`] renders the verdict.
     fn apply_bit_flip(
         &mut self,
-        flip: &BitFlipEvent,
+        flip: BitFlip,
         entropy: u64,
         page: Option<FlipPageContext<'_>>,
         now_ns: f64,

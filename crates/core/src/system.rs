@@ -11,17 +11,20 @@
 //!
 //! # Fault injection and auditing
 //!
-//! A [`FaultPlan`](crate::config::FaultPlan) on the configuration
-//! schedules runtime shocks at absolute access counts (warmup included);
-//! the system applies each event just before executing that access.
+//! A [`FaultPlan`](crate::config::FaultPlan) and a
+//! [`BitFlipPlan`](crate::config::BitFlipPlan) on the configuration
+//! schedule runtime shocks and memory upsets at absolute access counts
+//! (warmup included); the system applies each event just before executing
+//! that access, due faults before due flips.
 //! `SystemConfig::with_audit` additionally runs the scheme's invariant
 //! auditor after every maintenance interval, turning silent state
 //! corruption into a typed [`TmccError::InvariantViolation`].
 
-use crate::config::{BitFlipEvent, FaultEvent, FlipTarget, SchemeKind, SystemConfig};
+use crate::config::{BitFlip, FaultKind, FlipTarget, SchemeKind, SystemConfig};
 use crate::error::TmccError;
 use crate::handle::{RunHandle, CANCEL_CHECK_PERIOD};
 use crate::latency::LatencyHistogram;
+use crate::schedule::Cursor;
 use crate::schemes::{
     CompressoScheme, FlipPageContext, MemRequest, NoCompressionScheme, Scheme, TwoLevelScheme,
 };
@@ -56,12 +59,9 @@ pub struct System {
     now_ns: f64,
     stats: SimStats,
     accesses_since_maintenance: u64,
-    /// Fault events sorted by `at_access`, applied in order.
-    fault_events: Vec<FaultEvent>,
-    next_fault: usize,
-    /// Bit-flip events sorted by `at_access`, applied in order.
-    flip_events: Vec<BitFlipEvent>,
-    next_flip: usize,
+    /// The fault and bit-flip plans, fired against `total_accesses`.
+    faults: Cursor<FaultKind>,
+    flips: Cursor<BitFlip>,
     /// Dedicated RNG for flip placement, seeded independently of every
     /// other stream: an empty flip plan draws nothing from it, so
     /// flip-free runs are bit-identical with or without the machinery.
@@ -170,10 +170,6 @@ impl System {
             .map(|i| cfg.workload.stream(cfg.seed.wrapping_add(i as u64 * 977)))
             .collect();
 
-        let mut fault_events = cfg.fault_plan.events.clone();
-        fault_events.sort_by_key(|e| e.at_access);
-        let mut flip_events = cfg.flip_plan.events.clone();
-        flip_events.sort_by_key(|e| e.at_access);
         let flip_rng = SmallRng::seed_from_u64(cfg.seed ^ 0xB17_F11B5);
 
         Ok(Self {
@@ -188,10 +184,8 @@ impl System {
             now_ns: 0.0,
             stats: SimStats::default(),
             accesses_since_maintenance: 0,
-            fault_events,
-            next_fault: 0,
-            flip_events,
-            next_flip: 0,
+            faults: Cursor::new(&cfg.fault_plan),
+            flips: Cursor::new(&cfg.flip_plan),
             flip_rng,
             total_accesses: 0,
             measure_start_ns: 0.0,
@@ -255,12 +249,7 @@ impl System {
     /// Applies every fault event scheduled at or before the current
     /// access count.
     fn apply_due_faults(&mut self) -> Result<(), TmccError> {
-        while let Some(ev) = self.fault_events.get(self.next_fault) {
-            if ev.at_access > self.total_accesses {
-                break;
-            }
-            let kind = ev.kind;
-            self.next_fault += 1;
+        while let Some(kind) = self.faults.pop_due(self.total_accesses) {
             self.scheme.apply_fault(kind, self.now_ns, &mut self.stats)?;
         }
         Ok(())
@@ -271,46 +260,19 @@ impl System {
     /// needs one, reads its real content from the lazy store, and hands
     /// the upset to the scheme's detect/recover/poison ladder.
     fn apply_due_flips(&mut self) -> Result<(), TmccError> {
-        while let Some(ev) = self.flip_events.get(self.next_flip) {
-            if ev.at_access > self.total_accesses {
-                break;
-            }
-            let flip = *ev;
-            self.next_flip += 1;
+        while let Some(flip) = self.flips.pop_due(self.total_accesses) {
             let entropy: u64 = self.flip_rng.gen();
             let page = match flip.target {
                 FlipTarget::Ml2Payload | FlipTarget::Ml1Data => {
-                    let pages = self.cfg.workload.sim_pages.max(1);
-                    let ppn = Ppn::new(entropy % pages);
+                    let ppn = Ppn::new(entropy % self.cfg.workload.sim_pages.max(1));
                     let dirty = self.store.is_pinned(ppn.raw());
-                    Some((ppn, dirty))
+                    // Field-level borrows: the store lends the page bytes
+                    // while the scheme and stats are borrowed separately.
+                    Some(FlipPageContext { ppn, bytes: self.store.read(ppn.raw()), dirty })
                 }
                 FlipTarget::CteSlot | FlipTarget::FreeListBitmap => None,
             };
-            match page {
-                Some((ppn, dirty)) => {
-                    // Field-level borrows: the store lends the page bytes
-                    // while the scheme and stats are borrowed separately.
-                    let bytes = self.store.read(ppn.raw());
-                    let ctx = FlipPageContext { ppn, bytes, dirty };
-                    self.scheme.apply_bit_flip(
-                        &flip,
-                        entropy,
-                        Some(ctx),
-                        self.now_ns,
-                        &mut self.stats,
-                    )?;
-                }
-                None => {
-                    self.scheme.apply_bit_flip(
-                        &flip,
-                        entropy,
-                        None,
-                        self.now_ns,
-                        &mut self.stats,
-                    )?;
-                }
-            }
+            self.scheme.apply_bit_flip(flip, entropy, page, self.now_ns, &mut self.stats)?;
         }
         Ok(())
     }
@@ -521,7 +483,7 @@ impl System {
     /// [`FaultPlan`](crate::config::FaultPlan) — the mechanism the
     /// multi-tenant capacity arbiter uses to balloon a tenant's budget
     /// (shrink/grow) while the run is in flight.
-    pub fn inject_fault(&mut self, kind: crate::config::FaultKind) -> Result<(), TmccError> {
+    pub fn inject_fault(&mut self, kind: FaultKind) -> Result<(), TmccError> {
         self.scheme.apply_fault(kind, self.now_ns, &mut self.stats)
     }
 

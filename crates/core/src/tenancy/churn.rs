@@ -2,12 +2,14 @@
 //!
 //! A [`ChurnPlan`] is to a [`MultiTenantSystem`](super::MultiTenantSystem)
 //! what a [`FaultPlan`](crate::config::FaultPlan) is to a single
-//! [`System`](crate::System): a seed-independent list of events keyed to
-//! the *global measured access count* (summed across every tenant). Two
-//! runs with the same configuration and plan are bit-identical, so churn
-//! storms journal and replay like any other sweep point.
+//! [`System`](crate::System): the same [`Schedule`], over churn events,
+//! keyed to the *global measured access count* (summed across every
+//! tenant). Two runs with the same configuration and plan are
+//! bit-identical, so churn storms journal and replay like any other sweep
+//! point.
 
 use crate::config::FaultKind;
+use crate::schedule::Schedule;
 
 /// What happens at a churn event.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -57,42 +59,10 @@ pub enum ChurnKind {
     },
 }
 
-/// One scheduled churn event.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ChurnEvent {
-    /// Global measured access count at which the event fires — it is
-    /// applied at the start of the first scheduling round whose access
-    /// count is ≥ this value.
-    pub at_access: u64,
-    /// What happens.
-    pub kind: ChurnKind,
-}
-
-/// A deterministic schedule of churn events.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct ChurnPlan {
-    /// The scheduled events, in any order (the system sorts internally;
-    /// ties apply in insertion order).
-    pub events: Vec<ChurnEvent>,
-}
-
-impl ChurnPlan {
-    /// An empty plan (no churn).
-    pub fn none() -> Self {
-        Self::default()
-    }
-
-    /// Adds an event (builder style).
-    pub fn with(mut self, at_access: u64, kind: ChurnKind) -> Self {
-        self.events.push(ChurnEvent { at_access, kind });
-        self
-    }
-
-    /// Whether the plan schedules anything.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-}
+/// A deterministic schedule of churn events, keyed to the global measured
+/// access count: each event applies at the start of the first scheduling
+/// round whose access count has reached it, ties in insertion order.
+pub type ChurnPlan = Schedule<ChurnKind>;
 
 #[cfg(test)]
 mod tests {

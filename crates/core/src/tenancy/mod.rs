@@ -12,8 +12,9 @@
 //! * [`QosPolicy`] + [`QosPolicyKind`] — strict partitioning,
 //!   proportional share, and best-effort-with-floors fairness;
 //! * [`ChurnPlan`] — deterministic arrivals, departures, demand spikes,
-//!   per-tenant faults and pool ballooning, mirroring
-//!   [`FaultPlan`](crate::config::FaultPlan);
+//!   per-tenant faults and pool ballooning: the same
+//!   [`Schedule`](crate::Schedule) as [`FaultPlan`](crate::config::FaultPlan),
+//!   over churn events;
 //! * [`MultiTenantReport`] — per-tenant outcome counters and a nested
 //!   [`RunReport`](crate::RunReport) each, journal-round-trippable.
 //!
@@ -29,7 +30,7 @@ pub mod qos;
 pub mod report;
 
 pub use arbiter::CapacityArbiter;
-pub use churn::{ChurnEvent, ChurnKind, ChurnPlan};
+pub use churn::{ChurnKind, ChurnPlan};
 pub use multi::{MultiTenantConfig, MultiTenantSystem, TenantSpec, ENTER_ROUNDS, EXIT_ROUNDS};
 pub use qos::{
     BestEffortFloors, ProportionalShare, QosPolicy, QosPolicyKind, StrictPartition, TenantDemand,

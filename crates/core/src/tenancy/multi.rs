@@ -52,13 +52,14 @@ use crate::config::{FaultKind, SchemeKind, SystemConfig};
 use crate::error::TmccError;
 use crate::handle::RunHandle;
 use crate::latency::LatencyHistogram;
+use crate::schedule::Cursor;
 use crate::stats::RunReport;
 use crate::system::System;
 use rayon::prelude::*;
 use tmcc_workloads::WorkloadProfile;
 
 use super::arbiter::CapacityArbiter;
-use super::churn::{ChurnEvent, ChurnKind, ChurnPlan};
+use super::churn::{ChurnKind, ChurnPlan};
 use super::qos::{QosPolicyKind, TenantDemand};
 use super::report::{MultiTenantReport, TenantReport};
 
@@ -68,6 +69,17 @@ use super::report::{MultiTenantReport, TenantReport};
 /// parallel path by construction.
 fn serial_quanta_override() -> bool {
     std::env::var_os("TMCC_MT_SERIAL_QUANTA").is_some_and(|v| v == "1")
+}
+
+/// Builds a tenant's system and runs its warmup, polling `cancel` from
+/// the first access on.
+fn build_tenant(cfg: SystemConfig, cancel: Option<&RunHandle>) -> Result<System, TmccError> {
+    let mut sys = System::try_new(cfg)?;
+    if let Some(h) = cancel {
+        sys.attach_handle(h);
+    }
+    sys.try_warmup()?;
+    Ok(sys)
 }
 
 /// Consecutive degraded rounds before a tenant is quarantined.
@@ -366,14 +378,11 @@ pub struct MultiTenantSystem {
     cfg: MultiTenantConfig,
     arbiter: CapacityArbiter,
     slots: Vec<TenantSlot>,
-    /// Churn events sorted by `at_access` (stable, so ties keep plan
-    /// order).
-    churn: Vec<ChurnEvent>,
-    next_churn: usize,
+    /// The churn plan, fired against `global_accesses`.
+    churn: Cursor<ChurnKind>,
     /// Measured accesses executed across all tenants — the churn clock.
     global_accesses: u64,
     rounds: u64,
-    churn_applied: u64,
     cancel: Option<RunHandle>,
 }
 
@@ -392,18 +401,14 @@ impl MultiTenantSystem {
         cfg: MultiTenantConfig,
         handle: Option<&RunHandle>,
     ) -> Result<Self, TmccError> {
-        let mut churn = cfg.churn.events.clone();
-        churn.sort_by_key(|e| e.at_access);
         let arbiter = CapacityArbiter::new(cfg.pool_frames, cfg.policy, cfg.roster.len());
         let slots = cfg.roster.iter().cloned().map(TenantSlot::new).collect();
         let mut sys = Self {
             arbiter,
             slots,
-            churn,
-            next_churn: 0,
+            churn: Cursor::new(&cfg.churn),
             global_accesses: 0,
             rounds: 0,
-            churn_applied: 0,
             cancel: handle.cloned(),
             cfg,
         };
@@ -486,7 +491,6 @@ impl MultiTenantSystem {
     /// work-stealing pool. Commit replays in slot order, so the roster is
     /// byte-identical to the serial fallback at any worker count.
     fn admit_initial_roster(&mut self) -> Result<(), TmccError> {
-        let force_serial = serial_quanta_override();
         let initial = self.cfg.initial_tenants.min(self.slots.len());
         let mut admitted: Vec<usize> = Vec::with_capacity(initial);
         for slot in 0..initial {
@@ -495,8 +499,7 @@ impl MultiTenantSystem {
                 self.arbiter.set_demand(slot, candidate);
                 admitted.push(slot);
             } else {
-                self.slots[slot].counters.rejections =
-                    self.slots[slot].counters.rejections.saturating_add(1);
+                self.reject(slot);
             }
         }
         self.arbiter.rebalance();
@@ -507,49 +510,15 @@ impl MultiTenantSystem {
                 (slot, grant, self.cfg.tenant_config(&self.slots[slot].spec, grant))
             })
             .collect();
-        let cancel = self.cancel.clone();
-        let build = |(slot, grant, cfg): (usize, u32, SystemConfig)| {
-            let built = System::try_new(cfg).and_then(|mut sys| {
-                if let Some(h) = &cancel {
-                    sys.attach_handle(h);
-                }
-                sys.try_warmup()?;
-                Ok(sys)
-            });
-            (slot, grant, built)
-        };
-        let built: Vec<(usize, u32, Result<System, TmccError>)> = if force_serial {
+        let cancel = self.cancel.as_ref();
+        let build = |(slot, grant, cfg)| (slot, grant, build_tenant(cfg, cancel));
+        let built: Vec<(usize, u32, Result<System, TmccError>)> = if serial_quanta_override() {
             work.into_iter().map(build).collect()
         } else {
             work.into_par_iter().map(build).collect()
         };
         for (slot, grant, result) in built {
-            match result {
-                Ok(sys) => {
-                    let s = &mut self.slots[slot];
-                    s.active = Some(ActiveTenant {
-                        sys: Box::new(sys),
-                        alloc_frames: grant,
-                        spike_percent: 100,
-                        quarantined: false,
-                        degraded_rounds: 0,
-                        healthy_rounds: 0,
-                        last_degraded_ns: 0.0,
-                    });
-                    s.admitted = true;
-                    s.arrived_at = Some(0);
-                    s.counters.min_alloc_frames = s.counters.min_alloc_frames.min(grant);
-                }
-                Err(e) if e.is_cancelled() => return Err(e),
-                Err(_) => {
-                    // The grant was infeasible for the tenant's scheme
-                    // (or its warmup failed): roll the ledger back and
-                    // let the survivors split the freed frames.
-                    self.arbiter.clear_demand(slot);
-                    self.slots[slot].counters.rejections =
-                        self.slots[slot].counters.rejections.saturating_add(1);
-                }
-            }
+            self.install(slot, grant, result)?;
         }
         // One settle moves every survivor to its final grant (a no-op
         // when no build failed — the batch rebalance above already
@@ -557,22 +526,20 @@ impl MultiTenantSystem {
         self.settle()
     }
 
-    /// Attempts to admit roster slot `slot`. A rejected admission (the
-    /// pool cannot cover everyone's guarantees, or the grant turns out
-    /// infeasible for the tenant's scheme) counts against the slot and
-    /// returns `Ok(false)`. Arriving while active is a no-op. With
-    /// `settle_now` the incumbents' balloon deltas apply immediately;
-    /// construction batches many admissions under one final settle.
-    fn admit(&mut self, slot: usize, settle_now: bool) -> Result<bool, TmccError> {
+    /// Attempts to admit roster slot `slot` mid-run. A rejected admission
+    /// (the pool cannot cover everyone's guarantees, or the grant turns
+    /// out infeasible for the tenant's scheme) counts against the slot.
+    /// Arriving while active is a no-op. The incumbents' balloon deltas
+    /// apply before this returns.
+    fn admit(&mut self, slot: usize) -> Result<(), TmccError> {
         if slot >= self.slots.len() || self.slots[slot].active.is_some() {
-            return Ok(false);
+            return Ok(());
         }
         let candidate = self.admission_demand(slot);
         // O(1): the arbiter tracks the incumbents' guarantee sum.
         if !self.arbiter.can_admit(candidate) {
-            self.slots[slot].counters.rejections =
-                self.slots[slot].counters.rejections.saturating_add(1);
-            return Ok(false);
+            self.reject(slot);
+            return Ok(());
         }
         // Ledger the newcomer, materialize the rebalanced allocation
         // (incumbents shrink to make room), then build + warm up the
@@ -581,13 +548,24 @@ impl MultiTenantSystem {
         self.arbiter.rebalance();
         let grant = self.arbiter.allocation(slot).unwrap_or(0);
         let tenant_cfg = self.cfg.tenant_config(&self.slots[slot].spec, grant);
-        let built = System::try_new(tenant_cfg).and_then(|mut sys| {
-            if let Some(h) = &self.cancel {
-                sys.attach_handle(h);
-            }
-            sys.try_warmup()?;
-            Ok(sys)
-        });
+        let built = build_tenant(tenant_cfg, self.cancel.as_ref());
+        self.install(slot, grant, built)?;
+        // Incumbent budgets move to their rebalanced grants. After a
+        // roll-back — same demands, same pool — the rebalance restores
+        // their previous allocations exactly.
+        self.settle()
+    }
+
+    /// Installs a freshly built tenant under `grant`. A failed build (the
+    /// grant was infeasible for the tenant's scheme, or its warmup
+    /// failed) instead rolls the slot back out of the ledger and counts a
+    /// rejection; the caller's settle lets the others split the frames.
+    fn install(
+        &mut self,
+        slot: usize,
+        grant: u32,
+        built: Result<System, TmccError>,
+    ) -> Result<(), TmccError> {
         match built {
             Ok(sys) => {
                 let s = &mut self.slots[slot];
@@ -604,27 +582,20 @@ impl MultiTenantSystem {
                 s.arrived_at = Some(self.global_accesses);
                 s.departed_at = None;
                 s.counters.min_alloc_frames = s.counters.min_alloc_frames.min(grant);
-                if settle_now {
-                    // Incumbent budgets move to their rebalanced grants.
-                    self.settle()?;
-                }
-                Ok(true)
             }
-            Err(e) if e.is_cancelled() => Err(e),
+            Err(e) if e.is_cancelled() => return Err(e),
             Err(_) => {
-                // The grant was infeasible for the tenant's scheme (or
-                // its warmup failed): roll the ledger back. Same demands,
-                // same pool — the rebalance restores the incumbents'
-                // previous allocations exactly.
                 self.arbiter.clear_demand(slot);
-                if settle_now {
-                    self.settle()?;
-                }
-                self.slots[slot].counters.rejections =
-                    self.slots[slot].counters.rejections.saturating_add(1);
-                Ok(false)
+                self.reject(slot);
             }
         }
+        Ok(())
+    }
+
+    /// Counts a turned-down admission against a slot.
+    fn reject(&mut self, slot: usize) {
+        let counters = &mut self.slots[slot].counters;
+        counters.rejections = counters.rejections.saturating_add(1);
     }
 
     /// Seals and removes an active tenant, releasing its frames back to
@@ -695,20 +666,14 @@ impl MultiTenantSystem {
     /// materialized by a single rebalance + balloon pass at the end.
     fn apply_due_churn(&mut self) -> Result<(), TmccError> {
         let mut batched = false;
-        while let Some(ev) = self.churn.get(self.next_churn) {
-            if ev.at_access > self.global_accesses {
-                break;
-            }
-            let kind = ev.kind;
-            self.next_churn += 1;
-            self.churn_applied = self.churn_applied.saturating_add(1);
+        while let Some(kind) = self.churn.pop_due(self.global_accesses) {
             match kind {
                 ChurnKind::Arrive { roster } => {
                     // Admission settles inline: the newcomer's warmup and
                     // the incumbents' squeeze are one atomic step, and
                     // any same-round follow-up events see the post-
                     // admission ledger.
-                    self.admit(roster, true)?;
+                    self.admit(roster)?;
                 }
                 ChurnKind::Depart { roster } => {
                     if roster < self.slots.len() && self.slots[roster].active.is_some() {
@@ -973,10 +938,8 @@ impl MultiTenantSystem {
             if ran == 0 {
                 // Nothing is running: fast-forward the churn clock to the
                 // next event, or end the scenario.
-                match self.churn.get(self.next_churn) {
-                    Some(ev) => {
-                        self.global_accesses = self.global_accesses.max(ev.at_access);
-                    }
+                match self.churn.next_at() {
+                    Some(at) => self.global_accesses = self.global_accesses.max(at),
                     None => break,
                 }
             }
@@ -1081,7 +1044,7 @@ impl MultiTenantSystem {
             quantum: self.cfg.quantum,
             total_accesses,
             rounds: self.rounds,
-            churn_events_applied: self.churn_applied,
+            churn_events_applied: self.churn.consumed(),
             admission_rejections: self.slots.iter().map(|s| s.counters.rejections).sum(),
             guarantee_breach_rounds: self.arbiter.guarantee_breach_rounds(),
             fleet_lat_p50_ns: fleet.percentile_ns(500),

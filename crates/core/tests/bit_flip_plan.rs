@@ -4,7 +4,7 @@
 //! to runs with no plan at all (the empty plan draws nothing from the
 //! dedicated flip RNG).
 
-use tmcc::{BitFlipPlan, FlipShape, FlipTarget, SchemeKind, System, SystemConfig};
+use tmcc::{BitFlip, BitFlipPlan, FlipShape, FlipTarget, SchemeKind, System, SystemConfig};
 use tmcc_workloads::WorkloadProfile;
 
 fn pressured_cfg() -> SystemConfig {
@@ -54,7 +54,10 @@ fn flip_storm_completes_without_abort() {
 #[test]
 fn single_payload_flips_are_always_detected_and_recovered() {
     let plan = (0..8).fold(BitFlipPlan::none(), |p, i| {
-        p.with(61_000 + i * 500, FlipTarget::Ml2Payload, FlipShape::Single)
+        p.with(
+            61_000 + i * 500,
+            BitFlip { target: FlipTarget::Ml2Payload, shape: FlipShape::Single },
+        )
     });
     let mut sys = System::new(pressured_cfg().with_flip_plan(plan).with_audit());
     let r = sys.try_run(20_000).expect("single payload flips must be survivable");
@@ -71,7 +74,7 @@ fn single_payload_flips_are_always_detected_and_recovered() {
 fn ml1_flips_escape_silently() {
     // Uncompressed ML1 frames carry no tag: the measured coverage hole.
     let plan = (0..4).fold(BitFlipPlan::none(), |p, i| {
-        p.with(61_000 + i * 500, FlipTarget::Ml1Data, FlipShape::Single)
+        p.with(61_000 + i * 500, BitFlip { target: FlipTarget::Ml1Data, shape: FlipShape::Single })
     });
     let mut sys = System::new(pressured_cfg().with_flip_plan(plan));
     let r = sys.try_run(15_000).expect("silent escapes must not abort");
@@ -87,7 +90,7 @@ fn rowhammer_on_dirty_state_can_poison_frames() {
     // rather than pretend to repair them.
     let plan = (0..12).fold(BitFlipPlan::none(), |p, i| {
         let target = if i % 2 == 0 { FlipTarget::Ml2Payload } else { FlipTarget::FreeListBitmap };
-        p.with(61_000 + i * 700, target, FlipShape::RowHammer)
+        p.with(61_000 + i * 700, BitFlip { target, shape: FlipShape::RowHammer })
     });
     let mut sys = System::new(pressured_cfg().with_flip_plan(plan).with_audit());
     let r = sys.try_run(25_000).expect("poisoning must not abort the run");

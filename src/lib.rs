@@ -11,3 +11,9 @@ pub use tmcc_sim_dram as sim_dram;
 pub use tmcc_sim_mem as sim_mem;
 pub use tmcc_types as types;
 pub use tmcc_workloads as workloads;
+
+/// The README's Rust examples, compiled (not run) as doctests so they
+/// cannot drift from the API.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+pub struct ReadmeDoctests;
