@@ -18,7 +18,6 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde::Serialize;
 use tmcc_sim_mem::{PageTable, PageTableConfig};
-use tmcc_types::addr::{Ppn, Vpn};
 use tmcc_types::pte::{Pte, PteFlags};
 use tmcc_workloads::WorkloadProfile;
 
@@ -69,10 +68,7 @@ pub fn run(ctx: &SweepCtx) {
     let out: Vec<Row> = ctx.par_map(suite, |(idx, w)| {
         let mut rng =
             SmallRng::seed_from_u64(SEED ^ (idx as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        let mut pt = PageTable::new(PageTableConfig::default());
-        for i in 0..w.sim_pages {
-            pt.map(Vpn::new(i), Ppn::new(i));
-        }
+        let pt = PageTable::identity(PageTableConfig::default(), w.sim_pages);
         Row {
             workload: w.name,
             l1_uniform: uniform_fraction(&pt, 1, L1_PERTURB, &mut rng),

@@ -1,13 +1,15 @@
 //! Criterion benchmarks of the simulator's hot-path bookkeeping
 //! structures: the arithmetic-handle [`PageSlab`], the sampled intrusive
-//! [`RecencyList`], and the FxHash maps versus `std`'s SipHash default.
-//! Every simulated access crosses these structures at least once, so
-//! their per-op cost is the floor of the whole simulator's throughput.
+//! [`RecencyList`], the FxHash maps versus `std`'s SipHash default, and
+//! the page walk through a computed identity table. Every simulated
+//! access crosses these structures at least once, so their per-op cost
+//! is the floor of the whole simulator's throughput.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use std::collections::HashMap;
 use tmcc::{PageSlab, RecencyList};
-use tmcc_types::addr::Ppn;
+use tmcc_sim_mem::{PageTable, PageTableConfig, PageWalker};
+use tmcc_types::addr::{Ppn, Vpn};
 use tmcc_types::FxHashMap;
 
 const PAGES: u64 = 1 << 16;
@@ -135,5 +137,44 @@ fn bench_hash_maps(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_page_slab, bench_recency_list, bench_hash_maps);
+fn bench_page_walk(c: &mut Criterion) {
+    let mut g = c.benchmark_group("page-walk");
+    g.throughput(Throughput::Elements(OPS as u64));
+    for (name, pages) in [("64Ki", 1u64 << 16), ("4Mi", 1 << 22)] {
+        let table = PageTable::identity(PageTableConfig::for_data_pages(pages, false), pages);
+        let vpns: Vec<Vpn> = ppns(4, pages, OPS).into_iter().map(Vpn::new).collect();
+        let mut buf = Vec::with_capacity(4);
+        // The table alone: all four PTBs of each walk, no PWC.
+        g.bench_function(&format!("walk-path-into/{name}"), |b| {
+            b.iter(|| {
+                for &vpn in &vpns {
+                    black_box(table.walk_path_into(vpn, &mut buf));
+                }
+            })
+        });
+        // Cold: the PWC is flushed before every walk, so each one fetches
+        // all four PTBs.
+        g.bench_function(&format!("walk-into/pwc-cold/{name}"), |b| {
+            let mut walker = PageWalker::paper_default();
+            b.iter(|| {
+                for &vpn in &vpns {
+                    walker.flush();
+                    black_box(walker.walk_into(&table, vpn, &mut buf));
+                }
+            })
+        });
+        // Warm: the PWC keeps upper-level pointers across the stream.
+        g.bench_function(&format!("walk-into/pwc-warm/{name}"), |b| {
+            let mut walker = PageWalker::paper_default();
+            b.iter(|| {
+                for &vpn in &vpns {
+                    black_box(walker.walk_into(&table, vpn, &mut buf));
+                }
+            })
+        });
+    }
+    g.finish();
+}
+
+criterion_group!(benches, bench_page_slab, bench_recency_list, bench_hash_maps, bench_page_walk);
 criterion_main!(benches);

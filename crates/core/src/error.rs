@@ -79,6 +79,17 @@ pub enum TmccError {
         /// First PPN of the page-table region.
         table_region_base: u64,
     },
+    /// The configuration exceeds a fixed-width limit of the simulator's
+    /// bookkeeping. Raised at construction, before anything sized by the
+    /// footprint is allocated.
+    ScaleLimit {
+        /// What overflowed, naming the limit.
+        quantity: &'static str,
+        /// The configured amount.
+        requested: u64,
+        /// The largest amount supported.
+        limit: u64,
+    },
     /// The run was cancelled through its [`crate::RunHandle`] (the bench
     /// watchdog arms one per sweep point and cancels on deadline overrun).
     Cancelled {
@@ -144,6 +155,9 @@ impl fmt::Display for TmccError {
                 "{data_pages} data pages overlap the page-table region starting at PPN \
                  {table_region_base:#x}"
             ),
+            TmccError::ScaleLimit { quantity, requested, limit } => {
+                write!(f, "{requested} {quantity} exceed the simulator's limit of {limit}")
+            }
             TmccError::Cancelled { at_access } => {
                 write!(f, "run cancelled after {at_access} accesses")
             }
@@ -178,6 +192,14 @@ mod tests {
         let e = TmccError::TableRegionOverlap { data_pages: 4096, table_region_base: 0x400 };
         let msg = e.to_string();
         assert!(msg.contains("4096 data pages") && msg.contains("0x400"));
+
+        let e = TmccError::ScaleLimit {
+            quantity: "data pages (31-bit page handles)",
+            requested: 1 << 32,
+            limit: 1 << 31,
+        };
+        let msg = e.to_string();
+        assert!(msg.contains("4294967296 data pages") && msg.contains("2147483648"));
 
         let e = TmccError::Codec {
             context: "sealed page decode",

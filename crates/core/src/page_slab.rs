@@ -24,6 +24,10 @@ pub struct PageId(u32);
 /// same arithmetic over the same two-region layout.
 pub(crate) const TABLE_BIT: u32 = 1 << 31;
 
+/// Pages each region can index: handles carry a 31-bit index, so data
+/// PPNs (and table-region offsets) must stay below this.
+pub(crate) const MAX_REGION_PAGES: u64 = TABLE_BIT as u64;
+
 impl PageId {
     /// Rebuilds a handle from its raw encoding (region bit | index).
     #[inline]

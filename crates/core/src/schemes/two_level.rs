@@ -291,16 +291,8 @@ impl TwoLevelScheme {
             rng: SmallRng::seed_from_u64(seed ^ 0x2_1E5E1),
         };
         // Pin page-table pages in ML1.
-        let mut table_ppns: Vec<u64> = Vec::new();
-        for level in (1..=4).rev() {
-            for (block, _) in page_table.ptbs_at_level(level) {
-                table_ppns.push(block.ppn().raw());
-            }
-        }
-        table_ppns.sort_unstable();
-        table_ppns.dedup();
-        let table_pages = table_ppns.len() as u64;
-        for ppn in table_ppns {
+        let table_pages = page_table.table_page_count() as u64;
+        for ppn in page_table.table_ppns() {
             let frame = s.ml1_free.pop().ok_or(TmccError::InfeasibleBudget {
                 budget_frames: budget_frames as u64,
                 required_frames: table_pages,
@@ -397,10 +389,8 @@ impl TwoLevelScheme {
         // ML1, ML2, and embedded CTEs in compressed PTBs").
         if toggles.embedded_ctes {
             let geometry = PtbGeometry::paper_default();
-            for level in 1..=4u8 {
-                for (block, ptb) in page_table.ptbs_at_level(level) {
-                    s.refresh_ptb_embedding(block, &ptb, geometry);
-                }
+            for (block, ptb) in page_table.ptbs() {
+                s.refresh_ptb_embedding(block, &ptb, geometry);
             }
         }
         Ok(s)
@@ -1290,11 +1280,7 @@ mod tests {
     use tmcc_types::pte::PteFlags;
 
     fn identity_table(data_pages: u64) -> PageTable {
-        let mut pt = PageTable::new(PageTableConfig::default());
-        for i in 0..data_pages {
-            pt.map(Vpn::new(i), Ppn::new(i));
-        }
-        pt
+        PageTable::identity(PageTableConfig::default(), data_pages)
     }
 
     fn build_on(
@@ -1359,10 +1345,7 @@ mod tests {
 
     #[test]
     fn infeasible_budget_is_a_typed_error() {
-        let mut pt = PageTable::new(PageTableConfig::default());
-        for i in 0..2000u64 {
-            pt.map(Vpn::new(i), Ppn::new(i));
-        }
+        let pt = identity_table(2000);
         let model =
             SizeModel::from_samples(vec![PageSizes { deflate_bytes: 1200, block_bytes: 3000 }]);
         let err = TwoLevelScheme::try_new(
@@ -1522,10 +1505,7 @@ mod tests {
     fn data_pages_reaching_the_table_region_are_rejected() {
         // Table pages from PPN 1024 would alias data pages 1024..4096.
         let cfg = PageTableConfig { table_region_base: 1024, huge_pages: false };
-        let mut pt = PageTable::new(cfg);
-        for i in 0..4096u64 {
-            pt.map(Vpn::new(i), Ppn::new(i));
-        }
+        let pt = PageTable::identity(cfg, 4096);
         let err = build_on(TmccToggles::full(), &pt, 4096, 6000).map(|_| ()).unwrap_err();
         assert_eq!(
             err,
@@ -1667,10 +1647,7 @@ mod tests {
 
     #[test]
     fn incompressible_pages_stay_and_are_flagged() {
-        let mut pt = PageTable::new(PageTableConfig::default());
-        for i in 0..500u64 {
-            pt.map(Vpn::new(i), Ppn::new(i));
-        }
+        let pt = identity_table(500);
         let model = SizeModel::from_samples(vec![PageSizes {
             deflate_bytes: 4099, // cannot fit any ML2 class
             block_bytes: 4096,

@@ -24,6 +24,7 @@ use crate::config::{BitFlip, FaultKind, FlipTarget, SchemeKind, SystemConfig};
 use crate::error::TmccError;
 use crate::handle::{RunHandle, CANCEL_CHECK_PERIOD};
 use crate::latency::LatencyHistogram;
+use crate::page_slab::MAX_REGION_PAGES;
 use crate::schedule::Cursor;
 use crate::schemes::{
     CompressoScheme, FlipPageContext, MemRequest, NoCompressionScheme, Scheme, TwoLevelScheme,
@@ -34,9 +35,9 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use tmcc_sim_dram::DramSim;
 use tmcc_sim_mem::hierarchy::NOC_LATENCY_NS;
-use tmcc_sim_mem::page_table::WalkStep;
+use tmcc_sim_mem::page_table::{WalkStep, VIRTUAL_PAGES};
 use tmcc_sim_mem::{CacheHierarchy, HitLevel, PageTable, PageTableConfig, PageWalker, Tlb};
-use tmcc_types::addr::{Ppn, Vpn};
+use tmcc_types::addr::Ppn;
 use tmcc_types::pte::PageTableBlock;
 use tmcc_workloads::{AccessStream, PageStore};
 
@@ -44,6 +45,38 @@ use tmcc_workloads::{AccessStream, PageStore};
 const CORE_NS_PER_CYCLE: f64 = 1.0 / 2.8;
 /// How often (in accesses) background maintenance runs.
 const MAINTENANCE_PERIOD: u64 = 32;
+
+/// Bytes of budgeted DRAM the two-level schemes spend per page on
+/// translation metadata: the CTE table (8 B) and the recency list (16 B).
+const TWO_LEVEL_METADATA_BYTES: u64 = 24;
+
+/// The DRAM budget the two-level schemes place pages into, in 4 KiB
+/// frames: the configured budget less the in-DRAM metadata, or without
+/// one, room for every page plus the eviction reserve. Fails with
+/// [`TmccError::ScaleLimit`] past the schemes' 31-bit page handles or
+/// 32-bit frame numbers.
+fn two_level_budget_frames(
+    cfg: &SystemConfig,
+    pages: u64,
+    table_pages: u64,
+) -> Result<u32, TmccError> {
+    if pages > MAX_REGION_PAGES {
+        return Err(TmccError::ScaleLimit {
+            quantity: "data pages (31-bit page handles)",
+            requested: pages,
+            limit: MAX_REGION_PAGES,
+        });
+    }
+    let frames = match cfg.dram_budget_bytes {
+        Some(b) => b.saturating_sub((pages + table_pages) * TWO_LEVEL_METADATA_BYTES) / 4096,
+        None => pages + table_pages + 512,
+    };
+    u32::try_from(frames).map_err(|_| TmccError::ScaleLimit {
+        quantity: "DRAM budget frames (32-bit frame numbers)",
+        requested: frames,
+        limit: u32::MAX.into(),
+    })
+}
 
 /// A complete simulated system.
 pub struct System {
@@ -112,58 +145,50 @@ impl System {
 
     /// Builds the system, returning [`TmccError::InfeasibleBudget`] when
     /// the configured DRAM budget cannot hold the workload even fully
-    /// compressed.
+    /// compressed, and [`TmccError::ScaleLimit`] when the footprint or
+    /// budget exceeds what the simulator can number.
     pub fn try_new(cfg: SystemConfig) -> Result<Self, TmccError> {
         let pages = cfg.workload.sim_pages;
-        let mut page_table = PageTable::new(PageTableConfig::for_data_pages(pages, cfg.huge_pages));
-        if cfg.huge_pages {
-            for region in 0..pages.div_ceil(512) {
-                page_table.map(Vpn::new(region * 512), Ppn::new(region * 512));
-            }
-        } else {
-            for i in 0..pages {
-                page_table.map(Vpn::new(i), Ppn::new(i));
-            }
+        if pages > VIRTUAL_PAGES {
+            return Err(TmccError::ScaleLimit {
+                quantity: "data pages (48-bit virtual address space)",
+                requested: pages,
+                limit: VIRTUAL_PAGES,
+            });
         }
+        let page_table =
+            PageTable::identity(PageTableConfig::for_data_pages(pages, cfg.huge_pages), pages);
+        let table_pages = page_table.table_page_count() as u64;
+        // Checked before the size model is sampled or any per-page state
+        // allocated, so an out-of-range configuration fails at once.
+        let budget_frames = match cfg.scheme {
+            SchemeKind::OsInspired | SchemeKind::Tmcc => {
+                two_level_budget_frames(&cfg, pages, table_pages)?
+            }
+            SchemeKind::NoCompression | SchemeKind::Compresso => 0, // unused
+        };
         let mut store = PageStore::new(cfg.workload.page_content(cfg.seed));
         let size_model = SizeModel::sample_via(&mut store, cfg.size_samples);
-        let table_pages = page_table.table_page_count() as u64;
 
         let scheme: Box<dyn Scheme> = match cfg.scheme {
             SchemeKind::NoCompression => {
                 Box::new(NoCompressionScheme::new((pages + table_pages) * 4096))
             }
             SchemeKind::Compresso => {
-                let mut ppns: Vec<Ppn> = (0..pages).map(Ppn::new).collect();
-                for level in 1..=4u8 {
-                    for (block, _) in page_table.ptbs_at_level(level) {
-                        ppns.push(block.ppn());
-                    }
-                }
-                ppns.sort_unstable_by_key(|p| p.raw());
-                ppns.dedup();
+                // Data pages sit below the table region, so this is sorted.
+                let ppns = (0..pages).chain(page_table.table_ppns()).map(Ppn::new);
                 Box::new(CompressoScheme::new(cfg.cte_cache, size_model, ppns, cfg.seed))
             }
-            SchemeKind::OsInspired | SchemeKind::Tmcc => {
-                // CTE table (8 B/page) and recency list (16 B/page) also
-                // live in the budgeted DRAM.
-                let metadata = (pages + table_pages) * 24;
-                let budget_frames = match cfg.dram_budget_bytes {
-                    Some(b) => (b.saturating_sub(metadata) / 4096) as u32,
-                    // No pressure: room for everything plus the reserve.
-                    None => (pages + table_pages) as u32 + 512,
-                };
-                Box::new(TwoLevelScheme::try_new(
-                    cfg.toggles,
-                    cfg.cte_cache,
-                    size_model,
-                    &page_table,
-                    pages,
-                    budget_frames,
-                    cfg.seed,
-                    cfg.recency_sample,
-                )?)
-            }
+            SchemeKind::OsInspired | SchemeKind::Tmcc => Box::new(TwoLevelScheme::try_new(
+                cfg.toggles,
+                cfg.cte_cache,
+                size_model,
+                &page_table,
+                pages,
+                budget_frames,
+                cfg.seed,
+                cfg.recency_sample,
+            )?),
         };
 
         let streams = (0..cfg.cores.max(1))
@@ -201,21 +226,15 @@ impl System {
     /// Smallest feasible DRAM budget in bytes for a workload under the
     /// two-level schemes.
     pub fn min_budget_bytes(cfg: &SystemConfig) -> u64 {
-        let mut page_table = PageTable::new(PageTableConfig::default());
-        for i in 0..cfg.workload.sim_pages {
-            page_table.map(Vpn::new(i), Ppn::new(i));
-        }
+        let pages = cfg.workload.sim_pages;
+        let table_pages =
+            PageTable::identity(PageTableConfig::default(), pages).table_page_count() as u64;
         let size_model = SizeModel::sample_via(
             &mut PageStore::new(cfg.workload.page_content(cfg.seed)),
             cfg.size_samples,
         );
-        let frames = TwoLevelScheme::min_budget_frames(
-            &size_model,
-            page_table.table_page_count() as u64,
-            cfg.workload.sim_pages,
-        );
-        let metadata = (cfg.workload.sim_pages + page_table.table_page_count() as u64) * 24;
-        frames as u64 * 4096 + metadata
+        let frames = TwoLevelScheme::min_budget_frames(&size_model, table_pages, pages);
+        frames as u64 * 4096 + (pages + table_pages) * TWO_LEVEL_METADATA_BYTES
     }
 
     /// The configuration in use.

@@ -2,6 +2,7 @@
 //! resources run out — incompressible content, saturated migration
 //! buffers, exhausted free lists, stale embeddings en masse.
 
+use std::time::{Duration, Instant};
 use tmcc::config::TmccToggles;
 use tmcc::{SchemeKind, System, SystemConfig, TmccError};
 use tmcc_workloads::{ContentProfile, PageTemplate, WorkloadProfile};
@@ -83,4 +84,51 @@ fn zero_budget_headroom_is_a_typed_error() {
     // The message must name the numbers an operator needs.
     let msg = err.to_string();
     assert!(msg.contains("budget"), "unhelpful message: {msg}");
+}
+
+/// A TB-scale configuration for `scheme` with `pages` data pages.
+fn tb_scale(pages: u64, scheme: SchemeKind) -> SystemConfig {
+    let mut w = WorkloadProfile::by_name("pageRank").expect("known workload");
+    w.sim_pages = pages;
+    SystemConfig::new(w, scheme)
+}
+
+/// Builds `cfg`, which must fail, and returns the error and how long the
+/// rejection took.
+fn rejection(cfg: SystemConfig) -> (TmccError, Duration) {
+    let start = Instant::now();
+    let err = System::try_new(cfg).map(|_| ()).expect_err("out-of-range config must be rejected");
+    (err, start.elapsed())
+}
+
+#[test]
+fn footprint_past_the_page_handle_limit_is_a_typed_error() {
+    // 16 TiB is 2^32 data pages; the two-level schemes' page handles hold
+    // 31 bits. The identity page table costs O(1) at any footprint, so the
+    // limit is found before anything sized by the footprint is built.
+    for scheme in [SchemeKind::Tmcc, SchemeKind::OsInspired] {
+        let (err, took) = rejection(tb_scale(1 << 32, scheme));
+        assert!(
+            matches!(err, TmccError::ScaleLimit { requested, limit, .. }
+                if requested == 1 << 32 && limit == 1 << 31),
+            "got: {err}"
+        );
+        assert!(err.to_string().contains("31-bit page handles"), "{err}");
+        assert!(took < Duration::from_secs(1), "rejection took {took:?}");
+    }
+}
+
+#[test]
+fn budget_past_the_frame_number_limit_is_a_typed_error() {
+    // A 17 TiB budget over a 4 TiB footprint is more 4 KiB frames than the
+    // 32-bit frame numbers can name; it used to wrap silently.
+    let cfg = tb_scale(1 << 30, SchemeKind::Tmcc).with_budget(17 << 40);
+    let (err, took) = rejection(cfg);
+    assert!(
+        matches!(err, TmccError::ScaleLimit { requested, limit, .. }
+            if requested > u64::from(u32::MAX) && limit == u64::from(u32::MAX)),
+        "got: {err}"
+    );
+    assert!(err.to_string().contains("32-bit frame numbers"), "{err}");
+    assert!(took < Duration::from_secs(1), "rejection took {took:?}");
 }

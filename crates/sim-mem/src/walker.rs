@@ -85,45 +85,31 @@ impl PageWalker {
     /// count, or `None` (with `out` empty) for unmapped addresses.
     ///
     /// The hot per-TLB-miss path of the system model: with a caller-owned
-    /// scratch buffer it performs no heap allocation and no extra
-    /// page-table lookups.
+    /// scratch buffer it performs no heap allocation, and the table builds
+    /// only the PTBs the walker fetches.
     pub fn walk_into(
         &mut self,
         table: &PageTable,
         vpn: Vpn,
         out: &mut Vec<(WalkStep, PageTableBlock)>,
     ) -> Option<(Ppn, u32)> {
-        if !table.walk_path_into(vpn, out) {
+        let leaf = table.leaf_level();
+        // The deepest level whose *table pointer* the PWC knows: fetching
+        // starts below it. The leaf PTB itself is never skipped.
+        let mut top = 4;
+        while top > leaf && self.pwc.contains(Self::pwc_key(vpn, top)) {
+            top -= 1;
+        }
+        // An unmapped address leaves the PWC untouched.
+        if !table.walk_from_into(vpn, top, out) {
             return None;
         }
-        // A degenerate (empty) path is an unmapped address, not a crash.
-        let leaf_level = out.last()?.0.level;
-        // Find the deepest level whose *table pointer* the PWC knows: we
-        // can start fetching below it.
-        let mut start_idx = 0;
-        let mut pwc_hits = 0;
-        for (i, (step, _)) in out.iter().enumerate() {
-            if step.level == leaf_level {
-                break; // the leaf PTB itself is never skipped
-            }
-            if self.pwc.contains(Self::pwc_key(vpn, step.level)) {
-                // Touch for LRU.
-                let _ = self.pwc.access(Self::pwc_key(vpn, step.level), false, ());
-                pwc_hits += 1;
-                start_idx = i + 1;
-            } else {
-                break;
-            }
+        // Touch the pointers that hit (LRU) and install the ones the
+        // fetched steps produced, root first.
+        for level in (leaf + 1..=4).rev() {
+            let _ = self.pwc.access(Self::pwc_key(vpn, level), false, ());
         }
-        // Install the pointers produced by the steps we did fetch.
-        for (step, _) in &out[start_idx..] {
-            if step.level != leaf_level {
-                let _ = self.pwc.access(Self::pwc_key(vpn, step.level), false, ());
-            }
-        }
-        let ppn = out.last()?.0.next_ppn;
-        out.drain(..start_idx);
-        Some((ppn, pwc_hits))
+        Some((out.last()?.0.next_ppn, u32::from(4 - top)))
     }
 
     /// Clears the PWC (context switch).
@@ -190,6 +176,65 @@ mod tests {
         let pt = table_with(1);
         let mut w = PageWalker::paper_default();
         assert!(w.walk(&pt, Vpn::new(1 << 30)).is_none());
+    }
+
+    /// The reference walk: the full path from the root, minus the upper
+    /// levels whose pointers hit in the PWC; the rest are installed.
+    fn reference_walk(
+        pwc: &mut SetAssocCache<()>,
+        table: &PageTable,
+        vpn: Vpn,
+    ) -> Option<(Vec<(WalkStep, PageTableBlock)>, u32)> {
+        let mut path = Vec::new();
+        if !table.walk_path_into(vpn, &mut path) {
+            return None;
+        }
+        let leaf = path.last()?.0.level;
+        let mut start = 0;
+        for (i, (step, _)) in path.iter().enumerate() {
+            if step.level == leaf || !pwc.contains(PageWalker::pwc_key(vpn, step.level)) {
+                break;
+            }
+            let _ = pwc.access(PageWalker::pwc_key(vpn, step.level), false, ());
+            start = i + 1;
+        }
+        for (step, _) in &path[start..] {
+            if step.level != leaf {
+                let _ = pwc.access(PageWalker::pwc_key(vpn, step.level), false, ());
+            }
+        }
+        Some((path.split_off(start), start as u32))
+    }
+
+    #[test]
+    fn fetch_only_walks_match_full_path_walks() {
+        let mut frozen = PageTable::identity(PageTableConfig::default(), 1 << 20);
+        frozen.map(Vpn::new(3 << 20), Ppn::new(9));
+        let huge = PageTable::identity(
+            PageTableConfig { huge_pages: true, ..Default::default() },
+            1 << 20,
+        );
+        for table in [PageTable::identity(PageTableConfig::default(), 1 << 20), frozen, huge] {
+            let mut walker = PageWalker::paper_default();
+            let mut pwc = SetAssocCache::fully_associative(64);
+            let mut buf = Vec::new();
+            let mut state = 7u64;
+            for _ in 0..20_000 {
+                state = state.wrapping_mul(0x5851_F42D_4C95_7F2D).wrapping_add(1);
+                // Random VPNs over the mapped range and a little past it:
+                // the PWC both hits and misses, and some walks are unmapped.
+                let vpn = Vpn::new((state >> 33) % ((1 << 20) + (1 << 16)));
+                let want = reference_walk(&mut pwc, &table, vpn);
+                let got = walker.walk_into(&table, vpn, &mut buf);
+                match want {
+                    Some((path, hits)) => {
+                        assert_eq!(got, Some((path.last().unwrap().0.next_ppn, hits)), "{vpn:?}");
+                        assert_eq!(buf, path, "{vpn:?}");
+                    }
+                    None => assert!(got.is_none() && buf.is_empty(), "{vpn:?}"),
+                }
+            }
+        }
     }
 
     #[test]

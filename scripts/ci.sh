@@ -33,6 +33,14 @@ echo "==> arbiter benches execute (TMCC_BENCH_SMOKE=1)"
 # only keeps the bench compiling and running.
 TMCC_BENCH_SMOKE=1 cargo bench -q -p tmcc --bench arbiter
 
+echo "==> remaining criterion benches execute (TMCC_BENCH_SMOKE=1)"
+# The same smoke run for the other three bench targets: the hot-path
+# structures (incl. the page walk), the succinct structures, and the
+# end-to-end simulator step loop.
+TMCC_BENCH_SMOKE=1 cargo bench -q -p tmcc --bench hot_structs
+TMCC_BENCH_SMOKE=1 cargo bench -q -p tmcc-types --bench succinct
+TMCC_BENCH_SMOKE=1 cargo bench -q -p tmcc-bench --bench simulator
+
 echo "==> decoder fuzz smoke (TMCC_FUZZ_CASES=10000, fixed seed)"
 # Bounded corruption fuzzing of the Deflate decode path: ~10k corrupted
 # streams through the sealed decoder must yield typed errors, never a

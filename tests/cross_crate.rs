@@ -6,7 +6,7 @@ use tmcc::{SchemeKind, System, SystemConfig};
 use tmcc_compression::{BestOfCodec, BlockCodec};
 use tmcc_deflate::{MemDeflate, SoftwareDeflate};
 use tmcc_sim_mem::{PageTable, PageTableConfig, PageWalker, Tlb};
-use tmcc_types::addr::{Ppn, Vpn};
+use tmcc_types::addr::Vpn;
 use tmcc_types::cte::{Cte, MemoryLevel};
 use tmcc_types::ptb::{CompressedPtb, PtbGeometry};
 use tmcc_workloads::WorkloadProfile;
@@ -41,10 +41,7 @@ fn corpus_round_trips_under_all_codecs() {
 /// check the full prefetch-verify-repair chain end to end.
 #[test]
 fn ptb_embedding_pipeline_end_to_end() {
-    let mut pt = PageTable::new(PageTableConfig::default());
-    for i in 0..2048u64 {
-        pt.map(Vpn::new(i), Ppn::new(i));
-    }
+    let pt = PageTable::identity(PageTableConfig::default(), 2048);
     let mut walker = PageWalker::paper_default();
     let mut tlb = Tlb::paper_default();
     let geometry = PtbGeometry::paper_default();
