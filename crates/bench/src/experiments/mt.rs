@@ -1,7 +1,7 @@
 //! Multi-tenant scenarios: isolation under an adversarial neighbor
 //! (`mt_degradation`), guarantee pressure under demand spikes
 //! (`mt_tail_latency`), and arrival/departure/ballooning storms
-//! (`mt_churn_storm`). Every scenario runs a full [`MultiTenantSystem`]
+//! (`mt_churn_storm`). Every scenario runs a full [`tmcc::MultiTenantSystem`]
 //! — per-tenant page tables, TLBs and compression state over one shared
 //! [`tmcc::tenancy::CapacityArbiter`] — with per-round invariant audits
 //! on, and emits the complete per-tenant report.

@@ -1,5 +1,5 @@
 //! Criterion benchmarks of the simulator's hot-path bookkeeping
-//! structures: the arithmetic-handle [`PageSlab`], the sampled intrusive
+//! structures: the packed per-page [`PageMetaStore`], the sampled intrusive
 //! [`RecencyList`], the FxHash maps versus `std`'s SipHash default, and
 //! the page walk through a computed identity table. Every simulated
 //! access crosses these structures at least once, so their per-op cost
@@ -7,7 +7,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use std::collections::HashMap;
-use tmcc::{PageSlab, RecencyList};
+use tmcc::{PageInfo, PageMetaStore, Placement, RecencyList};
 use tmcc_sim_mem::{PageTable, PageTableConfig, PageWalker};
 use tmcc_types::addr::{Ppn, Vpn};
 use tmcc_types::FxHashMap;
@@ -29,36 +29,35 @@ fn ppns(seed: u64, bound: u64, n: usize) -> Vec<u64> {
         .collect()
 }
 
-fn bench_page_slab(c: &mut Criterion) {
-    let mut slab: PageSlab<u64> = PageSlab::new(0);
+fn bench_page_meta(c: &mut Criterion) {
+    let mut pages = PageMetaStore::new(1 << 26);
     for ppn in 0..PAGES {
-        slab.insert(ppn, ppn * 3);
+        let place = Placement::Ml1 { frame: ppn as u32 };
+        pages.insert(ppn, PageInfo { place, dirty_epoch: 0, pinned: false, incompressible: false });
     }
     let lookups = ppns(1, PAGES, OPS);
+    let ids: Vec<_> = lookups.iter().map(|&p| pages.id_of(p).expect("resident")).collect();
 
-    let mut g = c.benchmark_group("page-slab");
+    let mut g = c.benchmark_group("page-meta");
     g.throughput(Throughput::Elements(OPS as u64));
-    g.bench_function("insert/64Ki", |b| {
-        b.iter(|| {
-            let mut s: PageSlab<u64> = PageSlab::new(0);
-            for ppn in 0..OPS as u64 {
-                s.insert(ppn, ppn);
-            }
-            black_box(s.len())
-        })
-    });
-    g.bench_function("get/64Ki", |b| {
+    g.bench_function("id-of/64Ki", |b| {
         b.iter(|| {
             for &ppn in &lookups {
-                black_box(slab.get(ppn));
+                black_box(pages.id_of(ppn));
             }
         })
     });
     g.bench_function("get-id/64Ki", |b| {
-        let ids: Vec<_> = lookups.iter().map(|&p| slab.id_of(p).expect("resident")).collect();
         b.iter(|| {
             for &id in &ids {
-                black_box(slab.get_id(id));
+                black_box(pages.get_id(id));
+            }
+        })
+    });
+    g.bench_function("set-place/64Ki", |b| {
+        b.iter(|| {
+            for (i, &id) in ids.iter().enumerate() {
+                black_box(pages.set_place(id, Placement::Ml1 { frame: i as u32 }));
             }
         })
     });
@@ -176,5 +175,5 @@ fn bench_page_walk(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_page_slab, bench_recency_list, bench_hash_maps, bench_page_walk);
+criterion_group!(benches, bench_page_meta, bench_recency_list, bench_hash_maps, bench_page_walk);
 criterion_main!(benches);

@@ -5,9 +5,9 @@
 //! harness, fault-injection sweeps, downstream users of the crate) can
 //! distinguish "this configuration is infeasible" from "the simulator has
 //! a bug" and react — retry with a larger budget, record the failure, or
-//! abort with context. Construction-time convenience wrappers
-//! ([`crate::System::new`], `TwoLevelScheme::new`) still panic, but they
-//! are thin shims over the fallible `try_*` constructors.
+//! abort with context. The construction-time convenience wrapper
+//! [`crate::System::new`] still panics, but it is a thin shim over the
+//! fallible [`crate::System::try_new`].
 
 use std::fmt;
 use tmcc_compression::CodecError;

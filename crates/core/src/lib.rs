@@ -8,7 +8,7 @@
 //!
 //! * [`SchemeKind::NoCompression`] — a conventional memory system;
 //! * [`SchemeKind::Compresso`] — the block-level state of the art the
-//!   paper compares against (§III, reference [6]);
+//!   paper compares against (§III, reference \[6\]);
 //! * [`SchemeKind::OsInspired`] — the barebone two-level (ML1/ML2) design
 //!   of §IV: page-level CTEs, free lists, recency list, but *serial* CTE
 //!   fetches and IBM-speed Deflate;
@@ -39,7 +39,6 @@ pub mod free_list;
 pub mod handle;
 pub mod latency;
 pub mod page_meta;
-pub mod page_slab;
 pub mod recency;
 pub mod schedule;
 pub mod schemes;
@@ -55,8 +54,7 @@ pub use error::TmccError;
 pub use free_list::{CompressoFreeList, Ml1FreeList, Ml2FreeLists};
 pub use handle::RunHandle;
 pub use latency::{LatencyHistogram, LATENCY_BINS};
-pub use page_meta::{PageInfo, PageMetaStore, Placement};
-pub use page_slab::{PageId, PageSlab};
+pub use page_meta::{PageId, PageInfo, PageMetaStore, Placement};
 pub use recency::RecencyList;
 pub use schedule::{Schedule, Scheduled};
 pub use size_model::{PageSizes, SizeModel};

@@ -1,10 +1,19 @@
 //! Packed per-page metadata for the two-level schemes.
 //!
-//! The schemes used to keep a boxed-struct [`PageSlab`] entry per page
-//! (stored CTE + placement enum + flags, ~40 B with the `Option`
-//! discriminant). At datacenter-scale footprints that dominates host
-//! memory, so [`PageMetaStore`] packs the same state into one 64-bit word
-//! per page plus a residency bit and a 32-bit dirty epoch (~12.2 B/page):
+//! The simulator's physical page numbers are dense by construction: data
+//! pages are identity-mapped from 0, and page-table pages are allocated
+//! sequentially from the table-region base (`PageTable::table_region_base`,
+//! 2^26 by default). [`PageMetaStore`] exploits that layout to key
+//! per-page state by a compact [`PageId`] handle derived *arithmetically*
+//! from the PPN — one comparison and one subtraction — so the steady-state
+//! access path indexes two dense regions (data pages keyed by PPN, table
+//! pages keyed by PPN − `table_base`) instead of hashing on every page
+//! touch. The scheme derives a handle once per request and reuses it for
+//! every lookup the request needs.
+//!
+//! At datacenter-scale footprints per-page state dominates host memory, so
+//! the store packs it into one 64-bit word per page plus a residency bit
+//! and a 32-bit dirty epoch (~12.2 B/page):
 //!
 //! ```text
 //! bit  0      level (0 = ML1, 1 = ML2)
@@ -16,21 +25,40 @@
 //! bits 32..64 ML1: frame number / ML2: super-chunk id
 //! ```
 //!
-//! The stored CTE is gone entirely: a page's CTE is *derivable* from its
-//! placement (`Cte::new(frame, level)` plus the incompressible flag —
-//! the schemes never populate the pair vector), so the scheme
-//! reconstructs it on demand instead of keeping an 8-byte mirror in sync.
-//!
-//! Layout and addressing mirror [`PageSlab`]: two dense regions (data
-//! pages keyed by PPN, table pages keyed by PPN − `table_base`) indexed
-//! arithmetically through the same [`PageId`] handle, with residency
-//! tracked by a succinct [`BitVec`] instead of `Option` discriminants.
-//!
-//! [`PageSlab`]: crate::page_slab::PageSlab
+//! The word holds the page-level CTE of paper Fig. 13: the level, the
+//! `isIncompressible` bit, and the placement the CTE's frame derives from
+//! (the ML1 frame itself, or the ML2 sub-chunk whose address names it), so
+//! the scheme keeps no separate CTE copy. Residency is tracked by a
+//! succinct [`BitVec`].
 
 use crate::free_list::SubChunk;
-use crate::page_slab::{PageId, TABLE_BIT};
 use tmcc_types::bitvec::BitVec;
+
+/// Compact handle of a page's slot in a [`PageMetaStore`]: a region bit
+/// (data vs. table) plus the index within the region.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PageId(u32);
+
+/// Region bit of a [`PageId`]: set for table-region pages.
+const TABLE_BIT: u32 = 1 << 31;
+
+/// Pages each region can index: handles carry a 31-bit index, so data
+/// PPNs (and table-region offsets) must stay below this.
+pub(crate) const MAX_REGION_PAGES: u64 = TABLE_BIT as u64;
+
+impl PageId {
+    /// The region-local index.
+    #[inline]
+    fn index(self) -> usize {
+        (self.0 & !TABLE_BIT) as usize
+    }
+
+    /// Whether the handle points into the table region.
+    #[inline]
+    fn is_table(self) -> bool {
+        self.0 & TABLE_BIT != 0
+    }
+}
 
 /// Where a page's bytes currently live.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -158,9 +186,7 @@ impl Region {
 }
 
 /// Packed per-page state keyed by dense PPN, split into the two dense
-/// regions of the simulator's physical layout (see [`PageSlab`]).
-///
-/// [`PageSlab`]: crate::page_slab::PageSlab
+/// regions of the simulator's physical layout.
 ///
 /// # Examples
 ///
@@ -204,10 +230,10 @@ impl PageMetaStore {
     #[inline]
     pub fn id_of(&self, ppn: u64) -> Option<PageId> {
         if ppn < self.table_base {
-            (ppn < TABLE_BIT as u64).then(|| PageId::from_raw(ppn as u32))
+            (ppn < TABLE_BIT as u64).then_some(PageId(ppn as u32))
         } else {
             let off = ppn - self.table_base;
-            (off < TABLE_BIT as u64).then(|| PageId::from_raw(off as u32 | TABLE_BIT))
+            (off < TABLE_BIT as u64).then_some(PageId(off as u32 | TABLE_BIT))
         }
     }
 
@@ -371,6 +397,19 @@ mod tests {
     }
 
     #[test]
+    fn ids_round_trip_and_replace_counts_once() {
+        let mut s = PageMetaStore::new(BASE);
+        assert!(s.insert(7, ml1(1)));
+        assert!(!s.insert(7, ml1(2)));
+        assert_eq!(s.len(), 1);
+        let id = s.id_of(7).unwrap();
+        assert_eq!(s.get_id(id).unwrap().place, Placement::Ml1 { frame: 2 });
+        let tid = s.id_of(BASE).unwrap();
+        assert_ne!(id, tid);
+        assert_eq!(s.get_id(tid), None, "table slot untouched");
+    }
+
+    #[test]
     fn packed_word_roundtrips_extremes() {
         let mut s = PageMetaStore::new(BASE);
         let info = PageInfo {
@@ -443,10 +482,57 @@ mod tests {
     }
 
     #[test]
+    fn iter_pairs_each_ppn_with_its_info() {
+        let mut s = PageMetaStore::new(BASE);
+        s.insert(BASE + 1, ml1(4));
+        s.insert(2, ml1(2));
+        s.insert(0, ml1(1));
+        s.insert(BASE, ml1(3));
+        let pairs: Vec<(u64, Placement)> = s.iter().map(|(p, info)| (p, info.place)).collect();
+        let frames = [(0, 1), (2, 2), (BASE, 3), (BASE + 1, 4)];
+        let want: Vec<(u64, Placement)> =
+            frames.iter().map(|&(p, frame)| (p, Placement::Ml1 { frame })).collect();
+        assert_eq!(pairs, want);
+    }
+
+    #[test]
+    fn setters_reach_both_regions() {
+        // Data page 3 and table page BASE + 3 share region index 3; only
+        // the region bit keeps their handles apart.
+        let mut s = PageMetaStore::new(BASE);
+        s.insert(3, ml1(30));
+        s.insert(BASE + 3, PageInfo { pinned: true, ..ml1(33) });
+        let (data, table) = (s.id_of(3).unwrap(), s.id_of(BASE + 3).unwrap());
+        assert_ne!(data, table);
+        assert!(s.set_place(table, Placement::Ml1 { frame: 34 }));
+        assert!(s.bump_dirty_epoch(table));
+        assert!(s.set_incompressible(table, true));
+        let t = s.get(BASE + 3).unwrap();
+        assert_eq!(t.place, Placement::Ml1 { frame: 34 });
+        assert_eq!(t.dirty_epoch, 1);
+        assert!(t.pinned && t.incompressible);
+        assert_eq!(s.get(3).unwrap(), ml1(30), "data page untouched");
+    }
+
+    #[test]
     fn out_of_range_ppn_has_no_id() {
         let s = PageMetaStore::new(BASE);
         assert!(s.id_of(BASE - 1).is_some());
         assert!(s.id_of(BASE + (1 << 31)).is_none());
+    }
+
+    #[test]
+    fn both_regions_stop_at_the_handle_range() {
+        // A table base above the handle range leaves data PPNs the store
+        // cannot index; lookups there miss instead of aliasing.
+        let base = 1 << 40;
+        let s = PageMetaStore::new(base);
+        assert!(s.id_of(MAX_REGION_PAGES - 1).is_some());
+        assert!(s.id_of(MAX_REGION_PAGES).is_none());
+        assert!(s.id_of(base - 1).is_none());
+        assert!(s.id_of(base + MAX_REGION_PAGES - 1).is_some());
+        assert!(s.id_of(base + MAX_REGION_PAGES).is_none());
+        assert!(s.get(MAX_REGION_PAGES).is_none());
     }
 
     #[test]

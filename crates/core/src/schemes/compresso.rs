@@ -1,4 +1,4 @@
-//! The Compresso baseline (paper §III, reference [6]).
+//! The Compresso baseline (paper §III, reference \[6\]).
 //!
 //! Block-level compression for capacity: every page is stored as
 //! individually compressed 64 B blocks packed into 512 B chunks from a
@@ -73,11 +73,6 @@ impl CompressoScheme {
             s.free.push(c);
         }
         s
-    }
-
-    /// Hit rate of the metadata (CTE) cache so far.
-    pub fn metadata_hit_rate(&self) -> f64 {
-        self.meta_cache.hit_rate()
     }
 
     fn data_addr(&self, req: &MemRequest) -> Result<DramAddr, TmccError> {

@@ -201,15 +201,19 @@ pub trait Scheme: Send {
 /// where a missing entry lands in DRAM.)
 const TABLE_ROW_STRIDE: u64 = 8192;
 
-/// DRAM address of the page-level CTE for `ppn` (8 B entries; see
-/// [`TABLE_ROW_STRIDE`] for the placement rationale).
+/// Modelled size of one page-level CTE in DRAM, in bytes (paper Fig. 13).
+pub const CTE_BYTES: u64 = 8;
+
+/// DRAM address of the page-level CTE for `ppn`: [`CTE_BYTES`] entries,
+/// eight to a 64 B line, each line a row-sized stride from the last, so
+/// demand fetches miss the row buffer as they would in a full-scale table.
 pub fn cte_dram_addr(ppn: Ppn) -> u64 {
-    CTE_TABLE_BASE + (ppn.raw() / 8) * TABLE_ROW_STRIDE + (ppn.raw() % 8) * 8
+    CTE_TABLE_BASE + (ppn.raw() / 8) * TABLE_ROW_STRIDE + (ppn.raw() % 8) * CTE_BYTES
 }
 
 /// DRAM address of the block-level metadata entry for `ppn` (64 B
-/// entries, Compresso; one entry per simulated row, see
-/// [`TABLE_ROW_STRIDE`]).
+/// entries, Compresso; one entry per row-sized stride, as for
+/// [`cte_dram_addr`]).
 pub fn metadata_dram_addr(ppn: Ppn) -> u64 {
     CTE_TABLE_BASE + (1 << 38) + ppn.raw() * TABLE_ROW_STRIDE
 }

@@ -26,12 +26,11 @@
 //! size class cannot be carved). [`Scheme::validate`] audits frame
 //! conservation and CTE/placement consistency at any point.
 
-use super::{cte_dram_addr, FlipPageContext, MemRequest, Scheme, SchemePressure};
+use super::{cte_dram_addr, FlipPageContext, MemRequest, Scheme, SchemePressure, CTE_BYTES};
 use crate::config::{BitFlip, FaultKind, FlipShape, FlipTarget, SchemeKind, TmccToggles};
 use crate::error::TmccError;
 use crate::free_list::{Ml1FreeList, Ml2FreeLists};
-use crate::page_meta::{PageInfo, PageMetaStore, Placement};
-use crate::page_slab::PageId;
+use crate::page_meta::{PageId, PageInfo, PageMetaStore, Placement};
 use crate::recency::RecencyList;
 use crate::size_model::SizeModel;
 use crate::stats::SimStats;
@@ -43,8 +42,8 @@ use tmcc_sim_dram::DramSim;
 use tmcc_sim_mem::{CteBuffer, CteBufferEntry, CteCache, CteCacheConfig, PageTable};
 use tmcc_types::addr::{BlockAddr, DramAddr, Ppn, BLOCKS_PER_PAGE, PAGE_SIZE};
 use tmcc_types::bitvec::BitVec;
-use tmcc_types::cte::{Cte, MemoryLevel, TruncatedCte};
-use tmcc_types::ptb::{CompressedPtb, PtbGeometry};
+use tmcc_types::cte::TruncatedCte;
+use tmcc_types::ptb::PtbGeometry;
 use tmcc_types::pte::{PageTableBlock, PTES_PER_PTB};
 
 /// Entries in the MC's page-migration buffer (§VI: "a 32KB buffer (i.e.,
@@ -80,6 +79,20 @@ const FREE_MAP_REBUILD_NS_PER_FRAME: f64 = 0.5;
 /// Present bit of a [`PtbEmbeddings`] word; the low 28 bits hold the
 /// truncated CTE's frame.
 const EMBED_PRESENT: u32 = 1 << 31;
+
+/// Frames the two-level schemes can number: a CTE names its frame in
+/// [`TruncatedCte::BITS`] bits, which also keeps every frame's DRAM
+/// address below [`CTE_TABLE_BASE`](super::CTE_TABLE_BASE).
+pub(crate) const MAX_FRAMES: u64 = 1 << TruncatedCte::BITS;
+
+/// The error for a budget of `requested` frames, past [`MAX_FRAMES`].
+pub(crate) fn frame_limit_error(requested: u64) -> TmccError {
+    TmccError::ScaleLimit {
+        quantity: "DRAM budget frames (28-bit CTE frame numbers)",
+        requested,
+        limit: MAX_FRAMES,
+    }
+}
 
 /// The CTEs physically embedded in every compressed PTB (§V-A1), stored
 /// densely by PTB position in the table region: one word per PTE slot.
@@ -205,44 +218,15 @@ impl TwoLevelScheme {
     /// index order) fill ML1 until only the eviction reserve remains, and
     /// the rest are compressed into ML2.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the budget cannot hold the workload even with every
-    /// overflow page compressed into ML2 (use
-    /// [`try_new`](Self::try_new) for a fallible build, or
-    /// [`min_budget_frames`](Self::min_budget_frames) to pick feasible
-    /// budgets).
-    #[allow(clippy::too_many_arguments)]
-    pub fn new(
-        toggles: TmccToggles,
-        cte_cfg: CteCacheConfig,
-        size_model: SizeModel,
-        page_table: &PageTable,
-        data_pages: u64,
-        budget_frames: u32,
-        seed: u64,
-        recency_sample: f64,
-    ) -> Self {
-        match Self::try_new(
-            toggles,
-            cte_cfg,
-            size_model,
-            page_table,
-            data_pages,
-            budget_frames,
-            seed,
-            recency_sample,
-        ) {
-            Ok(s) => s,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Builds the scheme and performs initial placement, returning
     /// [`TmccError::InfeasibleBudget`] when the budget cannot hold the
-    /// workload even with every overflow page compressed into ML2, and
-    /// [`TmccError::TableRegionOverlap`] when the data pages reach into
-    /// the page table's region.
+    /// workload even with every overflow page compressed into ML2 (see
+    /// [`min_budget_frames`](Self::min_budget_frames) to pick feasible
+    /// budgets), [`TmccError::TableRegionOverlap`] when the data pages
+    /// reach into the page table's region, and [`TmccError::ScaleLimit`]
+    /// when the budget exceeds the 2^28 frames a CTE's 28-bit frame field
+    /// names.
     #[allow(clippy::too_many_arguments)]
     pub fn try_new(
         toggles: TmccToggles,
@@ -257,6 +241,9 @@ impl TwoLevelScheme {
         let table_region_base = page_table.table_region_base();
         if data_pages > table_region_base {
             return Err(TmccError::TableRegionOverlap { data_pages, table_region_base });
+        }
+        if u64::from(budget_frames) > MAX_FRAMES {
+            return Err(frame_limit_error(budget_frames.into()));
         }
         let evict_lo = ((budget_frames as usize) / 64).max(24);
         let mut s = Self {
@@ -436,44 +423,36 @@ impl TwoLevelScheme {
         self.ml2.class_for(comp).map(|c| self.ml2.class_size(c) as u64).unwrap_or(PAGE_SIZE as u64)
     }
 
-    /// Derives a page's CTE from its placement. The schemes never
-    /// populate the pair vector and [`Cte::set_frame`] writes exactly the
-    /// frame and level, so reconstruction is bit-identical to the CTE the
-    /// scheme used to keep stored and mutate in lockstep.
-    fn cte_of(&self, info: &PageInfo) -> Result<Cte, TmccError> {
-        let (frame, level) = match info.place {
-            Placement::Ml1 { frame } => (frame, MemoryLevel::Ml1),
-            Placement::Ml2 { sub, .. } => {
-                ((self.ml2.try_addr_of(sub)? / PAGE_SIZE as u64) as u32, MemoryLevel::Ml2)
-            }
+    /// Derives the frame of a page's CTE from its placement: what a
+    /// compressed PTB embeds and what the MC verifies an embedding
+    /// against. The level and the `isIncompressible` bit live in the
+    /// placement word itself.
+    fn cte_of(&self, info: &PageInfo) -> Result<TruncatedCte, TmccError> {
+        let frame = match info.place {
+            Placement::Ml1 { frame } => frame,
+            Placement::Ml2 { sub, .. } => (self.ml2.try_addr_of(sub)? / PAGE_SIZE as u64) as u32,
         };
-        let mut cte = Cte::new(frame, level);
-        cte.set_incompressible(info.incompressible);
-        Ok(cte)
+        Ok(TruncatedCte::new(frame))
     }
 
+    /// Re-encodes the PTB at `block`: when it compresses, embeds the CTE of
+    /// every present PTE in the slots the geometry has room for.
     fn refresh_ptb_embedding(&mut self, block: BlockAddr, ptb: &PageTableBlock, g: PtbGeometry) {
         let Some(pos) = self.ptb_embed.position(block) else {
             return;
         };
-        let Ok(mut compressed) = CompressedPtb::compress(ptb, g) else {
+        if g.check(ptb).is_err() {
             self.ptb_embed.store(pos, None);
             return;
-        };
+        }
         let mut slots = [None; PTES_PER_PTB];
-        for (i, slot) in slots.iter_mut().enumerate() {
+        for (i, slot) in slots.iter_mut().enumerate().take(g.embeddable_ctes()) {
             let pte = ptb.entry(i);
             if !pte.is_present() {
                 continue;
             }
             if let Some(info) = self.pages.get(pte.ppn().raw()) {
-                let Ok(cte) = self.cte_of(&info) else {
-                    continue;
-                };
-                let t = cte.truncated();
-                if compressed.embed_cte(i, t) {
-                    *slot = Some(t);
-                }
+                *slot = self.cte_of(&info).ok();
             }
         }
         self.ptb_embed.store(pos, Some(slots));
@@ -594,7 +573,7 @@ impl TwoLevelScheme {
                     } else {
                         false
                     };
-                    if embedded.matches(&correct) && !forced_stale {
+                    if embedded == correct && !forced_stale {
                         if count_stats && in_ml1 {
                             stats.ml1_parallel_correct =
                                 stats.ml1_parallel_correct.saturating_add(1);
@@ -607,7 +586,7 @@ impl TwoLevelScheme {
                             stats.ml1_parallel_mismatch =
                                 stats.ml1_parallel_mismatch.saturating_add(1);
                         }
-                        self.repair_embedding(req.ppn, correct.truncated());
+                        self.repair_embedding(req.ppn, correct);
                         dram.access(both, DramAddr::new(addr), req.write)
                     }
                 }
@@ -616,7 +595,7 @@ impl TwoLevelScheme {
                     if count_stats && in_ml1 {
                         stats.ml1_serial = stats.ml1_serial.saturating_add(1);
                     }
-                    self.repair_embedding(req.ppn, correct.truncated());
+                    self.repair_embedding(req.ppn, correct);
                     let cte_done = dram.access(now_ns, cte_addr, false);
                     dram.access(cte_done, DramAddr::new(addr), req.write)
                 }
@@ -968,6 +947,10 @@ impl Scheme for TwoLevelScheme {
             }
             FaultKind::GrowBudget { frames } => {
                 let pay = (frames as u64).min(self.reclaim_debt) as u32;
+                let minted = u64::from(self.next_frame_id) + u64::from(frames - pay);
+                if minted > MAX_FRAMES {
+                    return Err(frame_limit_error(minted));
+                }
                 self.reclaim_debt -= pay as u64;
                 for _ in 0..frames - pay {
                     self.ml1_free.push(self.next_frame_id);
@@ -1255,7 +1238,7 @@ impl Scheme for TwoLevelScheme {
         // count towards use until eviction retires them.
         let frames_in_use =
             self.total_frames as u64 + self.reclaim_debt - self.ml1_free.len() as u64;
-        let cte_table = self.pages.len() as u64 * Cte::SIZE_IN_DRAM as u64;
+        let cte_table = self.pages.len() as u64 * CTE_BYTES;
         let recency = RecencyList::dram_overhead_bytes(self.pages.len() as u64);
         frames_in_use * PAGE_SIZE as u64 + cte_table + recency
     }
@@ -1277,7 +1260,6 @@ mod tests {
     use tmcc_sim_mem::page_table::WalkStep;
     use tmcc_sim_mem::PageTableConfig;
     use tmcc_types::addr::Vpn;
-    use tmcc_types::pte::PteFlags;
 
     fn identity_table(data_pages: u64) -> PageTable {
         PageTable::identity(PageTableConfig::default(), data_pages)
@@ -1463,29 +1445,74 @@ mod tests {
 
     #[test]
     fn repair_never_embeds_into_an_uncompressed_ptb() {
-        let mut pt = identity_table(3000);
-        // A read-only PTE breaks its PTB's status-bit uniformity, so that
-        // PTB keeps the uncompressed encoding and embeds no CTEs.
-        pt.map_with_flags(Vpn::new(5), Ppn::new(5), PteFlags::new(PteFlags::PRESENT, 0));
-        let mut s = build_on(TmccToggles::full(), &pt, 3000, 2000).unwrap();
+        // With 3003 pages the leaf PTB of pages 3000..3008 holds three
+        // present PTEs and five non-present ones. Its status bits are not
+        // uniform, so it keeps the uncompressed encoding and embeds no CTEs.
+        let (mut s, pt) = build(TmccToggles::full(), 3003, 4000);
         let mut d = dram();
         let mut stats = SimStats::default();
-        let (step, ptb) = leaf_ptb(&pt, 5);
+        let (step, ptb) = leaf_ptb(&pt, 3001);
+        assert!(!ptb.uniform_status());
         let pos = s.ptb_embed.position(step.ptb_block).unwrap();
         assert!(!s.ptb_embed.compressed.get(pos));
         s.on_ptb_fetched(step.ptb_block, &ptb);
         // Serial access; the verified CTE reconciles into the buffer entry,
         // but there is no embedding to repair.
-        let _ = s.access(&read_req(5, true), 0.0, &mut d, &mut stats).unwrap();
+        let _ = s.access(&read_req(3001, true), 0.0, &mut d, &mut stats).unwrap();
         assert_eq!(stats.ml1_serial, 1, "{stats:?}");
         assert!(!s.ptb_embed.compressed.get(pos));
         assert!(s.ptb_embed.ctes(pos).all(|cte| cte.is_none()));
         // A fresh harvest still offers no CTE for the page.
-        s.cte_cache.invalidate(Ppn::new(5));
+        s.cte_cache.invalidate(Ppn::new(3001));
         s.on_ptb_fetched(step.ptb_block, &ptb);
-        assert_eq!(s.cte_buffer.lookup(Ppn::new(5)).unwrap().cte, None);
-        let _ = s.access(&read_req(5, true), 1_000_000.0, &mut d, &mut stats).unwrap();
+        assert_eq!(s.cte_buffer.lookup(Ppn::new(3001)).unwrap().cte, None);
+        let _ = s.access(&read_req(3001, true), 1_000_000.0, &mut d, &mut stats).unwrap();
         assert_eq!((stats.ml1_serial, stats.ml1_parallel_correct), (2, 0), "{stats:?}");
+    }
+
+    #[test]
+    fn embed_respects_capacity() {
+        let (mut s, pt) = build(TmccToggles::full(), 3000, 2000);
+        let (step, ptb) = leaf_ptb(&pt, 5);
+        let pos = s.ptb_embed.position(step.ptb_block).unwrap();
+        assert!(s.ptb_embed.ctes(pos).all(|cte| cte.is_some()), "1 TiB per MC: 8 slots");
+        // 16 TiB per MC leaves room for only 6 CTEs: the last two PTEs of a
+        // compressed PTB get none (§V-A5).
+        s.refresh_ptb_embedding(step.ptb_block, &ptb, PtbGeometry::from_capacities(1 << 44, 4.0));
+        assert!(s.ptb_embed.compressed.get(pos));
+        let present: Vec<bool> = s.ptb_embed.ctes(pos).map(|cte| cte.is_some()).collect();
+        assert_eq!(present, [true, true, true, true, true, true, false, false]);
+    }
+
+    /// The §V-A3 verify is the only check on an embedded CTE: every
+    /// single-bit upset of the stored word must cost exactly one slow
+    /// path, never a parallel access at the wrong frame, and the lazy
+    /// repair must restore the word.
+    #[test]
+    fn verify_catches_every_corrupted_embedding() {
+        let (mut s, pt) = build(TmccToggles::full(), 3000, 2000);
+        let mut d = dram();
+        let mut stats = SimStats::default();
+        let (step, ptb) = leaf_ptb(&pt, 5);
+        s.on_ptb_fetched(step.ptb_block, &ptb);
+        let word = s.ptb_embed.position(step.ptb_block).unwrap() * PTES_PER_PTB + step.slot;
+        let clean = s.ptb_embed.words[word];
+        assert_ne!(clean & EMBED_PRESENT, 0, "page 5's CTE is embedded");
+        let mut now = 0.0;
+        // The 28 frame bits and the present bit; bits 28..31 are unused.
+        for bit in (0..TruncatedCte::BITS).chain([31]) {
+            s.ptb_embed.words[word] ^= 1 << bit;
+            s.cte_cache.invalidate(Ppn::new(5));
+            s.on_ptb_fetched(step.ptb_block, &ptb);
+            let before = (stats.ml1_parallel_mismatch, stats.ml1_serial);
+            let _ = s.access(&read_req(5, true), now, &mut d, &mut stats).unwrap();
+            now += 1_000_000.0;
+            let want = if bit == 31 { (before.0, before.1 + 1) } else { (before.0 + 1, before.1) };
+            assert_eq!((stats.ml1_parallel_mismatch, stats.ml1_serial), want, "bit {bit}");
+            assert_eq!(stats.ml1_parallel_correct, 0, "bit {bit}: {stats:?}");
+            assert_eq!(s.ptb_embed.words[word], clean, "bit {bit}: the repair restores the word");
+        }
+        assert_eq!((stats.ml1_parallel_mismatch, stats.ml1_serial), (28, 1));
     }
 
     #[test]
@@ -1646,13 +1673,28 @@ mod tests {
     }
 
     #[test]
+    fn budget_past_the_cte_frame_limit_is_a_typed_error() {
+        let pt = identity_table(100);
+        let over = build_on(TmccToggles::full(), &pt, 100, (1 << 28) + 1).map(|_| ()).unwrap_err();
+        assert_eq!(over, frame_limit_error((1 << 28) + 1));
+        // Growth that would mint a frame a CTE cannot name is refused and
+        // leaves the budget as it was.
+        let mut s = build_on(TmccToggles::full(), &pt, 100, (1 << 28) - 4).unwrap();
+        let mut stats = SimStats::default();
+        let err = s.apply_fault(FaultKind::GrowBudget { frames: 8 }, 0.0, &mut stats).unwrap_err();
+        assert_eq!(err, frame_limit_error((1 << 28) + 4));
+        assert_eq!((s.total_frames, s.next_frame_id), ((1 << 28) - 4, (1 << 28) - 4));
+        assert_eq!(stats.faults_injected, 0);
+    }
+
+    #[test]
     fn incompressible_pages_stay_and_are_flagged() {
         let pt = identity_table(500);
         let model = SizeModel::from_samples(vec![PageSizes {
             deflate_bytes: 4099, // cannot fit any ML2 class
             block_bytes: 4096,
         }]);
-        let mut s = TwoLevelScheme::new(
+        let mut s = TwoLevelScheme::try_new(
             TmccToggles::full(),
             CteCacheConfig::tmcc(),
             model,
@@ -1661,7 +1703,8 @@ mod tests {
             600,
             7,
             0.15,
-        );
+        )
+        .expect("feasible budget");
         let mut d = dram();
         let mut stats = SimStats::default();
         while s.ml1_free.len() >= s.evict_lo {

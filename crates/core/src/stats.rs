@@ -93,8 +93,8 @@ pub struct SimStats {
     /// Compresso page-overflow events (block writeback grew the page).
     pub page_overflows: u64,
 
-    /// Runtime faults injected from the configured [`FaultPlan`]
-    /// (crate::config::FaultPlan).
+    /// Runtime faults injected from the configured
+    /// [`FaultPlan`](crate::config::FaultPlan).
     pub faults_injected: u64,
     /// Evictions performed above the normal per-slot budget while the
     /// free list sat below the critical watermark or reclaim debt was

@@ -24,8 +24,9 @@ use crate::config::{BitFlip, FaultKind, FlipTarget, SchemeKind, SystemConfig};
 use crate::error::TmccError;
 use crate::handle::{RunHandle, CANCEL_CHECK_PERIOD};
 use crate::latency::LatencyHistogram;
-use crate::page_slab::MAX_REGION_PAGES;
+use crate::page_meta::MAX_REGION_PAGES;
 use crate::schedule::Cursor;
+use crate::schemes::two_level::{frame_limit_error, MAX_FRAMES};
 use crate::schemes::{
     CompressoScheme, FlipPageContext, MemRequest, NoCompressionScheme, Scheme, TwoLevelScheme,
 };
@@ -54,7 +55,7 @@ const TWO_LEVEL_METADATA_BYTES: u64 = 24;
 /// frames: the configured budget less the in-DRAM metadata, or without
 /// one, room for every page plus the eviction reserve. Fails with
 /// [`TmccError::ScaleLimit`] past the schemes' 31-bit page handles or
-/// 32-bit frame numbers.
+/// 28-bit CTE frame numbers.
 fn two_level_budget_frames(
     cfg: &SystemConfig,
     pages: u64,
@@ -71,11 +72,10 @@ fn two_level_budget_frames(
         Some(b) => b.saturating_sub((pages + table_pages) * TWO_LEVEL_METADATA_BYTES) / 4096,
         None => pages + table_pages + 512,
     };
-    u32::try_from(frames).map_err(|_| TmccError::ScaleLimit {
-        quantity: "DRAM budget frames (32-bit frame numbers)",
-        requested: frames,
-        limit: u32::MAX.into(),
-    })
+    if frames > MAX_FRAMES {
+        return Err(frame_limit_error(frames));
+    }
+    Ok(frames as u32)
 }
 
 /// A complete simulated system.
@@ -521,13 +521,6 @@ impl System {
     /// The lazy page-content store backing this system's workload.
     pub fn page_store(&self) -> &PageStore {
         &self.store
-    }
-
-    /// Mutable access to the page store — the footprint experiments drive
-    /// generate-on-read / verify-on-write sweeps against the very content
-    /// the system sampled its size model from.
-    pub fn page_store_mut(&mut self) -> &mut PageStore {
-        &mut self.store
     }
 
     /// Host heap bytes this system's scheme metadata occupies (0 for

@@ -6,8 +6,7 @@
 //! touches a tenant's `System` — the
 //! [`MultiTenantSystem`](super::MultiTenantSystem) translates allocation
 //! deltas into balloon faults ([`FaultKind::ShrinkBudget`] /
-//! [`FaultKind::GrowBudget`](crate::config::FaultKind::GrowBudget)) on the
-//! tenant simulators.
+//! [`FaultKind::GrowBudget`]) on the tenant simulators.
 //!
 //! # The incremental demand ledger
 //!

@@ -121,14 +121,31 @@ fn footprint_past_the_page_handle_limit_is_a_typed_error() {
 #[test]
 fn budget_past_the_frame_number_limit_is_a_typed_error() {
     // A 17 TiB budget over a 4 TiB footprint is more 4 KiB frames than the
-    // 32-bit frame numbers can name; it used to wrap silently.
+    // 28-bit CTE frame numbers can name; it used to wrap silently.
     let cfg = tb_scale(1 << 30, SchemeKind::Tmcc).with_budget(17 << 40);
     let (err, took) = rejection(cfg);
     assert!(
         matches!(err, TmccError::ScaleLimit { requested, limit, .. }
-            if requested > u64::from(u32::MAX) && limit == u64::from(u32::MAX)),
+            if requested > u64::from(u32::MAX) && limit == 1 << 28),
         "got: {err}"
     );
-    assert!(err.to_string().contains("32-bit frame numbers"), "{err}");
+    assert!(err.to_string().contains("28-bit CTE frame numbers"), "{err}");
     assert!(took < Duration::from_secs(1), "rejection took {took:?}");
+}
+
+#[test]
+fn footprint_past_the_cte_frame_limit_is_a_typed_error() {
+    // 2 TiB with no budget asks for a frame per page: 2^29 frames, more
+    // than a 28-bit CTE frame field names. The rejection comes before any
+    // per-page state is allocated.
+    for scheme in [SchemeKind::Tmcc, SchemeKind::OsInspired] {
+        let (err, took) = rejection(tb_scale(1 << 29, scheme));
+        assert!(
+            matches!(err, TmccError::ScaleLimit { requested, limit, .. }
+                if requested > 1 << 29 && limit == 1 << 28),
+            "got: {err}"
+        );
+        assert!(err.to_string().contains("28-bit CTE frame numbers"), "{err}");
+        assert!(took < Duration::from_secs(1), "rejection took {took:?}");
+    }
 }

@@ -16,7 +16,7 @@
 //! a bigger tree would buy".
 //!
 //! Both decoders are **table-driven** (à la `minimum_redundancy` /
-//! libdeflate): a [`DecodeTable`] built once per tree resolves a symbol
+//! libdeflate): a `DecodeTable` built once per tree resolves a symbol
 //! with a single lookup keyed by the next `root_bits` stream bits, instead
 //! of a per-bit scan over the code list. Codes longer than the root table
 //! (possible only for symbols rarer than `2^-root_bits`) fall back to a

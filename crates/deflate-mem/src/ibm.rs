@@ -1,5 +1,5 @@
 //! Analytic model of IBM's general-purpose ASIC Deflate (Power9 / z15,
-//! paper reference [11]).
+//! paper reference \[11\]).
 //!
 //! The paper compares against IBM's accelerator using the published
 //! formula: each independent input pays a setup time `T0` of 650–780 ns

@@ -1,7 +1,7 @@
 //! Memory-specialized ASIC Deflate (paper §V-B).
 //!
 //! The paper takes IBM's general-purpose ASIC Deflate (Power9/z15, reference
-//! [11]) and specializes it for 4 KiB memory pages:
+//! \[11\]) and specializes it for 4 KiB memory pages:
 //!
 //! * **LZ stage** ([`lz`]): sliding-window match search against a 1 KiB CAM
 //!   (down from 32 KiB), greedy match selection, and a space-efficient

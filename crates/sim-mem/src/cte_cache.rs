@@ -134,16 +134,6 @@ impl CteCache {
         (h, m - self.adjust)
     }
 
-    /// Hit rate over `access` calls.
-    pub fn hit_rate(&self) -> f64 {
-        let (h, m) = self.stats();
-        if h + m == 0 {
-            0.0
-        } else {
-            h as f64 / (h + m) as f64
-        }
-    }
-
     /// Clears counters (after warmup).
     pub fn reset_stats(&mut self) {
         self.slots.reset_stats();

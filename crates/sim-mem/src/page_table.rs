@@ -7,7 +7,7 @@
 //! block of eight PTEs"). The PTB *blocks* this module hands out are
 //! exactly what TMCC compresses and embeds CTEs into.
 //!
-//! # A computed identity prefix plus an overlay
+//! # A computed identity table
 //!
 //! The simulator identity-maps its data pages, and mapping pages `0, 1,
 //! 2, …` in order allocates table pages in a fixed order: depth-first
@@ -17,20 +17,11 @@
 //! arithmetic progression of PPNs. The table stores only the prefix
 //! length: building it is O(1) ([`PageTable::identity`], or
 //! [`PageTable::map`] of the next identity page), it takes no host memory,
-//! and a walk through it reads no hash map.
-//!
-//! Any other edit — a `map` of another pair, [`PageTable::map_with_flags`],
-//! [`PageTable::write_ptb`] — freezes the prefix for good. The edit copies
-//! the table pages it writes into an overlay of materialized pages, which
-//! also holds every table page allocated after the freeze, and reads
-//! prefer the overlay. It is the contract of the workload crate's
-//! `PageStore` (generate on read, store only what diverged) applied to
-//! translation state.
+//! and a walk through it reads no map. The simulator never edits its
+//! table after construction, so the prefix is the whole table.
 
-use std::collections::hash_map::Entry;
 use std::ops::Range;
 use tmcc_types::addr::{BlockAddr, Ppn, Vpn, BLOCKS_PER_PAGE};
-use tmcc_types::fxhash::FxHashMap;
 use tmcc_types::pte::{PageTableBlock, Pte, PteFlags, PTES_PER_PTB};
 
 /// Entries per 4 KiB table page.
@@ -100,15 +91,6 @@ pub struct WalkStep {
     /// PPN the PTE points at: the next level's table page, or the data
     /// page at the leaf.
     pub next_ppn: Ppn,
-}
-
-/// Leaf PTE flags: `flags`, plus the page-size bit for a 2 MiB leaf.
-fn leaf_flags(leaf: u8, flags: PteFlags) -> PteFlags {
-    if leaf == 2 {
-        PteFlags::new(flags.low() | PteFlags::HUGE, flags.high())
-    } else {
-        flags
-    }
 }
 
 /// The identity prefix as a pure function of its length: VPNs
@@ -186,16 +168,11 @@ impl Identity {
         (ppn << PPN_SHIFT | flags, stride << PPN_SHIFT)
     }
 
-    /// Entry `slot` of table `index` at `level`.
-    fn entry(self, level: u8, index: u64, slot: usize) -> Pte {
-        self.ptb(level, index, slot / PTES_PER_PTB).entry(slot % PTES_PER_PTB)
-    }
-
     /// Pushes the steps of `vpn`'s walk from level `top` down to the leaf
     /// onto `out`; `false` if the prefix does not map it. Each level
     /// builds only the PTB it fetches.
     fn walk(self, vpn: Vpn, top: u8, out: &mut Vec<(WalkStep, PageTableBlock)>) -> bool {
-        // Like the stored walk, ignore VPN bits above the four levels.
+        // Ignore VPN bits above the four levels.
         let vpn = vpn.raw() & (VIRTUAL_PAGES - 1);
         if vpn >= self.covered {
             return false;
@@ -275,38 +252,23 @@ impl Identity {
         }
         PageTableBlock::new(entries)
     }
-}
 
-/// Where a table page's entries come from.
-#[derive(Clone, Copy)]
-enum TablePage<'a> {
-    /// Materialized in the overlay.
-    Stored(&'a [Pte]),
-    /// Computed: table `index` at `level` of the identity prefix.
-    Computed { level: u8, index: u64 },
-}
-
-impl TablePage<'_> {
-    fn entry(self, identity: Identity, slot: usize) -> Pte {
-        match self {
-            TablePage::Stored(entries) => entries[slot],
-            TablePage::Computed { level, index } => identity.entry(level, index, slot),
-        }
-    }
-
-    fn ptb(self, identity: Identity, ptb: usize) -> PageTableBlock {
-        match self {
-            TablePage::Stored(entries) => {
-                let mut ptes = [Pte::NOT_PRESENT; PTES_PER_PTB];
-                ptes.copy_from_slice(&entries[ptb * PTES_PER_PTB..(ptb + 1) * PTES_PER_PTB]);
-                PageTableBlock::new(ptes)
-            }
-            TablePage::Computed { level, index } => identity.ptb(level, index, ptb),
-        }
+    /// The PTBs of table `index` at `level` that hold a present entry,
+    /// with their block addresses.
+    fn table_ptbs(
+        self,
+        level: u8,
+        index: u64,
+    ) -> impl Iterator<Item = (BlockAddr, PageTableBlock)> {
+        let table = Ppn::new(self.base + self.position(level, index));
+        (0..BLOCKS_PER_PAGE).filter_map(move |p| {
+            let ptb = self.ptb(level, index, p);
+            ptb.entries().iter().any(|e| e.is_present()).then(|| (table.block(p), ptb))
+        })
     }
 }
 
-/// The simulated page table.
+/// The simulated page table: the identity map of VPNs `0..n`.
 ///
 /// # Examples
 ///
@@ -315,8 +277,11 @@ impl TablePage<'_> {
 /// use tmcc_types::addr::{Ppn, Vpn};
 ///
 /// let mut pt = PageTable::new(PageTableConfig::default());
-/// pt.map(Vpn::new(0x1234), Ppn::new(77));
-/// assert_eq!(pt.translate(Vpn::new(0x1234)), Some(Ppn::new(77)));
+/// for i in 0..0x1235 {
+///     pt.map(Vpn::new(i), Ppn::new(i));
+/// }
+/// assert_eq!(pt.translate(Vpn::new(0x1234)), Some(Ppn::new(0x1234)));
+/// assert_eq!(pt.translate(Vpn::new(0x1235)), None);
 /// let path = pt.walk_path(Vpn::new(0x1234)).expect("mapped");
 /// assert_eq!(path.len(), 4); // four PTB fetches
 ///
@@ -326,16 +291,7 @@ impl TablePage<'_> {
 /// ```
 #[derive(Debug, Clone)]
 pub struct PageTable {
-    cfg: PageTableConfig,
-    /// The computed identity prefix; frozen once `overlay` holds a page.
     identity: Identity,
-    /// Materialized table pages by PPN, 512 PTEs each: the computed pages
-    /// an edit wrote, and every page allocated after the freeze. Keyed
-    /// with the cheap vendored Fx hasher; nothing iterates the map, so
-    /// the hasher cannot perturb observable ordering.
-    overlay: FxHashMap<u64, Vec<Pte>>,
-    next_table_ppn: u64,
-    mapped_pages: u64,
 }
 
 impl PageTable {
@@ -355,55 +311,7 @@ impl PageTable {
         let covered = if cfg.huge_pages { pages.next_multiple_of(512) } else { pages };
         assert!(covered <= VIRTUAL_PAGES, "{pages} pages exceed the 48-bit virtual address space");
         let leaf = if cfg.huge_pages { 2 } else { 1 };
-        let mut pt = Self {
-            cfg,
-            identity: Identity { base: cfg.table_region_base, leaf, covered: 0 },
-            overlay: FxHashMap::default(),
-            next_table_ppn: cfg.table_region_base,
-            mapped_pages: 0,
-        };
-        pt.set_identity(covered);
-        pt
-    }
-
-    /// Sets the identity prefix to VPNs `0..covered` (before any freeze).
-    fn set_identity(&mut self, covered: u64) {
-        self.identity.covered = covered;
-        self.mapped_pages = self.identity.count(self.identity.leaf - 1);
-        self.next_table_ppn = self.cfg.table_region_base + self.identity.table_count();
-    }
-
-    fn alloc_table(&mut self) -> u64 {
-        let ppn = self.next_table_ppn;
-        self.next_table_ppn += 1;
-        self.overlay.insert(ppn, vec![Pte::NOT_PRESENT; ENTRIES_PER_TABLE as usize]);
-        ppn
-    }
-
-    /// The table page at `ppn`, if there is one.
-    fn table(&self, ppn: u64) -> Option<TablePage<'_>> {
-        if let Some(entries) = self.overlay.get(&ppn) {
-            return Some(TablePage::Stored(entries));
-        }
-        let offset = ppn.checked_sub(self.cfg.table_region_base)?;
-        let (level, index) = self.identity.table_at(offset)?;
-        Some(TablePage::Computed { level, index })
-    }
-
-    /// The entries of the table page at `ppn` for writing, copied into the
-    /// overlay on the first write.
-    fn table_mut(&mut self, ppn: u64) -> Option<&mut Vec<Pte>> {
-        let identity = self.identity;
-        match self.overlay.entry(ppn) {
-            Entry::Occupied(stored) => Some(stored.into_mut()),
-            Entry::Vacant(slot) => {
-                let (level, index) = identity.table_at(ppn.checked_sub(identity.base)?)?;
-                let entries = (0..ENTRIES_PER_TABLE as usize)
-                    .map(|i| identity.entry(level, index, i))
-                    .collect();
-                Some(slot.insert(entries))
-            }
-        }
+        Self { identity: Identity { base: cfg.table_region_base, leaf, covered } }
     }
 
     /// The leaf level for this configuration (1, or 2 for huge pages).
@@ -411,53 +319,22 @@ impl PageTable {
         self.identity.leaf
     }
 
-    /// Index of `vpn` within the table at `level`.
-    fn index(vpn: Vpn, level: u8) -> usize {
-        ((vpn.raw() >> (9 * (level as u64 - 1))) & (ENTRIES_PER_TABLE - 1)) as usize
-    }
-
-    /// Maps `vpn` → `ppn` with default (present, writable, accessed) flags.
-    /// The next identity page (2 MiB region) extends the computed prefix
-    /// in O(1); any other pair freezes it, as
-    /// [`map_with_flags`](Self::map_with_flags) does.
-    pub fn map(&mut self, vpn: Vpn, ppn: Ppn) {
-        let unit = 1 << (9 * u32::from(self.leaf_level() - 1));
-        let next = self.identity.covered;
-        let extends = vpn.raw() / unit == next / unit && ppn.raw() == next;
-        if self.overlay.is_empty() && next < VIRTUAL_PAGES && extends {
-            self.set_identity(next + unit);
-        } else {
-            self.map_with_flags(vpn, ppn, PteFlags::present_rw());
-        }
-    }
-
-    /// Maps `vpn` → `ppn` with explicit leaf flags. With huge pages, `vpn`
-    /// is interpreted as a 4 KiB VPN whose covering 2 MiB region is mapped
-    /// (offset bits pass through). Freezes the identity prefix.
+    /// Maps `vpn` → `ppn` with default (present, writable, accessed)
+    /// flags. The pair must be the next identity page — with huge pages,
+    /// any VPN of the next 2 MiB region, mapped to the region's first
+    /// page — which extends the table in O(1).
     ///
     /// # Panics
     ///
-    /// Panics if an upper-level entry on the way points outside the table
-    /// pages (only a [`write_ptb`](Self::write_ptb) can make one).
-    pub fn map_with_flags(&mut self, vpn: Vpn, ppn: Ppn, flags: PteFlags) {
-        let leaf = self.leaf_level();
-        let mut table = self.root().raw();
-        for level in (leaf + 1..=4).rev() {
-            let idx = Self::index(vpn, level);
-            let entry = self.table(table).expect("table exists").entry(self.identity, idx);
-            table = if entry.is_present() {
-                entry.ppn().raw()
-            } else {
-                let child = self.alloc_table();
-                self.table_mut(table).expect("table exists")[idx] =
-                    Pte::new(Ppn::new(child), PteFlags::present_rw());
-                child
-            };
-        }
-        let slot = &mut self.table_mut(table).expect("table exists")[Self::index(vpn, leaf)];
-        let fresh = !slot.is_present();
-        *slot = Pte::new(ppn, leaf_flags(leaf, flags));
-        self.mapped_pages += u64::from(fresh);
+    /// Panics on any other pair: the table is an identity map.
+    pub fn map(&mut self, vpn: Vpn, ppn: Ppn) {
+        let unit = 1 << (9 * u32::from(self.leaf_level() - 1));
+        let next = self.identity.covered;
+        assert!(
+            next < VIRTUAL_PAGES && vpn.raw() / unit == next / unit && ppn.raw() == next,
+            "{vpn:?} -> {ppn:?} does not extend the identity map of VPNs 0..{next}"
+        );
+        self.identity.covered = next + unit;
     }
 
     /// Translates a VPN, if mapped. For huge pages the returned PPN is the
@@ -465,7 +342,7 @@ impl PageTable {
     pub fn translate(&self, vpn: Vpn) -> Option<Ppn> {
         let path = self.walk_path(vpn)?;
         let last = path.last().expect("non-empty path");
-        if self.cfg.huge_pages {
+        if self.leaf_level() == 2 {
             Some(Ppn::new(last.next_ppn.raw() + (vpn.raw() & 0x1ff)))
         } else {
             Some(last.next_ppn)
@@ -487,9 +364,8 @@ impl PageTable {
     /// `(step, ptb)` pair per level, root to leaf. Returns `false` (with
     /// `out` empty) if `vpn` is unmapped.
     ///
-    /// Each step builds only the one PTB it fetches. Through the computed
-    /// prefix that is a few shifts and adds per level, with no table
-    /// lookup; only a table with an overlay looks pages up by PPN.
+    /// Each step builds only the one PTB it fetches: a few shifts and adds
+    /// per level, with no table lookup.
     pub fn walk_path_into(&self, vpn: Vpn, out: &mut Vec<(WalkStep, PageTableBlock)>) -> bool {
         self.walk_from_into(vpn, 4, out)
     }
@@ -504,103 +380,37 @@ impl PageTable {
         out: &mut Vec<(WalkStep, PageTableBlock)>,
     ) -> bool {
         out.clear();
-        if self.overlay.is_empty() {
-            return self.identity.walk(vpn, top, out);
-        }
-        let mut table = self.root();
-        for level in (self.leaf_level()..=4).rev() {
-            let Some(page) = self.table(table.raw()) else {
-                out.clear();
-                return false;
-            };
-            let idx = Self::index(vpn, level);
-            let ptb = page.ptb(self.identity, idx / PTES_PER_PTB);
-            let entry = ptb.entry(idx % PTES_PER_PTB);
-            if !entry.is_present() {
-                out.clear();
-                return false;
-            }
-            if level <= top {
-                let step = WalkStep {
-                    level,
-                    ptb_block: table.block(idx / PTES_PER_PTB),
-                    slot: idx % PTES_PER_PTB,
-                    next_ppn: entry.ppn(),
-                };
-                out.push((step, ptb));
-            }
-            table = entry.ppn();
-        }
-        true
+        self.identity.walk(vpn, top, out)
     }
 
     /// The 64 B PTB at a physical block address, if it belongs to a table
     /// page — what the cache hierarchy returns to the walker and what TMCC
     /// compresses.
     pub fn ptb_at(&self, block: BlockAddr) -> Option<PageTableBlock> {
-        Some(self.table(block.ppn().raw())?.ptb(self.identity, block.index_in_page()))
+        let offset = block.ppn().raw().checked_sub(self.identity.base)?;
+        let (level, index) = self.identity.table_at(offset)?;
+        Some(self.identity.ptb(level, index, block.index_in_page()))
     }
 
-    /// Writes a whole PTB back (OS edits through the cache hierarchy).
-    /// Freezes the identity prefix.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `block` is not within a table page.
-    pub fn write_ptb(&mut self, block: BlockAddr, ptb: &PageTableBlock) {
-        let base = block.index_in_page() * PTES_PER_PTB;
-        let table = self.table_mut(block.ppn().raw()).expect("block belongs to a table page");
-        table[base..base + PTES_PER_PTB].copy_from_slice(ptb.entries());
-    }
-
-    /// Iterates over every PTB of every table page at `level` (4 = root) —
-    /// the corpus for the paper's Fig. 6 status-bit survey.
+    /// Every PTB that holds a present entry in the table pages at `level`
+    /// (4 = root), table by table in index order — the corpus for the
+    /// paper's Fig. 6 status-bit survey.
     pub fn ptbs_at_level(&self, level: u8) -> Vec<(BlockAddr, PageTableBlock)> {
-        let mut out = Vec::new();
-        self.collect_ptbs(self.root(), 4, level, &mut out);
-        out
-    }
-
-    fn collect_ptbs(
-        &self,
-        table: Ppn,
-        cur: u8,
-        want: u8,
-        out: &mut Vec<(BlockAddr, PageTableBlock)>,
-    ) {
-        let Some(page) = self.table(table.raw()) else {
-            return;
-        };
-        if cur == want {
-            for ptb_idx in 0..BLOCKS_PER_PAGE {
-                let ptb = page.ptb(self.identity, ptb_idx);
-                if ptb.entries().iter().any(|e| e.is_present()) {
-                    out.push((table.block(ptb_idx), ptb));
-                }
-            }
-            return;
+        if !(self.leaf_level()..=4).contains(&level) {
+            return Vec::new();
         }
-        if cur > self.leaf_level() {
-            for idx in 0..ENTRIES_PER_TABLE as usize {
-                let entry = page.entry(self.identity, idx);
-                if entry.is_present() {
-                    self.collect_ptbs(entry.ppn(), cur - 1, want, out);
-                }
-            }
-        }
+        let id = self.identity;
+        (0..id.count(level)).flat_map(|index| id.table_ptbs(level, index)).collect()
     }
 
     /// Every PTB that holds a present entry, table page by table page in
     /// PPN order, generated as the iterator advances — what a scheme warms
     /// per-PTB state from without collecting the table.
     pub fn ptbs(&self) -> impl Iterator<Item = (BlockAddr, PageTableBlock)> + '_ {
-        self.table_ppns().flat_map(move |ppn| {
-            let page = self.table(ppn);
-            (0..BLOCKS_PER_PAGE).filter_map(move |ptb_idx| {
-                let ptb = page?.ptb(self.identity, ptb_idx);
-                let present = ptb.entries().iter().any(|e| e.is_present());
-                present.then(|| (Ppn::new(ppn).block(ptb_idx), ptb))
-            })
+        let id = self.identity;
+        (0..id.table_count()).flat_map(move |offset| {
+            let (level, index) = id.table_at(offset).expect("offset inside the table range");
+            id.table_ptbs(level, index)
         })
     }
 
@@ -611,31 +421,32 @@ impl PageTable {
 
     /// Number of 4 KiB table pages allocated.
     pub fn table_page_count(&self) -> usize {
-        (self.next_table_ppn - self.cfg.table_region_base) as usize
+        self.identity.table_count() as usize
     }
 
     /// The PPNs of every table page: table pages are allocated
     /// sequentially from [`table_region_base`](Self::table_region_base),
     /// so they form one dense range.
     pub fn table_ppns(&self) -> Range<u64> {
-        self.cfg.table_region_base..self.next_table_ppn
+        self.identity.base..self.identity.base + self.identity.table_count()
     }
 
     /// Number of leaf mappings installed.
     pub fn mapped_pages(&self) -> u64 {
-        self.mapped_pages
+        self.identity.count(self.leaf_level() - 1)
     }
 
     /// The root table's PPN (CR3).
     pub fn root(&self) -> Ppn {
-        Ppn::new(self.cfg.table_region_base)
+        Ppn::new(self.identity.base)
     }
 
     /// First PPN of the table-page region. Table pages are allocated
     /// sequentially from here, so `[base, base + table_page_count)` is a
-    /// dense range — the property the core scheme's page slab indexes by.
+    /// dense range — the property the core scheme's per-page store indexes
+    /// by.
     pub fn table_region_base(&self) -> u64 {
-        self.cfg.table_region_base
+        self.identity.base
     }
 }
 
@@ -643,6 +454,7 @@ impl PageTable {
 mod tests {
     use super::*;
     use std::time::{Duration, Instant};
+    use tmcc_types::fxhash::FxHashMap;
 
     #[test]
     fn table_region_sits_above_any_data_range() {
@@ -659,22 +471,29 @@ mod tests {
     fn map_translate_round_trip() {
         let mut pt = PageTable::new(PageTableConfig::default());
         for i in 0..100u64 {
-            pt.map(Vpn::new(i * 7919), Ppn::new(i + 1));
+            pt.map(Vpn::new(i), Ppn::new(i));
         }
         for i in 0..100u64 {
-            assert_eq!(pt.translate(Vpn::new(i * 7919)), Some(Ppn::new(i + 1)));
+            assert_eq!(pt.translate(Vpn::new(i)), Some(Ppn::new(i)));
         }
+        assert_eq!(pt.translate(Vpn::new(100)), None);
         assert_eq!(pt.translate(Vpn::new(999_999_999)), None);
         assert_eq!(pt.mapped_pages(), 100);
     }
 
     #[test]
+    #[should_panic(expected = "does not extend the identity map")]
+    fn non_identity_map_panics() {
+        let mut pt = PageTable::identity(PageTableConfig::default(), 600);
+        pt.map(Vpn::new(600), Ppn::new(99_999));
+    }
+
+    #[test]
     fn walk_path_has_four_levels() {
-        let mut pt = PageTable::new(PageTableConfig::default());
-        pt.map(Vpn::new(0xABCDE), Ppn::new(5));
+        let pt = PageTable::identity(PageTableConfig::default(), 0xABCDF);
         let path = pt.walk_path(Vpn::new(0xABCDE)).unwrap();
         assert_eq!(path.iter().map(|s| s.level).collect::<Vec<_>>(), [4, 3, 2, 1]);
-        assert_eq!(path.last().unwrap().next_ppn, Ppn::new(5));
+        assert_eq!(path.last().unwrap().next_ppn, Ppn::new(0xABCDE));
         // Every step's PTB lives in a table page.
         for s in &path {
             assert!(pt.is_table_page(s.ptb_block.ppn()));
@@ -683,13 +502,10 @@ mod tests {
 
     #[test]
     fn adjacent_pages_share_leaf_ptb() {
-        let mut pt = PageTable::new(PageTableConfig::default());
-        pt.map(Vpn::new(64), Ppn::new(1));
-        pt.map(Vpn::new(65), Ppn::new(2));
-        pt.map(Vpn::new(72), Ppn::new(3)); // next PTB
+        let pt = PageTable::identity(PageTableConfig::default(), 73);
         let a = pt.walk_path(Vpn::new(64)).unwrap().pop().unwrap();
         let b = pt.walk_path(Vpn::new(65)).unwrap().pop().unwrap();
-        let c = pt.walk_path(Vpn::new(72)).unwrap().pop().unwrap();
+        let c = pt.walk_path(Vpn::new(72)).unwrap().pop().unwrap(); // next PTB
         assert_eq!(a.ptb_block, b.ptb_block);
         assert_ne!(a.ptb_block, c.ptb_block);
         assert_eq!(a.slot, 0);
@@ -698,13 +514,15 @@ mod tests {
 
     #[test]
     fn huge_pages_walk_three_levels() {
-        let mut pt = PageTable::new(PageTableConfig { huge_pages: true, ..Default::default() });
-        // Map the 2 MiB region containing VPN 0x12345.
-        pt.map(Vpn::new(0x12345), Ppn::new(0x4000));
+        let cfg = PageTableConfig { huge_pages: true, ..Default::default() };
+        // Map the 2 MiB regions up to the one containing VPN 0x12345.
+        let pt = PageTable::identity(cfg, 0x12346);
         let path = pt.walk_path(Vpn::new(0x12345)).unwrap();
         assert_eq!(path.iter().map(|s| s.level).collect::<Vec<_>>(), [4, 3, 2]);
-        // Translation adds the low 9 VPN bits onto the 2 MiB frame.
-        assert_eq!(pt.translate(Vpn::new(0x12345)), Some(Ppn::new(0x4000 + (0x12345 & 0x1ff))));
+        // The leaf names the 2 MiB frame; translation adds the low 9 VPN
+        // bits onto it.
+        assert_eq!(path.last().unwrap().next_ppn, Ppn::new(0x12345 & !0x1ff));
+        assert_eq!(pt.translate(Vpn::new(0x12345)), Some(Ppn::new(0x12345)));
         // The leaf PTE carries the page-size bit.
         let leaf = path.last().unwrap();
         let ptb = pt.ptb_at(leaf.ptb_block).unwrap();
@@ -713,32 +531,15 @@ mod tests {
 
     #[test]
     fn ptb_fetch_matches_walk() {
-        let mut pt = PageTable::new(PageTableConfig::default());
-        pt.map(Vpn::new(1000), Ppn::new(11));
+        let pt = PageTable::identity(PageTableConfig::default(), 1001);
         let leaf = *pt.walk_path(Vpn::new(1000)).unwrap().last().unwrap();
         let ptb = pt.ptb_at(leaf.ptb_block).unwrap();
-        assert_eq!(ptb.entry(leaf.slot).ppn(), Ppn::new(11));
-    }
-
-    #[test]
-    fn write_ptb_round_trips() {
-        let mut pt = PageTable::new(PageTableConfig::default());
-        pt.map(Vpn::new(8), Ppn::new(1));
-        let leaf = *pt.walk_path(Vpn::new(8)).unwrap().last().unwrap();
-        let mut ptb = pt.ptb_at(leaf.ptb_block).unwrap();
-        ptb.set_entry(3, Pte::new(Ppn::new(42), PteFlags::present_rw()));
-        pt.write_ptb(leaf.ptb_block, &ptb);
-        assert_eq!(pt.ptb_at(leaf.ptb_block).unwrap(), ptb);
-        // VPN 11 (slot 3 of the same PTB) now translates.
-        assert_eq!(pt.translate(Vpn::new(11)), Some(Ppn::new(42)));
+        assert_eq!(ptb.entry(leaf.slot).ppn(), Ppn::new(1000));
     }
 
     #[test]
     fn fig6_corpus_uniform_by_default() {
-        let mut pt = PageTable::new(PageTableConfig::default());
-        for i in 0..4096u64 {
-            pt.map(Vpn::new(i), Ppn::new(i * 3 + 7));
-        }
+        let pt = PageTable::identity(PageTableConfig::default(), 4096);
         let l1 = pt.ptbs_at_level(1);
         assert!(!l1.is_empty());
         assert!(l1.iter().all(|(_, ptb)| ptb.uniform_status()));
@@ -746,15 +547,20 @@ mod tests {
         assert!(!l2.is_empty());
     }
 
-    /// Today's `map` algorithm over a hash map of table pages — the oracle
-    /// the computed table is checked against. A table page stores its
-    /// entries only up to the last one written, so a replay that touches
-    /// one page per leaf table stays small.
+    /// A page-by-page table builder over a hash map of table pages — the
+    /// oracle the computed table is checked against. A table page stores
+    /// its entries only up to the last one written, so a replay that
+    /// touches one page per leaf table stays small.
     struct Reference {
         cfg: PageTableConfig,
         tables: FxHashMap<u64, Vec<Pte>>,
         next: u64,
         mapped: u64,
+    }
+
+    /// Index of `vpn` within the table at `level`.
+    fn index(vpn: Vpn, level: u8) -> usize {
+        ((vpn.raw() >> (9 * (level as u64 - 1))) & (ENTRIES_PER_TABLE - 1)) as usize
     }
 
     impl Reference {
@@ -792,11 +598,11 @@ mod tests {
             entries[idx] = pte;
         }
 
-        fn map_with_flags(&mut self, vpn: Vpn, ppn: Ppn, flags: PteFlags) {
+        fn map(&mut self, vpn: Vpn, ppn: Ppn) {
             let leaf = self.leaf();
             let mut table = self.cfg.table_region_base;
             for level in (leaf + 1..=4).rev() {
-                let idx = PageTable::index(vpn, level);
+                let idx = index(vpn, level);
                 let entry = self.entry(table, idx).expect("table exists");
                 table = if entry.is_present() {
                     entry.ppn().raw()
@@ -806,15 +612,17 @@ mod tests {
                     t
                 };
             }
-            let idx = PageTable::index(vpn, leaf);
+            let idx = index(vpn, leaf);
             if !self.entry(table, idx).expect("table exists").is_present() {
                 self.mapped += 1;
             }
-            self.set(table, idx, Pte::new(ppn, leaf_flags(leaf, flags)));
-        }
-
-        fn map(&mut self, vpn: Vpn, ppn: Ppn) {
-            self.map_with_flags(vpn, ppn, PteFlags::present_rw());
+            let flags = PteFlags::present_rw();
+            let flags = if leaf == 2 {
+                PteFlags::new(flags.low() | PteFlags::HUGE, flags.high())
+            } else {
+                flags
+            };
+            self.set(table, idx, Pte::new(ppn, flags));
         }
 
         fn ptb_at(&self, block: BlockAddr) -> Option<PageTableBlock> {
@@ -827,18 +635,11 @@ mod tests {
             Some(PageTableBlock::new(ptes))
         }
 
-        fn write_ptb(&mut self, block: BlockAddr, ptb: &PageTableBlock) {
-            let base = block.index_in_page() * PTES_PER_PTB;
-            for (i, &e) in ptb.entries().iter().enumerate() {
-                self.set(block.ppn().raw(), base + i, e);
-            }
-        }
-
         fn walk(&self, vpn: Vpn) -> Option<Vec<(WalkStep, PageTableBlock)>> {
             let mut table = self.cfg.table_region_base;
             let mut out = Vec::new();
             for level in (self.leaf()..=4).rev() {
-                let idx = PageTable::index(vpn, level);
+                let idx = index(vpn, level);
                 let block = Ppn::new(table).block(idx / PTES_PER_PTB);
                 let ptb = self.ptb_at(block)?;
                 let next_ppn = ptb.entry(idx % PTES_PER_PTB);
@@ -947,7 +748,6 @@ mod tests {
             let vpns = 0..pages + 600;
             assert_matches(&PageTable::identity(cfg, pages), &r, vpns.clone());
             assert_matches(&grown, &r, vpns.step_by(61));
-            assert!(grown.overlay.is_empty(), "identity maps never materialize pages");
         }
     }
 
@@ -970,123 +770,11 @@ mod tests {
             let vpns = (0..regions + 2).map(|region| region * 512 + (region * 37) % 512);
             assert_matches(&PageTable::identity(cfg, regions * 512), &r, vpns.clone());
             assert_matches(&grown, &r, vpns.step_by(61));
-            assert!(grown.overlay.is_empty());
         }
         // A partial last region is mapped whole.
         let pt = PageTable::identity(cfg, 3 * 512 + 1);
         assert_eq!(pt.mapped_pages(), 4);
         assert_eq!(pt.translate(Vpn::new(4 * 512 - 1)), Some(Ppn::new(4 * 512 - 1)));
-    }
-
-    /// Applies every edit to both the table and the oracle.
-    struct Pair {
-        pt: PageTable,
-        r: Reference,
-    }
-
-    impl Pair {
-        fn identity(cfg: PageTableConfig, pages: u64) -> Self {
-            let mut r = Reference::new(cfg);
-            let step = if cfg.huge_pages { 512 } else { 1 };
-            for i in (0..pages).step_by(step) {
-                r.map(Vpn::new(i), Ppn::new(i));
-            }
-            Self { pt: PageTable::identity(cfg, pages), r }
-        }
-
-        fn map(&mut self, vpn: u64, ppn: u64) {
-            self.pt.map(Vpn::new(vpn), Ppn::new(ppn));
-            self.r.map(Vpn::new(vpn), Ppn::new(ppn));
-        }
-
-        fn map_with_flags(&mut self, vpn: u64, ppn: u64, flags: PteFlags) {
-            self.pt.map_with_flags(Vpn::new(vpn), Ppn::new(ppn), flags);
-            self.r.map_with_flags(Vpn::new(vpn), Ppn::new(ppn), flags);
-        }
-
-        fn write_ptb(&mut self, block: BlockAddr, ptb: &PageTableBlock) {
-            self.pt.write_ptb(block, ptb);
-            self.r.write_ptb(block, ptb);
-        }
-
-        fn check(&self, vpns: impl IntoIterator<Item = u64>) {
-            assert_matches(&self.pt, &self.r, vpns);
-        }
-    }
-
-    #[test]
-    fn flag_edit_freezes_the_prefix_and_materializes_one_page() {
-        let cfg = PageTableConfig::default();
-        let mut p = Pair::identity(cfg, 1000);
-        let read_only = PteFlags::new(PteFlags::PRESENT, 0);
-        p.map_with_flags(5, 5, read_only);
-        assert_eq!(p.pt.overlay.len(), 1, "only the leaf table is copied");
-        p.check(0..1600);
-        // Identity maps after the freeze go through the overlay.
-        for i in 1000..1600 {
-            p.map(i, i);
-        }
-        assert_eq!(p.pt.identity.covered, 1000, "the prefix stays frozen");
-        p.check(0..2200);
-        // Re-mapping a prefix page to itself writes through the overlay.
-        p.map(700, 700);
-        p.check(600..800);
-    }
-
-    #[test]
-    fn ptb_writes_and_foreign_maps_freeze_the_prefix() {
-        let cfg = PageTableConfig::default();
-        // A leaf PTB rewrite, then identity maps across new L1 tables.
-        let mut p = Pair::identity(cfg, 700);
-        let leaf = *p.pt.walk_path(Vpn::new(640)).unwrap().last().unwrap();
-        let mut ptb = p.pt.ptb_at(leaf.ptb_block).unwrap();
-        ptb.set_entry(1, Pte::new(Ppn::new(4242), PteFlags::present_rw()));
-        ptb.set_entry(7, Pte::NOT_PRESENT);
-        p.write_ptb(leaf.ptb_block, &ptb);
-        for i in 700..1300 {
-            p.map(i, i);
-        }
-        p.check(0..1900);
-        // An upper-level rewrite that changes nothing still freezes.
-        let mut q = Pair::identity(cfg, 513);
-        let root = q.pt.root().block(0);
-        let same = q.pt.ptb_at(root).unwrap();
-        q.write_ptb(root, &same);
-        for i in 513..1100 {
-            q.map(i, i);
-        }
-        q.check(0..1200);
-        // The next VPN mapped elsewhere, identity maps after it, and a
-        // distant VPN that needs fresh L3..L1 tables.
-        let mut s = Pair::identity(cfg, 600);
-        s.map(600, 99_999);
-        for i in 601..1200 {
-            s.map(i, i);
-        }
-        s.map(1 << 30, 7);
-        s.check((0..1300).chain([1 << 30, (1 << 30) + 1]));
-        // A first map that is not identity freezes an empty prefix.
-        let mut e = Pair::identity(cfg, 0);
-        e.map(0x1234, 77);
-        e.map(0, 0);
-        e.map(1, 1);
-        e.check((0..600).chain([0x1234]));
-    }
-
-    #[test]
-    fn huge_page_edits_freeze_the_prefix() {
-        let cfg = PageTableConfig { table_region_base: 1 << 26, huge_pages: true };
-        let mut p = Pair::identity(cfg, 3 * 512);
-        p.map_with_flags(512, 512, PteFlags::new(PteFlags::PRESENT, 0));
-        for region in 3..600 {
-            p.map(region * 512, region * 512);
-        }
-        p.check((0..610).map(|region| region * 512 + 3));
-        // A region mapped to another frame is not an identity extension.
-        let mut q = Pair::identity(cfg, 512);
-        q.map(512, 7 * 512);
-        q.map(1024, 1024);
-        q.check((0..4).map(|region| region * 512 + 9));
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! On a TLB miss the walker traverses the page table. A small page-walk
 //! cache (PWC — 1 KiB per core in the paper's Table III, "similar to
-//! [23]") holds upper-level translations so most walks skip straight to
+//! \[23\]") holds upper-level translations so most walks skip straight to
 //! the lower levels; the PTB fetches that remain are issued to the cache
 //! hierarchy by the caller, which is where TMCC's embedded CTEs pay off
 //! (Fig. 12a).
@@ -32,12 +32,10 @@ pub struct WalkResult {
 /// use tmcc_sim_mem::{PageTable, PageTableConfig, PageWalker};
 /// use tmcc_types::addr::{Ppn, Vpn};
 ///
-/// let mut pt = PageTable::new(PageTableConfig::default());
-/// pt.map(Vpn::new(10), Ppn::new(3));
-/// pt.map(Vpn::new(11), Ppn::new(4));
+/// let pt = PageTable::identity(PageTableConfig::default(), 12);
 /// let mut walker = PageWalker::paper_default();
 /// let first = walker.walk(&pt, Vpn::new(10)).expect("mapped");
-/// assert_eq!(first.ppn, Ppn::new(3));
+/// assert_eq!(first.ppn, Ppn::new(10));
 /// assert_eq!(first.fetched.len(), 4);
 /// // A second walk nearby skips the upper levels via the PWC.
 /// let again = walker.walk(&pt, Vpn::new(11)).expect("mapped");
@@ -124,11 +122,7 @@ mod tests {
     use crate::page_table::PageTableConfig;
 
     fn table_with(n: u64) -> PageTable {
-        let mut pt = PageTable::new(PageTableConfig::default());
-        for i in 0..n {
-            pt.map(Vpn::new(i), Ppn::new(i + 100));
-        }
-        pt
+        PageTable::identity(PageTableConfig::default(), n)
     }
 
     #[test]
@@ -149,15 +143,14 @@ mod tests {
         assert_eq!(r.fetched.len(), 1, "only the leaf PTB should be fetched");
         assert_eq!(r.fetched[0].level, 1);
         assert_eq!(r.pwc_hits, 3);
-        assert_eq!(r.ppn, Ppn::new(163));
+        assert_eq!(r.ppn, Ppn::new(63));
     }
 
     #[test]
     fn distant_vpn_misses_lower_pwc_levels() {
-        let mut pt = table_with(1);
         // VPN 2^18 lives in a different L2 *table* (each L2 table covers
         // 512 x 512 pages), so only the L4 pointer is shared.
-        pt.map(Vpn::new(1 << 18), Ppn::new(999));
+        let pt = table_with((1 << 18) + 9);
         let mut w = PageWalker::paper_default();
         let _ = w.walk(&pt, Vpn::new(0)).unwrap();
         let r = w.walk(&pt, Vpn::new(1 << 18)).unwrap();
@@ -166,7 +159,6 @@ mod tests {
         assert_eq!(r.pwc_hits, 1);
         // A VPN in the same L1 table (within 512 pages) fetches only the
         // leaf PTB.
-        pt.map(Vpn::new((1 << 18) + 8), Ppn::new(1000));
         let r2 = w.walk(&pt, Vpn::new((1 << 18) + 8)).unwrap();
         assert_eq!(r2.fetched.len(), 1);
     }
@@ -208,13 +200,11 @@ mod tests {
 
     #[test]
     fn fetch_only_walks_match_full_path_walks() {
-        let mut frozen = PageTable::identity(PageTableConfig::default(), 1 << 20);
-        frozen.map(Vpn::new(3 << 20), Ppn::new(9));
         let huge = PageTable::identity(
             PageTableConfig { huge_pages: true, ..Default::default() },
             1 << 20,
         );
-        for table in [PageTable::identity(PageTableConfig::default(), 1 << 20), frozen, huge] {
+        for table in [table_with(1 << 20), huge] {
             let mut walker = PageWalker::paper_default();
             let mut pwc = SetAssocCache::fully_associative(64);
             let mut buf = Vec::new();

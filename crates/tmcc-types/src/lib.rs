@@ -11,10 +11,12 @@
 //! * [`pte`] — x86-64-style page-table entries (24 status bits + 40-bit PPN)
 //!   and the 64-byte page-table block (PTB) holding eight of them (paper
 //!   Fig. 7a/b).
-//! * [`ptb`] — the hardware-compressed PTB encoding with embedded truncated
-//!   CTEs (paper Fig. 7c and §V-A5).
-//! * [`cte`] — the 8-byte page-level CTE used by TMCC (paper Fig. 13) and the
-//!   64-byte block-level metadata entry used by Compresso-style designs.
+//! * [`ptb`] — the geometry of the hardware-compressed PTB encoding: when a
+//!   PTB compresses and how many truncated CTEs it embeds (paper Fig. 7c
+//!   and §V-A5).
+//! * [`cte`] — the truncated CTE a compressed PTB embeds (the frame of
+//!   TMCC's page-level CTE, paper Fig. 13) and the sizes of the 64-byte
+//!   block-level metadata entry used by Compresso-style designs.
 //! * [`addr`] — virtual/physical/DRAM address newtypes and geometry
 //!   constants.
 //! * [`bitvec`] / [`packed`] — succinct rank/select bitmaps and
@@ -46,8 +48,8 @@ pub use addr::{
 };
 pub use bitvec::{BitVec, RankSelect};
 pub use crc32::crc32;
-pub use cte::{BlockMetadata, Cte, MemoryLevel, TruncatedCte};
+pub use cte::{BlockMetadata, TruncatedCte};
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use packed::PackedSeq;
-pub use ptb::{CompressedPtb, PtbCompressError};
+pub use ptb::PtbCompressError;
 pub use pte::{PageTableBlock, Pte, PteFlags};

@@ -195,7 +195,7 @@ impl WorkloadProfile {
     }
 
     /// The §VIII bandwidth-intensive suite used for the interleaving study
-    /// (workloads from the paper's reference [60]).
+    /// (workloads from the paper's reference \[60\]).
     pub fn bandwidth_suite() -> Vec<Self> {
         let bw = |name: &'static str, p_seq: f64, work: u32| WorkloadProfile {
             name,

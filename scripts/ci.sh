@@ -22,6 +22,11 @@ cargo clippy --workspace --all-targets -q -- -D warnings
 echo "==> cargo fmt --all --check"
 cargo fmt --all --check
 
+echo "==> cargo doc --workspace --no-deps (RUSTDOCFLAGS=-D warnings)"
+# Broken, ambiguous or private intra-doc links fail the gate, so deleting
+# an item that docs still link to is caught here.
+RUSTDOCFLAGS="-D warnings" cargo doc -q --workspace --no-deps
+
 echo "==> codec benches execute (TMCC_BENCH_SMOKE=1)"
 # Smoke mode shrinks criterion's warm-up/samples so this only asserts the
 # bench binary runs end to end; timings printed here are noise.

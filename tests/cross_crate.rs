@@ -1,14 +1,16 @@
 //! Workspace-level integration tests spanning crates: the functional
-//! codecs against the workload corpus, the PTB-embedding pipeline against
-//! a real page table, and figure-shaped smoke checks on the full system.
+//! codecs against the workload corpus, the PTB-embedding pipeline from the
+//! page walker through the TMCC scheme, and figure-shaped smoke checks on
+//! the full system.
 
-use tmcc::{SchemeKind, System, SystemConfig};
+use tmcc::config::TmccToggles;
+use tmcc::schemes::{MemRequest, Scheme, TwoLevelScheme};
+use tmcc::{FaultKind, PageSizes, SchemeKind, SimStats, SizeModel, System, SystemConfig};
 use tmcc_compression::{BestOfCodec, BlockCodec};
 use tmcc_deflate::{MemDeflate, SoftwareDeflate};
-use tmcc_sim_mem::{PageTable, PageTableConfig, PageWalker, Tlb};
+use tmcc_sim_dram::{DramSim, InterleavePolicy};
+use tmcc_sim_mem::{CteCacheConfig, PageTable, PageTableConfig, PageWalker};
 use tmcc_types::addr::Vpn;
-use tmcc_types::cte::{Cte, MemoryLevel};
-use tmcc_types::ptb::{CompressedPtb, PtbGeometry};
 use tmcc_workloads::WorkloadProfile;
 
 /// The paper's RTL verification, in miniature: every page of every
@@ -37,39 +39,72 @@ fn corpus_round_trips_under_all_codecs() {
     }
 }
 
-/// Walk a real page table, compress the fetched PTBs, embed CTEs, and
-/// check the full prefetch-verify-repair chain end to end.
+/// The path a TMCC page walk runs, across crates: the walker fetches PTBs
+/// from the computed page table, the scheme harvests the CTEs embedded in
+/// them, and each access verifies the embedding it speculated on (§V-A3),
+/// repairing a stale one after a migration (§V-A2).
 #[test]
 fn ptb_embedding_pipeline_end_to_end() {
-    let pt = PageTable::identity(PageTableConfig::default(), 2048);
+    let pages = 2048;
+    let pt = PageTable::identity(PageTableConfig::default(), pages);
+    // Every page compresses to 1200 B, and 1400 frames leave the coldest
+    // (highest) pages in ML2.
+    let sizes = SizeModel::from_samples(vec![PageSizes { deflate_bytes: 1200, block_bytes: 3000 }]);
+    let mut scheme = TwoLevelScheme::try_new(
+        TmccToggles::full(),
+        CteCacheConfig::tmcc(),
+        sizes,
+        &pt,
+        pages,
+        1400,
+        7,
+        0.15,
+    )
+    .expect("feasible budget");
     let mut walker = PageWalker::paper_default();
-    let mut tlb = Tlb::paper_default();
-    let geometry = PtbGeometry::paper_default();
-
-    let walk = walker.walk(&pt, Vpn::new(77)).expect("mapped");
-    assert!(tlb.lookup(Vpn::new(77)).is_none());
-    tlb.fill(Vpn::new(77), walk.ppn);
-
-    // Compress the leaf PTB and embed a CTE for every present entry.
-    let leaf = walk.fetched.last().expect("leaf step");
-    let ptb = pt.ptb_at(leaf.ptb_block).expect("table block");
-    let mut compressed = CompressedPtb::compress(&ptb, geometry).expect("uniform PTB");
-    for slot in 0..8 {
-        let pte = ptb.entry(slot);
-        if pte.is_present() {
-            let cte = Cte::new(pte.ppn().raw() as u32 + 5000, MemoryLevel::Ml1);
-            assert!(compressed.embed_cte(slot, cte.truncated()));
+    let mut dram = DramSim::new(Default::default(), InterleavePolicy::coarse_mc());
+    let mut stats = SimStats::default();
+    let mut fetched = Vec::new();
+    // What the system does on a TLB miss at `now` ns: walk, hand every
+    // fetched PTB to the scheme, then read the page.
+    let mut walk_and_read = |scheme: &mut TwoLevelScheme, stats: &mut SimStats, vpn, now| {
+        let (ppn, _) = walker.walk_into(&pt, Vpn::new(vpn), &mut fetched).expect("mapped");
+        assert_eq!(ppn.raw(), vpn, "identity map");
+        for (step, ptb) in &fetched {
+            scheme.on_ptb_fetched(step.ptb_block, ptb);
         }
-    }
-    // Software never sees the embedded CTEs.
-    assert_eq!(compressed.decompress(), ptb);
-    // The embedded CTE verifies against the matching full CTE and fails
-    // against a migrated one.
-    let t = compressed.embedded_cte(leaf.slot).expect("embedded");
-    let full = Cte::new(leaf.next_ppn.raw() as u32 + 5000, MemoryLevel::Ml1);
-    assert!(t.matches(&full));
-    let migrated = Cte::new(1, MemoryLevel::Ml2);
-    assert!(!t.matches(&migrated));
+        let req = MemRequest {
+            ppn,
+            block: ppn.block(0),
+            write: false,
+            is_ptb: false,
+            after_tlb_miss: true,
+        };
+        scheme.access(&req, now, &mut dram, stats).expect("placed page");
+    };
+
+    // An ML1 page: the embedded CTE is right, so data and CTE are fetched
+    // in parallel.
+    walk_and_read(&mut scheme, &mut stats, 77, 0.0);
+    assert_eq!((stats.ml1_parallel_correct, stats.ml1_parallel_mismatch), (1, 0), "{stats:?}");
+
+    // An ML2 page migrates to ML1 on access; its embedding still names the
+    // ML2 location.
+    let cold = pages - 1;
+    walk_and_read(&mut scheme, &mut stats, cold, 1e6);
+    assert_eq!((stats.ml2_reads, stats.ml2_to_ml1_migrations), (1, 1), "{stats:?}");
+
+    // Once the CTE cache and buffer lose the page, the next walk harvests
+    // the stale embedding: the verify catches it and repairs the PTB.
+    scheme.apply_fault(FaultKind::CteFlushStorm, 2e6, &mut stats).unwrap();
+    walk_and_read(&mut scheme, &mut stats, cold, 2e6);
+    assert_eq!((stats.ml1_parallel_correct, stats.ml1_parallel_mismatch), (1, 1), "{stats:?}");
+
+    // The repaired embedding goes parallel-correct.
+    scheme.apply_fault(FaultKind::CteFlushStorm, 3e6, &mut stats).unwrap();
+    walk_and_read(&mut scheme, &mut stats, cold, 3e6);
+    assert_eq!((stats.ml1_parallel_correct, stats.ml1_parallel_mismatch), (2, 1), "{stats:?}");
+    assert_eq!(stats.ml1_serial, 0, "{stats:?}");
 }
 
 /// Fig. 1's qualitative claim on a scaled workload: under block-level
