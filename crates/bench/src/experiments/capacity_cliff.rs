@@ -49,16 +49,6 @@ fn point_cfg(pages: u64) -> SystemConfig {
     cfg
 }
 
-/// Fingerprint input covering the capacity grid at `scale` — folded into
-/// the sweep journal's config hash so grid changes invalidate a stale
-/// `--resume` journal.
-pub fn grid_signature(scale: Scale) -> String {
-    grid_pages(scale)
-        .into_iter()
-        .map(|pages| format!("capacity_cliff|{:?};", point_cfg(pages)))
-        .collect()
-}
-
 /// Golden per-point row: deterministic metrics only.
 #[derive(Serialize)]
 struct Row {
@@ -183,15 +173,6 @@ mod tests {
         let full = grid_pages(Scale::Full);
         assert!(full.iter().any(|&p| p * PAGE >= 1024 * GIB), "full must reach 1 TiB");
         assert!(grid_pages(Scale::Test).iter().all(|&p| p <= 2048), "test points stay tiny");
-    }
-
-    #[test]
-    fn signature_varies_by_scale_and_is_stable() {
-        let quick = grid_signature(Scale::Quick);
-        assert!(quick.contains("capacity_cliff|"));
-        assert_ne!(quick, grid_signature(Scale::Test));
-        assert_ne!(quick, grid_signature(Scale::Full));
-        assert_eq!(quick, grid_signature(Scale::Quick));
     }
 
     #[test]

@@ -42,17 +42,6 @@ fn point_cfg(scale: Scale, events: u64) -> SystemConfig {
     pressured_cfg().with_flip_plan(plan).with_audit()
 }
 
-/// Fingerprint input covering the storm grid at `scale` — folded into
-/// the sweep journal's config hash so grid changes invalidate a stale
-/// `--resume` journal.
-pub fn grid_signature(scale: Scale) -> String {
-    let (_, measured) = window(scale);
-    grid_events(scale)
-        .into_iter()
-        .map(|(_, events)| format!("integrity_storm|{:?}|{measured};", point_cfg(scale, events)))
-        .collect()
-}
-
 #[derive(Serialize, Default)]
 struct Row {
     rate: &'static str,
@@ -197,14 +186,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn signature_varies_by_scale_and_is_stable() {
-        let quick = grid_signature(Scale::Quick);
-        assert!(quick.contains("integrity_storm|"));
-        assert_ne!(quick, grid_signature(Scale::Test));
-        assert_ne!(quick, grid_signature(Scale::Full));
-        assert_eq!(quick, grid_signature(Scale::Quick));
     }
 }

@@ -7,11 +7,10 @@
 //! on, and emits the complete per-tenant report.
 //!
 //! The scenario builders are scale-aware (roster footprints, warmups,
-//! quanta and run lengths are sized per [`Scale`]), so the whole grid is
-//! part of the journal's config hash: [`grid_signature`] feeds
-//! `journal::scale_config_hash`, and a `--resume` against a journal
-//! written under different scenario parameters starts cold instead of
-//! replaying stale multi-tenant records.
+//! quanta and run lengths are sized per [`Scale`]). Every parameter is
+//! part of the scenario's `MultiTenantConfig`, so a journal record from
+//! different scenario parameters has a different key and is never
+//! replayed in place of this one.
 
 use crate::print_table;
 use crate::sweep::{Scale, SweepCtx};
@@ -404,24 +403,6 @@ pub fn fleet_points(scale: Scale) -> Vec<MtPoint> {
     points
 }
 
-/// Fingerprint input covering every multi-tenant grid at `scale` —
-/// folded into the sweep journal's config hash so MT scenario changes
-/// invalidate a stale `--resume` journal.
-pub fn grid_signature(scale: Scale) -> String {
-    let mut sig = String::new();
-    for (experiment, points) in [
-        ("mt_degradation", degradation_points(scale)),
-        ("mt_tail_latency", tail_latency_points(scale)),
-        ("mt_churn_storm", churn_storm_points(scale)),
-        ("mt_fleet", fleet_points(scale)),
-    ] {
-        for p in points {
-            sig.push_str(&format!("{experiment}|{}|{}|{:?};", p.scenario, p.total, p.cfg));
-        }
-    }
-    sig
-}
-
 #[derive(Serialize)]
 struct Row {
     scenario: &'static str,
@@ -601,20 +582,6 @@ pub fn run_fleet(ctx: &SweepCtx) {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// The journal invalidation contract: the signature must cover every
-    /// mt grid and change whenever their scale-dependent parameters do.
-    #[test]
-    fn grid_signature_covers_all_grids_and_varies_by_scale() {
-        let quick = grid_signature(Scale::Quick);
-        for experiment in ["mt_degradation|", "mt_tail_latency|", "mt_churn_storm|", "mt_fleet|"] {
-            assert!(quick.contains(experiment), "signature misses {experiment}");
-        }
-        assert_ne!(quick, grid_signature(Scale::Test));
-        assert_ne!(quick, grid_signature(Scale::Full));
-        // Deterministic: the hash must be stable across processes.
-        assert_eq!(quick, grid_signature(Scale::Quick));
-    }
 
     /// The fleet acceptance floor: ≥1024 tenants at quick scale, ≥4096
     /// at full, with the main fleet rosters' floors admissible within

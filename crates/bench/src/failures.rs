@@ -1,18 +1,18 @@
-//! Point-failure quarantine: typed records for sweep points that
-//! exhausted their retries, collected across the whole `run-all` fleet
-//! and written to `results/FAILURES.json`.
+//! Point-failure quarantine: typed records for sweep points that failed
+//! their one attempt, collected across the whole `run-all` fleet and
+//! written to `results/FAILURES.json`.
 
 use serde::{Serialize, Value};
+use std::fmt;
 use std::path::Path;
 use std::sync::Mutex;
 
 /// File name under the sweep output directory.
 pub const FAILURES_FILE: &str = "FAILURES.json";
 
-/// Test hook: `TMCC_BENCH_FAIL_POINT="experiment:index[:fail_attempts]"`
-/// makes the matching sweep point panic on its first `fail_attempts`
-/// attempts (default: every attempt). The failure-isolation integration
-/// test injects crashes with it.
+/// Test hook: `TMCC_BENCH_FAIL_POINT="experiment:index"` makes the
+/// matching sweep point panic. The failure-isolation integration test
+/// injects crashes with it.
 pub const FAIL_POINT_ENV: &str = "TMCC_BENCH_FAIL_POINT";
 
 /// Why a point failed.
@@ -46,6 +46,16 @@ impl FailureCause {
     }
 }
 
+impl fmt::Display for FailureCause {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            FailureCause::Panic { message } => write!(f, "panic: {message}"),
+            FailureCause::Sim { error } => write!(f, "sim-error: {error}"),
+            FailureCause::Timeout { budget_ms } => write!(f, "timeout after {budget_ms} ms"),
+        }
+    }
+}
+
 // The derive stand-in only handles fieldless enums; FailureCause carries
 // payloads, so its serialization is spelled out.
 impl Serialize for FailureCause {
@@ -73,20 +83,12 @@ pub struct PointFailure {
     pub experiment: &'static str,
     /// The point's index in its experiment's grid.
     pub index: usize,
-    /// The final attempt's failure.
+    /// Why the point failed.
     pub cause: FailureCause,
-    /// Attempts made (1 initial + retries).
-    pub attempts: u32,
-    /// Seed of the most recently tuned config for the point (the final
-    /// attempt's seed, including retry re-seeds) — together with `scale`
-    /// and `config_hash` enough to replay it standalone via
-    /// `tmcc-bench run <experiment> --point <index>`.
-    pub seed: Option<u64>,
-    /// Name of the [`crate::sweep::Scale`] the sweep ran at.
+    /// Name of the [`crate::sweep::Scale`] the sweep ran at — with the
+    /// experiment and index, enough to replay the point at its declared
+    /// config via `tmcc-bench run <experiment> --point <index>`.
     pub scale: &'static str,
-    /// The scale's tuning-knob hash (see `journal::scale_config_hash`);
-    /// matches the `config=` field of the sweep journal header.
-    pub config_hash: u64,
 }
 
 /// Thread-safe failure collector shared by every experiment context.
@@ -151,7 +153,7 @@ impl FailureSink {
         for f in &all {
             parts.push(format!("{}#{} ({})", f.experiment, f.index, f.cause.kind()));
         }
-        format!("{} point(s) quarantined after retries: {}", all.len(), parts.join(", "))
+        format!("{} point(s) quarantined: {}", all.len(), parts.join(", "))
     }
 }
 
@@ -162,8 +164,6 @@ pub struct FailPoint {
     pub experiment_hash: u64,
     /// Point index within the experiment.
     pub index: usize,
-    /// Attempts that should fail (attempt numbers `< fail_attempts`).
-    pub fail_attempts: u32,
 }
 
 impl FailPoint {
@@ -172,27 +172,15 @@ impl FailPoint {
         static PARSED: std::sync::OnceLock<Option<FailPoint>> = std::sync::OnceLock::new();
         *PARSED.get_or_init(|| {
             let raw = std::env::var(FAIL_POINT_ENV).ok()?;
-            let mut parts = raw.split(':');
-            let experiment = parts.next()?;
-            let index: usize = parts.next()?.parse().ok()?;
-            let fail_attempts: u32 = match parts.next() {
-                Some(n) => n.parse().ok()?,
-                None => u32::MAX,
-            };
-            Some(FailPoint {
-                experiment_hash: crate::journal::fingerprint(experiment),
-                index,
-                fail_attempts,
-            })
+            let (experiment, index) = raw.split_once(':')?;
+            let index: usize = index.parse().ok()?;
+            Some(FailPoint { experiment_hash: crate::journal::fingerprint(experiment), index })
         })
     }
 
-    /// Whether attempt `attempt` of point `index` in `experiment` should
-    /// be made to fail.
-    pub fn matches(&self, experiment: &str, index: usize, attempt: u32) -> bool {
-        self.experiment_hash == crate::journal::fingerprint(experiment)
-            && self.index == index
-            && attempt < self.fail_attempts
+    /// Whether point `index` of `experiment` should be made to fail.
+    pub fn matches(&self, experiment: &str, index: usize) -> bool {
+        self.experiment_hash == crate::journal::fingerprint(experiment) && self.index == index
     }
 }
 
@@ -223,10 +211,7 @@ mod tests {
             experiment: "fig01_tlb_cte_misses",
             index: 3,
             cause: FailureCause::Sim { error: "capacity exhausted".into() },
-            attempts: 3,
-            seed: Some(0xBEEF),
             scale: "test",
-            config_hash: 0xabcd,
         });
         assert_eq!(sink.finalize(&dir), 1);
         assert!(path.exists());

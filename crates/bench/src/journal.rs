@@ -14,16 +14,20 @@
 //! Line-oriented UTF-8, one header line then zero or more records:
 //!
 //! ```text
-//! tmcc-journal v1 build=<git-describe> scale=<scale> config=<hex64>
-//! p <crc32-hex8> <key-hex16> <experiment> <compact-json>
+//! tmcc-journal v2 build=<git-describe>
+//! p <crc32-hex8> <key-hex16> <compact-json>
 //! ```
 //!
-//! The header pins everything that could silently change replayed bytes:
-//! the build (journal keys fingerprint `SystemConfig` through its `Debug`
-//! output, which may drift between builds), the run [`Scale`], and a hash
-//! of the scale's tuning knobs. [`SweepJournal::open_resume`] discards the
-//! whole journal when any of the three differ — a stale journal downgrades
-//! to a cold start, never to a silent mix of old and new results.
+//! A record is keyed by its run alone: the key fingerprints the tuned
+//! config's `Debug` text plus the access count, which already pins the
+//! scale's tuning and every scenario parameter. So a record serves any
+//! experiment that asks for the same run, and two experiments that
+//! journal one run write identical bytes (resume keeps one). The header
+//! pins the one input a key cannot see, the build: `Debug` output may
+//! drift between builds. [`SweepJournal::open_resume`] discards the whole
+//! journal when the format version or the build differs — a stale
+//! journal downgrades to a cold start, never to a silent mix of old and
+//! new results.
 //!
 //! Each record carries a CRC32 over everything after the checksum field.
 //! Appends flush before returning, so a crash can lose at most the record
@@ -32,7 +36,6 @@
 //! other than a crash mangled the file, and resume refuses it with a
 //! typed [`JournalError`] rather than replaying doubtful bytes.
 
-use crate::sweep::Scale;
 use std::fmt;
 use std::fs::{self, File, OpenOptions};
 use std::io::Write;
@@ -42,7 +45,7 @@ use std::sync::Mutex;
 use tmcc_types::FxHashMap;
 
 /// Journal format version; bumped on any layout change.
-const VERSION: &str = "v1";
+const VERSION: &str = "v2";
 
 /// File name under `<out>/.journal/`.
 const FILE_NAME: &str = "sweep.journal";
@@ -63,7 +66,7 @@ pub enum JournalError {
     Io { op: &'static str, detail: String },
     /// The header line is missing or unparsable.
     BadHeader { detail: String },
-    /// The header parsed but pins a different build/scale/config.
+    /// The header parsed but pins a different format version or build.
     HeaderMismatch { field: &'static str, expected: String, found: String },
     /// A record line failed its checksum or shape checks.
     CorruptRecord { line: usize, detail: String },
@@ -94,33 +97,22 @@ impl fmt::Display for JournalError {
 impl std::error::Error for JournalError {}
 
 /// Everything the header pins. Two sweeps with equal metadata produce
-/// byte-identical records for the same (experiment, key).
+/// byte-identical records for the same key.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JournalMeta {
     /// Build fingerprint (`git describe --always --dirty`, or a stable
     /// fallback outside a work tree).
     pub build: String,
-    /// The sweep [`Scale`].
-    pub scale: Scale,
-    /// Hash over the scale's tuning knobs (accesses, warmup, footprint
-    /// cap, codec samples) — the invalidation rule documented in the
-    /// README: resuming under different tuning starts cold.
-    pub config_hash: u64,
 }
 
 impl JournalMeta {
-    /// Metadata for a sweep at `scale` built from the current binary.
-    pub fn current(scale: Scale) -> Self {
-        Self { build: build_id(), scale, config_hash: scale_config_hash(scale) }
+    /// Metadata for a sweep run by the current binary.
+    pub fn current() -> Self {
+        Self { build: build_id() }
     }
 
     fn header_line(&self) -> String {
-        format!(
-            "tmcc-journal {VERSION} build={} scale={} config={:016x}",
-            self.build,
-            self.scale.name(),
-            self.config_hash
-        )
+        format!("tmcc-journal {VERSION} build={}", self.build)
     }
 }
 
@@ -138,26 +130,7 @@ pub fn build_id() -> String {
     described.unwrap_or_else(|| format!("pkg-{}", env!("CARGO_PKG_VERSION")))
 }
 
-/// Hash over everything a [`Scale`] pins about the sweep's configuration:
-/// the single-system tuning knobs *and* the multi-tenant scenario grids
-/// (rosters, churn plans, quanta all vary by scale) — so a journal written
-/// under different MT parameters invalidates on `--resume` instead of
-/// replaying stale records.
-pub fn scale_config_hash(scale: Scale) -> u64 {
-    fingerprint(&format!(
-        "accesses={} warmup={:?} pages_cap={:?} size_samples={} mt={:016x} cap={:016x} \
-         int={:016x}",
-        scale.accesses(),
-        scale.warmup(),
-        scale.pages_cap(),
-        scale.size_samples(),
-        fingerprint(&crate::experiments::mt::grid_signature(scale)),
-        fingerprint(&crate::experiments::capacity_cliff::grid_signature(scale)),
-        fingerprint(&crate::experiments::integrity::grid_signature(scale))
-    ))
-}
-
-/// FxHash64 of a string — the journal's key and config fingerprints.
+/// FxHash64 of a string — the journal's key fingerprint.
 pub fn fingerprint(s: &str) -> u64 {
     use std::hash::Hasher;
     let mut h = tmcc_types::FxHasher::default();
@@ -173,8 +146,6 @@ pub use tmcc_types::crc32::crc32;
 /// One parsed record.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JournalRecord {
-    /// Registry name of the experiment that ran the point.
-    pub experiment: String,
     /// Fingerprint of the tuned config + access count (see
     /// `SweepCtx::journaled`).
     pub key: u64,
@@ -184,7 +155,7 @@ pub struct JournalRecord {
 
 impl JournalRecord {
     fn line(&self) -> String {
-        let payload = format!("{:016x} {} {}", self.key, self.experiment, self.json);
+        let payload = format!("{:016x} {}", self.key, self.json);
         format!("p {:08x} {payload}\n", crc32(payload.as_bytes()))
     }
 
@@ -200,11 +171,10 @@ impl JournalRecord {
         if crc32(payload.as_bytes()) != stored {
             return None;
         }
-        let (key_hex, rest) = payload.split_at_checked(16)?;
-        let rest = rest.strip_prefix(' ')?;
+        let (key_hex, json) = payload.split_at_checked(16)?;
+        let json = json.strip_prefix(' ')?;
         let key = u64::from_str_radix(key_hex, 16).ok()?;
-        let (experiment, json) = rest.split_once(' ')?;
-        Some(Self { experiment: experiment.to_string(), key, json: json.to_string() })
+        Some(Self { key, json: json.to_string() })
     }
 }
 
@@ -213,9 +183,9 @@ impl JournalRecord {
 pub enum ResumeState {
     /// No journal existed; the sweep starts cold.
     Fresh,
-    /// A journal matched the metadata; `records` points were loaded.
+    /// A journal matched the metadata; `records` runs were loaded.
     Resumed {
-        /// Completed points available for replay.
+        /// Distinct completed runs available for replay.
         records: usize,
         /// Torn final line dropped during recovery (at most one).
         dropped_tail: bool,
@@ -233,10 +203,11 @@ pub enum ResumeState {
 pub struct SweepJournal {
     path: PathBuf,
     file: Mutex<File>,
-    /// Records loaded at open. Lookups consult only this snapshot — live
-    /// appends are never replayed within the same process, so a sweep's
-    /// behavior doesn't depend on experiment scheduling order.
-    loaded: FxHashMap<(String, u64), String>,
+    /// Records loaded at open, one per key. Lookups consult only this
+    /// snapshot — live appends are never replayed within the same
+    /// process, so a sweep's behavior doesn't depend on experiment
+    /// scheduling order.
+    loaded: FxHashMap<u64, String>,
     appended: AtomicU64,
     exit_after: Option<u64>,
 }
@@ -292,11 +263,12 @@ impl SweepJournal {
         };
         match parse_journal(&text, meta) {
             Ok((records, dropped_tail)) => {
-                let loaded: FxHashMap<(String, u64), String> =
-                    records.into_iter().map(|r| ((r.experiment, r.key), r.json)).collect();
+                let loaded: FxHashMap<u64, String> =
+                    records.into_iter().map(|r| (r.key, r.json)).collect();
                 let count = loaded.len();
                 // Re-open for append; recovery rewrites the file without
-                // the torn tail so the journal stays clean on disk.
+                // the torn tail or repeated keys, so the journal stays
+                // clean on disk.
                 let mut file = OpenOptions::new()
                     .create(true)
                     .write(true)
@@ -305,12 +277,10 @@ impl SweepJournal {
                     .map_err(|e| JournalError::Io { op: "reopen", detail: e.to_string() })?;
                 let mut contents = meta.header_line();
                 contents.push('\n');
-                let mut entries: Vec<(&(String, u64), &String)> = loaded.iter().collect();
-                entries.sort_by(|a, b| a.0.cmp(b.0));
-                for (&(ref experiment, key), json) in entries {
-                    let rec =
-                        JournalRecord { experiment: experiment.clone(), key, json: json.clone() };
-                    contents.push_str(&rec.line());
+                let mut entries: Vec<(&u64, &String)> = loaded.iter().collect();
+                entries.sort_unstable_by_key(|&(key, _)| *key);
+                for (&key, json) in entries {
+                    contents.push_str(&JournalRecord { key, json: json.clone() }.line());
                 }
                 file.write_all(contents.as_bytes())
                     .and_then(|()| file.flush())
@@ -337,26 +307,22 @@ impl SweepJournal {
         &self.path
     }
 
-    /// Completed points loaded at open.
+    /// Distinct completed runs loaded at open.
     pub fn loaded_points(&self) -> usize {
         self.loaded.len()
     }
 
-    /// The stored compact-JSON report for `(experiment, key)`, if the
-    /// journal loaded one at open.
-    pub fn lookup(&self, experiment: &str, key: u64) -> Option<&str> {
-        // FxHashMap<(String, u64), _> can't be probed with (&str, u64)
-        // without allocating; experiments are few and short, so this
-        // allocation is noise next to the simulation it skips.
-        self.loaded.get(&(experiment.to_string(), key)).map(String::as_str)
+    /// The stored compact-JSON record for the run `key`, if the journal
+    /// loaded one at open — whichever experiment wrote it.
+    pub fn lookup(&self, key: u64) -> Option<&str> {
+        self.loaded.get(&key).map(String::as_str)
     }
 
-    /// Appends one completed point, flushing before returning (a crash
+    /// Appends one completed run, flushing before returning (a crash
     /// after `append` never loses the record). Honors the
     /// [`EXIT_AFTER_POINTS_ENV`] crash hook.
-    pub fn append(&self, experiment: &str, key: u64, json: &str) {
-        let record =
-            JournalRecord { experiment: experiment.to_string(), key, json: json.to_string() };
+    pub fn append(&self, key: u64, json: &str) {
+        let record = JournalRecord { key, json: json.to_string() };
         {
             let mut file = self.file.lock().expect("journal file lock");
             if file.write_all(record.line().as_bytes()).and_then(|()| file.flush()).is_err() {
@@ -440,44 +406,18 @@ fn check_header(line: &str, meta: &JournalMeta) -> Result<(), JournalError> {
             found: version.to_string(),
         });
     }
-    let mut build = None;
-    let mut scale = None;
-    let mut config = None;
-    for part in parts {
-        if let Some(v) = part.strip_prefix("build=") {
-            build = Some(v);
-        } else if let Some(v) = part.strip_prefix("scale=") {
-            scale = Some(v);
-        } else if let Some(v) = part.strip_prefix("config=") {
-            config = Some(v);
-        } else {
-            return Err(JournalError::BadHeader { detail: format!("unknown field {part:?}") });
-        }
-    }
-    let found_build = build.ok_or(JournalError::BadHeader { detail: "missing build=".into() })?;
-    let found_scale = scale.ok_or(JournalError::BadHeader { detail: "missing scale=".into() })?;
-    let found_config =
-        config.ok_or(JournalError::BadHeader { detail: "missing config=".into() })?;
+    let build = match (parts.next(), parts.next()) {
+        (Some(field), None) => field.strip_prefix("build="),
+        _ => None,
+    };
+    let found_build = build.ok_or_else(|| JournalError::BadHeader {
+        detail: format!("expected one build= field in {line:?}"),
+    })?;
     if found_build != meta.build {
         return Err(JournalError::HeaderMismatch {
             field: "build",
             expected: meta.build.clone(),
             found: found_build.to_string(),
-        });
-    }
-    if found_scale != meta.scale.name() {
-        return Err(JournalError::HeaderMismatch {
-            field: "scale",
-            expected: meta.scale.name().to_string(),
-            found: found_scale.to_string(),
-        });
-    }
-    let expected_config = format!("{:016x}", meta.config_hash);
-    if found_config != expected_config {
-        return Err(JournalError::HeaderMismatch {
-            field: "config",
-            expected: expected_config,
-            found: found_config.to_string(),
         });
     }
     Ok(())
@@ -488,7 +428,7 @@ mod tests {
     use super::*;
 
     fn meta() -> JournalMeta {
-        JournalMeta { build: "test-build".into(), scale: Scale::Test, config_hash: 0xabcd }
+        JournalMeta { build: "test-build".into() }
     }
 
     fn tmp_dir(tag: &str) -> PathBuf {
@@ -509,18 +449,21 @@ mod tests {
         let dir = tmp_dir("roundtrip");
         let m = meta();
         let j = SweepJournal::open_fresh(&dir, &m).expect("fresh");
-        j.append("fig01", 0x1111, "{\"a\":1}");
-        j.append("fig01", 0x2222, "{\"a\":2}");
-        j.append("fig02", 0x1111, "{\"b\":3}");
+        j.append(0x1111, "{\"a\":1}");
+        j.append(0x2222, "{\"a\":2}");
+        // A second experiment journaling the same run writes the same
+        // bytes; resume keeps one record.
+        j.append(0x1111, "{\"a\":1}");
+        let path = j.path().to_path_buf();
         drop(j);
 
         let (j, state) = SweepJournal::open_resume(&dir, &m).expect("resume");
-        assert_eq!(state, ResumeState::Resumed { records: 3, dropped_tail: false });
-        assert_eq!(j.lookup("fig01", 0x1111), Some("{\"a\":1}"));
-        assert_eq!(j.lookup("fig01", 0x2222), Some("{\"a\":2}"));
-        assert_eq!(j.lookup("fig02", 0x1111), Some("{\"b\":3}"));
-        assert_eq!(j.lookup("fig02", 0x2222), None);
-        assert_eq!(j.lookup("fig03", 0x1111), None);
+        assert_eq!(state, ResumeState::Resumed { records: 2, dropped_tail: false });
+        assert_eq!(j.lookup(0x1111), Some("{\"a\":1}"));
+        assert_eq!(j.lookup(0x2222), Some("{\"a\":2}"));
+        assert_eq!(j.lookup(0x3333), None);
+        let text = fs::read_to_string(&path).expect("read");
+        assert_eq!(text.lines().count(), 3, "header plus one line per key:\n{text}");
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -529,8 +472,8 @@ mod tests {
         let dir = tmp_dir("torn");
         let m = meta();
         let j = SweepJournal::open_fresh(&dir, &m).expect("fresh");
-        j.append("fig01", 1, "{}");
-        j.append("fig01", 2, "{}");
+        j.append(1, "{}");
+        j.append(2, "{}");
         let path = j.path().to_path_buf();
         drop(j);
         // Cut the final record mid-line, as a crash would.
@@ -539,8 +482,8 @@ mod tests {
 
         let (j, state) = SweepJournal::open_resume(&dir, &m).expect("resume");
         assert_eq!(state, ResumeState::Resumed { records: 1, dropped_tail: true });
-        assert!(j.lookup("fig01", 1).is_some());
-        assert!(j.lookup("fig01", 2).is_none());
+        assert!(j.lookup(1).is_some());
+        assert!(j.lookup(2).is_none());
         drop(j);
         // Recovery rewrote the file: a second resume sees a clean tail.
         let (_, state) = SweepJournal::open_resume(&dir, &m).expect("resume again");
@@ -553,8 +496,8 @@ mod tests {
         let dir = tmp_dir("corrupt");
         let m = meta();
         let j = SweepJournal::open_fresh(&dir, &m).expect("fresh");
-        j.append("fig01", 1, "{\"x\":1}");
-        j.append("fig01", 2, "{\"x\":2}");
+        j.append(1, "{\"x\":1}");
+        j.append(2, "{\"x\":2}");
         let path = j.path().to_path_buf();
         drop(j);
         // Flip one byte inside the FIRST record's JSON.
@@ -576,24 +519,43 @@ mod tests {
         let dir = tmp_dir("mismatch");
         let m = meta();
         let j = SweepJournal::open_fresh(&dir, &m).expect("fresh");
-        j.append("fig01", 1, "{}");
+        j.append(1, "{}");
         drop(j);
 
-        let other = JournalMeta { build: "other-build".into(), ..meta() };
+        let other = JournalMeta { build: "other-build".into() };
         let (j, state) = SweepJournal::open_resume(&dir, &other).expect("resume");
         assert_eq!(state, ResumeState::Invalidated { field: "build" });
         assert_eq!(j.loaded_points(), 0);
+        let _ = fs::remove_dir_all(&dir);
+    }
 
-        let quick = JournalMeta::current(Scale::Quick);
-        let test = JournalMeta::current(Scale::Test);
-        assert_ne!(quick.config_hash, test.config_hash);
+    #[test]
+    fn v1_journal_is_invalidated_on_version() {
+        let dir = tmp_dir("v1");
+        let path = dir.join(".journal").join(FILE_NAME);
+        fs::create_dir_all(path.parent().expect("journal dir")).expect("journal dir");
+        // The v1 layout: scale and config hash in the header, an
+        // experiment column in every record.
+        let payload = "0000000000000001 fig01 {}";
+        let v1 = format!(
+            "tmcc-journal v1 build=test-build scale=test config=000000000000abcd\n\
+             p {:08x} {payload}\n",
+            crc32(payload.as_bytes())
+        );
+        fs::write(&path, v1).expect("write v1 journal");
+
+        let (j, state) = SweepJournal::open_resume(&dir, &meta()).expect("resume");
+        assert_eq!(state, ResumeState::Invalidated { field: "version" });
+        assert_eq!(j.loaded_points(), 0);
+        drop(j);
+        let header = fs::read_to_string(&path).expect("read").lines().next().map(str::to_string);
+        assert_eq!(header.as_deref(), Some("tmcc-journal v2 build=test-build"));
         let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn record_lines_parse_exactly() {
         let rec = JournalRecord {
-            experiment: "fig17_perf_vs_compresso".into(),
             key: 0xdead_beef_1234_5678,
             json: "{\"workload\":\"canneal\",\"x\":1.5}".into(),
         };

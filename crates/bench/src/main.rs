@@ -3,9 +3,9 @@
 //! ```text
 //! tmcc-bench list
 //! tmcc-bench run <name>... [--jobs N] [--quick|--test] [--out DIR]
-//!                          [--resume] [--retries N] [--point N]
+//!                          [--resume] [--point N]
 //! tmcc-bench run-all       [--jobs N] [--quick|--test] [--out DIR]
-//!                          [--resume] [--retries N]
+//!                          [--resume]
 //! ```
 //!
 //! `run <name>` runs the named experiments, each writing its
@@ -18,25 +18,26 @@
 //! # Crash safety (DESIGN.md §6.2)
 //!
 //! Every completed simulation run is journaled under
-//! `<out>/.journal/`; `--resume` replays journaled runs byte-identically
-//! and simulates only the remainder. Failing points are retried
-//! (`--retries`, default 2) and then quarantined into
-//! `results/FAILURES.json`; a quarantined point fails its experiment but
-//! never the rest of the fleet, and the process exits non-zero so CI
-//! notices.
+//! `<out>/.journal/`, keyed by the run alone; `--resume` replays
+//! journaled runs byte-identically, for whichever experiment asks for
+//! them, and simulates only the remainder. A point runs once: if it
+//! fails it is quarantined into `results/FAILURES.json`, which fails its
+//! experiment but never the rest of the fleet, and the process exits
+//! non-zero so CI notices. `--resume` (or `--point`) re-runs a
+//! quarantined point at its declared config.
 
 use rayon::ThreadPoolBuilder;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
-use tmcc_bench::failures::FailureSink;
+use tmcc_bench::failures::{FailureCause, FailureSink};
 use tmcc_bench::journal::{JournalMeta, ResumeState, SweepJournal};
 use tmcc_bench::perf_gate;
 use tmcc_bench::registry::{self, Experiment};
 use tmcc_bench::sweep::{
-    resolve_jobs, ExperimentTiming, PointAborted, PointReplayDone, Scale, SweepCtx, SweepSummary,
-    DEFAULT_RETRIES,
+    classify_failure, resolve_jobs, ExperimentTiming, PointAborted, PointReplayDone, Scale,
+    SweepCtx, SweepSummary,
 };
 use tmcc_bench::watchdog::Watchdog;
 
@@ -45,7 +46,6 @@ struct Options {
     scale: Scale,
     out: PathBuf,
     resume: bool,
-    retries: u32,
     point: Option<usize>,
     names: Vec<String>,
 }
@@ -69,8 +69,7 @@ fn usage() -> ! {
          \x20 --quick              ~5x smaller runs (CI smoke scale)\n\
          \x20 --test               tiny runs (golden determinism scale)\n\
          \x20 --out DIR            output directory (default: repo results/)\n\
-         \x20 --resume             replay completed points from the sweep journal\n\
-         \x20 --retries N          attempts per point = N + 1 (default: 2)\n\
+         \x20 --resume             replay completed runs from the sweep journal\n\
          \x20 --point N            (run, one experiment) replay only grid point N —\n\
          \x20                      standalone reproduction of a FAILURES.json entry"
     );
@@ -83,7 +82,6 @@ fn parse_options(args: &[String]) -> Options {
         scale: Scale::Full,
         out: tmcc_bench::results_dir(),
         resume: false,
-        retries: DEFAULT_RETRIES,
         point: None,
         names: Vec::new(),
     };
@@ -105,10 +103,6 @@ fn parse_options(args: &[String]) -> Options {
                 let v = it.next().unwrap_or_else(|| usage());
                 opts.point = Some(v.parse().unwrap_or_else(|_| usage()));
             }
-            "--retries" => {
-                let v = it.next().unwrap_or_else(|| usage());
-                opts.retries = v.parse().unwrap_or_else(|_| usage());
-            }
             other if other.starts_with('-') => {
                 eprintln!("unknown option {other}\n");
                 usage();
@@ -129,7 +123,7 @@ struct Harness {
 impl Harness {
     /// Opens the journal (resuming if asked), starts the watchdog.
     fn new(opts: &Options) -> Self {
-        let meta = JournalMeta::current(opts.scale);
+        let meta = JournalMeta::current();
         let journal = if opts.resume {
             match SweepJournal::open_resume(&opts.out, &meta) {
                 Ok((journal, state)) => {
@@ -139,15 +133,15 @@ impl Harness {
                         }
                         ResumeState::Resumed { records, dropped_tail } => {
                             println!(
-                                "[resume] replaying {records} completed point(s) from {}{}",
+                                "[resume] replaying {records} completed run(s) from {}{}",
                                 journal.path().display(),
                                 if dropped_tail { " (torn tail dropped)" } else { "" }
                             );
                         }
                         ResumeState::Invalidated { field } => {
                             println!(
-                                "[resume] journal {field} mismatch (different build, scale, or \
-                                 tuning); starting cold"
+                                "[resume] journal {field} mismatch (written by a different \
+                                 build or journal format); starting cold"
                             );
                         }
                     }
@@ -193,7 +187,6 @@ impl Harness {
             Arc::clone(&self.failures),
         )
         .for_experiment(e.name, e.budget_weight)
-        .with_retries(opts.retries)
         .with_point(opts.point)
     }
 }
@@ -209,15 +202,9 @@ fn run_one(e: &Experiment, ctx: &SweepCtx) -> ExperimentTiming {
     let status = match outcome {
         Ok(()) => "ok",
         Err(payload) if payload.is::<PointReplayDone>() => "replayed",
+        Err(payload) if payload.is::<PointAborted>() => "failed",
         Err(payload) => {
-            if !payload.is::<PointAborted>() {
-                let message = payload
-                    .downcast_ref::<&str>()
-                    .map(|s| (*s).to_string())
-                    .or_else(|| payload.downcast_ref::<String>().cloned())
-                    .unwrap_or_else(|| "non-string panic payload".into());
-                eprintln!("[{}] experiment aborted: {message}", e.name);
-            }
+            eprintln!("[{}] experiment aborted ({})", e.name, classify_failure(payload));
             "failed"
         }
     };
@@ -351,11 +338,16 @@ fn finish(harness: &Harness, opts: &Options) {
 }
 
 fn main() {
-    // `--point` unwinds with [`PointReplayDone`] on success; that control
-    // flow must not print as a panic.
+    // `--point` unwinds with [`PointReplayDone`] on success, and a failed
+    // point unwinds with its [`FailureCause`], then [`PointAborted`]. The
+    // harness prints the cause itself, so none of them prints as a panic.
     let default_hook = std::panic::take_hook();
     std::panic::set_hook(Box::new(move |info| {
-        if !info.payload().is::<PointReplayDone>() {
+        let payload = info.payload();
+        if !(payload.is::<PointReplayDone>()
+            || payload.is::<PointAborted>()
+            || payload.is::<FailureCause>())
+        {
             default_hook(info);
         }
     }));

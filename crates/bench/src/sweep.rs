@@ -11,17 +11,18 @@
 //!
 //! # Failure isolation (DESIGN.md §6.2)
 //!
-//! Every `par_map` point runs inside a `catch_unwind` ring: a panicking,
-//! erroring, or timed-out point is retried up to `--retries` times (each
-//! retry deterministically re-seeded in [`SweepCtx::tune`]), and a point
-//! that exhausts its retries is quarantined into `results/FAILURES.json`
-//! — its experiment aborts, the rest of the fleet keeps running. The
-//! sweep journal ([`crate::journal`]) makes completed points replayable
-//! after a crash; the watchdog ([`crate::watchdog`]) cancels points that
-//! exceed their deadline through the simulator's cooperative
-//! [`RunHandle`]. Every simulation run family (plain, multi-tenant,
-//! capacity) reaches journal and watchdog through one private path,
-//! `SweepCtx::journaled`.
+//! A sweep point is its config: every `par_map` point runs once, inside
+//! `catch_unwind`, and a panicking, erroring or timed-out point is
+//! quarantined into `results/FAILURES.json` at once — its experiment
+//! aborts, the rest of the fleet keeps running. Re-running a point means
+//! re-running its declared config, with `--resume` or `--point`. The
+//! sweep journal ([`crate::journal`]) makes completed runs replayable
+//! after a crash, for any experiment that asks for the same run; the
+//! watchdog ([`crate::watchdog`]) cancels points that exceed their
+//! deadline through the simulator's cooperative [`RunHandle`]. Every
+//! simulation run family (plain, multi-tenant, capacity) reaches journal
+//! and watchdog through one private path, `SweepCtx::journaled`, whose
+//! key material is the run's only identity.
 
 use crate::failures::{FailPoint, FailureCause, FailureSink, PointFailure};
 use crate::journal::{fingerprint, SweepJournal};
@@ -30,7 +31,6 @@ use crate::DEFAULT_ACCESSES;
 use rayon::prelude::*;
 use rayon::ThreadPool;
 use serde::{Deserialize, Serialize};
-use std::cell::{Cell, RefCell};
 use std::fs;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -136,9 +136,6 @@ impl Scale {
     }
 }
 
-/// Default `--retries`: attempts per point = retries + 1.
-pub const DEFAULT_RETRIES: u32 = 2;
-
 /// Resolves a `--jobs` request: 0 means one worker per available CPU.
 pub fn resolve_jobs(jobs: usize) -> usize {
     if jobs == 0 {
@@ -148,37 +145,9 @@ pub fn resolve_jobs(jobs: usize) -> usize {
     }
 }
 
-/// A point's retry state, visible to [`SweepCtx::tune`] on the worker
-/// thread executing the point.
-#[derive(Debug, Clone, Copy, Default)]
-struct PointState {
-    attempt: u32,
-    timeouts: u32,
-}
-
-thread_local! {
-    /// Retry state of the point currently executing on this worker.
-    static POINT_CTX: Cell<PointState> = const { Cell::new(PointState { attempt: 0, timeouts: 0 }) };
-    /// Display form of the last simulator error [`or_retry`] panicked
-    /// on — lets the retry ring report a typed `sim-error` cause instead
-    /// of a generic panic.
-    static LAST_SIM_ERROR: RefCell<Option<String>> = const { RefCell::new(None) };
-    /// Seed of the most recently tuned config on this worker, recorded
-    /// into `FAILURES.json` so a quarantined point can be replayed at
-    /// the exact seed of its final attempt.
-    static LAST_POINT_SEED: Cell<Option<u64>> = const { Cell::new(None) };
-}
-
-/// Panic payload for a watchdog-cancelled run; [`SweepCtx::journaled`]
-/// throws it so timeouts route through the same retry ring as panics,
-/// even for callers that match on `Result` (the robustness sweep).
-struct PointTimeout {
-    budget_ms: u64,
-}
-
-/// Panic payload thrown after a point exhausts its retries and was
-/// recorded in the failure sink. The experiment-level `catch_unwind` in
-/// `tmcc-bench` recognizes it and does not double-report.
+/// Panic payload thrown after a failed point was recorded in the
+/// failure sink. The experiment-level `catch_unwind` in `tmcc-bench`
+/// recognizes it and does not double-report.
 pub struct PointAborted;
 
 /// Panic payload thrown by `--point` replay after the selected point
@@ -200,7 +169,6 @@ pub struct SweepCtx {
     out_dir: PathBuf,
     experiment: &'static str,
     budget_weight: f64,
-    retries: u32,
     only_point: Option<usize>,
     journal: Arc<SweepJournal>,
     watchdog: Arc<Watchdog>,
@@ -218,9 +186,9 @@ impl SweepCtx {
     /// Builds a context over the sweep's shared worker pool and its
     /// crash-safety plumbing: completed runs are appended to `journal`
     /// (and runs already journaled are replayed instead of simulated),
-    /// every run gets a `watchdog` deadline, and points that exhaust
-    /// their retries are quarantined into `failures`. `jobs` must already
-    /// be resolved (non-zero) and should match the pool's thread count.
+    /// every run gets a `watchdog` deadline, and failed points are
+    /// quarantined into `failures`. `jobs` must already be resolved
+    /// (non-zero) and should match the pool's thread count.
     pub fn with_pool(
         scale: Scale,
         jobs: usize,
@@ -237,7 +205,6 @@ impl SweepCtx {
             out_dir,
             experiment: "",
             budget_weight: 1.0,
-            retries: DEFAULT_RETRIES,
             only_point: None,
             journal,
             watchdog,
@@ -250,22 +217,17 @@ impl SweepCtx {
 
     /// Names the experiment this context runs and sets its watchdog
     /// budget multiplier (`registry::Experiment::budget_weight`). The
-    /// name keys the context's journal records and failure reports.
+    /// name labels the context's failure reports; journal records carry
+    /// no experiment, so any experiment replays a run another journaled.
     pub fn for_experiment(mut self, name: &'static str, budget_weight: f64) -> Self {
         self.experiment = name;
         self.budget_weight = budget_weight;
         self
     }
 
-    /// Sets the per-point retry count (attempts = retries + 1).
-    pub fn with_retries(mut self, retries: u32) -> Self {
-        self.retries = retries;
-        self
-    }
-
     /// Restricts the sweep to one point index of the experiment's first
     /// grid (`tmcc-bench run <exp> --point <idx>`): the point runs alone
-    /// through the normal retry ring, then the experiment stops with
+    /// through the journal and watchdog, then the experiment stops with
     /// [`PointReplayDone`] instead of emitting partial results. This is
     /// the standalone replay for a `FAILURES.json` entry.
     pub fn with_point(mut self, point: Option<usize>) -> Self {
@@ -295,9 +257,10 @@ impl SweepCtx {
         self.accesses.load(Ordering::Relaxed)
     }
 
-    /// Summed worker nanoseconds spent executing this context's points
-    /// (all attempts). Independent of how the shared pool interleaved
-    /// this experiment with others, unlike its start-to-finish span.
+    /// Summed worker nanoseconds spent executing this context's points,
+    /// failed ones included. Independent of how the shared pool
+    /// interleaved this experiment with others, unlike its
+    /// start-to-finish span.
     pub fn busy_ns(&self) -> u64 {
         self.busy_ns.load(Ordering::Relaxed)
     }
@@ -315,14 +278,12 @@ impl SweepCtx {
     /// Maps `f` over `items` on the worker pool; results come back in
     /// input order no matter how the workers are scheduled.
     ///
-    /// Each point runs inside the retry ring: a panic, simulator error,
-    /// or watchdog timeout is retried up to the configured `--retries`
-    /// with a deterministic re-seed, and a point that exhausts its
-    /// attempts is quarantined before the experiment aborts with
+    /// Each point runs once: a panic, simulator error or watchdog
+    /// timeout quarantines it, and the experiment aborts with
     /// [`PointAborted`].
     pub fn par_map<T, R, F>(&self, items: Vec<T>, f: F) -> Vec<R>
     where
-        T: Send + Clone,
+        T: Send,
         R: Send,
         F: Fn(T) -> R + Sync + Send,
     {
@@ -338,7 +299,7 @@ impl SweepCtx {
     /// points concurrently just thrashes the allocator.
     pub fn seq_map<T, R, F>(&self, items: Vec<T>, f: F) -> Vec<R>
     where
-        T: Send + Clone,
+        T: Send,
         R: Send,
         F: Fn(T) -> R + Sync + Send,
     {
@@ -347,7 +308,7 @@ impl SweepCtx {
 
     fn map_points<T, R, F>(&self, items: Vec<T>, f: F, sequential: bool) -> Vec<R>
     where
-        T: Send + Clone,
+        T: Send,
         R: Send,
         F: Fn(T) -> R + Sync + Send,
     {
@@ -373,64 +334,32 @@ impl SweepCtx {
         }
     }
 
-    /// One point through the retry ring.
+    /// One point, one attempt. A failure is recorded in the sink (its
+    /// cause printed on stderr) and aborts the experiment with
+    /// [`PointAborted`].
     fn run_point<T, R, F>(&self, index: usize, item: T, f: &F) -> R
     where
-        T: Clone,
         F: Fn(T) -> R,
     {
-        let attempts = self.retries + 1;
-        let mut timeouts = 0u32;
-        let mut last_cause = None;
-        for attempt in 0..attempts {
-            POINT_CTX.with(|c| c.set(PointState { attempt, timeouts }));
-            LAST_SIM_ERROR.with(|c| c.borrow_mut().take());
-            let injected =
-                FailPoint::from_env().is_some_and(|fp| fp.matches(self.experiment, index, attempt));
-            let start = Instant::now();
-            let result = catch_unwind(AssertUnwindSafe(|| {
-                if injected {
-                    panic!("injected failure ({})", crate::failures::FAIL_POINT_ENV);
-                }
-                f(item.clone())
-            }));
-            self.busy_ns.fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
-            POINT_CTX.with(|c| c.set(PointState::default()));
-            match result {
-                Ok(r) => {
-                    if attempt > 0 {
-                        eprintln!(
-                            "[{}] point {index} recovered on attempt {}",
-                            self.experiment,
-                            attempt + 1
-                        );
-                    }
-                    return r;
-                }
-                Err(payload) => {
-                    let cause = classify_failure(payload);
-                    if matches!(cause, FailureCause::Timeout { .. }) {
-                        timeouts += 1;
-                    }
-                    eprintln!(
-                        "[{}] point {index} attempt {}/{attempts} failed ({})",
-                        self.experiment,
-                        attempt + 1,
-                        cause.kind()
-                    );
-                    last_cause = Some(cause);
-                }
+        let injected = FailPoint::from_env().is_some_and(|fp| fp.matches(self.experiment, index));
+        let start = Instant::now();
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            if injected {
+                panic!("injected failure ({})", crate::failures::FAIL_POINT_ENV);
             }
-        }
-        let cause = last_cause.unwrap_or(FailureCause::Panic { message: "unknown".into() });
+            f(item)
+        }));
+        self.busy_ns.fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        let cause = match result {
+            Ok(r) => return r,
+            Err(payload) => classify_failure(payload),
+        };
+        eprintln!("[{}] point {index} failed ({cause})", self.experiment);
         self.failures.record(PointFailure {
             experiment: self.experiment,
             index,
             cause,
-            attempts,
-            seed: LAST_POINT_SEED.with(Cell::get),
             scale: self.scale.name(),
-            config_hash: crate::journal::scale_config_hash(self.scale),
         });
         std::panic::panic_any(PointAborted);
     }
@@ -449,12 +378,8 @@ impl SweepCtx {
         }
     }
 
-    /// Applies the scale's warmup/footprint overrides to a config, plus
-    /// the executing point's retry adjustments:
-    /// retry attempts get a deterministic seed perturbation (a flaky
-    /// point re-rolls its access stream instead of replaying the exact
-    /// crash), and `--quick` runs halve the footprint per prior timeout
-    /// so a wedged smoke point degrades instead of timing out forever.
+    /// Applies the scale's warmup, footprint and size-sample overrides to
+    /// a config.
     pub fn tune(&self, mut cfg: SystemConfig) -> SystemConfig {
         if let Some(w) = self.scale.warmup() {
             cfg.warmup_accesses = w;
@@ -463,35 +388,13 @@ impl SweepCtx {
             cfg.workload.sim_pages = cfg.workload.sim_pages.min(cap);
         }
         cfg.size_samples = self.scale.size_samples();
-        let point = POINT_CTX.with(Cell::get);
-        if point.attempt > 0 {
-            cfg.seed ^= RESEED_GOLDEN.wrapping_mul(point.attempt as u64);
-        }
-        if point.timeouts > 0 && self.scale == Scale::Quick {
-            let shift = point.timeouts.min(8);
-            cfg.workload.sim_pages = (cfg.workload.sim_pages >> shift).max(64);
-        }
-        LAST_POINT_SEED.with(|c| c.set(Some(cfg.seed)));
-        cfg
-    }
-
-    /// Multi-tenant counterpart of [`SweepCtx::tune`]. The scenario
-    /// builders in `experiments::mt` are already scale-aware (roster
-    /// footprints, warmups and quanta are sized per [`Scale`]), so only
-    /// the per-attempt retry re-seed applies here.
-    pub fn tune_mt(&self, mut cfg: MultiTenantConfig) -> MultiTenantConfig {
-        let point = POINT_CTX.with(Cell::get);
-        if point.attempt > 0 {
-            cfg.seed ^= RESEED_GOLDEN.wrapping_mul(point.attempt as u64);
-        }
-        LAST_POINT_SEED.with(|c| c.set(Some(cfg.seed)));
         cfg
     }
 
     /// Runs one tuned config for `accesses` measured accesses, panicking
-    /// on a simulator error so the point routes through the retry ring.
+    /// on a simulator error so the point is quarantined.
     pub fn run(&self, cfg: SystemConfig, accesses: u64) -> RunReport {
-        or_retry(self.try_run(cfg, accesses))
+        or_quarantine(self.try_run(cfg, accesses))
     }
 
     /// Fallible variant of [`SweepCtx::run`] (the robustness and
@@ -507,14 +410,15 @@ impl SweepCtx {
         })
     }
 
-    /// Runs one multi-tenant scenario, panicking on error so failures
-    /// route through the retry ring. The cancellation token is wired in
-    /// before construction, so admission warmups respect the deadline.
+    /// Runs one multi-tenant scenario, panicking on error so the point
+    /// is quarantined. The scenario builders in `experiments::mt` are
+    /// already scale-aware, so the config runs as given. The cancellation
+    /// token is wired in before construction, so admission warmups
+    /// respect the deadline.
     pub fn run_mt(&self, cfg: MultiTenantConfig, accesses: u64) -> MultiTenantReport {
-        let cfg = self.tune_mt(cfg);
         let initial_warmups =
             cfg.warmup_accesses * cfg.initial_tenants.min(cfg.roster.len()) as u64;
-        or_retry(self.journaled(
+        or_quarantine(self.journaled(
             format!("mt|{cfg:?}|{accesses}"),
             initial_warmups + accesses,
             |h| {
@@ -524,8 +428,8 @@ impl SweepCtx {
         ))
     }
 
-    /// Runs one capacity/footprint point, panicking on error so failures
-    /// route through the retry ring. Beside the report it returns the
+    /// Runs one capacity/footprint point, panicking on error so the
+    /// point is quarantined. Beside the report it returns the
     /// [`CapacityProbe`] — host-side metadata/store measurements a plain
     /// [`RunReport`] cannot express, journaled with it — and the
     /// *nondeterministic* [`HostCost`], which is `None` for replayed
@@ -567,20 +471,22 @@ impl SweepCtx {
             });
             Ok(CapacityRecord { report, probe })
         });
-        let CapacityRecord { report, probe } = or_retry(record);
+        let CapacityRecord { report, probe } = or_quarantine(record);
         (report, probe, host)
     }
 
-    /// The one journaled run path. A journal hit for `key_material`
-    /// (scoped to this experiment) decodes the stored record — bit-exact,
-    /// so downstream JSON stays byte-identical — instead of simulating;
-    /// otherwise `run` builds and simulates under a watchdog deadline on
-    /// its [`RunHandle`], and a completed record is appended before
-    /// returning. Replays and live attempts, failed ones included, are
-    /// all charged `counted` accesses, so a resumed sweep reports the
-    /// same simulated work as an uninterrupted one. Watchdog cancellation
-    /// becomes a [`PointTimeout`] panic, so timeouts reach the retry ring
-    /// even from callers that handle the `Err` branch.
+    /// The one journaled run path. `key_material` (the tuned config's
+    /// `Debug` text plus the access count) is the run's only identity: a
+    /// journal hit for it, whichever experiment wrote it, decodes the
+    /// stored record — bit-exact, so downstream JSON stays
+    /// byte-identical — instead of simulating; otherwise `run` builds and
+    /// simulates under a watchdog deadline on its [`RunHandle`], and a
+    /// completed record is appended before returning. Replays and live
+    /// runs, failed ones included, are all charged `counted` accesses, so
+    /// a resumed sweep reports the same simulated work as an
+    /// uninterrupted one. Watchdog cancellation panics with
+    /// [`FailureCause::Timeout`], so a timeout quarantines the point even
+    /// from callers that handle the `Err` branch.
     fn journaled<R: Serialize + Deserialize>(
         &self,
         key_material: String,
@@ -588,7 +494,7 @@ impl SweepCtx {
         run: impl FnOnce(&RunHandle) -> Result<R, TmccError>,
     ) -> Result<R, TmccError> {
         let key = fingerprint(&key_material);
-        if let Some(json) = self.journal.lookup(self.experiment, key) {
+        if let Some(json) = self.journal.lookup(key) {
             let decoded = serde_json::from_str(json)
                 .map_err(|e| e.to_string())
                 .and_then(|v| R::from_value(&v));
@@ -610,11 +516,11 @@ impl SweepCtx {
         self.accesses.fetch_add(counted, Ordering::Relaxed);
         if result.as_ref().is_err_and(TmccError::is_cancelled) {
             let budget_ms = self.point_budget().as_millis() as u64;
-            std::panic::panic_any(PointTimeout { budget_ms });
+            std::panic::panic_any(FailureCause::Timeout { budget_ms });
         }
         if let Ok(record) = &result {
             match serde_json::to_string(record) {
-                Ok(json) => self.journal.append(self.experiment, key, &json),
+                Ok(json) => self.journal.append(key, &json),
                 Err(e) => eprintln!("warning: could not journal a run: {e}"),
             }
         }
@@ -722,39 +628,27 @@ fn two_level_cfg(workload: &WorkloadProfile, toggles: TmccToggles, budget: u64) 
     SystemConfig::new(workload.clone(), kind).with_budget(budget).with_toggles(toggles)
 }
 
-/// Unwraps a run result, panicking on a simulator error so it routes
-/// through the retry ring. The typed error is left for the ring's
-/// classifier; the panic itself is what routes control there.
-fn or_retry<R>(result: Result<R, TmccError>) -> R {
-    result.unwrap_or_else(|e| {
-        LAST_SIM_ERROR.with(|c| *c.borrow_mut() = Some(e.to_string()));
-        panic!("{e}")
-    })
+/// Unwraps a run result, panicking on a simulator error with its typed
+/// [`FailureCause`] so the point is quarantined as a `sim-error`.
+fn or_quarantine<R>(result: Result<R, TmccError>) -> R {
+    result.unwrap_or_else(|e| std::panic::panic_any(FailureCause::Sim { error: e.to_string() }))
 }
 
-/// Seed-perturbation constant for retry attempts (the golden-ratio
-/// multiplier also used by the workspace hasher). `seed ^ GOLDEN*attempt`
-/// is deterministic — re-running a resumed sweep retries with the same
-/// perturbed seeds — yet decorrelates the access stream from the attempt
-/// that failed.
-const RESEED_GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
-
-/// Classifies a caught point panic into a typed cause, consuming the
-/// thread-local simulator-error note when one was left.
-fn classify_failure(payload: Box<dyn std::any::Any + Send>) -> FailureCause {
-    let payload = match payload.downcast::<PointTimeout>() {
-        Ok(t) => return FailureCause::Timeout { budget_ms: t.budget_ms },
-        Err(p) => p,
-    };
-    if let Some(error) = LAST_SIM_ERROR.with(|c| c.borrow_mut().take()) {
-        return FailureCause::Sim { error };
+/// The typed cause of a caught panic: a [`FailureCause`] payload (a
+/// simulator error or a watchdog timeout) as thrown, any other payload a
+/// [`FailureCause::Panic`] with its message.
+pub fn classify_failure(payload: Box<dyn std::any::Any + Send>) -> FailureCause {
+    match payload.downcast::<FailureCause>() {
+        Ok(cause) => *cause,
+        Err(payload) => {
+            let message = payload
+                .downcast_ref::<&str>()
+                .map(|s| (*s).to_string())
+                .or_else(|| payload.downcast_ref::<String>().cloned())
+                .unwrap_or_else(|| "non-string panic payload".into());
+            FailureCause::Panic { message }
+        }
     }
-    let message = payload
-        .downcast_ref::<&str>()
-        .map(|s| (*s).to_string())
-        .or_else(|| payload.downcast_ref::<String>().cloned())
-        .unwrap_or_else(|| "non-string panic payload".into());
-    FailureCause::Panic { message }
 }
 
 /// Deterministic host-side measurements of one capacity point: the

@@ -10,9 +10,7 @@
 //! and unwinds with [`tmcc::TmccError::Cancelled`] — cooperative
 //! cancellation, no thread killing, so worker state is never corrupted.
 //!
-//! Timed-out points re-enter the retry path like any other failure;
-//! `--quick` runs additionally halve the point's footprint per prior
-//! timeout (`SweepCtx::tune`) so a smoke sweep degrades instead of dying.
+//! A timed-out point is quarantined like any other failed point.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Condvar, Mutex};

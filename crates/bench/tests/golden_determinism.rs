@@ -120,57 +120,39 @@ fn field_values(text: &str, field: &str) -> Vec<String> {
 }
 
 /// Runs a single named experiment and returns the exit code.
-fn run_one(
-    bin: &Path,
-    name: &str,
-    jobs: u32,
-    out: &Path,
-    extra: &[&str],
-    envs: &[(&str, &str)],
-) -> i32 {
-    let mut cmd = Command::new(bin);
-    cmd.args(["run", name, "--test", "--jobs", &jobs.to_string(), "--out"])
+fn run_one(bin: &Path, name: &str, jobs: u32, out: &Path) -> i32 {
+    Command::new(bin)
+        .args(["run", name, "--test", "--jobs", &jobs.to_string(), "--out"])
         .arg(out)
-        .args(extra)
-        // An outer environment must not flip the scheduling mode under
-        // the test: the parallel-quanta path is the subject here.
-        .env_remove("TMCC_MT_SERIAL_QUANTA")
-        .stdout(std::process::Stdio::null());
-    for (k, v) in envs {
-        cmd.env(k, v);
-    }
-    cmd.status().expect("spawn tmcc-bench").code().expect("exit code")
+        .stdout(std::process::Stdio::null())
+        .status()
+        .expect("spawn tmcc-bench")
+        .code()
+        .expect("exit code")
 }
 
 /// The fleet experiment is the one place intra-point parallelism runs
 /// over a four-digit roster: per-tenant reports (histograms, percentile
 /// merges, frontier rows) must be byte-identical whether tenant quanta
-/// execute on the pool (`--jobs 8`), on one thread (`--jobs 1`), or
-/// under the forced serial-quantum baseline — and `--resume` must replay
-/// the journaled fleet records instead of re-simulating them.
+/// execute on the pool (`--jobs 8`) or inline on one thread (`--jobs 1`,
+/// the serial baseline: no pool is installed) — and `--resume` must
+/// replay the journaled fleet records instead of re-simulating them.
 #[test]
 fn mt_fleet_is_byte_identical_across_jobs_and_resume() {
     let bin = release_binary();
     let tmp = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("mt_fleet_jobs");
-    let (d1, d8, ds) = (tmp.join("jobs1"), tmp.join("jobs8"), tmp.join("serialq"));
-    for d in [&d1, &d8, &ds] {
+    let (d1, d8) = (tmp.join("jobs1"), tmp.join("jobs8"));
+    for d in [&d1, &d8] {
         let _ = std::fs::remove_dir_all(d);
         std::fs::create_dir_all(d).expect("create out dir");
     }
-    assert_eq!(run_one(&bin, "mt_fleet", 1, &d1, &[], &[]), 0, "jobs=1 run failed");
-    assert_eq!(run_one(&bin, "mt_fleet", 8, &d8, &[], &[]), 0, "jobs=8 run failed");
-    assert_eq!(
-        run_one(&bin, "mt_fleet", 8, &ds, &[], &[("TMCC_MT_SERIAL_QUANTA", "1")]),
-        0,
-        "serial-quantum baseline run failed"
-    );
+    assert_eq!(run_one(&bin, "mt_fleet", 1, &d1), 0, "jobs=1 run failed");
+    assert_eq!(run_one(&bin, "mt_fleet", 8, &d8), 0, "jobs=8 run failed");
 
     let j1 = std::fs::read(d1.join("mt_fleet.json")).expect("jobs=1 mt_fleet.json");
     let j8 = std::fs::read(d8.join("mt_fleet.json")).expect("jobs=8 mt_fleet.json");
-    let js = std::fs::read(ds.join("mt_fleet.json")).expect("serial-quantum mt_fleet.json");
     assert!(!j1.is_empty(), "mt_fleet.json is empty");
     assert_eq!(j1, j8, "mt_fleet.json differs between --jobs 1 and --jobs 8");
-    assert_eq!(j8, js, "parallel quanta diverge from the serial-quantum baseline");
 
     // Resume replays the journaled fleet records byte-identically. The
     // single-experiment `run` path prints its summary instead of writing
@@ -178,7 +160,6 @@ fn mt_fleet_is_byte_identical_across_jobs_and_resume() {
     let output = Command::new(&bin)
         .args(["run", "mt_fleet", "--test", "--jobs", "8", "--resume", "--out"])
         .arg(&d8)
-        .env_remove("TMCC_MT_SERIAL_QUANTA")
         .output()
         .expect("spawn tmcc-bench resume");
     assert!(output.status.success(), "resume run failed");

@@ -6,12 +6,9 @@
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
 use tmcc_bench::journal::{JournalError, JournalMeta, ResumeState, SweepJournal};
-use tmcc_bench::sweep::Scale;
-
-const EXPERIMENTS: [&str; 3] = ["fig01", "fig17_perf", "robustness_sweep"];
 
 fn meta() -> JournalMeta {
-    JournalMeta { build: "prop-build".into(), scale: Scale::Test, config_hash: 0x1234_5678 }
+    JournalMeta { build: "prop-build".into() }
 }
 
 fn fresh_dir(tag: &str, case: u64) -> PathBuf {
@@ -22,32 +19,27 @@ fn fresh_dir(tag: &str, case: u64) -> PathBuf {
     dir
 }
 
-/// (experiment, key, payload) triples with distinct (experiment, key)
-/// pairs. Payloads mimic compact JSON: printable, no raw newlines (the
-/// emitter escapes control characters, so journaled payloads never
-/// contain them).
-fn arb_records() -> impl Strategy<Value = Vec<(String, u64, String)>> {
+/// (key, payload) pairs with distinct keys. Payloads mimic compact JSON:
+/// printable, no raw newlines (the emitter escapes control characters,
+/// so journaled payloads never contain them).
+fn arb_records() -> impl Strategy<Value = Vec<(u64, String)>> {
     let payload = prop::collection::vec(0u32..36, 1..12).prop_map(|digits| {
         let s: String =
             digits.iter().map(|&d| char::from_digit(d, 36).expect("base-36 digit")).collect();
         format!("{{\"v\":\"{s}\"}}")
     });
-    prop::collection::vec((0usize..EXPERIMENTS.len(), any::<u64>(), payload), 0..12).prop_map(
-        |raw| {
-            let mut v: Vec<(String, u64, String)> =
-                raw.into_iter().map(|(e, k, p)| (EXPERIMENTS[e].to_string(), k, p)).collect();
-            v.sort();
-            v.dedup_by_key(|(e, k, _)| (e.clone(), *k));
-            v
-        },
-    )
+    prop::collection::vec((any::<u64>(), payload), 0..12).prop_map(|mut v| {
+        v.sort();
+        v.dedup_by_key(|(k, _)| *k);
+        v
+    })
 }
 
 /// Writes `records` into a fresh journal and returns its on-disk path.
-fn write_journal(dir: &Path, records: &[(String, u64, String)]) -> PathBuf {
+fn write_journal(dir: &Path, records: &[(u64, String)]) -> PathBuf {
     let j = SweepJournal::open_fresh(dir, &meta()).expect("fresh");
-    for (experiment, key, payload) in records {
-        j.append(experiment, *key, payload);
+    for (key, payload) in records {
+        j.append(*key, payload);
     }
     j.path().to_path_buf()
 }
@@ -65,10 +57,11 @@ proptest! {
             state,
             ResumeState::Resumed { records: records.len(), dropped_tail: false }
         );
-        for (experiment, key, payload) in &records {
-            prop_assert_eq!(j.lookup(experiment, *key), Some(payload.as_str()));
+        for (key, payload) in &records {
+            prop_assert_eq!(j.lookup(*key), Some(payload.as_str()));
         }
-        prop_assert_eq!(j.lookup("never-ran", 0), None);
+        let never_ran = (0u64..).find(|k| records.iter().all(|(key, _)| key != k));
+        prop_assert_eq!(j.lookup(never_ran.expect("a key no record uses")), None);
         drop(j);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -149,8 +142,8 @@ proptest! {
             ResumeState::Resumed { records: complete, dropped_tail: expect_tail }
         );
         let mut found = 0;
-        for (experiment, key, payload) in &records {
-            if let Some(stored) = j.lookup(experiment, *key) {
+        for (key, payload) in &records {
+            if let Some(stored) = j.lookup(*key) {
                 prop_assert_eq!(stored, payload.as_str());
                 found += 1;
             }

@@ -1,8 +1,9 @@
 //! Crash-safety integration tests for the sweep harness: a run killed
 //! mid-sweep and resumed with `--resume` must emit byte-identical results,
-//! a persistently failing point must be retried, quarantined into
-//! `FAILURES.json`, and must not poison the rest of the fleet, and
-//! `--point` must replay one grid point on its own.
+//! one experiment's journal must serve another that asks for the same
+//! runs, a failing or timed-out point must be quarantined into
+//! `FAILURES.json` after its one attempt without poisoning the rest of
+//! the fleet, and `--point` must replay one grid point on its own.
 //!
 //! Like `golden_determinism`, these drive the *release* binary — the
 //! suite is simulation-heavy and tier 1 has already paid for the build.
@@ -12,6 +13,7 @@ use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
 use tmcc_bench::failures::{FAILURES_FILE, FAIL_POINT_ENV};
 use tmcc_bench::journal::{EXIT_AFTER_POINTS_CODE, EXIT_AFTER_POINTS_ENV};
+use tmcc_bench::watchdog::POINT_BUDGET_ENV;
 
 fn workspace_root() -> PathBuf {
     // crates/bench -> crates -> workspace
@@ -36,21 +38,29 @@ fn release_binary() -> PathBuf {
 }
 
 /// Runs `tmcc-bench <args> --test --jobs 2 --out <out>` with the
-/// crash/failure hooks in `envs`, returning the exit code. The hook
-/// variables are cleared first so an outer CI environment can't leak into
-/// the baseline runs.
+/// crash/failure/budget hooks in `envs`, returning the exit code. The
+/// hook variables are cleared first so an outer CI environment can't
+/// leak into the baseline runs.
 fn bench(bin: &Path, args: &[&str], out: &Path, envs: &[(&str, &str)]) -> i32 {
+    bench_output(bin, args, out, envs).0
+}
+
+/// [`bench`], also returning the run's stdout.
+fn bench_output(bin: &Path, args: &[&str], out: &Path, envs: &[(&str, &str)]) -> (i32, String) {
     let mut cmd = Command::new(bin);
     cmd.args(args)
         .args(["--test", "--jobs", "2", "--out"])
         .arg(out)
         .env_remove(EXIT_AFTER_POINTS_ENV)
         .env_remove(FAIL_POINT_ENV)
-        .stdout(Stdio::null());
+        .env_remove(POINT_BUDGET_ENV)
+        .stderr(Stdio::inherit());
     for (k, v) in envs {
         cmd.env(k, v);
     }
-    cmd.status().expect("spawn tmcc-bench").code().expect("exit code")
+    let output = cmd.output().expect("spawn tmcc-bench");
+    let code = output.status.code().expect("exit code");
+    (code, String::from_utf8_lossy(&output.stdout).into_owned())
 }
 
 fn fresh_dir(tmp: &Path, name: &str) -> PathBuf {
@@ -64,19 +74,11 @@ fn read_result(dir: &Path, file: &str) -> Vec<u8> {
     std::fs::read(dir.join(file)).unwrap_or_else(|_| panic!("{file} missing in {dir:?}"))
 }
 
-/// Every raw value of `field` in pretty-printed JSON `text` (see
-/// `golden_determinism` for the format contract).
-fn field_values(text: &str, field: &str) -> Vec<String> {
-    let needle = format!("\"{field}\":");
-    let mut out = Vec::new();
-    let mut rest = text;
-    while let Some(pos) = rest.find(&needle) {
-        let after = &rest[pos + needle.len()..];
-        let end = after.find('\n').unwrap_or(after.len());
-        out.push(after[..end].trim().trim_end_matches(',').to_string());
-        rest = &after[end..];
-    }
-    out
+/// The records of `FAILURES.json` in `dir`.
+fn failure_records(dir: &Path) -> Vec<Value> {
+    let text = std::fs::read_to_string(dir.join(FAILURES_FILE)).expect("FAILURES.json written");
+    let failures = serde_json::from_str(&text).expect("FAILURES.json parses");
+    failures.as_seq().expect("a list of quarantined points").to_vec()
 }
 
 /// `(name, accesses_simulated, points_replayed)` per experiment of the
@@ -168,20 +170,26 @@ fn failing_point_is_quarantined_without_poisoning_the_fleet() {
 
     assert_eq!(bench(&bin, &["run-all"], &baseline, &[]), 0, "baseline run failed");
 
-    // One point of one experiment fails on every attempt: the experiment
-    // must be quarantined and the exit code must flag it.
+    // One point of one experiment fails: the experiment must be
+    // quarantined and the exit code must flag it.
     let victim = "fig16_mem_characterization";
     let fail_point = format!("{victim}:1");
     let code = bench(&bin, &["run-all"], &poisoned, &[(FAIL_POINT_ENV, &fail_point)]);
     assert_eq!(code, 1, "quarantined points must surface as a non-zero exit");
 
-    // The quarantine record names the point and counts 1 + 2 retries.
-    let failures =
-        std::fs::read_to_string(poisoned.join(FAILURES_FILE)).expect("FAILURES.json written");
-    assert!(failures.contains(&format!("\"{victim}\"")), "failure names the experiment");
-    assert_eq!(field_values(&failures, "index"), vec!["1"], "failure names the point index");
-    assert_eq!(field_values(&failures, "attempts"), vec!["3"], "1 initial + 2 default retries");
-    assert_eq!(field_values(&failures, "kind"), vec!["\"panic\""], "injected failure is a panic");
+    // The point ran once: its record is `{experiment, index, cause,
+    // scale}`, and the cause is the injected panic.
+    let records = failure_records(&poisoned);
+    assert_eq!(records.len(), 1, "exactly one quarantined point");
+    let record = &records[0];
+    let fields: Vec<&str> =
+        record.as_map().expect("a failure record").iter().map(|(k, _)| k.as_str()).collect();
+    assert_eq!(fields, ["experiment", "index", "cause", "scale"]);
+    assert_eq!(record.get("experiment").and_then(Value::as_str), Some(victim));
+    assert_eq!(record.get("index").and_then(Value::as_u64), Some(1));
+    let kind = record.get("cause").and_then(|c| c.get("kind")).and_then(Value::as_str);
+    assert_eq!(kind, Some("panic"), "injected failure is a panic");
+    assert_eq!(record.get("scale").and_then(Value::as_str), Some("test"));
 
     // The victim publishes no result; every other experiment is
     // byte-identical to the clean baseline.
@@ -206,8 +214,8 @@ fn failing_point_is_quarantined_without_poisoning_the_fleet() {
 }
 
 /// `run <exp> --point N` is how a `FAILURES.json` entry is reproduced: the
-/// point runs alone through the journal, watchdog and retry ring, and the
-/// exit code says whether it passed.
+/// point runs alone through the journal and watchdog, and the exit code
+/// says whether it passed.
 #[test]
 fn point_replay_succeeds_rejects_out_of_range_and_quarantines_failures() {
     let bin = release_binary();
@@ -230,8 +238,62 @@ fn point_replay_succeeds_rejects_out_of_range_and_quarantines_failures() {
         1,
         "failing point must fail"
     );
-    let failures =
-        std::fs::read_to_string(failed.join(FAILURES_FILE)).expect("FAILURES.json written");
-    assert!(failures.contains(&format!("\"{victim}\"")), "failure names the experiment");
-    assert_eq!(field_values(&failures, "index"), vec!["1"], "failure names the point index");
+    let records = failure_records(&failed);
+    assert_eq!(records.len(), 1, "exactly one quarantined point");
+    let experiment = records[0].get("experiment").and_then(Value::as_str);
+    assert_eq!(experiment, Some(victim), "failure names the experiment");
+    let index = records[0].get("index").and_then(Value::as_u64);
+    assert_eq!(index, Some(1), "failure names the point index");
+}
+
+/// The watchdog path through the binary: a fleet point runs for hundreds
+/// of milliseconds, so a 1 ms budget always expires, and the point is
+/// quarantined as a timeout without publishing a result.
+#[test]
+fn timed_out_point_is_quarantined_as_a_timeout() {
+    let bin = release_binary();
+    let out = fresh_dir(&PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("timeout"), "fleet");
+    let code = bench(&bin, &["run", "mt_fleet"], &out, &[(POINT_BUDGET_ENV, "1")]);
+    assert_eq!(code, 1, "a timed-out point must surface as a non-zero exit");
+
+    let records = failure_records(&out);
+    assert_eq!(records.len(), 1, "exactly one quarantined point");
+    let cause = records[0].get("cause").expect("a failure cause");
+    assert_eq!(cause.get("kind").and_then(Value::as_str), Some("timeout"));
+    assert_eq!(cause.get("budget_ms").and_then(Value::as_u64), Some(1));
+    assert!(!out.join("mt_fleet.json").exists(), "a timed-out experiment publishes nothing");
+}
+
+/// A journal record is keyed by its run alone, so one experiment's
+/// journal serves another that asks for the same runs: fig18 repeats
+/// fig17's Compresso anchors and iso-savings TMCC runs, 24 of its 36.
+#[test]
+fn one_journal_serves_every_experiment_that_asks_for_its_runs() {
+    let bin = release_binary();
+    let tmp = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("shared_journal");
+    let cold = fresh_dir(&tmp, "cold");
+    let shared = fresh_dir(&tmp, "shared");
+    let fig18 = "fig18_l3_miss_latency";
+    let file = format!("{fig18}.json");
+    assert_eq!(bench(&bin, &["run", fig18], &cold, &[]), 0, "cold fig18 run failed");
+    assert_eq!(bench(&bin, &["run", "fig17_perf_vs_compresso"], &shared, &[]), 0, "fig17 failed");
+
+    // The `run` path prints each experiment's replay count on its
+    // summary line, `(N replayed)`, and omits it when nothing replayed.
+    let resume_fig18 = || {
+        let (code, stdout) = bench_output(&bin, &["run", fig18, "--resume"], &shared, &[]);
+        assert_eq!(code, 0, "fig18 resume failed");
+        let line = stdout
+            .lines()
+            .find(|l| l.trim_start().starts_with(fig18))
+            .unwrap_or_else(|| panic!("no summary line for {fig18}:\n{stdout}"));
+        line.rsplit_once('(')
+            .and_then(|(_, tail)| tail.strip_suffix(" replayed)"))
+            .map_or(0, |n| n.parse::<u64>().expect("a replay count"))
+    };
+    assert_eq!(resume_fig18(), 24, "fig18 must replay the 24 runs fig17 journaled");
+    assert_eq!(read_result(&cold, &file), read_result(&shared, &file), "replay changed fig18");
+    // That resume journaled fig18's other 12 runs: now all 36 replay.
+    assert_eq!(resume_fig18(), 36, "a complete journal replays every fig18 run");
+    assert_eq!(read_result(&cold, &file), read_result(&shared, &file), "replay changed fig18");
 }

@@ -58,7 +58,7 @@ pub use page_meta::{PageId, PageInfo, PageMetaStore, Placement};
 pub use recency::RecencyList;
 pub use schedule::{Schedule, Scheduled};
 pub use size_model::{PageSizes, SizeModel};
-pub use stats::{Ml1ReadOutcome, RunReport, SimStats};
+pub use stats::{RunReport, SimStats};
 pub use system::System;
 pub use tenancy::{
     ChurnKind, ChurnPlan, MultiTenantConfig, MultiTenantReport, MultiTenantSystem, QosPolicyKind,

@@ -39,7 +39,6 @@ pub struct CompressoScheme {
     free: CompressoFreeList,
     size_model: SizeModel,
     rng: SmallRng,
-    footprint_bytes: u64,
 }
 
 impl CompressoScheme {
@@ -57,7 +56,6 @@ impl CompressoScheme {
             free: CompressoFreeList::new(),
             size_model,
             rng: SmallRng::seed_from_u64(seed ^ 0xC0117),
-            footprint_bytes: 0,
         };
         let mut next_chunk = 0u32;
         for ppn in pages {
@@ -66,7 +64,6 @@ impl CompressoScheme {
             let chunks: Vec<u32> = (next_chunk..next_chunk + n as u32).collect();
             next_chunk += n as u32;
             s.pages.insert(ppn.raw(), PageState { chunks, dirty_epoch: 0 });
-            s.footprint_bytes += 4096;
         }
         // Give the free list headroom for overflow churn.
         for c in next_chunk..next_chunk + 4096 {

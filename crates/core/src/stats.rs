@@ -15,20 +15,6 @@ use crate::config::SchemeKind;
 use serde::{Deserialize, Serialize, Value};
 use tmcc_sim_dram::DramStats;
 
-/// How an LLC-miss read to an ML1 page was served under TMCC (Fig. 19).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Ml1ReadOutcome {
-    /// The CTE was in the CTE cache.
-    CteCacheHit,
-    /// Speculative parallel access with a correct embedded CTE.
-    ParallelCorrect,
-    /// Speculative parallel access whose embedded CTE was stale
-    /// (re-accessed serially, Fig. 8c).
-    ParallelMismatch,
-    /// No embedded CTE available: serial CTE fetch then data fetch.
-    SerialNoCte,
-}
-
 /// Raw counters accumulated during a run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct SimStats {

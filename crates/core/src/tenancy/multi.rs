@@ -42,10 +42,10 @@
 //!    are byte-identical at any `--jobs` count — the same discipline the
 //!    sweep harness uses across points, applied within one point.
 //!
-//! `TMCC_MT_SERIAL_QUANTA=1` forces phase 2 onto the calling thread
-//! (identical results, used to measure the parallel speedup). Arbiter
-//! work follows the incremental-ledger design described in
-//! [`CapacityArbiter`]: events push O(1) demand deltas, and one batched
+//! With no ambient pool installed (the sweep's `--jobs 1`), phase 2 runs
+//! inline on the calling thread — the serial baseline, with identical
+//! results. Arbiter work follows the incremental-ledger design described
+//! in [`CapacityArbiter`]: events push O(1) demand deltas, and one batched
 //! rebalance per barrier materializes allocations.
 
 use crate::config::{FaultKind, SchemeKind, SystemConfig};
@@ -62,14 +62,6 @@ use super::arbiter::CapacityArbiter;
 use super::churn::{ChurnKind, ChurnPlan};
 use super::qos::{QosPolicyKind, TenantDemand};
 use super::report::{MultiTenantReport, TenantReport};
-
-/// `TMCC_MT_SERIAL_QUANTA=1` forces every batch of tenant quanta (and
-/// the initial-roster warmups) onto the calling thread — the measured
-/// serial baseline for the scale-out speedup, byte-identical to the
-/// parallel path by construction.
-fn serial_quanta_override() -> bool {
-    std::env::var_os("TMCC_MT_SERIAL_QUANTA").is_some_and(|v| v == "1")
-}
 
 /// Builds a tenant's system and runs its warmup, polling `cancel` from
 /// the first access on.
@@ -429,17 +421,6 @@ impl MultiTenantSystem {
         self.global_accesses
     }
 
-    /// Attaches a cancellation token: every current and future tenant
-    /// system polls it, and the round loop checks it between rounds.
-    pub fn attach_handle(&mut self, handle: &RunHandle) {
-        self.cancel = Some(handle.clone());
-        for slot in &mut self.slots {
-            if let Some(t) = slot.active.as_mut() {
-                t.sys.attach_handle(handle);
-            }
-        }
-    }
-
     /// The feasibility minimum for a slot, cached after first
     /// computation (it samples the tenant's size model).
     fn min_frames(&mut self, slot: usize) -> u32 {
@@ -512,11 +493,8 @@ impl MultiTenantSystem {
             .collect();
         let cancel = self.cancel.as_ref();
         let build = |(slot, grant, cfg)| (slot, grant, build_tenant(cfg, cancel));
-        let built: Vec<(usize, u32, Result<System, TmccError>)> = if serial_quanta_override() {
-            work.into_iter().map(build).collect()
-        } else {
-            work.into_par_iter().map(build).collect()
-        };
+        let built: Vec<(usize, u32, Result<System, TmccError>)> =
+            work.into_par_iter().map(build).collect();
         for (slot, grant, result) in built {
             self.install(slot, grant, result)?;
         }
@@ -849,7 +827,6 @@ impl MultiTenantSystem {
     /// failures evict the offender and keep the scenario alive; only
     /// cancellation and (under `audit`) invariant violations abort.
     pub fn try_run(&mut self, total_accesses: u64) -> Result<MultiTenantReport, TmccError> {
-        let force_serial = serial_quanta_override();
         // Reused per-round scratch: the quantum plan and its outcomes.
         let mut plan: Vec<(usize, u64, bool)> = Vec::new();
         while self.global_accesses < total_accesses {
@@ -881,9 +858,8 @@ impl MultiTenantSystem {
             // Execute (parallel): tenant systems are independent between
             // round barriers, so the planned slices fan out onto the
             // ambient work-stealing pool; outcomes come back in plan
-            // order. With no ambient pool (or `--jobs 1`, or the serial
-            // override) this degenerates to the same loop run inline —
-            // byte-identical either way.
+            // order. With no ambient pool (or `--jobs 1`) this degenerates
+            // to the same loop run inline — byte-identical either way.
             let outcomes: Vec<Result<(), TmccError>> = {
                 let mut work: Vec<(&mut System, u64)> = Vec::with_capacity(plan.len());
                 let mut planned = plan.iter();
@@ -896,11 +872,7 @@ impl MultiTenantSystem {
                         next = planned.next();
                     }
                 }
-                if force_serial {
-                    work.into_iter().map(|(sys, n)| sys.try_run_slice(n)).collect()
-                } else {
-                    work.into_par_iter().map(|(sys, n)| sys.try_run_slice(n)).collect()
-                }
+                work.into_par_iter().map(|(sys, n)| sys.try_run_slice(n)).collect()
             };
 
             // Commit (serial, slot order): counters, the global clock and

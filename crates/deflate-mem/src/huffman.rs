@@ -173,23 +173,10 @@ impl DecodeTable {
         Self { root_bits, max_len, table, long }
     }
 
-    /// Decodes one symbol, consuming exactly its code's bits.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the next bits match no code in the tree.
-    #[inline]
-    fn decode_sym(&self, r: &mut BitReader<'_>) -> u16 {
-        match self.try_decode_sym(r) {
-            Ok(sym) => sym,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible symbol decode: the next bits matching no code, or the
-    /// stream ending inside a code, is an error value instead of a panic.
-    /// `peek` zero-pads past the end, so exhaustion is caught by the
-    /// consume step after the (padded) prefix resolves.
+    /// Decodes one symbol, consuming exactly its code's bits. The next
+    /// bits matching no code, or the stream ending inside a code, is an
+    /// error value. `peek` zero-pads past the end, so exhaustion is caught
+    /// by the consume step after the (padded) prefix resolves.
     #[inline]
     fn try_decode_sym(&self, r: &mut BitReader<'_>) -> Result<u16, CodecError> {
         let key = r.peek(self.root_bits);
@@ -430,22 +417,16 @@ impl ReducedHuffman {
         out
     }
 
-    /// Decodes `n` bytes from an open bit stream, appending to `out` —
-    /// the allocation-free variant the pipeline scratch uses.
+    /// Decodes `n` bytes from an open bit stream, appending to `out`.
     ///
     /// # Panics
     ///
-    /// Panics if the stream is malformed.
+    /// Panics if the stream is malformed (the
+    /// [`try_decode_from_into`](Self::try_decode_from_into) error,
+    /// formatted).
     pub fn decode_from_into(&self, r: &mut BitReader<'_>, n: usize, out: &mut Vec<u8>) {
-        let escape = self.escape_idx() as u16;
-        out.reserve(n);
-        for _ in 0..n {
-            let s = self.decode_table.decode_sym(r);
-            if s == escape {
-                out.push(r.get(8) as u8);
-            } else {
-                out.push(self.hot[s as usize]);
-            }
+        if let Err(e) = self.try_decode_from_into(r, n, out) {
+            panic!("{e}");
         }
     }
 

@@ -324,6 +324,26 @@ mod tests {
         );
     }
 
+    /// graphColoring, connComp and bfs are one configuration under three
+    /// names (bfs's `p_hot: 0.3` is the irregular base value), so every
+    /// 12-workload average counts that stream three times (EXPERIMENTS.md
+    /// note 8). The list may only shrink, and should shrink to empty.
+    #[test]
+    fn only_the_known_large_suite_profiles_are_equal_but_for_name() {
+        let suite = WorkloadProfile::large_suite();
+        let same = |a: &WorkloadProfile, b: &WorkloadProfile| {
+            WorkloadProfile { name: b.name, ..a.clone() } == *b
+        };
+        let duplicates: Vec<&WorkloadProfile> =
+            suite.iter().filter(|a| suite.iter().any(|b| a.name != b.name && same(a, b))).collect();
+        let names: Vec<&str> = duplicates.iter().map(|w| w.name).collect();
+        assert_eq!(names, ["graphColoring", "connComp", "bfs"]);
+        for w in &duplicates {
+            assert!(same(duplicates[0], w), "{} is not {}'s twin", w.name, duplicates[0].name);
+            assert_eq!(w.pattern, AccessPattern::irregular(), "{}", w.name);
+        }
+    }
+
     #[test]
     fn footprints_exceed_tlb_and_cte_reach() {
         // TLB: 2048 pages. TMCC CTE$: 8192 pages. Compresso CTE$: 2048.
