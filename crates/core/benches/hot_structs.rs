@@ -3,12 +3,16 @@
 //! [`RecencyList`], the FxHash maps versus `std`'s SipHash default, and
 //! the page walk through a computed identity table. Every simulated
 //! access crosses these structures at least once, so their per-op cost
-//! is the floor of the whole simulator's throughput.
+//! is the floor of the whole simulator's throughput. The `construction`
+//! group times the two-level scheme's initial placement, which builds
+//! them all.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use std::collections::HashMap;
-use tmcc::{PageInfo, PageMetaStore, Placement, RecencyList};
-use tmcc_sim_mem::{PageTable, PageTableConfig, PageWalker};
+use tmcc::config::TmccToggles;
+use tmcc::schemes::TwoLevelScheme;
+use tmcc::{PageInfo, PageMetaStore, PageSizes, Placement, RecencyList, SizeModel};
+use tmcc_sim_mem::{CteCacheConfig, PageTable, PageTableConfig, PageWalker};
 use tmcc_types::addr::{Ppn, Vpn};
 use tmcc_types::FxHashMap;
 
@@ -175,5 +179,40 @@ fn bench_page_walk(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_page_meta, bench_recency_list, bench_hash_maps, bench_page_walk);
+fn bench_construction(c: &mut Criterion) {
+    // `capacity_cliff`'s budget rule over a 1 Mi-page identity table: 9/16
+    // of the footprint plus the translation-metadata allowance, less the
+    // 24 B per page the two-level schemes keep in DRAM (as
+    // `System::try_new` derives the frames). The size model is sixteen
+    // fixed samples (~3x Deflate), so no codec runs inside the timing.
+    const PAGES: u64 = 1 << 20;
+    let table = PageTable::identity(PageTableConfig::for_data_pages(PAGES, false), PAGES);
+    let table_pages = table.table_page_count() as u64;
+    let budget_bytes = PAGES * 4096 * 9 / 16 + PAGES * 32;
+    let frames = ((budget_bytes - (PAGES + table_pages) * 24) / 4096) as u32;
+    let samples = (0..16).map(|i| PageSizes { deflate_bytes: 600 + 100 * i, block_bytes: 2048 });
+    let model = SizeModel::from_samples(samples.collect());
+
+    let mut g = c.benchmark_group("construction");
+    g.throughput(Throughput::Elements(PAGES));
+    g.sample_size(10);
+    g.bench_function("two-level-try-new/1Mi", |b| {
+        b.iter(|| {
+            let toggles = TmccToggles::full();
+            let cte = CteCacheConfig::tmcc();
+            TwoLevelScheme::try_new(toggles, cte, model.clone(), &table, PAGES, frames, 7, 0.01)
+                .expect("feasible budget")
+        })
+    });
+    g.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_page_meta,
+    bench_recency_list,
+    bench_hash_maps,
+    bench_page_walk,
+    bench_construction
+);
 criterion_main!(benches);

@@ -27,18 +27,25 @@
 //!   bytes — and a LIFO *spill* of explicitly returned chunks, shadowed
 //!   by a [`BitVec`] free-map that makes the double-free audit O(1)
 //!   instead of an O(n) scan.
-//! * Each [`Ml2FreeLists`] super-chunk threads its free slots through an
-//!   inline singly-linked list (`free_head` + one `u8` next-pointer per
-//!   slot, exactly `N` bytes, `N ≤ 128`) with a `u128` occupancy mask for
-//!   O(1) double-free detection. Head insertion/removal reproduces the
-//!   old `VecDeque` `push_front`/`pop_front` byte for byte, and the
-//!   fixed-size table cannot retain drained capacity across
-//!   `PoolShrink`/`PoolGrow` churn the way a `VecDeque` did.
+//! * Each [`Ml2FreeLists`] super-chunk is one packed `u32` word (size
+//!   class and first frame) for as long as its chunks are one ascending
+//!   run and it has never lost a slot: its allocated slots are then a
+//!   prefix, all of them unless it is its class's one *open* super-chunk,
+//!   whose fill is kept per class. Initial placement carves every
+//!   super-chunk from the fresh frame run, so a whole constructed ML2
+//!   costs four bytes per super-chunk and no allocation. A super-chunk
+//!   gets a slot table — a fresh watermark plus a LIFO of freed slots,
+//!   the [`ChunkFreeList`] idiom, and a `u128` occupancy mask for O(1)
+//!   double-free detection — when it first loses a slot, or when it is
+//!   carved from chunks that are not one ascending run. Freed slots pop
+//!   before the fresh ones, most recent first: the order of the old
+//!   `VecDeque` `push_front`/`pop_front` byte for byte.
 //!
 //! All three enforce the conservation invariant — a chunk is never in two
 //! places at once — which the property tests exercise.
 
 use crate::error::TmccError;
+use std::ops::Range;
 use tmcc_types::bitvec::BitVec;
 
 /// A simple LIFO free list of uniform chunks, used for Compresso's 512 B
@@ -47,7 +54,7 @@ use tmcc_types::bitvec::BitVec;
 /// Chunks are identified by index (chunk number within the managed
 /// region). Push/pop at the top mirrors the paper's "push to / pop from
 /// the top of the Free List".
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ChunkFreeList {
     /// First never-popped chunk of the fresh run.
     fresh_next: u32,
@@ -85,6 +92,22 @@ impl ChunkFreeList {
         } else {
             None
         }
+    }
+
+    /// Takes the next `n` chunks of the fresh run at once: the chunks `n`
+    /// pops would return while nothing has been pushed. `None`, taking
+    /// nothing, when fewer than `n` are fresh.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a pushed chunk is waiting, since pops would return it
+    /// first.
+    pub(crate) fn take_fresh(&mut self, n: u32) -> Option<Range<u32>> {
+        assert!(self.spill.is_empty(), "take_fresh with pushed chunks waiting");
+        let start = self.fresh_next;
+        let end = start.checked_add(n).filter(|&end| end <= self.fresh_end)?;
+        self.fresh_next = end;
+        Some(start..end)
     }
 
     /// Returns a chunk to the top.
@@ -130,68 +153,85 @@ pub type CompressoFreeList = ChunkFreeList;
 /// ML1's 4 KiB-chunk free list (Fig. 3b).
 pub type Ml1FreeList = ChunkFreeList;
 
-/// Sentinel for "no next slot" in a super-chunk's inline free list
-/// (slots are `< 128`, so `0xFF` is never a valid slot).
-const SLOT_NIL: u8 = u8::MAX;
+/// Bits of a super-chunk word below its class field: the first frame of
+/// a packed super-chunk, or the index of its slot table.
+const LOW_BITS: u32 = 28;
+const LOW_MASK: u32 = (1 << LOW_BITS) - 1;
+/// Class field of a super-chunk word whose low bits index a slot table.
+const TABLED: u32 = 0xF;
+/// Class field of a dissolved super-chunk's word.
+const DISSOLVED: u32 = 0xE;
+/// Size classes a super-chunk word can name: the two highest class
+/// fields are the tags above.
+const MAX_CLASSES: usize = DISSOLVED as usize;
 
-/// A super-chunk: `M` 4 KiB chunks carved into `N` sub-chunks of one size
-/// class (Fig. 3c). `M ≤ 8` and the smallest class is 256 B, so `N ≤ 128`
-/// and the free-slot list fits a fixed `N`-byte next-pointer table plus a
-/// `u128` occupancy mask.
-#[derive(Debug, Clone)]
-struct SuperChunk {
+/// A super-chunk word, decoded.
+enum Super {
+    /// Chunks `first..first + M`, with a prefix of the slots allocated:
+    /// all of them, or the open fill of its class
+    /// ([`Ml2FreeLists::open`]).
+    Packed { class: usize, first: u32 },
+    /// Described by the slot table at this index.
+    Tabled(usize),
+    /// Dissolved; its id awaits reuse.
+    Dissolved,
+}
+
+impl Super {
+    fn decode(word: u32) -> Self {
+        match word >> LOW_BITS {
+            TABLED => Super::Tabled((word & LOW_MASK) as usize),
+            DISSOLVED => Super::Dissolved,
+            class => Super::Packed { class: class as usize, first: word & LOW_MASK },
+        }
+    }
+}
+
+/// The slot table of a super-chunk (Fig. 3c) that has lost a slot or
+/// whose chunks are not one ascending run. `M ≤ 8` and the smallest class
+/// is 256 B, so `N ≤ 128` and the occupancy mask is one `u128`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct SlotTable {
     /// The 4 KiB chunk numbers backing this super-chunk (first `m` used).
     chunks: [u32; 8],
+    /// Size class index.
+    class: u8,
     /// Chunks backing this super-chunk.
     m: u8,
     /// Total sub-chunk slots.
     n: u8,
-    /// Head of the free-slot list ([`SLOT_NIL`] when full).
-    free_head: u8,
-    /// `next[s]` = slot after `s` in the free list; exactly `n` bytes.
-    next: Box<[u8]>,
+    /// First slot never handed out: slots `fresh..n` are free.
+    fresh: u8,
+    /// Freed slots, popped most recent first, before the fresh ones.
+    freed: Vec<u8>,
     /// Bit set = slot currently allocated (O(1) double-free detection).
     allocated: u128,
 }
 
-impl SuperChunk {
-    /// A fresh super-chunk with all `n` slots free, popping `0, 1, …` in
-    /// ascending order like the original `(0..n).collect::<VecDeque<_>>()`.
-    fn carve(chunks: [u32; 8], m: u8, n: u8) -> Self {
-        let mut next = vec![SLOT_NIL; n as usize].into_boxed_slice();
-        for s in 0..n.saturating_sub(1) {
-            next[s as usize] = s + 1;
-        }
-        Self { chunks, m, n, free_head: 0, next, allocated: 0 }
-    }
-
-    /// Pops the head free slot (the old `free_slots.pop_front()`).
+impl SlotTable {
+    /// Pops the most recently freed slot, else the next fresh one.
     fn pop_slot(&mut self) -> Option<u8> {
-        if self.free_head == SLOT_NIL {
-            return None;
-        }
-        let s = self.free_head;
-        self.free_head = self.next[s as usize];
+        let s = match self.freed.pop() {
+            Some(s) => s,
+            None if self.fresh < self.n => {
+                self.fresh += 1;
+                self.fresh - 1
+            }
+            None => return None,
+        };
         self.allocated |= 1u128 << s;
         Some(s)
     }
 
-    /// Pushes a freed slot at the head (the old `push_front`), so it is
-    /// reused before older free slots.
+    /// Returns a slot, to be reused before older free slots.
     fn push_slot(&mut self, s: u8) {
-        self.next[s as usize] = self.free_head;
-        self.free_head = s;
+        self.freed.push(s);
         self.allocated &= !(1u128 << s);
     }
 
     /// Number of free slots.
     fn free_count(&self) -> usize {
         self.n as usize - self.allocated.count_ones() as usize
-    }
-
-    /// Heap bytes owned by this super-chunk.
-    fn heap_bytes(&self) -> usize {
-        self.next.len()
     }
 }
 
@@ -221,7 +261,7 @@ pub struct SubChunk {
 /// ml2.free(sc, &mut ml1);
 /// assert_eq!(ml1.len(), 1000, "all chunks returned");
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Ml2FreeLists {
     /// Sub-chunk sizes per class, ascending.
     class_sizes: Vec<usize>,
@@ -229,11 +269,20 @@ pub struct Ml2FreeLists {
     geometry: Vec<(usize, usize)>,
     /// Per class: super-chunks with at least one free slot (ids).
     avail: Vec<Vec<u32>>,
-    /// All super-chunks, indexed directly by id (`None` = dissolved). A
-    /// slab instead of a hash map: every allocate/free/addr_of on the
+    /// Every super-chunk's word, indexed directly by id (see [`Super`]).
+    /// A slab instead of a hash map: every allocate/free/addr_of on the
     /// simulator's hot path resolves a super-chunk id, and an indexed
     /// `Vec` makes that a bounds-checked load instead of a hash lookup.
-    supers: Vec<Option<SuperChunk>>,
+    supers: Vec<u32>,
+    /// Slot tables, indexed by the low bits of a tabled word.
+    tables: Vec<SlotTable>,
+    /// Indices of `tables` whose super-chunk dissolved, awaiting reuse.
+    free_tables: Vec<u32>,
+    /// Per class: its one packed super-chunk with free slots, if any, and
+    /// how many of its slots (a prefix) are allocated. Only a carve makes
+    /// a packed super-chunk with free slots, and a carve happens only when
+    /// its class has no free slot anywhere, so there is at most one.
+    open: Vec<Option<(u32, u8)>>,
     /// Ids of dissolved super-chunks awaiting reuse, so churn does not
     /// grow `supers` without bound.
     free_super_ids: Vec<u32>,
@@ -255,11 +304,13 @@ impl Ml2FreeLists {
     ///
     /// # Panics
     ///
-    /// Panics if `class_sizes` is empty, unsorted, or contains a class
-    /// larger than 4 KiB or smaller than 256 B (the super-chunk slot
-    /// table packs slot ids into 7 bits).
+    /// Panics if `class_sizes` is empty, unsorted, longer than 14 classes
+    /// (what a super-chunk word can name), or contains a class larger than
+    /// 4 KiB or smaller than 256 B (the super-chunk slot table packs slot
+    /// ids into 7 bits).
     pub fn new(class_sizes: Vec<usize>) -> Self {
         assert!(!class_sizes.is_empty(), "need at least one class");
+        assert!(class_sizes.len() <= MAX_CLASSES, "at most {MAX_CLASSES} size classes");
         assert!(class_sizes.windows(2).all(|w| w[0] < w[1]), "classes must be ascending");
         assert!(
             *class_sizes.last().expect("non-empty") <= 4096,
@@ -276,6 +327,9 @@ impl Ml2FreeLists {
             geometry,
             avail: vec![Vec::new(); len],
             supers: Vec::new(),
+            tables: Vec::new(),
+            free_tables: Vec::new(),
+            open: vec![None; len],
             free_super_ids: Vec::new(),
             allocated_bytes: 0,
             owned_chunks: 0,
@@ -351,27 +405,40 @@ impl Ml2FreeLists {
                 ml1_free_chunks: ml1.len(),
             });
         }
-        // `avail[class]` is non-empty by construction above; both lookups
-        // below are guarded rather than asserted so a corrupted state
-        // surfaces as a typed error instead of a panic.
+        // `avail[class]` is non-empty by construction above, and names a
+        // super-chunk with a free slot; both are guarded rather than
+        // asserted so a corrupted state surfaces as a typed error instead
+        // of a panic.
         let super_id = *self.avail[class].last().ok_or(TmccError::FreeListExhausted {
             requested_bytes: bytes,
             ml1_free_chunks: ml1.len(),
         })?;
-        let sc = self
-            .supers
-            .get_mut(super_id as usize)
-            .and_then(Option::as_mut)
-            .ok_or(TmccError::UnknownSubChunk { super_id })?;
-        let slot = sc.pop_slot().ok_or(TmccError::FreeListExhausted {
-            requested_bytes: bytes,
-            ml1_free_chunks: ml1.len(),
-        })?;
-        if sc.free_head == SLOT_NIL {
+        let (slot, full) =
+            self.take_slot(class, super_id).ok_or(TmccError::UnknownSubChunk { super_id })?;
+        if full {
             self.avail[class].pop();
         }
         self.allocated_bytes += self.class_sizes[class];
         Ok(SubChunk { class, super_id, slot })
+    }
+
+    /// Allocates the next free slot of super-chunk `id` of `class`;
+    /// returns it and whether the super-chunk is now full.
+    fn take_slot(&mut self, class: usize, id: u32) -> Option<(u8, bool)> {
+        match Super::decode(*self.supers.get(id as usize)?) {
+            Super::Packed { .. } => {
+                let (open, fill) = self.open[class].filter(|&(open, _)| open == id)?;
+                let full = usize::from(fill) + 1 == self.geometry[class].1;
+                self.open[class] = (!full).then_some((open, fill + 1));
+                Some((fill, full))
+            }
+            Super::Tabled(t) => {
+                let table = &mut self.tables[t];
+                let slot = table.pop_slot()?;
+                Some((slot, table.free_count() == 0))
+            }
+            Super::Dissolved => None,
+        }
     }
 
     fn carve_super(&mut self, class: usize, ml1: &mut Ml1FreeList) -> Option<()> {
@@ -390,21 +457,106 @@ impl Ml2FreeLists {
                 }
             }
         }
-        let sc = SuperChunk::carve(chunks, m as u8, n as u8);
-        let id = match self.free_super_ids.pop() {
-            Some(id) => {
-                self.supers[id as usize] = Some(sc);
-                id
-            }
-            None => {
-                let id = self.supers.len() as u32;
-                self.supers.push(Some(sc));
-                id
-            }
+        let id = self.free_super_ids.pop().unwrap_or(self.supers.len() as u32);
+        let run = chunks[0] <= LOW_MASK
+            && chunks[..m].iter().zip(chunks[0]..).all(|(&c, expected)| c == expected);
+        let word = if run {
+            self.open[class] = Some((id, 0));
+            (class as u32) << LOW_BITS | chunks[0]
+        } else {
+            self.new_table(SlotTable {
+                chunks,
+                class: class as u8,
+                m: m as u8,
+                n: n as u8,
+                fresh: 0,
+                freed: Vec::new(),
+                allocated: 0,
+            })
         };
+        match self.supers.get_mut(id as usize) {
+            Some(slot) => *slot = word,
+            None => self.supers.push(word),
+        }
         self.avail[class].push(id);
         self.owned_chunks += m;
         Some(())
+    }
+
+    /// Places pages into new lists in one pass, each page of `pages` (its
+    /// size class and a tag) into the next slot of its class, carving
+    /// super-chunks one after another from `ml1`'s fresh run: what
+    /// [`try_allocate`](Self::try_allocate) of each page builds, as every
+    /// super-chunk so carved is packed and fills in slot order. Calls
+    /// `place` with each page's tag, sub-chunk and the frame its first
+    /// byte lies in — its CTE's frame. Returns `false` at the first page
+    /// whose class needs a super-chunk the fresh run cannot hold.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the lists have carved before, if a chunk was pushed back
+    /// to `ml1`, or if a carve would start at a frame a super-chunk word
+    /// cannot name (2^28 and up).
+    pub(crate) fn place_fresh<T>(
+        &mut self,
+        ml1: &mut Ml1FreeList,
+        pages: impl IntoIterator<Item = (usize, T)>,
+        mut place: impl FnMut(T, SubChunk, u32),
+    ) -> bool {
+        assert!(self.supers.is_empty(), "place_fresh on lists that have carved");
+        /// A class's newest super-chunk: id, first frame and slots used.
+        #[derive(Clone, Copy)]
+        struct Newest {
+            id: u32,
+            first: u32,
+            fill: usize,
+        }
+        // `fill == N` until the class's first carve, so that page carves.
+        let mut newest: Vec<Newest> =
+            self.geometry.iter().map(|&(_, n)| Newest { id: 0, first: 0, fill: n }).collect();
+        for (class, tag) in pages {
+            let (m, n) = self.geometry[class];
+            let size = self.class_sizes[class];
+            let cur = &mut newest[class];
+            if cur.fill == n {
+                let Some(run) = ml1.take_fresh(m as u32) else {
+                    return false;
+                };
+                assert!(run.start <= LOW_MASK, "frame {} past a super-chunk word", run.start);
+                *cur = Newest { id: self.supers.len() as u32, first: run.start, fill: 0 };
+                self.supers.push((class as u32) << LOW_BITS | run.start);
+                self.owned_chunks += m;
+            }
+            let slot = cur.fill;
+            cur.fill += 1;
+            self.allocated_bytes += size;
+            let frame = cur.first + (slot * size / 4096) as u32;
+            place(tag, SubChunk { class, super_id: cur.id, slot: slot as u8 }, frame);
+        }
+        // A class's newest super-chunk with free slots is its open one.
+        for (class, cur) in newest.into_iter().enumerate() {
+            if (1..self.geometry[class].1).contains(&cur.fill) {
+                self.open[class] = Some((cur.id, cur.fill as u8));
+                self.avail[class].push(cur.id);
+            }
+        }
+        true
+    }
+
+    /// Stores `table` and returns the tabled word that names it.
+    fn new_table(&mut self, table: SlotTable) -> u32 {
+        let idx = match self.free_tables.pop() {
+            Some(idx) => {
+                self.tables[idx as usize] = table;
+                idx
+            }
+            None => {
+                self.tables.push(table);
+                (self.tables.len() - 1) as u32
+            }
+        };
+        assert!(idx <= LOW_MASK, "slot table {idx} past a super-chunk word");
+        TABLED << LOW_BITS | idx
     }
 
     /// Frees a sub-chunk. If its super-chunk becomes entirely free, the
@@ -425,36 +577,108 @@ impl Ml2FreeLists {
     /// sub-chunk is not a live allocation. If its super-chunk becomes
     /// entirely free, the backing chunks return to ML1 (§IV-B).
     pub fn try_free(&mut self, sub: SubChunk, ml1: &mut Ml1FreeList) -> Result<(), TmccError> {
-        let sc = self
-            .supers
-            .get_mut(sub.super_id as usize)
-            .and_then(Option::as_mut)
-            .ok_or(TmccError::UnknownSubChunk { super_id: sub.super_id })?;
-        if sub.slot >= sc.n {
-            return Err(TmccError::UnknownSubChunk { super_id: sub.super_id });
+        let SubChunk { class, super_id: id, slot } = sub;
+        let unknown = TmccError::UnknownSubChunk { super_id: id };
+        let word = *self.supers.get(id as usize).ok_or(unknown.clone())?;
+        let &(m, n) = self.geometry.get(class).ok_or(unknown.clone())?;
+        if usize::from(slot) >= n {
+            return Err(unknown);
         }
-        if sc.allocated & (1u128 << sub.slot) == 0 {
-            return Err(TmccError::DoubleFree { super_id: sub.super_id, slot: sub.slot });
-        }
-        // Newly-freed sub-chunks go to the *top* of the list (§IV-B).
-        sc.push_slot(sub.slot);
-        self.allocated_bytes -= self.class_sizes[sub.class];
-        if sc.free_count() == 1 {
-            self.avail[sub.class].push(sub.super_id);
-        }
-        if sc.free_count() == sc.n as usize {
-            // Fully free: dissolve and return chunks to ML1.
-            let sc = self.supers[sub.super_id as usize]
-                .take()
-                .ok_or(TmccError::UnknownSubChunk { super_id: sub.super_id })?;
-            self.owned_chunks -= sc.m as usize;
-            for &c in &sc.chunks[..sc.m as usize] {
-                ml1.push(c);
+        let size = self.class_sizes[class];
+        match Super::decode(word) {
+            Super::Dissolved => Err(unknown),
+            Super::Packed { class: own, .. } if own != class => Err(unknown),
+            Super::Packed { first, .. } => {
+                let open = self.open[class].filter(|&(open, _)| open == id);
+                let allocated = open.map_or(n, |(_, fill)| usize::from(fill));
+                if usize::from(slot) >= allocated {
+                    return Err(TmccError::DoubleFree { super_id: id, slot });
+                }
+                self.allocated_bytes -= size;
+                if open.is_some() {
+                    self.open[class] = None;
+                }
+                if allocated == 1 {
+                    // Its only allocated slot: fully free.
+                    self.dissolve(id, class, first..first + m as u32, ml1);
+                    return Ok(());
+                }
+                // The first lost slot: the free slots are no longer a
+                // suffix, so the super-chunk takes a slot table.
+                let mut chunks = [0u32; 8];
+                for (c, frame) in chunks[..m].iter_mut().zip(first..) {
+                    *c = frame;
+                }
+                let prefix = if allocated == 128 { u128::MAX } else { (1u128 << allocated) - 1 };
+                let table = SlotTable {
+                    chunks,
+                    class: class as u8,
+                    m: m as u8,
+                    n: n as u8,
+                    fresh: allocated as u8,
+                    freed: vec![slot],
+                    allocated: prefix & !(1u128 << slot),
+                };
+                let word = self.new_table(table);
+                self.supers[id as usize] = word;
+                if open.is_none() {
+                    // It was full: its one free slot makes it available.
+                    self.avail[class].push(id);
+                }
+                Ok(())
             }
-            self.avail[sub.class].retain(|&id| id != sub.super_id);
-            self.free_super_ids.push(sub.super_id);
+            Super::Tabled(t) => {
+                let table = &mut self.tables[t];
+                if usize::from(table.class) != class {
+                    return Err(unknown);
+                }
+                if table.allocated & (1u128 << slot) == 0 {
+                    return Err(TmccError::DoubleFree { super_id: id, slot });
+                }
+                // Newly-freed sub-chunks go to the *top* of the list (§IV-B).
+                table.push_slot(slot);
+                self.allocated_bytes -= size;
+                let free = table.free_count();
+                if free == 1 {
+                    self.avail[class].push(id);
+                }
+                if free == n {
+                    // Fully free: dissolve and return chunks to ML1.
+                    let chunks = table.chunks;
+                    self.tables[t].freed = Vec::new();
+                    self.free_tables.push(t as u32);
+                    self.dissolve(id, class, chunks[..m].iter().copied(), ml1);
+                }
+                Ok(())
+            }
         }
-        Ok(())
+    }
+
+    /// Dissolves super-chunk `id` of `class`, returning its chunks to
+    /// `ml1` in order. Once no super-chunk is live every id is free, so
+    /// the slabs are dropped and ids count from 0 again: a drained ML2
+    /// pins nothing of its peak.
+    fn dissolve(
+        &mut self,
+        id: u32,
+        class: usize,
+        chunks: impl ExactSizeIterator<Item = u32>,
+        ml1: &mut Ml1FreeList,
+    ) {
+        self.owned_chunks -= chunks.len();
+        for c in chunks {
+            ml1.push(c);
+        }
+        self.avail[class].retain(|&a| a != id);
+        if self.owned_chunks == 0 {
+            self.supers = Vec::new();
+            self.tables = Vec::new();
+            self.free_tables = Vec::new();
+            self.free_super_ids = Vec::new();
+        } else {
+            self.supers[id as usize] = DISSOLVED << LOW_BITS;
+            self.free_super_ids.push(id);
+        }
     }
 
     /// Bytes currently allocated to compressed pages.
@@ -474,13 +698,18 @@ impl Ml2FreeLists {
     }
 
     /// Heap bytes owned by the free lists (capacity, not length): the
-    /// super-chunk slab, each live super-chunk's slot table, and the
-    /// per-class availability stacks.
+    /// super-chunk slab, the slot tables with their freed-slot stacks,
+    /// and the per-class availability and id stacks.
     pub fn heap_bytes(&self) -> usize {
-        self.supers.capacity() * std::mem::size_of::<Option<SuperChunk>>()
-            + self.supers.iter().flatten().map(SuperChunk::heap_bytes).sum::<usize>()
-            + self.free_super_ids.capacity() * std::mem::size_of::<u32>()
-            + self.avail.iter().map(|v| v.capacity() * std::mem::size_of::<u32>()).sum::<usize>()
+        let u32s = self.supers.capacity()
+            + self.free_tables.capacity()
+            + self.free_super_ids.capacity()
+            + self.avail.iter().map(Vec::capacity).sum::<usize>();
+        u32s * std::mem::size_of::<u32>()
+            + self.tables.capacity() * std::mem::size_of::<SlotTable>()
+            + self.tables.iter().map(|t| t.freed.capacity()).sum::<usize>()
+            + self.avail.capacity() * std::mem::size_of::<Vec<u32>>()
+            + self.open.capacity() * std::mem::size_of::<Option<(u32, u8)>>()
             + self.class_sizes.capacity() * std::mem::size_of::<usize>()
             + self.geometry.capacity() * std::mem::size_of::<(usize, usize)>()
     }
@@ -501,18 +730,24 @@ impl Ml2FreeLists {
 
     /// DRAM byte address where sub-chunk `sub` starts, or
     /// [`TmccError::UnknownSubChunk`] when its super-chunk is not live.
+    #[inline]
     pub fn try_addr_of(&self, sub: SubChunk) -> Result<u64, TmccError> {
-        let sc = self
-            .supers
-            .get(sub.super_id as usize)
-            .and_then(Option::as_ref)
-            .ok_or(TmccError::UnknownSubChunk { super_id: sub.super_id })?;
-        let offset = sub.slot as usize * self.class_sizes[sub.class];
-        let chunk = *sc
-            .chunks
-            .get(offset / 4096)
-            .filter(|_| offset / 4096 < sc.m as usize)
-            .ok_or(TmccError::UnknownSubChunk { super_id: sub.super_id })?;
+        let unknown = || TmccError::UnknownSubChunk { super_id: sub.super_id };
+        let word = *self.supers.get(sub.super_id as usize).ok_or_else(unknown)?;
+        let offset =
+            usize::from(sub.slot) * *self.class_sizes.get(sub.class).ok_or_else(unknown)?;
+        let chunk = match Super::decode(word) {
+            Super::Packed { class, first }
+                if class == sub.class && usize::from(sub.slot) < self.geometry[class].1 =>
+            {
+                first + (offset / 4096) as u32
+            }
+            Super::Tabled(t) => {
+                let table = &self.tables[t];
+                *table.chunks[..usize::from(table.m)].get(offset / 4096).ok_or_else(unknown)?
+            }
+            _ => return Err(unknown()),
+        };
         Ok(chunk as u64 * 4096 + (offset % 4096) as u64)
     }
 }
@@ -752,5 +987,191 @@ mod tests {
         while ml1.pop().is_some() {}
         ml1.shrink_to_fit();
         assert!(ml1.heap_bytes() < before.max(1));
+    }
+
+    /// A reference super-chunk: its chunks, class, free slots front
+    /// first, and allocated mask.
+    type LinkedSuper = (Vec<u32>, usize, std::collections::VecDeque<u8>, u128);
+
+    /// The super-chunk lists before packed words: every super-chunk holds
+    /// its chunks and a slot list, a freed slot goes to the front, and a
+    /// drained ML2 numbers super-chunks from 0 again. The reference the
+    /// packed and tabled forms must reproduce operation for operation.
+    #[derive(Default)]
+    struct LinkedLists {
+        avail: Vec<Vec<u32>>,
+        supers: Vec<Option<LinkedSuper>>,
+        free_ids: Vec<u32>,
+        owned: usize,
+    }
+
+    impl LinkedLists {
+        fn allocate(
+            &mut self,
+            lists: &Ml2FreeLists,
+            bytes: usize,
+            ml1: &mut Ml1FreeList,
+        ) -> Option<SubChunk> {
+            let class = lists.class_for(bytes)?;
+            self.avail.resize(lists.classes(), Vec::new());
+            if self.avail[class].is_empty() {
+                let (m, n) = lists.geometry[class];
+                let mut chunks = Vec::new();
+                for _ in 0..m {
+                    match ml1.pop() {
+                        Some(c) => chunks.push(c),
+                        None => {
+                            chunks.iter().for_each(|&c| ml1.push(c));
+                            return None;
+                        }
+                    }
+                }
+                let id = self.free_ids.pop().unwrap_or(self.supers.len() as u32);
+                let sc = Some((chunks, class, (0..n as u8).collect(), 0));
+                match self.supers.get_mut(id as usize) {
+                    Some(slot) => *slot = sc,
+                    None => self.supers.push(sc),
+                }
+                self.avail[class].push(id);
+                self.owned += m;
+            }
+            let id = *self.avail[class].last()?;
+            let (_, _, free, allocated) = self.supers[id as usize].as_mut()?;
+            let slot = free.pop_front()?;
+            *allocated |= 1 << slot;
+            if free.is_empty() {
+                self.avail[class].pop();
+            }
+            Some(SubChunk { class, super_id: id, slot })
+        }
+
+        fn free(&mut self, sub: SubChunk, ml1: &mut Ml1FreeList) -> Result<(), &'static str> {
+            let Some(Some((chunks, class, free, allocated))) =
+                self.supers.get_mut(sub.super_id as usize)
+            else {
+                return Err("unknown");
+            };
+            if *allocated & (1 << sub.slot) == 0 {
+                return Err("double free");
+            }
+            free.push_front(sub.slot);
+            *allocated &= !(1 << sub.slot);
+            let class = *class;
+            if free.len() == 1 {
+                self.avail[class].push(sub.super_id);
+            }
+            if *allocated == 0 {
+                self.owned -= chunks.len();
+                chunks.iter().for_each(|&c| ml1.push(c));
+                self.supers[sub.super_id as usize] = None;
+                self.avail[class].retain(|&id| id != sub.super_id);
+                self.free_ids.push(sub.super_id);
+                if self.owned == 0 {
+                    self.supers.clear();
+                    self.free_ids.clear();
+                }
+            }
+            Ok(())
+        }
+
+        fn addr_of(&self, sub: SubChunk, lists: &Ml2FreeLists) -> u64 {
+            let (chunks, ..) = self.supers[sub.super_id as usize].as_ref().expect("live");
+            let offset = sub.slot as usize * lists.class_size(sub.class);
+            chunks[offset / 4096] as u64 * 4096 + (offset % 4096) as u64
+        }
+    }
+
+    #[test]
+    fn packed_and_tabled_super_chunks_match_linked_slot_lists() {
+        // Random allocate/free traces, with frees returning chunks to ML1
+        // out of order, so later carves are not ascending runs and take
+        // slot tables while fresh-run carves stay packed.
+        let mut tabled = 0;
+        for seed in 0..48u64 {
+            let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+            let mut next = move || {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                state
+            };
+            let chunks = 24 + (next() % 400) as u32;
+            let (mut ml1, mut ref_ml1) =
+                (Ml1FreeList::with_chunks(chunks), Ml1FreeList::with_chunks(chunks));
+            let mut ml2 = Ml2FreeLists::paper_classes();
+            let mut reference = LinkedLists::default();
+            let mut live: Vec<SubChunk> = Vec::new();
+            for step in 0..1500 {
+                let draw = next();
+                if draw % 5 < 3 || live.is_empty() {
+                    let bytes = 1 + (draw >> 8) as usize % 4096;
+                    let got = ml2.allocate(bytes, &mut ml1);
+                    assert_eq!(
+                        got,
+                        reference.allocate(&ml2, bytes, &mut ref_ml1),
+                        "seed {seed} step {step}"
+                    );
+                    if let Some(sub) = got {
+                        assert_eq!(ml2.addr_of(sub), reference.addr_of(sub, &ml2), "seed {seed}");
+                        live.push(sub);
+                    }
+                } else {
+                    let sub = live.swap_remove((draw >> 8) as usize % live.len());
+                    let got = ml2.try_free(sub, &mut ml1);
+                    assert_eq!(
+                        got.is_ok(),
+                        reference.free(sub, &mut ref_ml1).is_ok(),
+                        "seed {seed}"
+                    );
+                    assert!(matches!(
+                        ml2.try_free(sub, &mut ml1),
+                        Err(TmccError::DoubleFree { .. } | TmccError::UnknownSubChunk { .. })
+                    ));
+                }
+                assert_eq!(ml1, ref_ml1, "seed {seed} step {step}");
+                assert_eq!(ml2.owned_chunks(), reference.owned, "seed {seed} step {step}");
+                for &sub in live.iter().rev().take(3) {
+                    assert_eq!(ml2.addr_of(sub), reference.addr_of(sub, &ml2), "seed {seed}");
+                }
+                tabled += ml2.tables.len() - ml2.free_tables.len();
+            }
+        }
+        assert!(tabled > 0, "the traces reach slot tables");
+    }
+
+    #[test]
+    fn fresh_placement_matches_allocation_and_costs_one_word_per_super_chunk() {
+        let classes = Ml2FreeLists::paper_classes();
+        let sizes: Vec<usize> = (0..5000).map(|i| 1 + (i * 2_654_435_761usize) % 4096).collect();
+        let mut ml1 = Ml1FreeList::with_chunks(100_000);
+        let mut allocated = Ml2FreeLists::paper_classes();
+        let subs: Vec<SubChunk> =
+            sizes.iter().map(|&b| allocated.try_allocate(b, &mut ml1).expect("room")).collect();
+        let mut fresh_ml1 = Ml1FreeList::with_chunks(100_000);
+        let mut placed = Ml2FreeLists::paper_classes();
+        let pages = sizes.iter().enumerate().map(|(i, &b)| (classes.class_for(b).unwrap(), i));
+        let mut got = Vec::new();
+        assert!(
+            placed.place_fresh(&mut fresh_ml1, pages, |i, sub, frame| got.push((i, sub, frame)))
+        );
+        assert_eq!(placed, allocated);
+        assert_eq!(fresh_ml1, ml1);
+        for (i, sub, frame) in got {
+            assert_eq!(sub, subs[i]);
+            assert_eq!(frame as u64, placed.addr_of(sub) / 4096, "the CTE's frame");
+        }
+        assert!(placed.tables.is_empty(), "fresh carves are packed");
+        let words = placed.supers.capacity() * 4;
+        assert!(
+            placed.heap_bytes() < words + 1024,
+            "{} heap, {words} in words",
+            placed.heap_bytes()
+        );
+        // A run the fresh chunks cannot hold stops placement.
+        let mut short = Ml1FreeList::with_chunks(2);
+        let mut lists = Ml2FreeLists::paper_classes();
+        let big = [(lists.class_for(1700).unwrap(), ())];
+        assert!(!lists.place_fresh(&mut short, big, |_, _, _| panic!("nothing placed")));
+        assert_eq!(short.len(), 2, "nothing taken");
     }
 }

@@ -30,6 +30,11 @@
 //! (the ML1 frame itself, or the ML2 sub-chunk whose address names it), so
 //! the scheme keeps no separate CTE copy. Residency is tracked by a
 //! succinct [`BitVec`].
+//!
+//! Initial placement builds the store with every page present and writes
+//! each word once. Its arrays
+//! are allocated zeroed, so the epoch of a page no writeback has re-drawn
+//! costs no resident memory: ~8.1 B/page resident after construction.
 
 use crate::free_list::SubChunk;
 use tmcc_types::bitvec::BitVec;
@@ -153,7 +158,7 @@ fn decode(w: u64, dirty_epoch: u32) -> PageInfo {
 
 /// One dense region: residency bitmap plus parallel packed-word and
 /// dirty-epoch arrays.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 struct Region {
     present: BitVec,
     words: Vec<u64>,
@@ -163,6 +168,13 @@ struct Region {
 impl Region {
     fn new() -> Self {
         Self { present: BitVec::new(), words: Vec::new(), epochs: Vec::new() }
+    }
+
+    /// `len` present pages, each with a zero word and epoch. Both arrays
+    /// are allocated zeroed, so a page costs resident memory only once
+    /// its word or epoch is written.
+    fn resident(len: usize) -> Self {
+        Self { present: BitVec::with_prefix(len, len), words: vec![0; len], epochs: vec![0; len] }
     }
 
     fn ensure(&mut self, idx: usize) {
@@ -206,7 +218,7 @@ impl Region {
 /// let id = pages.id_of(7).unwrap();
 /// assert_eq!(pages.get_id(id).unwrap().place, Placement::Ml1 { frame: 42 });
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PageMetaStore {
     /// Data-page region: index = PPN (PPNs below `table_base`).
     data: Region,
@@ -222,6 +234,44 @@ impl PageMetaStore {
     /// start at `table_base`.
     pub fn new(table_base: u64) -> Self {
         Self { data: Region::new(), table: Region::new(), table_base, len: 0 }
+    }
+
+    /// A store in which data pages `0..data_pages` and the table pages
+    /// `table_base..table_base + table_pages` are all present, in ML1
+    /// frame 0 at epoch 0 until [`set_initial`](Self::set_initial) places
+    /// them: initial placement writes each packed word once, in place.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either region would reach past the page handles' range.
+    pub(crate) fn with_pages(table_base: u64, data_pages: u64, table_pages: u64) -> Self {
+        assert!(
+            data_pages.max(table_pages) <= MAX_REGION_PAGES && data_pages <= table_base,
+            "{data_pages} data and {table_pages} table pages exceed the store's dense regions"
+        );
+        Self {
+            data: Region::resident(data_pages as usize),
+            table: Region::resident(table_pages as usize),
+            table_base,
+            len: (data_pages + table_pages) as usize,
+        }
+    }
+
+    /// Writes the placement of page `ppn`, present since
+    /// [`with_pages`](Self::with_pages), as its packed word, with the
+    /// incompressible flag clear and the epoch left as it is.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ppn` lies outside both dense regions.
+    #[inline]
+    pub(crate) fn set_initial(&mut self, ppn: u64, place: Placement, pinned: bool) {
+        let id = self
+            .id_of(ppn)
+            .unwrap_or_else(|| panic!("page {ppn:#x} outside the store's dense regions"));
+        let info = PageInfo { place, dirty_epoch: 0, pinned, incompressible: false };
+        let idx = id.index();
+        self.region_mut(id).words[idx] = encode(&info);
     }
 
     /// Derives the compact handle for `ppn` — pure arithmetic, no
@@ -533,6 +583,31 @@ mod tests {
         assert!(s.id_of(base + MAX_REGION_PAGES - 1).is_some());
         assert!(s.id_of(base + MAX_REGION_PAGES).is_none());
         assert!(s.get(MAX_REGION_PAGES).is_none());
+    }
+
+    #[test]
+    fn placed_store_equals_an_inserted_one() {
+        let mut placed = PageMetaStore::with_pages(BASE, 100, 3);
+        assert_eq!(placed.len(), 103);
+        assert_eq!(placed.get(99), Some(ml1(0)), "present before it is placed");
+        assert!(placed.get(100).is_none() && placed.get(BASE + 3).is_none());
+        let mut inserted = PageMetaStore::new(BASE);
+        for t in 0..3 {
+            placed.set_initial(BASE + t, Placement::Ml1 { frame: t as u32 }, true);
+            inserted.insert(BASE + t, PageInfo { pinned: true, ..ml1(t as u32) });
+        }
+        let sub = SubChunk { class: 4, super_id: 3, slot: 9 };
+        for p in (0..100).rev() {
+            let place = if p % 3 == 0 {
+                Placement::Ml2 { sub, comp_bytes: p as u32 }
+            } else {
+                Placement::Ml1 { frame: 1000 - p as u32 }
+            };
+            placed.set_initial(p, place, false);
+            inserted.insert(p, PageInfo { place, ..ml1(0) });
+        }
+        assert_eq!(placed, inserted);
+        assert!(placed.iter().eq(inserted.iter()));
     }
 
     #[test]

@@ -17,6 +17,12 @@
 //! from the simulator's dense data-page range; the slab grows to the
 //! highest page ever tracked.
 //!
+//! Initial placement fills ML1 with pages `0..n`, hottest first, so the
+//! list starts as that chain ([`RecencyList::with_chain`]): page `i` links
+//! to `i − 1` and `i + 1`. A slot stores its links XOR the chain's, so the
+//! whole chain is zeroed storage — allocated, never written, and resident
+//! only once the run first touches a slot.
+//!
 //! The list costs real DRAM — 0.4 % of capacity (§V-A6) — accounted by
 //! [`RecencyList::dram_overhead_bytes`].
 
@@ -35,8 +41,8 @@ pub const SAMPLE_PROBABILITY: f64 = 0.01;
 /// Sentinel link value ("no neighbour").
 const NIL: u32 = u32::MAX;
 
-/// One slab slot: intrusive links. Membership is tracked separately in
-/// the `present` bitmap so the slot packs into 8 bytes.
+/// One slot's links. Membership is tracked separately in the `present`
+/// bitmap so the slot packs into 8 bytes.
 #[derive(Debug, Clone, Copy)]
 struct Slot {
     prev: u32, // towards head
@@ -44,7 +50,13 @@ struct Slot {
 }
 
 impl Slot {
-    const EMPTY: Slot = Slot { prev: NIL, next: NIL };
+    fn pack(self) -> u64 {
+        u64::from(self.prev) | u64::from(self.next) << 32
+    }
+
+    fn unpack(w: u64) -> Self {
+        Slot { prev: w as u32, next: (w >> 32) as u32 }
+    }
 }
 
 /// The recency list.
@@ -59,13 +71,21 @@ impl Slot {
 /// rl.insert_hot(Ppn::new(1));
 /// rl.insert_hot(Ppn::new(2));
 /// assert_eq!(rl.coldest(), Some(Ppn::new(1)));
+///
+/// // Pages 0..3, hottest first, without a write per page.
+/// let chain = RecencyList::with_chain(7, 0.01, 3, 8);
+/// assert_eq!(chain.cold_to_hot(), [Ppn::new(2), Ppn::new(1), Ppn::new(0)]);
 /// ```
 #[derive(Debug, Clone)]
 pub struct RecencyList {
-    /// Link slots indexed directly by page number (dense data-page range).
-    slots: Vec<Slot>,
+    /// Packed link slots indexed directly by page number (dense data-page
+    /// range), each stored XOR its links in the initial chain (see
+    /// [`chain_links`](Self::chain_links)).
+    slots: Vec<u64>,
     /// Membership bitmap, indexed like `slots`.
     present: BitVec,
+    /// Length of the initial chain: pages `0..chain`, hottest first.
+    chain: u32,
     head: u32, // hottest (NIL when empty)
     tail: u32, // coldest (NIL when empty)
     len: usize,
@@ -87,13 +107,32 @@ impl RecencyList {
     ///
     /// Panics unless `0 < sample_prob <= 1`.
     pub fn with_probability(seed: u64, sample_prob: f64) -> Self {
+        Self::with_chain(seed, sample_prob, 0, 0)
+    }
+
+    /// Creates a list tracking pages `0..chain`, page 0 hottest — what
+    /// `insert_hot` of pages `chain − 1` down to 0 builds — with its slab
+    /// sized for pages `0..pages`. No slot is written, and the slab is
+    /// allocated zeroed, so a slot costs resident memory only once the
+    /// list first touches it.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `0 < sample_prob <= 1` and `chain <= pages`, or if
+    /// `pages` reaches past the slab's dense index range.
+    pub fn with_chain(seed: u64, sample_prob: f64, chain: u64, pages: u64) -> Self {
         assert!(sample_prob > 0.0 && sample_prob <= 1.0, "sampling probability must be in (0, 1]");
+        assert!(chain <= pages, "a {chain}-page chain past a {pages}-page slab");
+        assert!(pages <= u64::from(NIL), "{pages} pages exceed the recency slab's index range");
+        let chain = chain as u32;
+        let (head, tail) = if chain == 0 { (NIL, NIL) } else { (0, chain - 1) };
         Self {
-            slots: Vec::new(),
-            present: BitVec::new(),
-            head: NIL,
-            tail: NIL,
-            len: 0,
+            slots: vec![0; pages as usize],
+            present: BitVec::with_prefix(pages as usize, chain as usize),
+            chain,
+            head,
+            tail,
+            len: chain as usize,
             rng: SmallRng::seed_from_u64(seed ^ 0xDECAF),
             sample_prob,
         }
@@ -110,6 +149,29 @@ impl RecencyList {
         let raw = page.raw();
         assert!(raw < NIL as u64, "page {raw:#x} out of the recency slab's dense index range");
         raw as usize
+    }
+
+    /// Slot `key`'s links in the initial chain, packed: its neighbours
+    /// `key ∓ 1` inside the chain, none outside it.
+    #[inline]
+    fn chain_links(&self, key: usize) -> u64 {
+        let key = key as u32;
+        if key >= self.chain {
+            return Slot { prev: NIL, next: NIL }.pack();
+        }
+        let prev = if key == 0 { NIL } else { key - 1 };
+        let next = if key + 1 == self.chain { NIL } else { key + 1 };
+        Slot { prev, next }.pack()
+    }
+
+    #[inline]
+    fn load(&self, key: usize) -> Slot {
+        Slot::unpack(self.slots[key] ^ self.chain_links(key))
+    }
+
+    #[inline]
+    fn store(&mut self, key: usize, slot: Slot) {
+        self.slots[key] = slot.pack() ^ self.chain_links(key);
     }
 
     /// Number of tracked pages.
@@ -132,7 +194,8 @@ impl RecencyList {
     pub fn insert_hot(&mut self, page: Ppn) {
         let key = Self::key(page);
         if key >= self.slots.len() {
-            self.slots.resize(key + 1, Slot::EMPTY);
+            // Past the chain, a zero slot is one with no links.
+            self.slots.resize(key + 1, 0);
         }
         self.present.grow(key + 1);
         if self.present.get(key) {
@@ -140,10 +203,12 @@ impl RecencyList {
             self.len -= 1;
         }
         let old_head = self.head;
-        self.slots[key] = Slot { prev: NIL, next: old_head };
+        self.store(key, Slot { prev: NIL, next: old_head });
         self.present.set(key);
         if old_head != NIL {
-            self.slots[old_head as usize].prev = key as u32;
+            let mut head = self.load(old_head as usize);
+            head.prev = key as u32;
+            self.store(old_head as usize, head);
         }
         self.head = key as u32;
         if self.tail == NIL {
@@ -212,15 +277,23 @@ impl RecencyList {
     }
 
     fn unlink(&mut self, key: u32) {
-        let node = self.slots[key as usize];
+        let node = self.load(key as usize);
         debug_assert!(self.present.get(key as usize), "unlinking an untracked slot");
         match node.prev {
             NIL => self.head = node.next,
-            p => self.slots[p as usize].next = node.next,
+            p => {
+                let mut prev = self.load(p as usize);
+                prev.next = node.next;
+                self.store(p as usize, prev);
+            }
         }
         match node.next {
             NIL => self.tail = node.prev,
-            n => self.slots[n as usize].prev = node.prev,
+            n => {
+                let mut next = self.load(n as usize);
+                next.prev = node.prev;
+                self.store(n as usize, next);
+            }
         }
     }
 
@@ -230,7 +303,7 @@ impl RecencyList {
         let mut cur = self.tail;
         while cur != NIL {
             out.push(Ppn::new(cur as u64));
-            cur = self.slots[cur as usize].prev;
+            cur = self.load(cur as usize).prev;
         }
         out
     }
@@ -244,7 +317,7 @@ impl RecencyList {
 
     /// Host heap bytes the list occupies (link slab + membership bitmap).
     pub fn heap_bytes(&self) -> usize {
-        self.slots.capacity() * std::mem::size_of::<Slot>() + self.present.heap_bytes()
+        self.slots.capacity() * std::mem::size_of::<u64>() + self.present.heap_bytes()
     }
 }
 
@@ -318,6 +391,47 @@ mod tests {
         rl.insert_hot(Ppn::new(3));
         assert!(rl.contains(Ppn::new(3)));
         assert_eq!(rl.cold_to_hot(), vec![Ppn::new(4), Ppn::new(3)]);
+    }
+
+    #[test]
+    fn derived_chain_equals_inserting_coldest_first() {
+        for pages in [0u64, 1, 2, 3, 64, 1000] {
+            let chain = RecencyList::with_chain(5, 0.5, pages, pages);
+            let mut built = RecencyList::with_probability(5, 0.5);
+            for p in (0..pages).rev() {
+                built.insert_hot(Ppn::new(p));
+            }
+            assert_eq!(chain.cold_to_hot(), built.cold_to_hot(), "{pages} pages");
+            assert_eq!(chain.len(), built.len());
+            assert!((0..pages + 2).all(|p| chain.contains(Ppn::new(p)) == (p < pages)));
+            // The same operations keep them equal: touches inside and past
+            // the chain, evictions, removals and sampled accesses.
+            let (mut a, mut b) = (chain, built);
+            for step in 0..3 * pages + 8 {
+                let page = Ppn::new(step * 7 % (pages + 3));
+                match step % 4 {
+                    0 => {
+                        a.insert_hot(page);
+                        b.insert_hot(page);
+                    }
+                    1 => assert_eq!(a.pop_coldest(), b.pop_coldest()),
+                    2 => assert_eq!(a.remove(page), b.remove(page)),
+                    _ => assert_eq!(a.on_access(page), b.on_access(page)),
+                }
+                assert_eq!(a.cold_to_hot(), b.cold_to_hot(), "{pages} pages, step {step}");
+            }
+        }
+    }
+
+    #[test]
+    fn derived_chain_is_zeroed_storage() {
+        // The links are stored relative to the chain's, so a fresh chain
+        // has written nothing: every slot word is zero.
+        let mut rl = RecencyList::with_chain(1, 0.5, 4096, 8192);
+        assert!(rl.slots.iter().all(|&w| w == 0));
+        rl.insert_hot(Ppn::new(2000));
+        let written = rl.slots.iter().filter(|&&w| w != 0).count();
+        assert_eq!(written, 4, "page 2000, its old neighbours and the old head");
     }
 
     #[test]

@@ -76,6 +76,9 @@ const CTE_SCRUB_REFILL_NS: f64 = 60.0;
 /// sequential sweep touching one packed word per frame.
 const FREE_MAP_REBUILD_NS_PER_FRAME: f64 = 0.5;
 
+/// PTEs per 4 KiB table page.
+const ENTRIES_PER_TABLE: u64 = 512;
+
 /// Present bit of a [`PtbEmbeddings`] word; the low 28 bits hold the
 /// truncated CTE's frame.
 const EMBED_PRESENT: u32 = 1 << 31;
@@ -92,6 +95,38 @@ pub(crate) fn frame_limit_error(requested: u64) -> TmccError {
         requested,
         limit: MAX_FRAMES,
     }
+}
+
+/// Where each size-model sample goes if placed compressed: its ML2 class
+/// and stored bytes (its Deflate size, capped at a page), and the
+/// class-rounded bytes the split search and
+/// [`TwoLevelScheme::min_budget_frames`] sum page by page. Computed once
+/// per sample, so a page costs a table lookup.
+fn ml2_placements(size_model: &SizeModel, classes: &Ml2FreeLists) -> Vec<Ml2Placement> {
+    size_model
+        .samples()
+        .iter()
+        .map(|sizes| {
+            let comp = sizes.deflate_bytes.min(PAGE_SIZE);
+            let class = classes.class_for(comp).expect("a 4 KiB class holds any page");
+            let rounded = classes.class_size(class) as u64;
+            Ml2Placement { class, comp: comp as u32, rounded }
+        })
+        .collect()
+}
+
+/// A size-model sample's ML2 placement (see [`ml2_placements`]).
+#[derive(Clone, Copy)]
+struct Ml2Placement {
+    class: usize,
+    comp: u32,
+    rounded: u64,
+}
+
+/// ML2 frames that `bytes` of class-rounded pages take, with ~3 %
+/// carving slack.
+fn ml2_frames(bytes: u64) -> u64 {
+    (bytes * 103 / 100).div_ceil(PAGE_SIZE as u64)
 }
 
 /// The CTEs physically embedded in every compressed PTB (§V-A1), stored
@@ -147,12 +182,74 @@ impl PtbEmbeddings {
         }
     }
 
+    /// Records that the PTB at `pos` compressed, embedding nothing yet.
+    fn mark_compressed(&mut self, pos: usize) {
+        self.compressed.set(pos);
+    }
+
+    /// Embeds `frame`'s CTE as word `word`: slot `word % 8` of the PTB at
+    /// `word / 8`.
+    fn embed(&mut self, word: usize, frame: u32) {
+        self.words[word] = EMBED_PRESENT | TruncatedCte::new(frame).frame();
+    }
+
+    /// Heap bytes the store owns: one word per PTE slot and one bit per
+    /// PTB.
+    fn heap_bytes(&self) -> usize {
+        self.words.capacity() * std::mem::size_of::<u32>() + self.compressed.heap_bytes()
+    }
+
     /// The lazy repair of §V-A2: overwrites one slot of a compressed PTB
     /// with the verified CTE.
     fn repair(&mut self, block: BlockAddr, slot: usize, correct: TruncatedCte) {
         if let Some(pos) = self.position(block).filter(|&pos| self.compressed.get(pos)) {
             self.words[pos * PTES_PER_PTB + slot] = EMBED_PRESENT | correct.frame();
         }
+    }
+}
+
+/// The [`PtbEmbeddings`] words of the data pages whose leaf PTB takes the
+/// compressed encoding, with 4 KiB pages. A leaf PTB whose eight PTEs are
+/// all present is one progression of aligned PPNs with uniform status
+/// bits, so every geometry compresses it (its PPNs differ in the low three
+/// bits only); one with a missing PTE has mixed status bits and does not.
+/// A leaf table's 512 PTEs are 512 consecutive words, so the table's
+/// position is derived once per 512 pages.
+struct LeafWords<'a> {
+    page_table: &'a PageTable,
+    /// Pages `0..full` sit in leaf PTBs whose eight PTEs are all present.
+    full: u64,
+    /// The first page the cached leaf table maps, and its word.
+    cached: Option<(u64, usize)>,
+}
+
+impl<'a> LeafWords<'a> {
+    /// The words of `page_table`'s data pages: none unless CTEs are
+    /// `embedded` and its leaves map 4 KiB pages.
+    fn new(page_table: &'a PageTable, embedded: bool) -> Self {
+        let streamed = embedded && page_table.leaf_level() == 1;
+        let full = if streamed { page_table.mapped_pages() & !7 } else { 0 };
+        Self { page_table, full, cached: None }
+    }
+
+    /// The word of the leaf PTE that maps data page `ppn`, if its PTB
+    /// compresses.
+    #[inline]
+    fn word(&mut self, embed: &PtbEmbeddings, ppn: u64) -> Option<usize> {
+        if ppn >= self.full {
+            return None;
+        }
+        let first = ppn & !(ENTRIES_PER_TABLE - 1);
+        let base = match self.cached {
+            Some((cached, word)) if cached == first => word,
+            _ => {
+                let (block, slot) = self.page_table.leaf_pte(Ppn::new(first))?;
+                let word = embed.position(block)? * PTES_PER_PTB + slot;
+                self.cached = Some((first, word));
+                word
+            }
+        };
+        Some(base + (ppn - first) as usize)
     }
 }
 
@@ -216,7 +313,9 @@ impl TwoLevelScheme {
     /// `budget_frames` 4 KiB frames of DRAM are available. Page-table
     /// pages are pinned into ML1 first; data pages (hottest first — their
     /// index order) fill ML1 until only the eviction reserve remains, and
-    /// the rest are compressed into ML2.
+    /// the rest are compressed into ML2. One streaming pass writes the
+    /// state, each page's packed word and embedded CTE once, with no
+    /// allocation per page or per ML2 super-chunk.
     ///
     /// # Errors
     ///
@@ -245,13 +344,54 @@ impl TwoLevelScheme {
         if u64::from(budget_frames) > MAX_FRAMES {
             return Err(frame_limit_error(budget_frames.into()));
         }
+        let budget = u64::from(budget_frames);
+        let table_pages = page_table.table_page_count() as u64;
+        let infeasible = |required_frames, stage| TmccError::InfeasibleBudget {
+            budget_frames: budget,
+            required_frames,
+            stage,
+        };
+        if budget < table_pages {
+            return Err(infeasible(table_pages, "page-table pinning"));
+        }
         let evict_lo = ((budget_frames as usize) / 64).max(24);
+        let evict_hi = evict_lo + evict_lo / 2;
+        let ml2 = Ml2FreeLists::paper_classes();
+        let placements = ml2_placements(&size_model, &ml2);
+        // Choose the split point k so that pages 0..k live in ML1 and k..
+        // fit into ML2 within the budget left after pinning, plus the
+        // eviction reserve. The candidate k runs from data_pages down to 0
+        // while the suffix sum of class-rounded ML2 sizes accumulates in
+        // lockstep, so the search streams in O(1) extra space — no
+        // per-page arrays, which would dominate host memory at TB-scale
+        // footprints.
+        let avail = budget - table_pages;
+        let reserve = evict_hi as u64 + 8;
+        // ML2 bytes needed if pages k.. go to ML2 (the suffix sum at the
+        // loop variable's current value).
+        let mut suffix_bytes = 0u64;
+        let mut split = None;
+        for k in (0..=data_pages).rev() {
+            if k + ml2_frames(suffix_bytes) + reserve <= avail {
+                split = Some(k);
+                break;
+            }
+            if k > 0 {
+                suffix_bytes += placements[size_model.sample_of(k - 1, 0)].rounded;
+            }
+        }
+        // When no k fits, the loop ran to k = 0, so `suffix_bytes` holds
+        // the all-ML2 total for the error report.
+        let ml2_needed = ml2_frames(suffix_bytes);
+        let split = split.ok_or_else(|| {
+            infeasible(table_pages + ml2_needed + reserve, "ML1/ML2 data placement")
+        })?;
         let mut s = Self {
             toggles,
-            pages: PageMetaStore::new(table_region_base),
+            pages: PageMetaStore::with_pages(table_region_base, data_pages, table_pages),
             ml1_free: Ml1FreeList::with_chunks(budget_frames),
-            ml2: Ml2FreeLists::paper_classes(),
-            recency: RecencyList::with_probability(seed, recency_sample),
+            ml2,
+            recency: RecencyList::with_chain(seed, recency_sample, split, data_pages),
             cte_cache: CteCache::new(cte_cfg),
             cte_buffer: CteBuffer::paper_default(),
             ptb_embed: if toggles.embedded_ctes {
@@ -263,7 +403,7 @@ impl TwoLevelScheme {
             timing: DeflateTiming::default(),
             ibm: IbmDeflateModel::default(),
             evict_lo,
-            evict_hi: evict_lo + evict_lo / 2,
+            evict_hi,
             evict_crit: (evict_lo * 3) / 4,
             migration_buffer: VecDeque::new(),
             migration_cap: MIGRATION_BUFFER_ENTRIES,
@@ -277,131 +417,94 @@ impl TwoLevelScheme {
             force_stale: 0,
             rng: SmallRng::seed_from_u64(seed ^ 0x2_1E5E1),
         };
-        // Pin page-table pages in ML1.
-        let table_pages = page_table.table_page_count() as u64;
-        for ppn in page_table.table_ppns() {
-            let frame = s.ml1_free.pop().ok_or(TmccError::InfeasibleBudget {
-                budget_frames: budget_frames as u64,
-                required_frames: table_pages,
-                stage: "page-table pinning",
-            })?;
-            s.pages.insert(
-                ppn,
-                PageInfo {
-                    place: Placement::Ml1 { frame },
-                    dirty_epoch: 0,
-                    pinned: true,
-                    incompressible: false,
-                },
-            );
-        }
-        // Place data pages, hottest (lowest index) first. Choose the split
-        // point k so that pages 0..k live in ML1 and k.. fit into ML2
-        // within the remaining budget (plus the eviction reserve). The
-        // candidate k runs from data_pages down to 0 while the suffix sum
-        // of class-rounded ML2 sizes accumulates in lockstep, so the
-        // search streams in O(1) extra space — no per-page arrays, which
-        // would dominate host memory at TB-scale footprints.
-        let avail = s.ml1_free.len() as u64;
-        let reserve = s.evict_hi as u64 + 8;
-        // ML2 bytes needed if pages k.. go to ML2 (the suffix sum at the
-        // loop variable's current value).
-        let mut suffix_bytes = 0u64;
-        let mut split = None;
-        for k in (0..=data_pages).rev() {
-            // ML2 frames with ~3% carving slack.
-            let ml2_frames = (suffix_bytes * 103 / 100).div_ceil(PAGE_SIZE as u64);
-            if k + ml2_frames + reserve <= avail {
-                split = Some(k);
-                break;
-            }
-            if k > 0 {
-                suffix_bytes += s.ml2_rounded_bytes(k - 1);
-            }
-        }
-        // When no k fits, the loop ran to k = 0, so `suffix_bytes` holds
-        // the all-ML2 total for the error report.
-        let split = split.ok_or_else(|| TmccError::InfeasibleBudget {
-            budget_frames: budget_frames as u64,
-            required_frames: table_pages
-                + (suffix_bytes * 103 / 100).div_ceil(PAGE_SIZE as u64)
-                + reserve,
-            stage: "ML1/ML2 data placement",
+        s.place_pages(page_table, data_pages, split, &placements).map_err(|stage| {
+            // What the stage that ran short had to place, beyond the pinned
+            // table and the reserve.
+            let placing = if stage == "ML1 fill" { split } else { split + ml2_needed };
+            infeasible(table_pages + placing + reserve, stage)
         })?;
-        // Walk pages coldest-first so the recency list ends up ordered
-        // with the hottest (lowest-index) pages at the hot end.
-        for idx in (0..data_pages).rev() {
-            let ppn = Ppn::new(idx);
-            if idx < split {
-                let frame = s.ml1_free.pop().ok_or(TmccError::InfeasibleBudget {
-                    budget_frames: budget_frames as u64,
-                    required_frames: table_pages + split + reserve,
-                    stage: "ML1 fill",
-                })?;
-                s.pages.insert(
-                    idx,
-                    PageInfo {
-                        place: Placement::Ml1 { frame },
-                        dirty_epoch: 0,
-                        pinned: false,
-                        incompressible: false,
-                    },
-                );
-                s.recency.insert_hot(ppn);
-            } else {
-                let sizes = s.size_model.sizes_of(idx, 0);
-                let comp = sizes.deflate_bytes.min(PAGE_SIZE);
-                let sub = s.ml2.try_allocate(comp, &mut s.ml1_free).map_err(|_| {
-                    TmccError::InfeasibleBudget {
-                        budget_frames: budget_frames as u64,
-                        required_frames: table_pages
-                            + split
-                            + (suffix_bytes * 103 / 100).div_ceil(PAGE_SIZE as u64)
-                            + reserve,
-                        stage: "ML2 placement",
-                    }
-                })?;
-                s.pages.insert(
-                    idx,
-                    PageInfo {
-                        place: Placement::Ml2 { sub, comp_bytes: comp as u32 },
-                        dirty_epoch: 0,
-                        pinned: false,
-                        incompressible: false,
-                    },
-                );
-            }
-        }
-        // Warm the embedded CTEs in every compressible PTB (§VI: "warm up
-        // ML1, ML2, and embedded CTEs in compressed PTBs").
-        if toggles.embedded_ctes {
-            let geometry = PtbGeometry::paper_default();
-            for (block, ptb) in page_table.ptbs() {
-                s.refresh_ptb_embedding(block, &ptb, geometry);
-            }
-        }
         Ok(s)
+    }
+
+    /// Initial placement in one streaming pass (§VI: "warm up ML1, ML2,
+    /// and embedded CTEs in compressed PTBs"). Every frame comes from the
+    /// budget's fresh run in order: the page-table pages are pinned to
+    /// the first ones, then the data pages go coldest (highest index)
+    /// first — pages `split..` into ML2 sub-chunks of super-chunks carved
+    /// one after another, pages `..split` into one run of ML1 frames. So
+    /// each page's state is arithmetic on the pass's running position:
+    /// the pass writes its packed word and, in a compressed leaf PTB, its
+    /// embedded CTE, and allocates nothing per page or super-chunk. It
+    /// builds exactly what placing page by page through
+    /// [`Ml2FreeLists::try_allocate`], [`RecencyList::insert_hot`] and
+    /// [`PageMetaStore::insert`] builds.
+    ///
+    /// Returns the stage at which the budget ran out: `"ML2 placement"`
+    /// or `"ML1 fill"`. The caller has checked that it covers the table.
+    fn place_pages(
+        &mut self,
+        page_table: &PageTable,
+        data_pages: u64,
+        split: u64,
+        placements: &[Ml2Placement],
+    ) -> Result<(), &'static str> {
+        let table_frames = self.ml1_free.take_fresh(page_table.table_page_count() as u32);
+        let table_frames = table_frames.expect("the budget covers the page table");
+        for (ppn, frame) in page_table.table_ppns().zip(table_frames) {
+            self.pages.set_initial(ppn, Placement::Ml1 { frame }, true);
+        }
+        // With 4 KiB pages the leaf PTBs map the data pages one by one,
+        // and the pass embeds each page's CTE as it places the page.
+        let mut leaf_words = LeafWords::new(page_table, self.toggles.embedded_ctes);
+        for first in (0..leaf_words.full).step_by(PTES_PER_PTB) {
+            if let Some(word) = leaf_words.word(&self.ptb_embed, first) {
+                self.ptb_embed.mark_compressed(word / PTES_PER_PTB);
+            }
+        }
+        let ml2_pages = (split..data_pages).rev().map(|idx| {
+            let Ml2Placement { class, comp, .. } = placements[self.size_model.sample_of(idx, 0)];
+            (class, (idx, comp))
+        });
+        let (pages, embed) = (&mut self.pages, &mut self.ptb_embed);
+        let placed =
+            self.ml2.place_fresh(&mut self.ml1_free, ml2_pages, |(idx, comp), sub, frame| {
+                pages.set_initial(idx, Placement::Ml2 { sub, comp_bytes: comp }, false);
+                if let Some(word) = leaf_words.word(embed, idx) {
+                    embed.embed(word, frame);
+                }
+            });
+        if !placed {
+            return Err("ML2 placement");
+        }
+        let frames = self.ml1_free.take_fresh(split as u32).ok_or("ML1 fill")?;
+        for (idx, frame) in (0..split).rev().zip(frames) {
+            self.pages.set_initial(idx, Placement::Ml1 { frame }, false);
+            if let Some(word) = leaf_words.word(&self.ptb_embed, idx) {
+                self.ptb_embed.embed(word, frame);
+            }
+        }
+        // The PTBs the pass did not stream: a few per GiB above the 4 KiB
+        // leaves, and every level with 2 MiB pages.
+        if self.toggles.embedded_ctes {
+            let streamed = page_table.leaf_level() == 1;
+            for level in page_table.leaf_level() + u8::from(streamed)..=4 {
+                for (block, ptb) in page_table.ptbs_at_level(level) {
+                    self.refresh_ptb_embedding(block, &ptb, PtbGeometry::paper_default());
+                }
+            }
+        }
+        Ok(())
     }
 
     /// Smallest feasible budget (in frames) for a workload: the page
     /// table pinned uncompressed, every data page in ML2, plus the
     /// eviction reserve.
-    pub fn min_budget_frames(size_model: &SizeModel, table_pages: u64, data_pages: u64) -> u32 {
-        // Mirror the placement logic: class-rounded ML2 sizes plus ~3%
-        // carving slack.
-        let classes = Ml2FreeLists::paper_classes();
-        let mut ml2_bytes = 0u64;
-        for idx in 0..data_pages {
-            let comp = size_model.sizes_of(idx, 0).deflate_bytes.min(PAGE_SIZE);
-            let rounded = classes
-                .class_for(comp)
-                .map(|c| classes.class_size(c) as u64)
-                .unwrap_or(PAGE_SIZE as u64);
-            ml2_bytes += rounded;
-        }
-        let ml2_frames = (ml2_bytes * 103 / 100).div_ceil(PAGE_SIZE as u64) as u32;
-        let reserve = ((table_pages + data_pages) as u32 / 40).max(64);
-        table_pages as u32 + ml2_frames + reserve + 8
+    pub fn min_budget_frames(size_model: &SizeModel, table_pages: u64, data_pages: u64) -> u64 {
+        let placements = ml2_placements(size_model, &Ml2FreeLists::paper_classes());
+        let ml2_bytes: u64 =
+            (0..data_pages).map(|idx| placements[size_model.sample_of(idx, 0)].rounded).sum();
+        let reserve = ((table_pages + data_pages) / 40).max(64);
+        table_pages + ml2_frames(ml2_bytes) + reserve + 8
     }
 
     /// Whether the scheme is currently in degraded mode (free list below
@@ -414,13 +517,6 @@ impl TwoLevelScheme {
     /// shrink larger than the free list).
     pub fn reclaim_debt(&self) -> u64 {
         self.reclaim_debt
-    }
-
-    /// Class-rounded ML2 bytes data page `idx` would occupy if placed
-    /// compressed (4 KiB when it fits no class).
-    fn ml2_rounded_bytes(&self, idx: u64) -> u64 {
-        let comp = self.size_model.sizes_of(idx, 0).deflate_bytes.min(PAGE_SIZE);
-        self.ml2.class_for(comp).map(|c| self.ml2.class_size(c) as u64).unwrap_or(PAGE_SIZE as u64)
     }
 
     /// Derives the frame of a page's CTE from its placement: what a
@@ -1249,12 +1345,18 @@ impl Scheme for TwoLevelScheme {
             + self.ml2.heap_bytes()
             + self.recency.heap_bytes()
             + self.cte_cache.heap_bytes()
+            + self.cte_buffer.heap_bytes()
+            + self.ptb_embed.heap_bytes()
+            + self.migration_buffer.capacity() * std::mem::size_of::<f64>()
+            + self.evicted_pages.capacity() * std::mem::size_of::<Ppn>()
+            + self.size_model.heap_bytes()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::free_list::SubChunk;
     use crate::size_model::PageSizes;
     use tmcc_sim_dram::InterleavePolicy;
     use tmcc_sim_mem::page_table::WalkStep;
@@ -1735,5 +1837,323 @@ mod tests {
             "inflated pages must be flagged incompressible: {stats:?}"
         );
         assert_eq!(stats.ml1_to_ml2_migrations, 0);
+    }
+
+    /// Initial placement the way it was built before the streaming pass,
+    /// page by page through `Ml1FreeList::pop`, `Ml2FreeLists::try_allocate`,
+    /// `RecencyList::insert_hot` and `PageMetaStore::insert`, then the
+    /// embeddings warmed PTB by PTB: the oracle `try_new` must match.
+    fn reference_new(
+        toggles: TmccToggles,
+        size_model: SizeModel,
+        page_table: &PageTable,
+        data_pages: u64,
+        budget_frames: u32,
+        seed: u64,
+    ) -> Result<TwoLevelScheme, TmccError> {
+        let evict_lo = ((budget_frames as usize) / 64).max(24);
+        let mut s = TwoLevelScheme {
+            toggles,
+            pages: PageMetaStore::new(page_table.table_region_base()),
+            ml1_free: Ml1FreeList::with_chunks(budget_frames),
+            ml2: Ml2FreeLists::paper_classes(),
+            recency: RecencyList::with_probability(seed, 0.15),
+            cte_cache: CteCache::new(CteCacheConfig::tmcc()),
+            cte_buffer: CteBuffer::paper_default(),
+            ptb_embed: if toggles.embedded_ctes {
+                PtbEmbeddings::new(page_table)
+            } else {
+                PtbEmbeddings::default()
+            },
+            size_model,
+            timing: DeflateTiming::default(),
+            ibm: IbmDeflateModel::default(),
+            evict_lo,
+            evict_hi: evict_lo + evict_lo / 2,
+            evict_crit: (evict_lo * 3) / 4,
+            migration_buffer: VecDeque::new(),
+            migration_cap: MIGRATION_BUFFER_ENTRIES,
+            evicted_pages: Vec::new(),
+            total_frames: budget_frames,
+            reclaim_debt: 0,
+            next_frame_id: budget_frames,
+            degraded: false,
+            degraded_mark_ns: 0.0,
+            size_inflation_pct: 0,
+            force_stale: 0,
+            rng: SmallRng::seed_from_u64(seed ^ 0x2_1E5E1),
+        };
+        let infeasible = |required_frames, stage| TmccError::InfeasibleBudget {
+            budget_frames: budget_frames.into(),
+            required_frames,
+            stage,
+        };
+        let info =
+            |place, pinned| PageInfo { place, dirty_epoch: 0, pinned, incompressible: false };
+        let table_pages = page_table.table_page_count() as u64;
+        for ppn in page_table.table_ppns() {
+            let frame = s.ml1_free.pop().ok_or(infeasible(table_pages, "page-table pinning"))?;
+            s.pages.insert(ppn, info(Placement::Ml1 { frame }, true));
+        }
+        let avail = s.ml1_free.len() as u64;
+        let reserve = s.evict_hi as u64 + 8;
+        let mut suffix_bytes = 0u64;
+        let mut split = None;
+        for k in (0..=data_pages).rev() {
+            let ml2_frames = (suffix_bytes * 103 / 100).div_ceil(PAGE_SIZE as u64);
+            if k + ml2_frames + reserve <= avail {
+                split = Some(k);
+                break;
+            }
+            if k > 0 {
+                let comp = s.size_model.sizes_of(k - 1, 0).deflate_bytes.min(PAGE_SIZE);
+                let class = s.ml2.class_for(comp);
+                suffix_bytes += class.map(|c| s.ml2.class_size(c) as u64).unwrap_or(4096);
+            }
+        }
+        let ml2_frames = (suffix_bytes * 103 / 100).div_ceil(PAGE_SIZE as u64);
+        let all_ml2 = table_pages + ml2_frames + reserve;
+        let split = split.ok_or(infeasible(all_ml2, "ML1/ML2 data placement"))?;
+        for idx in (0..data_pages).rev() {
+            let place = if idx < split {
+                let ml1 = table_pages + split + reserve;
+                let frame = s.ml1_free.pop().ok_or(infeasible(ml1, "ML1 fill"))?;
+                s.recency.insert_hot(Ppn::new(idx));
+                Placement::Ml1 { frame }
+            } else {
+                let comp = s.size_model.sizes_of(idx, 0).deflate_bytes.min(PAGE_SIZE);
+                let ml2 = table_pages + split + ml2_frames + reserve;
+                let sub = s
+                    .ml2
+                    .try_allocate(comp, &mut s.ml1_free)
+                    .map_err(|_| infeasible(ml2, "ML2 placement"))?;
+                Placement::Ml2 { sub, comp_bytes: comp as u32 }
+            };
+            s.pages.insert(idx, info(place, false));
+        }
+        if toggles.embedded_ctes {
+            for (block, ptb) in page_table.ptbs() {
+                s.refresh_ptb_embedding(block, &ptb, PtbGeometry::paper_default());
+            }
+        }
+        Ok(s)
+    }
+
+    /// A splitmix step: the oracle's own deterministic draws.
+    fn mix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// Builds one configuration both ways and asserts the two states, a
+    /// harvest of every PTB and the next 200 free-list and recency-list
+    /// operations agree.
+    fn check_against_reference(
+        data_pages: u64,
+        samples: Vec<PageSizes>,
+        toggles: TmccToggles,
+        huge_pages: bool,
+        budget_pick: u64,
+        seed: u64,
+    ) {
+        let cfg = PageTableConfig { huge_pages, ..Default::default() };
+        let pt = PageTable::identity(cfg, data_pages);
+        let model = SizeModel::from_samples(samples);
+        let table_pages = pt.table_page_count() as u64;
+        let min = TwoLevelScheme::min_budget_frames(&model, table_pages, data_pages);
+        let unbudgeted = data_pages + table_pages + 512;
+        // Below the minimum a quarter of the time, else up to unbudgeted.
+        let budget = match budget_pick % 4 {
+            0 => budget_pick / 4 % min,
+            _ => min + budget_pick / 4 % (unbudgeted.max(min) - min + 1),
+        } as u32;
+        let case = format!("{data_pages} pages, budget {budget} (min {min}), huge {huge_pages}");
+        let built = TwoLevelScheme::try_new(
+            toggles,
+            CteCacheConfig::tmcc(),
+            model.clone(),
+            &pt,
+            data_pages,
+            budget,
+            seed,
+            0.15,
+        );
+        let reference = reference_new(toggles, model, &pt, data_pages, budget, seed);
+        let (mut a, mut b) = match (built, reference) {
+            (Ok(a), Ok(b)) => (a, b),
+            (a, b) => {
+                assert_eq!(a.map(|_| ()), b.map(|_| ()), "{case}");
+                return;
+            }
+        };
+        assert_eq!(a.pages, b.pages, "{case}");
+        assert!(a.pages.iter().eq(b.pages.iter()), "{case}: page infos differ");
+        assert_eq!(a.ml1_free, b.ml1_free, "{case}");
+        assert_eq!(a.ml2, b.ml2, "{case}");
+        assert_eq!(a.ptb_embed.words, b.ptb_embed.words, "{case}");
+        assert_eq!(a.ptb_embed.compressed, b.ptb_embed.compressed, "{case}");
+        assert_eq!(a.recency.len(), b.recency.len(), "{case}");
+        assert_eq!(a.recency.cold_to_hot(), b.recency.cold_to_hot(), "{case}");
+        a.validate().unwrap();
+        for (block, ptb) in pt.ptbs() {
+            a.on_ptb_fetched(block, &ptb);
+            b.on_ptb_fetched(block, &ptb);
+            assert_eq!(a.cte_buffer, b.cte_buffer, "{case}: harvest of {block:?}");
+        }
+        // The operations below drive the free lists and the recency list
+        // on their own, so the pages' words go stale; only the structures
+        // are compared from here on.
+        let mut live: Vec<SubChunk> = (a.pages.iter())
+            .filter_map(|(_, info)| match info.place {
+                Placement::Ml2 { sub, .. } => Some(sub),
+                Placement::Ml1 { .. } => None,
+            })
+            .collect();
+        let mut freed = Vec::new();
+        let mut state = seed;
+        for step in 0..200 {
+            let draw = mix(&mut state);
+            match draw % 4 {
+                0 => {
+                    let bytes = 1 + (draw >> 8) as usize % 4200;
+                    let got = a.ml2.try_allocate(bytes, &mut a.ml1_free);
+                    assert_eq!(got, b.ml2.try_allocate(bytes, &mut b.ml1_free), "{case}: {step}");
+                    live.extend(got.ok());
+                }
+                1 if !live.is_empty() => {
+                    let sub = live.swap_remove((draw >> 8) as usize % live.len());
+                    let got = a.ml2.try_free(sub, &mut a.ml1_free);
+                    assert_eq!(got, b.ml2.try_free(sub, &mut b.ml1_free), "{case}: {step}");
+                    freed.push(sub);
+                }
+                1 => {
+                    // A double free, once every live sub-chunk is gone.
+                    if let Some(&sub) = freed.last() {
+                        let got = a.ml2.try_free(sub, &mut a.ml1_free);
+                        assert_eq!(got, b.ml2.try_free(sub, &mut b.ml1_free), "{case}: {step}");
+                    }
+                }
+                _ => assert_eq!(a.recency.pop_coldest(), b.recency.pop_coldest(), "{case}"),
+            }
+            for &sub in live.iter().rev().take(2) {
+                assert_eq!(a.ml2.try_addr_of(sub), b.ml2.try_addr_of(sub), "{case}: {step}");
+            }
+        }
+        assert_eq!(a.ml1_free, b.ml1_free, "{case}");
+        assert_eq!(a.ml2, b.ml2, "{case}");
+        assert_eq!(a.recency.cold_to_hot(), b.recency.cold_to_hot(), "{case}");
+    }
+
+    /// Draws a 1- to 16-sample size model, some samples incompressible.
+    fn samples_from(state: &mut u64) -> Vec<PageSizes> {
+        let n = 1 + mix(state) as usize % 16;
+        (0..n)
+            .map(|_| {
+                let draw = mix(state);
+                let deflate_bytes = 1 + draw as usize % 4200;
+                PageSizes { deflate_bytes, block_bytes: 1 + (draw >> 20) as usize % 4096 }
+            })
+            .collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(48))]
+
+        /// The streaming construction builds exactly the page-by-page
+        /// state, errors included.
+        #[test]
+        fn construction_matches_page_by_page_placement(
+            pick in 0usize..16,
+            random_pages in 0u64..(1 << 16),
+            budget_pick in proptest::prelude::any::<u64>(),
+            toggles_pick in 0usize..3,
+            huge_pages in proptest::prelude::any::<bool>(),
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            const EDGES: [u64; 8] = [0, 1, 7, 8, 511, 512, 513, 4096];
+            let data_pages = EDGES.get(pick).copied().unwrap_or(random_pages);
+            let toggles = [TmccToggles::full(), TmccToggles::none(), TmccToggles::ml1_only()];
+            let mut state = seed;
+            let samples = samples_from(&mut state);
+            check_against_reference(
+                data_pages,
+                samples,
+                toggles[toggles_pick],
+                huge_pages,
+                budget_pick,
+                seed,
+            );
+        }
+    }
+
+    #[test]
+    fn construction_fails_at_the_same_stage_as_page_by_page_placement() {
+        // Every budget up to and past feasibility, with pages in classes
+        // whose super-chunks span 3 to 7 frames, so a few pages of each
+        // leave their super-chunks mostly empty. That waste stays within
+        // the split's eviction reserve (at least 44 frames, against at
+        // most 20 left empty across the classes' open super-chunks), so
+        // placement itself never runs short: budgets fail at pinning or
+        // at the split, the same way in both builders.
+        let sizes = [700, 1200, 1700, 2500];
+        let samples = sizes.map(|deflate_bytes| PageSizes { deflate_bytes, block_bytes: 4096 });
+        let mut stages = std::collections::BTreeSet::new();
+        for data_pages in [4, 30, 300] {
+            for budget in 0..data_pages as u32 + 200 {
+                let pt = identity_table(data_pages);
+                let model = SizeModel::from_samples(samples.to_vec());
+                let toggles = TmccToggles::full();
+                let cte = CteCacheConfig::tmcc();
+                let built = TwoLevelScheme::try_new(
+                    toggles,
+                    cte,
+                    model.clone(),
+                    &pt,
+                    data_pages,
+                    budget,
+                    5,
+                    0.15,
+                );
+                let reference = reference_new(toggles, model, &pt, data_pages, budget, 5);
+                match (built, reference) {
+                    (Ok(_), Ok(_)) => {}
+                    (a, b) => {
+                        let (a, b) = (a.map(|_| ()).unwrap_err(), b.map(|_| ()).unwrap_err());
+                        assert_eq!(a, b, "{data_pages} pages, budget {budget}");
+                        if let TmccError::InfeasibleBudget { stage, .. } = a {
+                            stages.insert(stage);
+                        }
+                    }
+                }
+            }
+        }
+        let want = ["ML1/ML2 data placement", "page-table pinning"];
+        assert_eq!(stages.into_iter().collect::<Vec<_>>(), want);
+    }
+
+    #[test]
+    fn construction_matches_at_every_budget_edge() {
+        // Each table-boundary count at the minimum, one frame below it,
+        // and unbudgeted, with the 4 KiB table streamed and the 2 MiB one
+        // warmed PTB by PTB.
+        let mut state = 3;
+        for data_pages in [0, 1, 7, 8, 511, 512, 513, 4096, 20_000] {
+            let samples = samples_from(&mut state);
+            for huge_pages in [false, true] {
+                for budget_pick in [0, 1, 4, 5, 8 * (1 << 20) + 1] {
+                    check_against_reference(
+                        data_pages,
+                        samples.clone(),
+                        TmccToggles::full(),
+                        huge_pages,
+                        budget_pick,
+                        state,
+                    );
+                }
+            }
+        }
     }
 }

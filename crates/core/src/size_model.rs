@@ -140,11 +140,31 @@ impl SizeModel {
     /// Sizes of page `index` at write-epoch `dirty_epoch` (bump the epoch
     /// after heavy writes to re-draw the page's compressibility).
     pub fn sizes_of(&self, index: u64, dirty_epoch: u32) -> PageSizes {
+        self.samples[self.sample_of(index, dirty_epoch)]
+    }
+
+    /// Index into [`samples`](Self::samples) of the sizes page `index`
+    /// draws at write-epoch `dirty_epoch`.
+    #[inline]
+    pub(crate) fn sample_of(&self, index: u64, dirty_epoch: u32) -> usize {
         let h = index
             .wrapping_mul(0x9E37_79B9_7F4A_7C15)
             .rotate_left(dirty_epoch % 63)
             .wrapping_add(dirty_epoch as u64);
-        self.samples[(h % self.samples.len() as u64) as usize]
+        let n = self.samples.len() as u64;
+        // A power-of-two count (the default 128) takes the same remainder
+        // as a mask, without a division.
+        (if n.is_power_of_two() { h & (n - 1) } else { h % n }) as usize
+    }
+
+    /// The sampled sizes pages draw from.
+    pub(crate) fn samples(&self) -> &[PageSizes] {
+        &self.samples
+    }
+
+    /// Heap bytes the model owns: its sampled sizes.
+    pub fn heap_bytes(&self) -> usize {
+        self.samples.capacity() * std::mem::size_of::<PageSizes>()
     }
 
     /// Mean Deflate ratio across the sampled pages.

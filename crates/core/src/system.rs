@@ -227,14 +227,14 @@ impl System {
     /// two-level schemes.
     pub fn min_budget_bytes(cfg: &SystemConfig) -> u64 {
         let pages = cfg.workload.sim_pages;
-        let table_pages =
-            PageTable::identity(PageTableConfig::default(), pages).table_page_count() as u64;
+        let table_cfg = PageTableConfig::for_data_pages(pages, cfg.huge_pages);
+        let table_pages = PageTable::identity(table_cfg, pages).table_page_count() as u64;
         let size_model = SizeModel::sample_via(
             &mut PageStore::new(cfg.workload.page_content(cfg.seed)),
             cfg.size_samples,
         );
         let frames = TwoLevelScheme::min_budget_frames(&size_model, table_pages, pages);
-        frames as u64 * 4096 + (pages + table_pages) * TWO_LEVEL_METADATA_BYTES
+        frames * 4096 + (pages + table_pages) * TWO_LEVEL_METADATA_BYTES
     }
 
     /// The configuration in use.

@@ -2,8 +2,9 @@
 //! specification of the original pointer-chasing implementation: an
 //! ordered cold→hot sequence where `insert_hot` moves a page to the hot
 //! end, `pop_coldest` evicts the cold end, and `remove` deletes in place.
-//! Arbitrary op traces must produce identical membership, length, victim
-//! choice and full eviction order.
+//! Arbitrary op traces, starting from a derived initial chain of random
+//! length (`RecencyList::with_chain`), must produce identical membership,
+//! length, victim choice and full eviction order.
 
 use proptest::prelude::*;
 use tmcc::RecencyList;
@@ -62,12 +63,19 @@ proptest! {
     /// The slab list and the specification agree on every observable after
     /// every op, and drain in the same eviction order.
     #[test]
-    fn slab_lru_matches_reference(ops in prop::collection::vec(op_strategy(), 1..400)) {
+    fn slab_lru_matches_reference(
+        chain in 0u64..48,
+        ops in prop::collection::vec(op_strategy(), 1..400),
+    ) {
         // Probability 1 makes `on_access` deterministic (always a touch) so
         // the spec needs no coupled RNG; the sampled path reduces to
-        // `insert_hot`, which this trace exercises directly.
-        let mut slab = RecencyList::with_probability(7, 1.0);
-        let mut spec = SpecList::default();
+        // `insert_hot`, which this trace exercises directly. The chain
+        // starts as pages 0..chain, page 0 hottest: what inserting them
+        // coldest first builds.
+        let mut slab = RecencyList::with_chain(7, 1.0, chain, chain + 8);
+        let mut spec = SpecList { cold_to_hot: (0..chain).rev().collect() };
+        let start: Vec<u64> = slab.cold_to_hot().iter().map(|p| p.raw()).collect();
+        prop_assert_eq!(&start, &spec.cold_to_hot, "derived chain");
         for op in ops {
             match op {
                 Op::InsertHot(p) => {

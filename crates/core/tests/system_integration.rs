@@ -148,3 +148,52 @@ fn effective_ratio_accounting_is_consistent() {
     assert!(ratio < 5.0, "ratio implausibly high: {ratio}");
     assert!(r.stats.dram_used_bytes <= budget + 64 * 4096);
 }
+
+#[test]
+fn min_budget_is_feasible_and_smaller_with_huge_pages() {
+    for name in ["shortestPath", "mcf", "canneal", "pageRank"] {
+        let w = WorkloadProfile::by_name(name).expect("known workload");
+        let mut per_page_size = Vec::new();
+        for huge_pages in [false, true] {
+            let mut cfg = SystemConfig::new(w.clone(), SchemeKind::Tmcc);
+            cfg.huge_pages = huge_pages;
+            let min = System::min_budget_bytes(&cfg);
+            let sys = System::try_new(cfg.with_budget(min));
+            assert!(sys.is_ok(), "{name} (huge {huge_pages}) at its minimum {min}");
+            per_page_size.push(min);
+        }
+        // 2 MiB pages need a 512th of the leaf tables pinned.
+        assert!(per_page_size[1] < per_page_size[0], "{name}: {per_page_size:?}");
+    }
+}
+
+#[test]
+fn min_budget_bytes_are_pinned_for_the_large_suite_and_kv_profiles() {
+    // The minimum feasible budget with 4 KiB pages, which every budget
+    // search of the figure suite starts from.
+    let got: Vec<(&str, u64)> = WorkloadProfile::large_suite()
+        .into_iter()
+        .chain(WorkloadProfile::kv_suite())
+        .map(|w| (w.name, System::min_budget_bytes(&SystemConfig::new(w, SchemeKind::Tmcc))))
+        .collect();
+    let graph = 115_252_296;
+    let want = [
+        ("pageRank", graph),
+        ("graphColoring", graph),
+        ("connComp", graph),
+        ("degCentr", graph),
+        ("shortestPath", graph),
+        ("bfs", graph),
+        ("dfs", graph),
+        ("kcore", graph),
+        ("triangleCount", graph),
+        ("mcf", 52_815_048),
+        ("omnetpp", 33_203_016),
+        ("canneal", 50_672_552),
+        ("kv_zipf", 10_842_472),
+        ("kv_cache", 12_476_776),
+        ("kv_scan", 13_234_536),
+        ("kv_hostile", 16_920_936),
+    ];
+    assert_eq!(got, want);
+}

@@ -41,7 +41,7 @@ pub struct CteBufferEntry {
 }
 
 /// One arena slot: a resident entry, its recency links and its index chain.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Node {
     key: u64,
     entry: CteBufferEntry,
@@ -71,7 +71,7 @@ struct Node {
 /// // A disagreeing verified CTE names the PTB slot to repair.
 /// assert_eq!(buf.reconcile(Ppn::new(5), TruncatedCte::new(7)), Some((ptb_block, 5)));
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CteBuffer {
     /// Entry arena; grows to `capacity`, then recycles the LRU node.
     nodes: Vec<Node>,
@@ -113,6 +113,13 @@ impl CteBuffer {
     /// The paper's 64-entry buffer.
     pub fn paper_default() -> Self {
         Self::new(64)
+    }
+
+    /// Heap bytes the buffer owns (capacity, not length): the entry
+    /// arena, its free list and the key index.
+    pub fn heap_bytes(&self) -> usize {
+        self.nodes.capacity() * std::mem::size_of::<Node>()
+            + (self.free.capacity() + self.heads.capacity()) * std::mem::size_of::<u32>()
     }
 
     /// Bucket of `key` (Fibonacci hashing keeps runs of adjacent PPNs —

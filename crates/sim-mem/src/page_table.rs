@@ -414,6 +414,23 @@ impl PageTable {
         })
     }
 
+    /// The leaf PTE that maps data page `ppn`: its PTB's block address and
+    /// its slot in that PTB, where the walk of `ppn`'s identity VPN ends —
+    /// pure arithmetic, no PTB built. `None` when no leaf PTE names `ppn`:
+    /// past the mapped pages, or inside a 2 MiB page.
+    pub fn leaf_pte(&self, ppn: Ppn) -> Option<(BlockAddr, usize)> {
+        let id = self.identity;
+        let unit_bits = 9 * u32::from(id.leaf - 1);
+        let raw = ppn.raw();
+        if raw >= id.covered || raw & ((1 << unit_bits) - 1) != 0 {
+            return None;
+        }
+        let entry = raw >> unit_bits;
+        let table = Ppn::new(id.base + id.position(id.leaf, entry >> 9));
+        let idx = (entry % ENTRIES_PER_TABLE) as usize;
+        Some((table.block(idx / PTES_PER_PTB), idx % PTES_PER_PTB))
+    }
+
     /// Whether a physical page is a page-table page.
     pub fn is_table_page(&self, ppn: Ppn) -> bool {
         self.table_ppns().contains(&ppn.raw())
@@ -535,6 +552,31 @@ mod tests {
         let leaf = *pt.walk_path(Vpn::new(1000)).unwrap().last().unwrap();
         let ptb = pt.ptb_at(leaf.ptb_block).unwrap();
         assert_eq!(ptb.entry(leaf.slot).ppn(), Ppn::new(1000));
+    }
+
+    #[test]
+    fn leaf_pte_is_where_the_walk_ends() {
+        for huge_pages in [false, true] {
+            let cfg = PageTableConfig { huge_pages, ..Default::default() };
+            for pages in [1u64, 7, 8, 511, 512, 513, 4096, (1 << 18) + 1, (1 << 27) + 3] {
+                let pt = PageTable::identity(cfg, pages);
+                let covered = if huge_pages { pages.next_multiple_of(512) } else { pages };
+                let probes = [0, 1, 7, 8, 511, 512, 513, pages / 2, covered - 1, covered];
+                for ppn in probes.into_iter().chain(pages.saturating_sub(9)..pages + 9) {
+                    let got = pt.leaf_pte(Ppn::new(ppn));
+                    let leaf_target = !huge_pages || ppn % 512 == 0;
+                    let want = match pt.walk_path(Vpn::new(ppn)) {
+                        Some(path) if leaf_target && ppn < VIRTUAL_PAGES => {
+                            let leaf = *path.last().unwrap();
+                            assert_eq!(leaf.next_ppn, Ppn::new(ppn));
+                            Some((leaf.ptb_block, leaf.slot))
+                        }
+                        _ => None,
+                    };
+                    assert_eq!(got, want, "huge {huge_pages}, {pages} pages, ppn {ppn}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -59,6 +59,22 @@ impl BitVec {
         Self { words: vec![0; len.div_ceil(WORD_BITS)], len, ones: 0 }
     }
 
+    /// A bitmap of `len` bits whose first `ones` are set. The words are
+    /// allocated zeroed and only those holding set bits are written.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ones > len`.
+    pub fn with_prefix(len: usize, ones: usize) -> Self {
+        assert!(ones <= len, "{ones} set bits past a {len}-bit map");
+        let mut words = vec![0; len.div_ceil(WORD_BITS)];
+        words[..ones / WORD_BITS].fill(u64::MAX);
+        if !ones.is_multiple_of(WORD_BITS) {
+            words[ones / WORD_BITS] = (1 << (ones % WORD_BITS)) - 1;
+        }
+        Self { words, len, ones }
+    }
+
     /// Number of bits.
     pub fn len(&self) -> usize {
         self.len
@@ -374,6 +390,17 @@ mod tests {
         assert!(!bv.clear(7), "already clear");
         assert!(!bv.get(7));
         assert_eq!(bv.count_ones(), 0);
+    }
+
+    #[test]
+    fn prefix_equals_pushed_bits() {
+        for len in [0usize, 1, 63, 64, 65, 128, 130] {
+            for ones in [0, 1.min(len), len / 2, len.saturating_sub(1), len] {
+                let mut pushed = BitVec::new();
+                (0..len).for_each(|i| pushed.push(i < ones));
+                assert_eq!(BitVec::with_prefix(len, ones), pushed, "len {len}, ones {ones}");
+            }
+        }
     }
 
     #[test]
