@@ -50,6 +50,14 @@ fn point_cfg(pages: u64) -> SystemConfig {
 }
 
 /// Golden per-point row: deterministic metrics only.
+///
+/// The two heap columns sum heap *capacity*, which is deterministic, not
+/// resident memory. Construction allocates the dirty epochs and recency
+/// slots zeroed, and they become resident only where the run writes
+/// them, so about half of the counted capacity is never resident: at
+/// 1 TiB, `footprint_probe 1024` counts 6 483 MiB of metadata heap in a
+/// process that peaks at 3 342 MiB. `FOOTPRINT.json`'s RSS columns are
+/// the resident cost.
 #[derive(Serialize)]
 struct Row {
     sim_pages: u64,
@@ -57,10 +65,12 @@ struct Row {
     budget_bytes: u64,
     perf_accesses_per_us: f64,
     dram_used_bytes: u64,
+    /// Heap capacity of the scheme's metadata (see above).
     metadata_heap_bytes: u64,
     store_heap_bytes: u64,
     /// Host metadata bytes per simulated GiB — the succinct-layer figure
-    /// of merit (an eager page array would sit at 1 GiB per GiB here).
+    /// of merit (an eager page array would sit at 1 GiB per GiB here);
+    /// capacity, so an upper bound on what is resident.
     host_metadata_bytes_per_sim_gib: f64,
     store_reads: u64,
     store_writes: u64,

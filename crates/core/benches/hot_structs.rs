@@ -5,12 +5,12 @@
 //! access crosses these structures at least once, so their per-op cost
 //! is the floor of the whole simulator's throughput. The `construction`
 //! group times the two-level scheme's initial placement, which builds
-//! them all.
+//! them all, and Compresso's over the same pages.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use std::collections::HashMap;
 use tmcc::config::TmccToggles;
-use tmcc::schemes::TwoLevelScheme;
+use tmcc::schemes::{CompressoScheme, TwoLevelScheme};
 use tmcc::{PageInfo, PageMetaStore, PageSizes, Placement, RecencyList, SizeModel};
 use tmcc_sim_mem::{CteCacheConfig, PageTable, PageTableConfig, PageWalker};
 use tmcc_types::addr::{Ppn, Vpn};
@@ -202,6 +202,14 @@ fn bench_construction(c: &mut Criterion) {
             let cte = CteCacheConfig::tmcc();
             TwoLevelScheme::try_new(toggles, cte, model.clone(), &table, PAGES, frames, 7, 0.01)
                 .expect("feasible budget")
+        })
+    });
+    // Compresso over the same pages and table, as `System::try_new`
+    // passes them: the data run from 0, then the table region.
+    g.bench_function("compresso-new/1Mi", |b| {
+        b.iter(|| {
+            let ppns = (0..PAGES).chain(table.table_ppns()).map(Ppn::new);
+            CompressoScheme::new(CteCacheConfig::compresso(), model.clone(), ppns, 7)
         })
     });
     g.finish();

@@ -129,6 +129,11 @@ impl ChunkFreeList {
         (self.fresh_end - self.fresh_next) as usize + self.spill.len()
     }
 
+    /// Every free chunk: the pushed ones, then the fresh run.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = u32> + '_ {
+        self.spill.iter().copied().chain(self.fresh_next..self.fresh_end)
+    }
+
     /// Whether no chunks are free.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
@@ -355,6 +360,13 @@ impl Ml2FreeLists {
             }
         }
         (best.0, best.1)
+    }
+
+    /// A class's super-chunk geometry: chunks `M` per super-chunk and the
+    /// `N` sub-chunks it is carved into.
+    #[cfg(test)]
+    pub(crate) fn geometry(&self, class: usize) -> (usize, usize) {
+        self.geometry[class]
     }
 
     /// Number of size classes.

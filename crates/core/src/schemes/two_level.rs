@@ -417,12 +417,7 @@ impl TwoLevelScheme {
             force_stale: 0,
             rng: SmallRng::seed_from_u64(seed ^ 0x2_1E5E1),
         };
-        s.place_pages(page_table, data_pages, split, &placements).map_err(|stage| {
-            // What the stage that ran short had to place, beyond the pinned
-            // table and the reserve.
-            let placing = if stage == "ML1 fill" { split } else { split + ml2_needed };
-            infeasible(table_pages + placing + reserve, stage)
-        })?;
+        s.place_pages(page_table, data_pages, split, &placements);
         Ok(s)
     }
 
@@ -439,15 +434,20 @@ impl TwoLevelScheme {
     /// [`Ml2FreeLists::try_allocate`], [`RecencyList::insert_hot`] and
     /// [`PageMetaStore::insert`] builds.
     ///
-    /// Returns the stage at which the budget ran out: `"ML2 placement"`
-    /// or `"ML1 fill"`. The caller has checked that it covers the table.
+    /// The caller has checked that the budget covers the table and the
+    /// split: `split` ML1 frames plus ML2's class-rounded bytes with 3 %
+    /// slack, plus an eviction reserve of at least 44 frames. A full
+    /// super-chunk of the paper's classes wastes nothing, and the classes'
+    /// open super-chunks take at most 27 frames beyond their pages' bytes
+    /// (`open_super_chunks_fit_in_the_smallest_reserve`), so placement
+    /// cannot run short.
     fn place_pages(
         &mut self,
         page_table: &PageTable,
         data_pages: u64,
         split: u64,
         placements: &[Ml2Placement],
-    ) -> Result<(), &'static str> {
+    ) {
         let table_frames = self.ml1_free.take_fresh(page_table.table_page_count() as u32);
         let table_frames = table_frames.expect("the budget covers the page table");
         for (ppn, frame) in page_table.table_ppns().zip(table_frames) {
@@ -473,10 +473,8 @@ impl TwoLevelScheme {
                     embed.embed(word, frame);
                 }
             });
-        if !placed {
-            return Err("ML2 placement");
-        }
-        let frames = self.ml1_free.take_fresh(split as u32).ok_or("ML1 fill")?;
+        assert!(placed, "ML2's open super-chunks outgrew the split's reserve of ≥ 44 frames");
+        let frames = self.ml1_free.take_fresh(split as u32).expect("the split leaves ML1 room");
         for (idx, frame) in (0..split).rev().zip(frames) {
             self.pages.set_initial(idx, Placement::Ml1 { frame }, false);
             if let Some(word) = leaf_words.word(&self.ptb_embed, idx) {
@@ -493,7 +491,6 @@ impl TwoLevelScheme {
                 }
             }
         }
-        Ok(())
     }
 
     /// Smallest feasible budget (in frames) for a workload: the page
@@ -2132,6 +2129,37 @@ mod tests {
         }
         let want = ["ML1/ML2 data placement", "page-table pinning"];
         assert_eq!(stages.into_iter().collect::<Vec<_>>(), want);
+    }
+
+    #[test]
+    fn open_super_chunks_fit_in_the_smallest_reserve() {
+        // Why `place_pages` cannot run short: the split reserves
+        // `evict_hi + 8` frames, at least 44, beyond ML2's class-rounded
+        // bytes plus 3 %. Each paper class fills its super-chunks exactly,
+        // so only the classes' open super-chunks take frames beyond their
+        // pages' bytes, the most when each holds a single page.
+        let mut ml2 = Ml2FreeLists::paper_classes();
+        let mut open_bytes = 0;
+        let mut empty_frames = 0;
+        for class in 0..ml2.classes() {
+            let (m, n) = ml2.geometry(class);
+            let size = ml2.class_size(class);
+            assert_eq!(m * PAGE_SIZE, n * size, "class {size}: a full super-chunk wastes bytes");
+            open_bytes += m * PAGE_SIZE - size;
+            empty_frames += (m * PAGE_SIZE - size) / PAGE_SIZE;
+        }
+        assert_eq!(empty_frames, 20, "frames the open super-chunks can leave wholly empty");
+        let beyond = open_bytes.div_ceil(PAGE_SIZE);
+        assert_eq!(beyond, 27, "frames the open super-chunks take beyond their pages' bytes");
+        let smallest_evict_lo = 24;
+        assert!(beyond < smallest_evict_lo + smallest_evict_lo / 2 + 8);
+
+        // The worst case, built: one page in every class fits in its
+        // bytes' frames plus that bound.
+        let bytes: usize = (0..ml2.classes()).map(|c| ml2.class_size(c)).sum();
+        let mut ml1 = Ml1FreeList::with_chunks((bytes.div_ceil(PAGE_SIZE) + beyond) as u32);
+        let one_each = (0..ml2.classes()).map(|class| (class, ()));
+        assert!(ml2.place_fresh(&mut ml1, one_each, |(), _, _| {}));
     }
 
     #[test]

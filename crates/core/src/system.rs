@@ -28,7 +28,8 @@ use crate::page_meta::MAX_REGION_PAGES;
 use crate::schedule::Cursor;
 use crate::schemes::two_level::{frame_limit_error, MAX_FRAMES};
 use crate::schemes::{
-    CompressoScheme, FlipPageContext, MemRequest, NoCompressionScheme, Scheme, TwoLevelScheme,
+    compresso, CompressoScheme, FlipPageContext, MemRequest, NoCompressionScheme, Scheme,
+    TwoLevelScheme,
 };
 use crate::size_model::SizeModel;
 use crate::stats::{RunReport, SimStats};
@@ -146,7 +147,9 @@ impl System {
     /// Builds the system, returning [`TmccError::InfeasibleBudget`] when
     /// the configured DRAM budget cannot hold the workload even fully
     /// compressed, and [`TmccError::ScaleLimit`] when the footprint or
-    /// budget exceeds what the simulator can number.
+    /// budget exceeds what the simulator can number (page handles and
+    /// frame numbers for the two-level schemes, chunk numbers for
+    /// Compresso).
     pub fn try_new(cfg: SystemConfig) -> Result<Self, TmccError> {
         let pages = cfg.workload.sim_pages;
         if pages > VIRTUAL_PAGES {
@@ -165,7 +168,11 @@ impl System {
             SchemeKind::OsInspired | SchemeKind::Tmcc => {
                 two_level_budget_frames(&cfg, pages, table_pages)?
             }
-            SchemeKind::NoCompression | SchemeKind::Compresso => 0, // unused
+            SchemeKind::Compresso => {
+                compresso::chunk_limit(pages + table_pages)?;
+                0 // unused
+            }
+            SchemeKind::NoCompression => 0, // unused
         };
         let mut store = PageStore::new(cfg.workload.page_content(cfg.seed));
         let size_model = SizeModel::sample_via(&mut store, cfg.size_samples);

@@ -149,3 +149,19 @@ fn footprint_past_the_cte_frame_limit_is_a_typed_error() {
         assert!(took < Duration::from_secs(1), "rejection took {took:?}");
     }
 }
+
+#[test]
+fn compresso_chunk_numbers_past_u32_are_a_typed_error() {
+    // 4 TiB is 2^30 pages; at up to eight 512 B chunks a page, their
+    // chunk numbers could pass 32 bits and would wrap. The worst case is
+    // O(1) arithmetic, so the rejection comes before the size model is
+    // sampled or any per-page state allocated.
+    let (err, took) = rejection(tb_scale(1 << 30, SchemeKind::Compresso));
+    assert!(
+        matches!(err, TmccError::ScaleLimit { requested, limit, .. }
+            if requested > 8 << 30 && limit == u64::from(u32::MAX)),
+        "got: {err}"
+    );
+    assert!(err.to_string().contains("Compresso chunks (32-bit chunk numbers)"), "{err}");
+    assert!(took < Duration::from_secs(1), "rejection took {took:?}");
+}
