@@ -340,11 +340,6 @@ impl SweepJournal {
             }
         }
     }
-
-    /// Points appended by this process (excludes replayed ones).
-    pub fn appended_points(&self) -> u64 {
-        self.appended.load(Ordering::Relaxed)
-    }
 }
 
 fn exit_after_points() -> Option<u64> {

@@ -1,17 +1,19 @@
 //! Criterion benchmarks of the simulator's hot-path bookkeeping
-//! structures: the packed per-page [`PageMetaStore`], the sampled intrusive
-//! [`RecencyList`], the FxHash maps versus `std`'s SipHash default, and
-//! the page walk through a computed identity table. Every simulated
-//! access crosses these structures at least once, so their per-op cost
-//! is the floor of the whole simulator's throughput. The `construction`
-//! group times the two-level scheme's initial placement, which builds
-//! them all, and Compresso's over the same pages.
+//! structures: the packed per-page [`PageMetaStore`] and the [`PageIndex`]
+//! it shares with Compresso, the sampled intrusive [`RecencyList`], the
+//! FxHash maps versus `std`'s SipHash default, and the page walk through
+//! a computed identity table. Every simulated access crosses these
+//! structures at least once, so their per-op cost is the floor of the
+//! whole simulator's throughput. The `construction` group times the
+//! two-level scheme's initial placement, which builds them all, and
+//! Compresso's over the same pages.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use std::collections::HashMap;
 use tmcc::config::TmccToggles;
+use tmcc::recency::SAMPLE_PROBABILITY;
 use tmcc::schemes::{CompressoScheme, TwoLevelScheme};
-use tmcc::{PageInfo, PageMetaStore, PageSizes, Placement, RecencyList, SizeModel};
+use tmcc::{PageIndex, PageMetaStore, PageSizes, Placement, RecencyList, SizeModel};
 use tmcc_sim_mem::{CteCacheConfig, PageTable, PageTableConfig, PageWalker};
 use tmcc_types::addr::{Ppn, Vpn};
 use tmcc_types::FxHashMap;
@@ -34,16 +36,29 @@ fn ppns(seed: u64, bound: u64, n: usize) -> Vec<u64> {
 }
 
 fn bench_page_meta(c: &mut Criterion) {
-    let mut pages = PageMetaStore::new(1 << 26);
+    // The two-run layout `System::try_new` places: the data pages from 0,
+    // then the page-table region.
+    let table = PageTable::identity(PageTableConfig::for_data_pages(PAGES, false), PAGES);
+    let mut index = PageIndex::default();
+    index.push(0..PAGES);
+    index.push(table.table_ppns());
+    let mut pages = PageMetaStore::with_pages(index.clone());
     for ppn in 0..PAGES {
-        let place = Placement::Ml1 { frame: ppn as u32 };
-        pages.insert(ppn, PageInfo { place, dirty_epoch: 0, pinned: false, incompressible: false });
+        let id = pages.id_of(ppn).expect("placed");
+        pages.set_place(id, Placement::Ml1 { frame: ppn as u32 });
     }
     let lookups = ppns(1, PAGES, OPS);
-    let ids: Vec<_> = lookups.iter().map(|&p| pages.id_of(p).expect("resident")).collect();
+    let ids: Vec<_> = lookups.iter().map(|&p| pages.id_of(p).expect("placed")).collect();
 
     let mut g = c.benchmark_group("page-meta");
     g.throughput(Throughput::Elements(OPS as u64));
+    g.bench_function("page-index/slot", |b| {
+        b.iter(|| {
+            for &ppn in &lookups {
+                black_box(index.slot(ppn));
+            }
+        })
+    });
     g.bench_function("id-of/64Ki", |b| {
         b.iter(|| {
             for &ppn in &lookups {
@@ -61,8 +76,9 @@ fn bench_page_meta(c: &mut Criterion) {
     g.bench_function("set-place/64Ki", |b| {
         b.iter(|| {
             for (i, &id) in ids.iter().enumerate() {
-                black_box(pages.set_place(id, Placement::Ml1 { frame: i as u32 }));
+                pages.set_place(id, Placement::Ml1 { frame: i as u32 });
             }
+            black_box(&pages);
         })
     });
     g.finish();
@@ -75,7 +91,7 @@ fn bench_recency_list(c: &mut Criterion) {
     g.throughput(Throughput::Elements(OPS as u64));
     g.bench_function("insert-hot/64Ki", |b| {
         b.iter(|| {
-            let mut rl = RecencyList::new(7);
+            let mut rl = RecencyList::with_chain(7, SAMPLE_PROBABILITY, 0, OPS as u64);
             for ppn in 0..OPS as u64 {
                 rl.insert_hot(Ppn::new(ppn));
             }
@@ -83,7 +99,7 @@ fn bench_recency_list(c: &mut Criterion) {
         })
     });
     g.bench_function("on-access/64Ki", |b| {
-        let mut rl = RecencyList::new(7);
+        let mut rl = RecencyList::with_chain(7, SAMPLE_PROBABILITY, 0, PAGES);
         for ppn in 0..PAGES {
             rl.insert_hot(Ppn::new(ppn));
         }
@@ -96,7 +112,7 @@ fn bench_recency_list(c: &mut Criterion) {
     g.bench_function("pop-coldest/4Ki", |b| {
         b.iter_with_setup(
             || {
-                let mut rl = RecencyList::new(7);
+                let mut rl = RecencyList::with_chain(7, SAMPLE_PROBABILITY, 0, OPS as u64);
                 for ppn in 0..OPS as u64 {
                     rl.insert_hot(Ppn::new(ppn));
                 }

@@ -24,9 +24,10 @@
 //!
 //! * [`ChunkFreeList`] splits its free set into a *fresh watermark* — the
 //!   never-yet-popped run `[fresh_next, fresh_end)`, which costs zero
-//!   bytes — and a LIFO *spill* of explicitly returned chunks, shadowed
-//!   by a [`BitVec`] free-map that makes the double-free audit O(1)
-//!   instead of an O(n) scan.
+//!   bytes — and a LIFO *spill* of explicitly returned chunks. Debug
+//!   builds shadow the spill with a `BitVec` free-map that makes the
+//!   double-free assertion O(1) instead of an O(n) scan; release builds,
+//!   which do not assert, keep no map.
 //! * Each [`Ml2FreeLists`] super-chunk is one packed `u32` word (size
 //!   class and first frame) for as long as its chunks are one ascending
 //!   run and it has never lost a slot: its allocated slots are then a
@@ -46,6 +47,7 @@
 
 use crate::error::TmccError;
 use std::ops::Range;
+#[cfg(debug_assertions)]
 use tmcc_types::bitvec::BitVec;
 
 /// A simple LIFO free list of uniform chunks, used for Compresso's 512 B
@@ -62,16 +64,16 @@ pub struct ChunkFreeList {
     fresh_end: u32,
     /// Explicitly returned chunks, popped LIFO before the fresh run.
     spill: Vec<u32>,
-    /// Free-map over the spill (bit set = chunk is in `spill`); the fresh
-    /// run is implicit in the watermark, so an all-fresh list costs no
-    /// bitmap bits at all.
+    /// Free-map over the spill (bit set = chunk is in `spill`) for the
+    /// double-free assertion, so only where assertions are compiled.
+    #[cfg(debug_assertions)]
     spill_map: BitVec,
 }
 
 impl ChunkFreeList {
     /// Creates a list owning chunks `0..chunks`.
     pub fn with_chunks(chunks: u32) -> Self {
-        Self { fresh_next: 0, fresh_end: chunks, spill: Vec::new(), spill_map: BitVec::new() }
+        Self { fresh_end: chunks, ..Self::default() }
     }
 
     /// Creates an empty list.
@@ -83,6 +85,7 @@ impl ChunkFreeList {
     /// chunk first, then the fresh run in ascending order.
     pub fn pop(&mut self) -> Option<u32> {
         if let Some(c) = self.spill.pop() {
+            #[cfg(debug_assertions)]
             self.spill_map.clear(c as usize);
             Some(c)
         } else if self.fresh_next < self.fresh_end {
@@ -112,14 +115,18 @@ impl ChunkFreeList {
 
     /// Returns a chunk to the top.
     pub fn push(&mut self, chunk: u32) {
-        debug_assert!(!self.is_free(chunk), "chunk {chunk} double-freed");
-        self.spill_map.grow(chunk as usize + 1);
-        self.spill_map.set(chunk as usize);
+        #[cfg(debug_assertions)]
+        {
+            assert!(!self.is_free(chunk), "chunk {chunk} double-freed");
+            self.spill_map.grow(chunk as usize + 1);
+            self.spill_map.set(chunk as usize);
+        }
         self.spill.push(chunk);
     }
 
     /// Whether `chunk` is currently free (in the fresh run or the spill).
-    pub fn is_free(&self, chunk: u32) -> bool {
+    #[cfg(debug_assertions)]
+    fn is_free(&self, chunk: u32) -> bool {
         (self.fresh_next..self.fresh_end).contains(&chunk)
             || ((chunk as usize) < self.spill_map.len() && self.spill_map.get(chunk as usize))
     }
@@ -141,13 +148,18 @@ impl ChunkFreeList {
 
     /// Heap bytes owned by the list (capacity, not length).
     pub fn heap_bytes(&self) -> usize {
-        self.spill.capacity() * std::mem::size_of::<u32>() + self.spill_map.heap_bytes()
+        #[cfg(debug_assertions)]
+        let map = self.spill_map.heap_bytes();
+        #[cfg(not(debug_assertions))]
+        let map = 0;
+        self.spill.capacity() * std::mem::size_of::<u32>() + map
     }
 
     /// Drops excess capacity left behind by a drain (pool-shrink hygiene:
     /// a drained list should not pin its peak-size allocation).
     pub fn shrink_to_fit(&mut self) {
         self.spill.shrink_to_fit();
+        #[cfg(debug_assertions)]
         self.spill_map.shrink_to_fit();
     }
 }
@@ -807,6 +819,7 @@ mod tests {
     }
 
     #[test]
+    #[cfg(debug_assertions)]
     fn chunk_list_free_map_tracks_membership() {
         let mut l = ChunkFreeList::with_chunks(10);
         assert!(l.is_free(0) && l.is_free(9));

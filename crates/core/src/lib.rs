@@ -38,6 +38,7 @@ pub mod error;
 pub mod free_list;
 pub mod handle;
 pub mod latency;
+pub mod page_index;
 pub mod page_meta;
 pub mod recency;
 pub mod schedule;
@@ -54,6 +55,7 @@ pub use error::TmccError;
 pub use free_list::{CompressoFreeList, Ml1FreeList, Ml2FreeLists};
 pub use handle::RunHandle;
 pub use latency::{LatencyHistogram, LATENCY_BINS};
+pub use page_index::PageIndex;
 pub use page_meta::{PageId, PageInfo, PageMetaStore, Placement};
 pub use recency::RecencyList;
 pub use schedule::{Schedule, Scheduled};

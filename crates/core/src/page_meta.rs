@@ -1,19 +1,14 @@
 //! Packed per-page metadata for the two-level schemes.
 //!
-//! The simulator's physical page numbers are dense by construction: data
-//! pages are identity-mapped from 0, and page-table pages are allocated
-//! sequentially from the table-region base (`PageTable::table_region_base`,
-//! 2^26 by default). [`PageMetaStore`] exploits that layout to key
-//! per-page state by a compact [`PageId`] handle derived *arithmetically*
-//! from the PPN — one comparison and one subtraction — so the steady-state
-//! access path indexes two dense regions (data pages keyed by PPN, table
-//! pages keyed by PPN − `table_base`) instead of hashing on every page
-//! touch. The scheme derives a handle once per request and reuses it for
-//! every lookup the request needs.
+//! Every page the simulator places has state from construction on, and
+//! none is added or dropped afterwards, so [`PageMetaStore`] keeps it in
+//! flat arrays with one entry per page, indexed by the page's slot in the
+//! shared [`PageIndex`]. The scheme derives a [`PageId`] handle once per
+//! request and reuses it for every lookup the request needs.
 //!
 //! At datacenter-scale footprints per-page state dominates host memory, so
-//! the store packs it into one 64-bit word per page plus a residency bit
-//! and a 32-bit dirty epoch (~12.2 B/page):
+//! the store packs it into one 64-bit word per page plus a 32-bit dirty
+//! epoch (12 B/page):
 //!
 //! ```text
 //! bit  0      level (0 = ML1, 1 = ML2)
@@ -28,42 +23,24 @@
 //! The word holds the page-level CTE of paper Fig. 13: the level, the
 //! `isIncompressible` bit, and the placement the CTE's frame derives from
 //! (the ML1 frame itself, or the ML2 sub-chunk whose address names it), so
-//! the scheme keeps no separate CTE copy. Residency is tracked by a
-//! succinct [`BitVec`].
+//! the scheme keeps no separate CTE copy.
 //!
-//! Initial placement builds the store with every page present and writes
-//! each word once. Its arrays
-//! are allocated zeroed, so the epoch of a page no writeback has re-drawn
-//! costs no resident memory: ~8.1 B/page resident after construction.
+//! Initial placement writes each word once. Both arrays are allocated
+//! zeroed, so the epoch of a page no writeback has re-drawn costs no
+//! resident memory: 8 B/page resident after construction.
 
 use crate::free_list::SubChunk;
-use tmcc_types::bitvec::BitVec;
+use crate::page_index::PageIndex;
 
-/// Compact handle of a page's slot in a [`PageMetaStore`]: a region bit
-/// (data vs. table) plus the index within the region.
+/// Data pages the two-level schemes can number: with the table pages,
+/// about one per 511 data pages, every slot stays within a `u32`
+/// [`PageId`].
+pub(crate) const MAX_DATA_PAGES: u64 = 1 << 31;
+
+/// Compact handle of a page's slot in a [`PageMetaStore`]: its rank in
+/// the store's [`PageIndex`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PageId(u32);
-
-/// Region bit of a [`PageId`]: set for table-region pages.
-const TABLE_BIT: u32 = 1 << 31;
-
-/// Pages each region can index: handles carry a 31-bit index, so data
-/// PPNs (and table-region offsets) must stay below this.
-pub(crate) const MAX_REGION_PAGES: u64 = TABLE_BIT as u64;
-
-impl PageId {
-    /// The region-local index.
-    #[inline]
-    fn index(self) -> usize {
-        (self.0 & !TABLE_BIT) as usize
-    }
-
-    /// Whether the handle points into the table region.
-    #[inline]
-    fn is_table(self) -> bool {
-        self.0 & TABLE_BIT != 0
-    }
-}
 
 /// Where a page's bytes currently live.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -156,263 +133,120 @@ fn decode(w: u64, dirty_epoch: u32) -> PageInfo {
     }
 }
 
-/// One dense region: residency bitmap plus parallel packed-word and
-/// dirty-epoch arrays.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct Region {
-    present: BitVec,
-    words: Vec<u64>,
-    epochs: Vec<u32>,
-}
-
-impl Region {
-    fn new() -> Self {
-        Self { present: BitVec::new(), words: Vec::new(), epochs: Vec::new() }
-    }
-
-    /// `len` present pages, each with a zero word and epoch. Both arrays
-    /// are allocated zeroed, so a page costs resident memory only once
-    /// its word or epoch is written.
-    fn resident(len: usize) -> Self {
-        Self { present: BitVec::with_prefix(len, len), words: vec![0; len], epochs: vec![0; len] }
-    }
-
-    fn ensure(&mut self, idx: usize) {
-        if idx >= self.words.len() {
-            self.words.resize(idx + 1, 0);
-            self.epochs.resize(idx + 1, 0);
-        }
-        self.present.grow(idx + 1);
-    }
-
-    fn get(&self, idx: usize) -> Option<PageInfo> {
-        (idx < self.present.len() && self.present.get(idx))
-            .then(|| decode(self.words[idx], self.epochs[idx]))
-    }
-
-    fn heap_bytes(&self) -> usize {
-        self.present.heap_bytes()
-            + self.words.capacity() * std::mem::size_of::<u64>()
-            + self.epochs.capacity() * std::mem::size_of::<u32>()
-    }
-}
-
-/// Packed per-page state keyed by dense PPN, split into the two dense
-/// regions of the simulator's physical layout.
+/// Packed per-page state for every page a [`PageIndex`] places.
 ///
 /// # Examples
 ///
 /// ```
-/// use tmcc::page_meta::{PageInfo, PageMetaStore, Placement};
+/// use tmcc::page_meta::{PageMetaStore, Placement};
+/// use tmcc::PageIndex;
 ///
-/// let mut pages = PageMetaStore::new(1 << 26);
-/// pages.insert(
-///     7,
-///     PageInfo {
-///         place: Placement::Ml1 { frame: 42 },
-///         dirty_epoch: 0,
-///         pinned: false,
-///         incompressible: false,
-///     },
-/// );
+/// let mut index = PageIndex::default();
+/// index.push(0..8);
+/// let mut pages = PageMetaStore::with_pages(index);
 /// let id = pages.id_of(7).unwrap();
-/// assert_eq!(pages.get_id(id).unwrap().place, Placement::Ml1 { frame: 42 });
+/// pages.set_place(id, Placement::Ml1 { frame: 42 });
+/// assert_eq!(pages.get_id(id).place, Placement::Ml1 { frame: 42 });
+/// assert_eq!(pages.id_of(8), None);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PageMetaStore {
-    /// Data-page region: index = PPN (PPNs below `table_base`).
-    data: Region,
-    /// Table-page region: index = PPN − `table_base`.
-    table: Region,
-    /// First PPN of the table region.
-    table_base: u64,
-    len: usize,
+    index: PageIndex,
+    /// Packed placement word per slot.
+    words: Vec<u64>,
+    /// Dirty epoch per slot.
+    epochs: Vec<u32>,
 }
 
 impl PageMetaStore {
-    /// Creates an empty store for a physical layout whose table pages
-    /// start at `table_base`.
-    pub fn new(table_base: u64) -> Self {
-        Self { data: Region::new(), table: Region::new(), table_base, len: 0 }
-    }
-
-    /// A store in which data pages `0..data_pages` and the table pages
-    /// `table_base..table_base + table_pages` are all present, in ML1
-    /// frame 0 at epoch 0 until [`set_initial`](Self::set_initial) places
-    /// them: initial placement writes each packed word once, in place.
+    /// A store holding every page `index` places, each in ML1 frame 0 at
+    /// epoch 0 until initial placement writes its packed word, once, in
+    /// place. Both arrays are allocated zeroed, so a page costs resident
+    /// memory only once its word or epoch is written.
     ///
     /// # Panics
     ///
-    /// Panics if either region would reach past the page handles' range.
-    pub(crate) fn with_pages(table_base: u64, data_pages: u64, table_pages: u64) -> Self {
-        assert!(
-            data_pages.max(table_pages) <= MAX_REGION_PAGES && data_pages <= table_base,
-            "{data_pages} data and {table_pages} table pages exceed the store's dense regions"
-        );
-        Self {
-            data: Region::resident(data_pages as usize),
-            table: Region::resident(table_pages as usize),
-            table_base,
-            len: (data_pages + table_pages) as usize,
-        }
+    /// Panics if a slot would not fit a [`PageId`].
+    pub fn with_pages(index: PageIndex) -> Self {
+        let len = index.len();
+        assert!(len <= 1 << 32, "{len} pages exceed the store's 32-bit page handles");
+        Self { index, words: vec![0; len as usize], epochs: vec![0; len as usize] }
     }
 
-    /// Writes the placement of page `ppn`, present since
-    /// [`with_pages`](Self::with_pages), as its packed word, with the
+    /// Writes the placement of page `ppn` as its packed word, with the
     /// incompressible flag clear and the epoch left as it is.
     ///
     /// # Panics
     ///
-    /// Panics if `ppn` lies outside both dense regions.
+    /// Panics if `ppn` is not placed.
     #[inline]
     pub(crate) fn set_initial(&mut self, ppn: u64, place: Placement, pinned: bool) {
-        let id = self
-            .id_of(ppn)
-            .unwrap_or_else(|| panic!("page {ppn:#x} outside the store's dense regions"));
+        let slot = self.index.slot(ppn).unwrap_or_else(|| panic!("page {ppn:#x} is not placed"));
         let info = PageInfo { place, dirty_epoch: 0, pinned, incompressible: false };
-        let idx = id.index();
-        self.region_mut(id).words[idx] = encode(&info);
+        self.words[slot] = encode(&info);
     }
 
-    /// Derives the compact handle for `ppn` — pure arithmetic, no
-    /// hashing. `None` when the PPN cannot be an index (outside both
-    /// dense regions' representable range).
+    /// The handle of page `ppn`, or `None` when it is not placed.
     #[inline]
     pub fn id_of(&self, ppn: u64) -> Option<PageId> {
-        if ppn < self.table_base {
-            (ppn < TABLE_BIT as u64).then_some(PageId(ppn as u32))
-        } else {
-            let off = ppn - self.table_base;
-            (off < TABLE_BIT as u64).then_some(PageId(off as u32 | TABLE_BIT))
-        }
+        self.index.slot(ppn).map(|slot| PageId(slot as u32))
     }
 
-    #[inline]
-    fn region(&self, id: PageId) -> &Region {
-        if id.is_table() {
-            &self.table
-        } else {
-            &self.data
-        }
-    }
-
-    #[inline]
-    fn region_mut(&mut self, id: PageId) -> &mut Region {
-        if id.is_table() {
-            &mut self.table
-        } else {
-            &mut self.data
-        }
-    }
-
-    /// Number of pages with state.
+    /// Number of pages.
     pub fn len(&self) -> usize {
-        self.len
+        self.words.len()
     }
 
-    /// Whether the store is empty.
+    /// Whether the store holds no page.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.words.is_empty()
     }
 
     /// The decoded state of the page behind a handle.
     #[inline]
-    pub fn get_id(&self, id: PageId) -> Option<PageInfo> {
-        self.region(id).get(id.index())
-    }
-
-    /// The decoded state of page `ppn`.
-    #[inline]
-    pub fn get(&self, ppn: u64) -> Option<PageInfo> {
-        self.get_id(self.id_of(ppn)?)
-    }
-
-    /// Inserts (or replaces) state for page `ppn`, allocating its slot on
-    /// first touch. Returns `true` when the page was previously absent.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ppn` lies outside both dense regions.
-    pub fn insert(&mut self, ppn: u64, info: PageInfo) -> bool {
-        let id = self
-            .id_of(ppn)
-            .unwrap_or_else(|| panic!("page {ppn:#x} outside the store's dense regions"));
-        let idx = id.index();
-        let region = self.region_mut(id);
-        region.ensure(idx);
-        region.words[idx] = encode(&info);
-        region.epochs[idx] = info.dirty_epoch;
-        let was_absent = region.present.set(idx);
-        if was_absent {
-            self.len += 1;
-        }
-        was_absent
+    pub fn get_id(&self, id: PageId) -> PageInfo {
+        let slot = id.0 as usize;
+        decode(self.words[slot], self.epochs[slot])
     }
 
     /// Re-homes the page behind `id`, preserving its flags and epoch.
-    /// Returns `false` when no such page has state.
     #[inline]
-    pub fn set_place(&mut self, id: PageId, place: Placement) -> bool {
-        let idx = id.index();
-        let region = self.region_mut(id);
-        if idx >= region.present.len() || !region.present.get(idx) {
-            return false;
-        }
-        let mut info = decode(region.words[idx], 0);
+    pub fn set_place(&mut self, id: PageId, place: Placement) {
+        let word = &mut self.words[id.0 as usize];
+        let mut info = decode(*word, 0);
         info.place = place;
-        region.words[idx] = encode(&info);
-        true
+        *word = encode(&info);
     }
 
-    /// Sets or clears the sticky incompressible flag. Returns `false`
-    /// when no such page has state.
+    /// Sets or clears the sticky incompressible flag.
     #[inline]
-    pub fn set_incompressible(&mut self, id: PageId, flag: bool) -> bool {
-        let idx = id.index();
-        let region = self.region_mut(id);
-        if idx >= region.present.len() || !region.present.get(idx) {
-            return false;
-        }
+    pub fn set_incompressible(&mut self, id: PageId, flag: bool) {
+        let word = &mut self.words[id.0 as usize];
         if flag {
-            region.words[idx] |= INCOMPRESSIBLE_BIT;
+            *word |= INCOMPRESSIBLE_BIT;
         } else {
-            region.words[idx] &= !INCOMPRESSIBLE_BIT;
+            *word &= !INCOMPRESSIBLE_BIT;
         }
-        true
     }
 
-    /// Advances the page's dirty epoch by one. Returns `false` when no
-    /// such page has state.
+    /// Advances the page's dirty epoch by one.
     #[inline]
-    pub fn bump_dirty_epoch(&mut self, id: PageId) -> bool {
-        let idx = id.index();
-        let region = self.region_mut(id);
-        if idx >= region.present.len() || !region.present.get(idx) {
-            return false;
-        }
-        region.epochs[idx] += 1;
-        true
+    pub fn bump_dirty_epoch(&mut self, id: PageId) {
+        self.epochs[id.0 as usize] += 1;
     }
 
-    /// Iterates `(ppn, state)` pairs: the data region in PPN order, then
-    /// the table region.
+    /// Iterates `(ppn, state)` pairs in slot order: ascending PPN.
     pub fn iter(&self) -> impl Iterator<Item = (u64, PageInfo)> + '_ {
-        let base = self.table_base;
-        self.data
-            .present
-            .iter_ones()
-            .map(move |i| (i as u64, decode(self.data.words[i], self.data.epochs[i])))
-            .chain(
-                self.table.present.iter_ones().map(move |i| {
-                    (base + i as u64, decode(self.table.words[i], self.table.epochs[i]))
-                }),
-            )
+        let states = self.words.iter().zip(&self.epochs).map(|(&w, &e)| decode(w, e));
+        self.index.iter().zip(states)
     }
 
     /// Host heap bytes owned by the store (capacity, not length) — the
     /// footprint experiments report this per simulated GB.
     pub fn heap_bytes(&self) -> usize {
-        self.data.heap_bytes() + self.table.heap_bytes()
+        self.index.heap_bytes()
+            + self.words.capacity() * std::mem::size_of::<u64>()
+            + self.epochs.capacity() * std::mem::size_of::<u32>()
     }
 }
 
@@ -431,37 +265,46 @@ mod tests {
         }
     }
 
+    /// A store over data pages `0..data` and table pages `BASE..BASE + table`.
+    fn store(data: u64, table: u64) -> PageMetaStore {
+        let mut index = PageIndex::default();
+        index.push(0..data);
+        index.push(BASE..BASE + table);
+        PageMetaStore::with_pages(index)
+    }
+
+    fn get(s: &PageMetaStore, ppn: u64) -> Option<PageInfo> {
+        s.id_of(ppn).map(|id| s.get_id(id))
+    }
+
     #[test]
     fn insert_get_both_regions() {
-        let mut s = PageMetaStore::new(BASE);
-        assert!(s.insert(5, ml1(50)));
-        assert!(s.insert(BASE + 3, PageInfo { pinned: true, ..ml1(33) }));
-        assert_eq!(s.get(5).unwrap().place, Placement::Ml1 { frame: 50 });
-        assert!(s.get(BASE + 3).unwrap().pinned);
-        assert!(s.get(6).is_none());
-        assert!(s.get(BASE + 4).is_none());
-        assert_eq!(s.len(), 2);
-        assert!(!s.insert(5, ml1(51)), "replace counts once");
-        assert_eq!(s.len(), 2);
-        assert_eq!(s.get(5).unwrap().place, Placement::Ml1 { frame: 51 });
+        let mut s = store(6, 4);
+        s.set_initial(5, Placement::Ml1 { frame: 50 }, false);
+        s.set_initial(BASE + 3, Placement::Ml1 { frame: 33 }, true);
+        assert_eq!(get(&s, 5), Some(ml1(50)));
+        assert_eq!(get(&s, BASE + 3), Some(PageInfo { pinned: true, ..ml1(33) }));
+        assert_eq!(get(&s, 4), Some(ml1(0)), "present before it is placed");
+        assert!(get(&s, 6).is_none());
+        assert!(get(&s, BASE + 4).is_none());
+        assert_eq!(s.len(), 10);
     }
 
     #[test]
     fn ids_round_trip_and_replace_counts_once() {
-        let mut s = PageMetaStore::new(BASE);
-        assert!(s.insert(7, ml1(1)));
-        assert!(!s.insert(7, ml1(2)));
-        assert_eq!(s.len(), 1);
+        let mut s = store(8, 1);
+        s.set_initial(7, Placement::Ml1 { frame: 1 }, false);
+        s.set_initial(7, Placement::Ml1 { frame: 2 }, false);
+        assert_eq!(s.len(), 9);
         let id = s.id_of(7).unwrap();
-        assert_eq!(s.get_id(id).unwrap().place, Placement::Ml1 { frame: 2 });
+        assert_eq!(s.get_id(id).place, Placement::Ml1 { frame: 2 });
         let tid = s.id_of(BASE).unwrap();
         assert_ne!(id, tid);
-        assert_eq!(s.get_id(tid), None, "table slot untouched");
+        assert_eq!(s.get_id(tid), ml1(0), "table slot untouched");
     }
 
     #[test]
     fn packed_word_roundtrips_extremes() {
-        let mut s = PageMetaStore::new(BASE);
         let info = PageInfo {
             place: Placement::Ml2 {
                 sub: SubChunk { class: 10, super_id: u32::MAX, slot: 127 },
@@ -471,75 +314,59 @@ mod tests {
             pinned: true,
             incompressible: true,
         };
-        s.insert(0, info);
-        assert_eq!(s.get(0).unwrap(), info);
+        assert_eq!(decode(encode(&info), info.dirty_epoch), info);
         let ml1_max = PageInfo {
             place: Placement::Ml1 { frame: u32::MAX },
             dirty_epoch: u32::MAX,
             pinned: false,
             incompressible: true,
         };
-        s.insert(1, ml1_max);
-        assert_eq!(s.get(1).unwrap(), ml1_max);
+        assert_eq!(decode(encode(&ml1_max), ml1_max.dirty_epoch), ml1_max);
     }
 
     #[test]
     fn incompressible_is_sticky_across_set_place() {
-        let mut s = PageMetaStore::new(BASE);
-        s.insert(9, ml1(4));
+        let mut s = store(10, 0);
         let id = s.id_of(9).unwrap();
-        assert!(s.set_incompressible(id, true));
+        s.set_place(id, Placement::Ml1 { frame: 4 });
+        s.set_incompressible(id, true);
         // Migrate down and back up; the flag must survive both hops.
         let sub = SubChunk { class: 3, super_id: 17, slot: 5 };
-        assert!(s.set_place(id, Placement::Ml2 { sub, comp_bytes: 900 }));
-        assert!(s.get_id(id).unwrap().incompressible);
-        assert!(s.set_place(id, Placement::Ml1 { frame: 8 }));
-        let info = s.get_id(id).unwrap();
+        s.set_place(id, Placement::Ml2 { sub, comp_bytes: 900 });
+        assert!(s.get_id(id).incompressible);
+        s.set_place(id, Placement::Ml1 { frame: 8 });
+        let info = s.get_id(id);
         assert!(info.incompressible);
         assert_eq!(info.place, Placement::Ml1 { frame: 8 });
+        s.set_incompressible(id, false);
+        assert!(!s.get_id(id).incompressible);
     }
 
     #[test]
     fn dirty_epoch_survives_set_place() {
-        let mut s = PageMetaStore::new(BASE);
-        s.insert(2, ml1(1));
+        let mut s = store(3, 0);
         let id = s.id_of(2).unwrap();
-        assert!(s.bump_dirty_epoch(id));
-        assert!(s.bump_dirty_epoch(id));
-        assert!(s.set_place(id, Placement::Ml1 { frame: 3 }));
-        assert_eq!(s.get_id(id).unwrap().dirty_epoch, 2);
-    }
-
-    #[test]
-    fn setters_on_absent_pages_report_failure() {
-        let mut s = PageMetaStore::new(BASE);
-        s.insert(0, ml1(0));
-        let absent = s.id_of(40).unwrap();
-        assert!(!s.set_place(absent, Placement::Ml1 { frame: 1 }));
-        assert!(!s.set_incompressible(absent, true));
-        assert!(!s.bump_dirty_epoch(absent));
+        s.bump_dirty_epoch(id);
+        s.bump_dirty_epoch(id);
+        s.set_place(id, Placement::Ml1 { frame: 3 });
+        assert_eq!(s.get_id(id).dirty_epoch, 2);
     }
 
     #[test]
     fn iter_is_dense_ppn_order() {
-        let mut s = PageMetaStore::new(BASE);
-        s.insert(BASE + 1, ml1(4));
-        s.insert(2, ml1(2));
-        s.insert(0, ml1(1));
-        s.insert(BASE, ml1(3));
+        let s = store(3, 2);
         let ppns: Vec<u64> = s.iter().map(|(p, _)| p).collect();
-        assert_eq!(ppns, vec![0, 2, BASE, BASE + 1]);
+        assert_eq!(ppns, vec![0, 1, 2, BASE, BASE + 1]);
     }
 
     #[test]
     fn iter_pairs_each_ppn_with_its_info() {
-        let mut s = PageMetaStore::new(BASE);
-        s.insert(BASE + 1, ml1(4));
-        s.insert(2, ml1(2));
-        s.insert(0, ml1(1));
-        s.insert(BASE, ml1(3));
+        let mut s = store(3, 2);
+        let frames = [(0, 1), (1, 5), (2, 2), (BASE, 3), (BASE + 1, 4)];
+        for &(p, frame) in frames.iter().rev() {
+            s.set_initial(p, Placement::Ml1 { frame }, false);
+        }
         let pairs: Vec<(u64, Placement)> = s.iter().map(|(p, info)| (p, info.place)).collect();
-        let frames = [(0, 1), (2, 2), (BASE, 3), (BASE + 1, 4)];
         let want: Vec<(u64, Placement)> =
             frames.iter().map(|&(p, frame)| (p, Placement::Ml1 { frame })).collect();
         assert_eq!(pairs, want);
@@ -547,77 +374,53 @@ mod tests {
 
     #[test]
     fn setters_reach_both_regions() {
-        // Data page 3 and table page BASE + 3 share region index 3; only
-        // the region bit keeps their handles apart.
-        let mut s = PageMetaStore::new(BASE);
-        s.insert(3, ml1(30));
-        s.insert(BASE + 3, PageInfo { pinned: true, ..ml1(33) });
+        // Data page 3 and table page BASE + 3 share their low bits; their
+        // slots keep them apart.
+        let mut s = store(4, 4);
+        s.set_initial(3, Placement::Ml1 { frame: 30 }, false);
+        s.set_initial(BASE + 3, Placement::Ml1 { frame: 33 }, true);
         let (data, table) = (s.id_of(3).unwrap(), s.id_of(BASE + 3).unwrap());
         assert_ne!(data, table);
-        assert!(s.set_place(table, Placement::Ml1 { frame: 34 }));
-        assert!(s.bump_dirty_epoch(table));
-        assert!(s.set_incompressible(table, true));
-        let t = s.get(BASE + 3).unwrap();
+        s.set_place(table, Placement::Ml1 { frame: 34 });
+        s.bump_dirty_epoch(table);
+        s.set_incompressible(table, true);
+        let t = s.get_id(table);
         assert_eq!(t.place, Placement::Ml1 { frame: 34 });
         assert_eq!(t.dirty_epoch, 1);
         assert!(t.pinned && t.incompressible);
-        assert_eq!(s.get(3).unwrap(), ml1(30), "data page untouched");
+        assert_eq!(s.get_id(data), ml1(30), "data page untouched");
     }
 
     #[test]
     fn out_of_range_ppn_has_no_id() {
-        let s = PageMetaStore::new(BASE);
-        assert!(s.id_of(BASE - 1).is_some());
+        let s = store(4, 2);
+        assert!(s.id_of(3).is_some() && s.id_of(BASE + 1).is_some());
+        assert!(s.id_of(4).is_none());
+        assert!(s.id_of(BASE - 1).is_none());
+        assert!(s.id_of(BASE + 2).is_none());
         assert!(s.id_of(BASE + (1 << 31)).is_none());
     }
 
     #[test]
-    fn both_regions_stop_at_the_handle_range() {
-        // A table base above the handle range leaves data PPNs the store
-        // cannot index; lookups there miss instead of aliasing.
+    fn lookups_past_either_run_miss() {
+        // A table run far above the data pages: the PPNs between the runs
+        // and past either one have no slot, so none aliases a placed page.
         let base = 1 << 40;
-        let s = PageMetaStore::new(base);
-        assert!(s.id_of(MAX_REGION_PAGES - 1).is_some());
-        assert!(s.id_of(MAX_REGION_PAGES).is_none());
-        assert!(s.id_of(base - 1).is_none());
-        assert!(s.id_of(base + MAX_REGION_PAGES - 1).is_some());
-        assert!(s.id_of(base + MAX_REGION_PAGES).is_none());
-        assert!(s.get(MAX_REGION_PAGES).is_none());
-    }
-
-    #[test]
-    fn placed_store_equals_an_inserted_one() {
-        let mut placed = PageMetaStore::with_pages(BASE, 100, 3);
-        assert_eq!(placed.len(), 103);
-        assert_eq!(placed.get(99), Some(ml1(0)), "present before it is placed");
-        assert!(placed.get(100).is_none() && placed.get(BASE + 3).is_none());
-        let mut inserted = PageMetaStore::new(BASE);
-        for t in 0..3 {
-            placed.set_initial(BASE + t, Placement::Ml1 { frame: t as u32 }, true);
-            inserted.insert(BASE + t, PageInfo { pinned: true, ..ml1(t as u32) });
+        let mut index = PageIndex::default();
+        index.push(0..100);
+        index.push(base..base + 3);
+        let s = PageMetaStore::with_pages(index);
+        assert_eq!(s.id_of(99), Some(PageId(99)));
+        assert_eq!(s.id_of(base + 2), Some(PageId(102)));
+        for ppn in [100, MAX_DATA_PAGES, base - 1, base + 3, base + MAX_DATA_PAGES] {
+            assert!(s.id_of(ppn).is_none(), "{ppn:#x}");
         }
-        let sub = SubChunk { class: 4, super_id: 3, slot: 9 };
-        for p in (0..100).rev() {
-            let place = if p % 3 == 0 {
-                Placement::Ml2 { sub, comp_bytes: p as u32 }
-            } else {
-                Placement::Ml1 { frame: 1000 - p as u32 }
-            };
-            placed.set_initial(p, place, false);
-            inserted.insert(p, PageInfo { place, ..ml1(0) });
-        }
-        assert_eq!(placed, inserted);
-        assert!(placed.iter().eq(inserted.iter()));
     }
 
     #[test]
     fn heap_cost_is_near_twelve_bytes_per_page() {
-        let mut s = PageMetaStore::new(BASE);
-        for i in 0..10_000u64 {
-            s.insert(i, ml1(i as u32));
-        }
-        // Word + epoch + residency bit is ~12.2 B/page; capacity-doubling
-        // growth can at most double that.
-        assert!(s.heap_bytes() < 10_000 * 13 * 2, "heap {} too large", s.heap_bytes());
+        let s = store(10_000, 20);
+        // Word + epoch is 12 B per page, plus the index's two runs.
+        assert!(s.heap_bytes() <= 10_020 * 12 + 128, "heap {} too large", s.heap_bytes());
     }
 }

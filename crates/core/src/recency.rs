@@ -13,9 +13,9 @@
 //! lookups of the earlier `HashMap` representation are gone. Membership
 //! lives in a succinct [`BitVec`] beside the link slab, which keeps each
 //! slot at exactly two 32-bit links (8 B instead of a padded 12 B) at
-//! datacenter-scale page counts. Callers hand in physical page numbers
-//! from the simulator's dense data-page range; the slab grows to the
-//! highest page ever tracked.
+//! datacenter-scale page counts. Only data pages enter the list (table
+//! pages are pinned), and they are the dense range from PPN 0, so the
+//! slab is sized for every data page at construction and never grows.
 //!
 //! Initial placement fills ML1 with pages `0..n`, hottest first, so the
 //! list starts as that chain ([`RecencyList::with_chain`]): page `i` links
@@ -33,9 +33,9 @@ use tmcc_types::bitvec::BitVec;
 
 /// The paper's hardware sampling probability: 1 % of ML1 accesses update
 /// the list (§IV-B). Hardware runs billions of accesses, so 1 % sampling
-/// converges; scaled-down simulations should use
-/// [`RecencyList::with_probability`] to keep the *list quality* (samples
-/// per resident page) comparable — see `SystemConfig::recency_sample`.
+/// converges; scaled-down simulations pass [`RecencyList::with_chain`] a
+/// higher probability to keep the *list quality* (samples per resident
+/// page) comparable — see `SystemConfig::recency_sample`.
 pub const SAMPLE_PROBABILITY: f64 = 0.01;
 
 /// Sentinel link value ("no neighbour").
@@ -67,14 +67,12 @@ impl Slot {
 /// use tmcc::RecencyList;
 /// use tmcc_types::addr::Ppn;
 ///
-/// let mut rl = RecencyList::new(7);
-/// rl.insert_hot(Ppn::new(1));
+/// // Pages 0..3 of 8, hottest first, without a write per page.
+/// let mut rl = RecencyList::with_chain(7, 0.01, 3, 8);
+/// assert_eq!(rl.cold_to_hot(), [Ppn::new(2), Ppn::new(1), Ppn::new(0)]);
 /// rl.insert_hot(Ppn::new(2));
+/// rl.insert_hot(Ppn::new(7));
 /// assert_eq!(rl.coldest(), Some(Ppn::new(1)));
-///
-/// // Pages 0..3, hottest first, without a write per page.
-/// let chain = RecencyList::with_chain(7, 0.01, 3, 8);
-/// assert_eq!(chain.cold_to_hot(), [Ppn::new(2), Ppn::new(1), Ppn::new(0)]);
 /// ```
 #[derive(Debug, Clone)]
 pub struct RecencyList {
@@ -94,27 +92,11 @@ pub struct RecencyList {
 }
 
 impl RecencyList {
-    /// Creates an empty list with the paper's 1 % sampling.
-    pub fn new(seed: u64) -> Self {
-        Self::with_probability(seed, SAMPLE_PROBABILITY)
-    }
-
-    /// Creates an empty list with a custom sampling probability (used by
-    /// scaled-down simulations to keep samples-per-page comparable to a
-    /// full-length hardware run).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 < sample_prob <= 1`.
-    pub fn with_probability(seed: u64, sample_prob: f64) -> Self {
-        Self::with_chain(seed, sample_prob, 0, 0)
-    }
-
-    /// Creates a list tracking pages `0..chain`, page 0 hottest — what
-    /// `insert_hot` of pages `chain − 1` down to 0 builds — with its slab
-    /// sized for pages `0..pages`. No slot is written, and the slab is
-    /// allocated zeroed, so a slot costs resident memory only once the
-    /// list first touches it.
+    /// Creates a list over pages `0..pages` that tracks pages `0..chain`,
+    /// page 0 hottest — what `insert_hot` of pages `chain − 1` down to 0
+    /// builds. Each ML1 access updates it with probability `sample_prob`.
+    /// No slot is written, and the slab is allocated zeroed, so a slot
+    /// costs resident memory only once the list first touches it.
     ///
     /// # Panics
     ///
@@ -142,12 +124,11 @@ impl RecencyList {
     ///
     /// # Panics
     ///
-    /// Panics if the page number cannot index the slab (the simulator's
-    /// trackable pages are dense small indices by construction).
+    /// Panics if `page` lies past the slab.
     #[inline]
-    fn key(page: Ppn) -> usize {
+    fn key(&self, page: Ppn) -> usize {
         let raw = page.raw();
-        assert!(raw < NIL as u64, "page {raw:#x} out of the recency slab's dense index range");
+        assert!(raw < self.slots.len() as u64, "page {raw:#x} past the recency slab");
         raw as usize
     }
 
@@ -186,18 +167,12 @@ impl RecencyList {
 
     /// Whether `page` is tracked.
     pub fn contains(&self, page: Ppn) -> bool {
-        let key = Self::key(page);
-        key < self.present.len() && self.present.get(key)
+        self.present.get(self.key(page))
     }
 
     /// Unconditionally inserts/moves `page` to the hot end.
     pub fn insert_hot(&mut self, page: Ppn) {
-        let key = Self::key(page);
-        if key >= self.slots.len() {
-            // Past the chain, a zero slot is one with no links.
-            self.slots.resize(key + 1, 0);
-        }
-        self.present.grow(key + 1);
+        let key = self.key(page);
         if self.present.get(key) {
             self.unlink(key as u32);
             self.len -= 1;
@@ -263,19 +238,6 @@ impl RecencyList {
         Some(Ppn::new(t as u64))
     }
 
-    /// Removes `page` (e.g., when found incompressible, or migrated away).
-    pub fn remove(&mut self, page: Ppn) -> bool {
-        let key = Self::key(page);
-        if key < self.present.len() && self.present.get(key) {
-            self.unlink(key as u32);
-            self.present.clear(key);
-            self.len -= 1;
-            true
-        } else {
-            false
-        }
-    }
-
     fn unlink(&mut self, key: u32) {
         let node = self.load(key as usize);
         debug_assert!(self.present.get(key as usize), "unlinking an untracked slot");
@@ -309,8 +271,8 @@ impl RecencyList {
     }
 
     /// DRAM cost of the list for a machine with `total_pages` ML1-capable
-    /// pages: two 8-byte pointers + an 8-byte PPN per element ≈ 0.4 % of
-    /// DRAM (§V-A6).
+    /// pages: 16 bytes per page, two 8-byte links (the entry's position
+    /// names its page), ≈ 0.4 % of DRAM (§V-A6).
     pub fn dram_overhead_bytes(total_pages: u64) -> u64 {
         total_pages * 16
     }
@@ -325,9 +287,14 @@ impl RecencyList {
 mod tests {
     use super::*;
 
+    /// An empty list over pages `0..64` with the paper's sampling.
+    fn empty(seed: u64) -> RecencyList {
+        RecencyList::with_chain(seed, SAMPLE_PROBABILITY, 0, 64)
+    }
+
     #[test]
     fn order_is_lru() {
-        let mut rl = RecencyList::new(1);
+        let mut rl = empty(1);
         for p in 1..=4u64 {
             rl.insert_hot(Ppn::new(p));
         }
@@ -338,7 +305,7 @@ mod tests {
 
     #[test]
     fn pop_coldest_drains_in_order() {
-        let mut rl = RecencyList::new(1);
+        let mut rl = empty(1);
         for p in 0..5u64 {
             rl.insert_hot(Ppn::new(p));
         }
@@ -348,19 +315,8 @@ mod tests {
     }
 
     #[test]
-    fn remove_middle_keeps_links() {
-        let mut rl = RecencyList::new(1);
-        for p in 0..3u64 {
-            rl.insert_hot(Ppn::new(p));
-        }
-        assert!(rl.remove(Ppn::new(1)));
-        assert_eq!(rl.cold_to_hot(), vec![Ppn::new(0), Ppn::new(2)]);
-        assert!(!rl.remove(Ppn::new(1)));
-    }
-
-    #[test]
     fn sampling_rate_is_about_one_percent() {
-        let mut rl = RecencyList::new(99);
+        let mut rl = empty(99);
         let mut fired = 0;
         for i in 0..100_000u64 {
             if rl.on_access(Ppn::new(i % 64)) {
@@ -373,7 +329,7 @@ mod tests {
 
     #[test]
     fn single_element_list() {
-        let mut rl = RecencyList::new(1);
+        let mut rl = empty(1);
         rl.insert_hot(Ppn::new(9));
         assert_eq!(rl.coldest(), Some(Ppn::new(9)));
         assert_eq!(rl.pop_coldest(), Some(Ppn::new(9)));
@@ -383,7 +339,7 @@ mod tests {
 
     #[test]
     fn reinsert_after_pop_is_tracked_again() {
-        let mut rl = RecencyList::new(1);
+        let mut rl = empty(1);
         rl.insert_hot(Ppn::new(3));
         rl.insert_hot(Ppn::new(4));
         assert_eq!(rl.pop_coldest(), Some(Ppn::new(3)));
@@ -396,8 +352,8 @@ mod tests {
     #[test]
     fn derived_chain_equals_inserting_coldest_first() {
         for pages in [0u64, 1, 2, 3, 64, 1000] {
-            let chain = RecencyList::with_chain(5, 0.5, pages, pages);
-            let mut built = RecencyList::with_probability(5, 0.5);
+            let chain = RecencyList::with_chain(5, 0.5, pages, pages + 3);
+            let mut built = RecencyList::with_chain(5, 0.5, 0, pages + 3);
             for p in (0..pages).rev() {
                 built.insert_hot(Ppn::new(p));
             }
@@ -405,7 +361,7 @@ mod tests {
             assert_eq!(chain.len(), built.len());
             assert!((0..pages + 2).all(|p| chain.contains(Ppn::new(p)) == (p < pages)));
             // The same operations keep them equal: touches inside and past
-            // the chain, evictions, removals and sampled accesses.
+            // the chain, evictions, membership and sampled accesses.
             let (mut a, mut b) = (chain, built);
             for step in 0..3 * pages + 8 {
                 let page = Ppn::new(step * 7 % (pages + 3));
@@ -415,7 +371,7 @@ mod tests {
                         b.insert_hot(page);
                     }
                     1 => assert_eq!(a.pop_coldest(), b.pop_coldest()),
-                    2 => assert_eq!(a.remove(page), b.remove(page)),
+                    2 => assert_eq!(a.contains(page), b.contains(page)),
                     _ => assert_eq!(a.on_access(page), b.on_access(page)),
                 }
                 assert_eq!(a.cold_to_hot(), b.cold_to_hot(), "{pages} pages, step {step}");

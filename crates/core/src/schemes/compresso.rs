@@ -12,13 +12,13 @@
 //! Construction hands chunks out in page order, so the `i`-th placed page
 //! owns the run `first_i .. first_i + n_i`, where `n_i` is its epoch-0
 //! chunk count under the size model. The scheme keeps one `u32` word per
-//! page, its first chunk, in a dense array indexed arithmetically from the
-//! PPN through a short table of the PPN runs it was given (the data pages
-//! from 0 and the page-table region), and derives `n_i` from the size
-//! model on each request. Only a page an overflow has repacked gets an
-//! explicit record: its chunk numbers (at most eight) and dirty epoch, in
-//! a slab that its word then indexes; one bit per page tells the two kinds
-//! of word apart. A running chunk total makes the usage report O(1).
+//! page, its first chunk, in a dense array indexed by the page's slot in
+//! the shared [`PageIndex`] (the data pages from 0 and the page-table
+//! region), and derives `n_i` from the size model on each request. Only a
+//! page an overflow has repacked gets an explicit record: its chunk
+//! numbers (at most eight) and dirty epoch, in a slab that its word then
+//! indexes; one bit per page tells the two kinds of word apart. A running
+//! chunk total makes the usage report O(1).
 //!
 //! Chunk numbers are DRAM addresses, so they are part of the determinism
 //! contract: the records hold exactly the chunks a per-page chunk list
@@ -29,6 +29,7 @@ use super::{metadata_dram_addr, MemRequest, Scheme};
 use crate::config::SchemeKind;
 use crate::error::TmccError;
 use crate::free_list::CompressoFreeList;
+use crate::page_index::PageIndex;
 use crate::size_model::SizeModel;
 use crate::stats::SimStats;
 use rand::rngs::SmallRng;
@@ -66,15 +67,6 @@ pub(crate) fn chunk_limit(pages: u64) -> Result<(), TmccError> {
     Ok(())
 }
 
-/// A run of consecutive PPNs placed at construction: pages
-/// `start..start + len` have words `base..base + len`.
-#[derive(Debug, Clone, Copy)]
-struct Run {
-    start: u64,
-    len: u64,
-    base: u64,
-}
-
 /// A page an overflow has repacked: its chunks, in block order.
 #[derive(Debug, Clone, Copy)]
 struct Repacked {
@@ -86,8 +78,8 @@ struct Repacked {
 /// The Compresso memory controller.
 pub struct CompressoScheme {
     meta_cache: CteCache,
-    /// The runs of placed PPNs, ascending.
-    runs: Vec<Run>,
+    /// The placed pages; a page's slot indexes `words` and `is_repacked`.
+    pages: PageIndex,
     /// Per placed page: its first chunk, or the index of its record in
     /// `repacked` once an overflow has repacked it.
     words: Vec<u32>,
@@ -130,19 +122,13 @@ impl CompressoScheme {
                 n as u8
             })
             .collect();
-        let pages = pages.into_iter();
-        let mut runs: Vec<Run> = Vec::new();
-        let mut words = Vec::with_capacity(pages.size_hint().0);
+        let ppns = pages.into_iter();
+        let mut pages = PageIndex::default();
+        let mut words = Vec::with_capacity(ppns.size_hint().0);
         let mut next_chunk = 0u32;
-        for ppn in pages {
+        for ppn in ppns {
             let ppn = ppn.raw();
-            match runs.last_mut() {
-                Some(run) if ppn == run.start + run.len => run.len += 1,
-                Some(run) if ppn < run.start + run.len => {
-                    panic!("pages must ascend: {ppn:#x} after {:#x}", run.start + run.len - 1)
-                }
-                _ => runs.push(Run { start: ppn, len: 1, base: words.len() as u64 }),
-            }
+            pages.push(ppn..ppn + 1);
             words.push(next_chunk);
             let n = sample_chunks[size_model.sample_of(ppn, 0)];
             next_chunk = next_chunk.checked_add(n.into()).expect("chunk numbers past u32");
@@ -155,7 +141,7 @@ impl CompressoScheme {
         }
         Self {
             meta_cache: CteCache::new(cfg),
-            runs,
+            pages,
             is_repacked: BitVec::with_len(words.len()),
             words,
             repacked: Vec::new(),
@@ -166,19 +152,6 @@ impl CompressoScheme {
             size_model,
             rng: SmallRng::seed_from_u64(seed ^ 0xC0117),
         }
-    }
-
-    /// The word index of a placed page.
-    #[inline]
-    fn slot_of(&self, ppn: Ppn) -> Result<usize, TmccError> {
-        let raw = ppn.raw();
-        let after = self.runs.partition_point(|r| r.start <= raw);
-        after
-            .checked_sub(1)
-            .map(|i| self.runs[i])
-            .filter(|r| raw - r.start < r.len)
-            .map(|r| (r.base + raw - r.start) as usize)
-            .ok_or(TmccError::UnplacedPage { ppn: raw })
     }
 
     /// Chunks page `ppn` needs at write-epoch `dirty_epoch`.
@@ -285,7 +258,7 @@ impl CompressoScheme {
 
     #[cfg(test)]
     fn record_mut(&mut self, ppn: Ppn) -> &mut Repacked {
-        let slot = self.slot_of(ppn).expect("placed page");
+        let slot = self.pages.slot(ppn.raw()).expect("placed page");
         assert!(self.is_repacked.get(slot), "page {ppn:?} was never repacked");
         &mut self.repacked[self.words[slot] as usize]
     }
@@ -303,7 +276,9 @@ impl Scheme for CompressoScheme {
         dram: &mut DramSim,
         stats: &mut SimStats,
     ) -> Result<f64, TmccError> {
-        let addr = self.data_addr(self.slot_of(req.ppn)?, req);
+        let ppn = req.ppn.raw();
+        let slot = self.pages.slot(ppn).ok_or(TmccError::UnplacedPage { ppn })?;
+        let addr = self.data_addr(slot, req);
         let (ready_ns, _missed) = self.translate(req, now_ns, dram, stats, true);
         let done = dram.access(ready_ns, addr, req.write);
         Ok(done - now_ns)
@@ -316,7 +291,8 @@ impl Scheme for CompressoScheme {
         dram: &mut DramSim,
         stats: &mut SimStats,
     ) -> Result<(), TmccError> {
-        let slot = self.slot_of(req.ppn)?;
+        let ppn = req.ppn.raw();
+        let slot = self.pages.slot(ppn).ok_or(TmccError::UnplacedPage { ppn })?;
         let addr = self.data_addr(slot, req);
         let (ready_ns, _) = self.translate(req, now_ns, dram, stats, false);
         let done = dram.access_background(ready_ns, addr, true);
@@ -348,25 +324,20 @@ impl Scheme for CompressoScheme {
         let mut owned = BitVec::with_len(self.issued as usize);
         let mut claim = |chunk: u32| chunk < self.issued && owned.set(chunk as usize);
         let mut page_chunks = 0u64;
-        for run in &self.runs {
-            for offset in 0..run.len {
-                let ppn = Ppn::new(run.start + offset);
-                let slot = (run.base + offset) as usize;
-                let mut len = 0u64;
-                for chunk in self.chunks_of(slot, ppn) {
-                    if !claim(chunk) {
-                        return violation(format!(
-                            "page {:#x}: chunk {chunk} is not issued or has another owner",
-                            ppn.raw()
-                        ));
-                    }
-                    len += 1;
+        for (slot, ppn) in self.pages.iter().enumerate() {
+            let mut len = 0u64;
+            for chunk in self.chunks_of(slot, Ppn::new(ppn)) {
+                if !claim(chunk) {
+                    return violation(format!(
+                        "page {ppn:#x}: chunk {chunk} is not issued or has another owner"
+                    ));
                 }
-                if len == 0 {
-                    return violation(format!("page {:#x} holds no chunks", ppn.raw()));
-                }
-                page_chunks += len;
+                len += 1;
             }
+            if len == 0 {
+                return violation(format!("page {ppn:#x} holds no chunks"));
+            }
+            page_chunks += len;
         }
         if let Some(chunk) = self.free.iter().find(|&c| !claim(c)) {
             return violation(format!("free chunk {chunk} is not issued or has another owner"));
@@ -387,7 +358,7 @@ impl Scheme for CompressoScheme {
     }
 
     fn metadata_heap_bytes(&self) -> usize {
-        self.runs.capacity() * std::mem::size_of::<Run>()
+        self.pages.heap_bytes()
             + self.words.capacity() * std::mem::size_of::<u32>()
             + self.is_repacked.heap_bytes()
             + self.repacked.capacity() * std::mem::size_of::<Repacked>()
@@ -639,7 +610,7 @@ mod tests {
         let ppn = (0..64)
             .map(Ppn::new)
             .find(|&p| {
-                let slot = s.slot_of(p).unwrap();
+                let slot = s.pages.slot(p.raw()).unwrap();
                 s.is_repacked.get(slot) && s.repacked[s.words[slot] as usize].len >= 2
             })
             .expect("a repacked page");
@@ -815,7 +786,7 @@ mod tests {
         samples[0].block_bytes = 100;
         let ppns: Vec<u64> = (0..1024).map(|i| 8 * i).collect();
         let mut pair = Pair::new(SizeModel::from_samples(samples), &ppns, 11);
-        assert_eq!(pair.dense.runs.len(), ppns.len());
+        assert_eq!(pair.dense.pages.run_count(), ppns.len());
         let mut state = 5;
         let drained_at = (0..200_000)
             .find(|&op| {

@@ -30,6 +30,7 @@ use super::{cte_dram_addr, FlipPageContext, MemRequest, Scheme, SchemePressure, 
 use crate::config::{BitFlip, FaultKind, FlipShape, FlipTarget, SchemeKind, TmccToggles};
 use crate::error::TmccError;
 use crate::free_list::{Ml1FreeList, Ml2FreeLists};
+use crate::page_index::PageIndex;
 use crate::page_meta::{PageId, PageInfo, PageMetaStore, Placement};
 use crate::recency::RecencyList;
 use crate::size_model::SizeModel;
@@ -123,6 +124,13 @@ struct Ml2Placement {
     rounded: u64,
 }
 
+/// The eviction watermarks `(lo, hi, crit)` for a budget of `frames`
+/// frames (see the fields of [`TwoLevelScheme`]).
+fn watermarks(frames: u32) -> (usize, usize, usize) {
+    let lo = (frames as usize / 64).max(24);
+    (lo, lo + lo / 2, lo * 3 / 4)
+}
+
 /// ML2 frames that `bytes` of class-rounded pages take, with ~3 %
 /// carving slack.
 fn ml2_frames(bytes: u64) -> u64 {
@@ -132,10 +140,9 @@ fn ml2_frames(bytes: u64) -> u64 {
 /// The CTEs physically embedded in every compressed PTB (§V-A1), stored
 /// densely by PTB position in the table region: one word per PTE slot.
 ///
-/// Table pages are allocated sequentially from the table-region base (the
-/// layout [`PageMetaStore`] relies on too), so a PTB's position is its
-/// block address minus the region's first block — a PTB fetch reads its
-/// eight words without hashing.
+/// Table pages are allocated sequentially from the table-region base, so
+/// a PTB's position is its block address minus the region's first block —
+/// a PTB fetch reads its eight words without hashing.
 #[derive(Default)]
 struct PtbEmbeddings {
     /// First block address of the table region.
@@ -256,9 +263,9 @@ impl<'a> LeafWords<'a> {
 /// The shared two-level scheme.
 pub struct TwoLevelScheme {
     toggles: TmccToggles,
-    /// Per-page state, packed one word per page and indexed
-    /// arithmetically by the dense PPN layout — steady-state accesses
-    /// derive a [`PageId`] once per request and never hash (see
+    /// Per-page state, packed one word per page and indexed by the page's
+    /// slot in the shared [`PageIndex`] — steady-state accesses derive a
+    /// [`PageId`] once per request and never hash (see
     /// [`crate::page_meta`]). The CTE is not stored: it is derived from
     /// the placement on demand (see [`Self::cte_of`]).
     pages: PageMetaStore,
@@ -354,8 +361,7 @@ impl TwoLevelScheme {
         if budget < table_pages {
             return Err(infeasible(table_pages, "page-table pinning"));
         }
-        let evict_lo = ((budget_frames as usize) / 64).max(24);
-        let evict_hi = evict_lo + evict_lo / 2;
+        let (evict_lo, evict_hi, evict_crit) = watermarks(budget_frames);
         let ml2 = Ml2FreeLists::paper_classes();
         let placements = ml2_placements(&size_model, &ml2);
         // Choose the split point k so that pages 0..k live in ML1 and k..
@@ -386,9 +392,12 @@ impl TwoLevelScheme {
         let split = split.ok_or_else(|| {
             infeasible(table_pages + ml2_needed + reserve, "ML1/ML2 data placement")
         })?;
+        let mut index = PageIndex::default();
+        index.push(0..data_pages);
+        index.push(page_table.table_ppns());
         let mut s = Self {
             toggles,
-            pages: PageMetaStore::with_pages(table_region_base, data_pages, table_pages),
+            pages: PageMetaStore::with_pages(index),
             ml1_free: Ml1FreeList::with_chunks(budget_frames),
             ml2,
             recency: RecencyList::with_chain(seed, recency_sample, split, data_pages),
@@ -404,7 +413,7 @@ impl TwoLevelScheme {
             ibm: IbmDeflateModel::default(),
             evict_lo,
             evict_hi,
-            evict_crit: (evict_lo * 3) / 4,
+            evict_crit,
             migration_buffer: VecDeque::new(),
             migration_cap: MIGRATION_BUFFER_ENTRIES,
             evicted_pages: Vec::new(),
@@ -431,8 +440,8 @@ impl TwoLevelScheme {
     /// the pass writes its packed word and, in a compressed leaf PTB, its
     /// embedded CTE, and allocates nothing per page or super-chunk. It
     /// builds exactly what placing page by page through
-    /// [`Ml2FreeLists::try_allocate`], [`RecencyList::insert_hot`] and
-    /// [`PageMetaStore::insert`] builds.
+    /// [`Ml2FreeLists::try_allocate`] and [`RecencyList::insert_hot`]
+    /// builds.
     ///
     /// The caller has checked that the budget covers the table and the
     /// split: `split` ML1 frames plus ML2's class-rounded bytes with 3 %
@@ -504,12 +513,6 @@ impl TwoLevelScheme {
         table_pages + ml2_frames(ml2_bytes) + reserve + 8
     }
 
-    /// Whether the scheme is currently in degraded mode (free list below
-    /// the critical watermark, or reclaim debt outstanding).
-    pub fn is_degraded(&self) -> bool {
-        self.degraded
-    }
-
     /// Outstanding reclaim debt in frames (non-zero only after a budget
     /// shrink larger than the free list).
     pub fn reclaim_debt(&self) -> u64 {
@@ -544,8 +547,8 @@ impl TwoLevelScheme {
             if !pte.is_present() {
                 continue;
             }
-            if let Some(info) = self.pages.get(pte.ppn().raw()) {
-                *slot = self.cte_of(&info).ok();
+            if let Ok(id) = self.page_id(pte.ppn()) {
+                *slot = self.cte_of(&self.pages.get_id(id)).ok();
             }
         }
         self.ptb_embed.store(pos, Some(slots));
@@ -553,10 +556,7 @@ impl TwoLevelScheme {
 
     /// Re-derives the eviction watermarks after the budget changed.
     fn rescale_watermarks(&mut self) {
-        let lo = ((self.total_frames as usize) / 64).max(24);
-        self.evict_lo = lo;
-        self.evict_hi = lo + lo / 2;
-        self.evict_crit = (lo * 3) / 4;
+        (self.evict_lo, self.evict_hi, self.evict_crit) = watermarks(self.total_frames);
     }
 
     /// Accounts degraded time and flips the degraded flag on pressure
@@ -611,8 +611,9 @@ impl TwoLevelScheme {
         }
     }
 
-    /// Derives the dense slab handle for a request's page — arithmetic
-    /// only; the per-access paths below reuse it for every state lookup.
+    /// The handle of a request's page, the scheme's one page lookup that
+    /// can fail; the per-access paths below reuse it for every state
+    /// lookup.
     #[inline]
     fn page_id(&self, ppn: Ppn) -> Result<PageId, TmccError> {
         self.pages.id_of(ppn.raw()).ok_or(TmccError::UnplacedPage { ppn: ppn.raw() })
@@ -629,8 +630,7 @@ impl TwoLevelScheme {
         stats: &mut SimStats,
         count_stats: bool,
     ) -> Result<f64, TmccError> {
-        let key = req.ppn.raw();
-        let info = self.pages.get_id(id).ok_or(TmccError::UnplacedPage { ppn: key })?;
+        let info = self.pages.get_id(id);
         let in_ml1 = matches!(info.place, Placement::Ml1 { .. });
         let addr = self.data_addr(&info, req)?;
         if self.cte_cache.access(req.ppn) {
@@ -726,13 +726,12 @@ impl TwoLevelScheme {
         count_stats: bool,
     ) -> Result<f64, TmccError> {
         stats.ml2_reads = stats.ml2_reads.saturating_add(1);
-        let key = req.ppn.raw();
-        let info = self.pages.get_id(id).ok_or(TmccError::UnplacedPage { ppn: key })?;
+        let info = self.pages.get_id(id);
         let (sub, comp_bytes) = match info.place {
             Placement::Ml2 { sub, comp_bytes } => (sub, comp_bytes as usize),
             Placement::Ml1 { .. } => {
                 return Err(TmccError::InvariantViolation {
-                    detail: format!("serve_ml2 called for ML1-resident page {key:#x}"),
+                    detail: format!("serve_ml2 called for ML1-resident page {:#x}", req.ppn.raw()),
                 })
             }
         };
@@ -785,9 +784,7 @@ impl TwoLevelScheme {
         if let Some(frame) = self.ml1_free.pop() {
             stats.ml2_to_ml1_migrations = stats.ml2_to_ml1_migrations.saturating_add(1);
             self.ml2.try_free(sub, &mut self.ml1_free)?;
-            if !self.pages.set_place(id, Placement::Ml1 { frame }) {
-                return Err(TmccError::UnplacedPage { ppn: key });
-            }
+            self.pages.set_place(id, Placement::Ml1 { frame });
             self.recency.insert_hot(req.ppn);
             // Write the decompressed page into its new frame (background,
             // via the rank-scoped write mode of §VI).
@@ -818,9 +815,8 @@ impl Scheme for TwoLevelScheme {
         dram: &mut DramSim,
         stats: &mut SimStats,
     ) -> Result<f64, TmccError> {
-        let key = req.ppn.raw();
         let id = self.page_id(req.ppn)?;
-        let info = self.pages.get_id(id).ok_or(TmccError::UnplacedPage { ppn: key })?;
+        let info = self.pages.get_id(id);
         let done = match info.place {
             Placement::Ml1 { .. } => {
                 let done = self.serve_translated_read(req, id, now_ns, dram, stats, true)?;
@@ -846,13 +842,10 @@ impl Scheme for TwoLevelScheme {
         dram: &mut DramSim,
         stats: &mut SimStats,
     ) -> Result<(), TmccError> {
-        let key = req.ppn.raw();
         let Ok(id) = self.page_id(req.ppn) else {
             return Ok(());
         };
-        let Some(info) = self.pages.get_id(id) else {
-            return Ok(());
-        };
+        let info = self.pages.get_id(id);
         match info.place {
             Placement::Ml1 { .. } => {
                 // Lazy write drain: translate via the CTE cache (no stats)
@@ -863,10 +856,8 @@ impl Scheme for TwoLevelScheme {
                 if info.incompressible && self.recency.on_incompressible_writeback(req.ppn) {
                     // Re-entered the recency list; it may be evicted again.
                 }
-                if self.rng.gen::<f64>() < DIRTY_REDRAW_PROBABILITY
-                    && !self.pages.bump_dirty_epoch(id)
-                {
-                    return Err(TmccError::UnplacedPage { ppn: key });
+                if self.rng.gen::<f64>() < DIRTY_REDRAW_PROBABILITY {
+                    self.pages.bump_dirty_epoch(id);
                 }
             }
             Placement::Ml2 { .. } => {
@@ -916,12 +907,8 @@ impl Scheme for TwoLevelScheme {
                 break;
             };
             let key = victim.raw();
-            let Some(vid) = self.pages.id_of(key) else {
-                continue;
-            };
-            let Some(info) = self.pages.get_id(vid) else {
-                continue;
-            };
+            let vid = self.page_id(victim)?;
+            let info = self.pages.get_id(vid);
             let Placement::Ml1 { frame } = info.place else {
                 continue; // already migrated by a racing path
             };
@@ -933,9 +920,7 @@ impl Scheme for TwoLevelScheme {
             if sizes.ml2_incompressible() || self.ml2.class_for(comp).is_none() {
                 // Keep it in ML1, flag it, and stop retrying (§IV-B).
                 stats.incompressible_evictions = stats.incompressible_evictions.saturating_add(1);
-                if !self.pages.set_incompressible(vid, true) {
-                    return Err(TmccError::UnplacedPage { ppn: key });
-                }
+                self.pages.set_incompressible(vid, true);
                 continue;
             }
             let mut donated = false;
@@ -992,9 +977,7 @@ impl Scheme for TwoLevelScheme {
             for k in 0..stored_bytes.div_ceil(64) {
                 t = dram.access_background(t, DramAddr::new(sub_addr + (k * 64) as u64), true);
             }
-            if !self.pages.set_place(vid, Placement::Ml2 { sub, comp_bytes: stored_bytes as u32 }) {
-                return Err(TmccError::UnplacedPage { ppn: key });
-            }
+            self.pages.set_place(vid, Placement::Ml2 { sub, comp_bytes: stored_bytes as u32 });
             if !donated {
                 self.ml1_free.push(frame);
             }
@@ -1404,6 +1387,10 @@ mod tests {
         DramSim::new(Default::default(), InterleavePolicy::coarse_mc())
     }
 
+    fn place_of(s: &TwoLevelScheme, ppn: u64) -> Placement {
+        s.pages.get_id(s.pages.id_of(ppn).expect("a placed page")).place
+    }
+
     fn read_req(ppn: u64, after_tlb: bool) -> MemRequest {
         MemRequest {
             ppn: Ppn::new(ppn),
@@ -1499,7 +1486,7 @@ mod tests {
         // Secretly migrate page 5 to a different frame.
         let new_frame = s.ml1_free.pop().unwrap();
         let id = s.pages.id_of(5).unwrap();
-        assert!(s.pages.set_place(id, Placement::Ml1 { frame: new_frame }));
+        s.pages.set_place(id, Placement::Ml1 { frame: new_frame });
         let _ = s.access(&read_req(5, true), 0.0, &mut d, &mut stats).unwrap();
         assert_eq!(stats.ml1_parallel_mismatch, 1);
         // The embedding has been lazily repaired: next fetch+access is
@@ -1522,7 +1509,7 @@ mod tests {
         // Migrate page 5 behind the embedding's back.
         let new_frame = s.ml1_free.pop().unwrap();
         let id = s.pages.id_of(5).unwrap();
-        assert!(s.pages.set_place(id, Placement::Ml1 { frame: new_frame }));
+        s.pages.set_place(id, Placement::Ml1 { frame: new_frame });
         let _ = s.access(&read_req(5, true), 0.0, &mut d, &mut stats).unwrap();
         assert_eq!(stats.ml1_parallel_mismatch, 1, "{stats:?}");
         // Exactly one word of the whole store changed: the PTE's slot.
@@ -1628,6 +1615,25 @@ mod tests {
     }
 
     #[test]
+    fn pages_in_neither_run_are_unplaced() {
+        // Past the data pages, below the table region and past its end: an
+        // LLC miss fails with `UnplacedPage`, a writeback changes nothing.
+        let (mut s, pt) = build(TmccToggles::full(), 3000, 2000);
+        let table = pt.table_ppns();
+        let (mut d, mut stats) = (dram(), SimStats::default());
+        for ppn in [3000, table.start - 1, table.end, table.end + (1 << 32)] {
+            let err = s.access(&read_req(ppn, true), 0.0, &mut d, &mut stats);
+            assert_eq!(err, Err(TmccError::UnplacedPage { ppn }));
+            let before = (stats, d.stats(), s.rng.clone().gen::<u64>());
+            let wb = MemRequest { write: true, ..read_req(ppn, false) };
+            assert_eq!(s.writeback(&wb, 0.0, &mut d, &mut stats), Ok(()));
+            assert_eq!((stats, d.stats(), s.rng.clone().gen::<u64>()), before, "{ppn:#x}");
+        }
+        assert_eq!(stats, SimStats::default());
+        s.validate().unwrap();
+    }
+
+    #[test]
     fn data_pages_reaching_the_table_region_are_rejected() {
         // Table pages from PPN 1024 would alias data pages 1024..4096.
         let cfg = PageTableConfig { table_region_base: 1024, huge_pages: false };
@@ -1684,13 +1690,12 @@ mod tests {
         // The last page surely landed in ML2.
         let victim = (0..2000)
             .rev()
-            .find(|i| matches!(s.pages.get(*i as u64).unwrap().place, Placement::Ml2 { .. }))
-            .expect("an ML2 page exists") as u64;
+            .find(|&i| matches!(place_of(&s, i), Placement::Ml2 { .. }))
+            .expect("an ML2 page exists");
         let lat = s.access(&read_req(victim, true), 0.0, &mut d, &mut stats).unwrap();
         assert_eq!(stats.ml2_reads, 1);
         assert_eq!(stats.ml2_to_ml1_migrations, 1);
-        let place = s.pages.get(victim).unwrap().place;
-        assert!(matches!(place, Placement::Ml1 { .. }), "page must now be in ML1");
+        assert!(matches!(place_of(&s, victim), Placement::Ml1 { .. }), "page must now be in ML1");
         // Fast-deflate latency: ~140 ns decompress + DRAM.
         assert!(lat > 100.0 && lat < 1_000.0, "latency {lat}");
     }
@@ -1703,8 +1708,8 @@ mod tests {
             let mut stats = SimStats::default();
             let victim = (0..2000)
                 .rev()
-                .find(|i| matches!(s.pages.get(*i as u64).unwrap().place, Placement::Ml2 { .. }))
-                .expect("ml2 page") as u64;
+                .find(|&i| matches!(place_of(&s, i), Placement::Ml2 { .. }))
+                .expect("ml2 page");
             s.access(&read_req(victim, true), 0.0, &mut d, &mut stats).unwrap()
         };
         let fast = mk(TmccToggles::full());
@@ -1739,18 +1744,18 @@ mod tests {
         // debt is booked and degraded mode engages.
         s.apply_fault(FaultKind::ShrinkBudget { frames: 500 }, 0.0, &mut stats).unwrap();
         s.validate().unwrap();
-        assert!(s.is_degraded(), "shock must enter degraded mode");
+        assert!(s.pressure().degraded, "shock must enter degraded mode");
         assert!(s.reclaim_debt() > 0, "free list cannot cover the shrink");
         let mut now = 1_000.0;
         for _ in 0..400 {
             s.maintain(now, &mut d, &mut stats).unwrap();
             s.validate().unwrap();
             now += 1_000.0;
-            if !s.is_degraded() {
+            if !s.pressure().degraded {
                 break;
             }
         }
-        assert!(!s.is_degraded(), "pressure must eventually pass: {stats:?}");
+        assert!(!s.pressure().degraded, "pressure must eventually pass: {stats:?}");
         assert_eq!(s.reclaim_debt(), 0);
         assert!(stats.emergency_evictions > 0, "{stats:?}");
         assert_eq!(stats.recoveries, 1, "{stats:?}");
@@ -1837,9 +1842,10 @@ mod tests {
     }
 
     /// Initial placement the way it was built before the streaming pass,
-    /// page by page through `Ml1FreeList::pop`, `Ml2FreeLists::try_allocate`,
-    /// `RecencyList::insert_hot` and `PageMetaStore::insert`, then the
-    /// embeddings warmed PTB by PTB: the oracle `try_new` must match.
+    /// page by page through `Ml1FreeList::pop`, `Ml2FreeLists::try_allocate`
+    /// and `RecencyList::insert_hot`, each page's word written as it is
+    /// placed into a store sized up front, then the embeddings warmed PTB
+    /// by PTB: the oracle `try_new` must match.
     fn reference_new(
         toggles: TmccToggles,
         size_model: SizeModel,
@@ -1849,12 +1855,15 @@ mod tests {
         seed: u64,
     ) -> Result<TwoLevelScheme, TmccError> {
         let evict_lo = ((budget_frames as usize) / 64).max(24);
+        let mut index = PageIndex::default();
+        index.push(0..data_pages);
+        index.push(page_table.table_ppns());
         let mut s = TwoLevelScheme {
             toggles,
-            pages: PageMetaStore::new(page_table.table_region_base()),
+            pages: PageMetaStore::with_pages(index),
             ml1_free: Ml1FreeList::with_chunks(budget_frames),
             ml2: Ml2FreeLists::paper_classes(),
-            recency: RecencyList::with_probability(seed, 0.15),
+            recency: RecencyList::with_chain(seed, 0.15, 0, data_pages),
             cte_cache: CteCache::new(CteCacheConfig::tmcc()),
             cte_buffer: CteBuffer::paper_default(),
             ptb_embed: if toggles.embedded_ctes {
@@ -1885,12 +1894,10 @@ mod tests {
             required_frames,
             stage,
         };
-        let info =
-            |place, pinned| PageInfo { place, dirty_epoch: 0, pinned, incompressible: false };
         let table_pages = page_table.table_page_count() as u64;
         for ppn in page_table.table_ppns() {
             let frame = s.ml1_free.pop().ok_or(infeasible(table_pages, "page-table pinning"))?;
-            s.pages.insert(ppn, info(Placement::Ml1 { frame }, true));
+            s.pages.set_initial(ppn, Placement::Ml1 { frame }, true);
         }
         let avail = s.ml1_free.len() as u64;
         let reserve = s.evict_hi as u64 + 8;
@@ -1926,7 +1933,7 @@ mod tests {
                     .map_err(|_| infeasible(ml2, "ML2 placement"))?;
                 Placement::Ml2 { sub, comp_bytes: comp as u32 }
             };
-            s.pages.insert(idx, info(place, false));
+            s.pages.set_initial(idx, place, false);
         }
         if toggles.embedded_ctes {
             for (block, ptb) in page_table.ptbs() {

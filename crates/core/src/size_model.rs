@@ -166,20 +166,6 @@ impl SizeModel {
     pub fn heap_bytes(&self) -> usize {
         self.samples.capacity() * std::mem::size_of::<PageSizes>()
     }
-
-    /// Mean Deflate ratio across the sampled pages.
-    pub fn mean_deflate_ratio(&self) -> f64 {
-        let total: usize = self.samples.iter().map(|s| s.deflate_bytes).sum();
-        4096.0 * self.samples.len() as f64 / total as f64
-    }
-
-    /// Mean block-level ratio across the sampled pages (with Compresso's
-    /// 512 B chunk rounding).
-    pub fn mean_block_ratio(&self) -> f64 {
-        let total: usize =
-            self.samples.iter().map(|s| s.compresso_chunks() * BlockMetadata::CHUNK_SIZE).sum();
-        4096.0 * self.samples.len() as f64 / total as f64
-    }
 }
 
 #[cfg(test)]
@@ -214,8 +200,13 @@ mod tests {
     fn graph_ratios_match_calibration() {
         let w = WorkloadProfile::by_name("bfs").expect("known");
         let m = SizeModel::sample(&w.page_content(3), 24);
-        let d = m.mean_deflate_ratio();
-        let b = m.mean_block_ratio();
+        // Mean ratios over the samples; block sizes with Compresso's 512 B
+        // chunk rounding.
+        let ratio = |bytes: fn(&PageSizes) -> usize| {
+            4096.0 * m.samples.len() as f64 / m.samples.iter().map(bytes).sum::<usize>() as f64
+        };
+        let d = ratio(|s| s.deflate_bytes);
+        let b = ratio(|s| s.compresso_chunks() * BlockMetadata::CHUNK_SIZE);
         assert!(d > b, "deflate {d} must beat block {b}");
         assert!((2.0..4.5).contains(&d), "deflate ratio {d}");
     }

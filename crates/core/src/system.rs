@@ -24,7 +24,7 @@ use crate::config::{BitFlip, FaultKind, FlipTarget, SchemeKind, SystemConfig};
 use crate::error::TmccError;
 use crate::handle::{RunHandle, CANCEL_CHECK_PERIOD};
 use crate::latency::LatencyHistogram;
-use crate::page_meta::MAX_REGION_PAGES;
+use crate::page_meta::MAX_DATA_PAGES;
 use crate::schedule::Cursor;
 use crate::schemes::two_level::{frame_limit_error, MAX_FRAMES};
 use crate::schemes::{
@@ -62,11 +62,11 @@ fn two_level_budget_frames(
     pages: u64,
     table_pages: u64,
 ) -> Result<u32, TmccError> {
-    if pages > MAX_REGION_PAGES {
+    if pages > MAX_DATA_PAGES {
         return Err(TmccError::ScaleLimit {
             quantity: "data pages (31-bit page handles)",
             requested: pages,
-            limit: MAX_REGION_PAGES,
+            limit: MAX_DATA_PAGES,
         });
     }
     let frames = match cfg.dram_budget_bytes {

@@ -127,12 +127,6 @@ impl CapacityArbiter {
         self.active_count
     }
 
-    /// True when ledger or pool mutations since the last
-    /// [`CapacityArbiter::rebalance`] have not yet been materialized.
-    pub fn is_dirty(&self) -> bool {
-        self.dirty
-    }
-
     /// Rounds spent with some guarantee breached (pool-shrink storms).
     pub fn guarantee_breach_rounds(&self) -> u64 {
         self.guarantee_breach_rounds
@@ -393,7 +387,7 @@ mod tests {
         arb.rebalance();
         arb.rebalance();
         assert_eq!(arb.guarantee_breach_rounds(), 1);
-        assert!(!arb.is_dirty());
+        assert!(!arb.dirty);
     }
 
     #[test]

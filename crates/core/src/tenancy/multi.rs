@@ -130,12 +130,6 @@ impl TenantSpec {
         (pages + pages.div_ceil(512) + 16 + 64).min(u32::MAX as u64) as u32
     }
 
-    /// Sets the share weight (builder style).
-    pub fn with_weight(mut self, weight: u32) -> Self {
-        self.weight = weight.max(1);
-        self
-    }
-
     /// Sets the QoS floor (builder style).
     pub fn with_floor(mut self, frames: u32) -> Self {
         self.floor_frames = frames;

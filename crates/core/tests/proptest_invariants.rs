@@ -100,10 +100,10 @@ proptest! {
     }
 
     /// The recency list stays a consistent doubly linked list under any
-    /// sequence of touches, removals and pops.
+    /// sequence of touches and pops.
     #[test]
-    fn recency_list_is_consistent(ops in prop::collection::vec((0u8..3, 0u64..40), 1..300)) {
-        let mut rl = RecencyList::new(5);
+    fn recency_list_is_consistent(ops in prop::collection::vec((0u8..2, 0u64..40), 1..300)) {
+        let mut rl = RecencyList::with_chain(5, 0.01, 0, 40);
         let mut reference: Vec<u64> = Vec::new(); // cold..hot order
         for (op, page) in ops {
             match op {
@@ -111,10 +111,6 @@ proptest! {
                     rl.insert_hot(Ppn::new(page));
                     reference.retain(|&p| p != page);
                     reference.push(page);
-                }
-                1 => {
-                    rl.remove(Ppn::new(page));
-                    reference.retain(|&p| p != page);
                 }
                 _ => {
                     let got = rl.pop_coldest().map(|p| p.raw());

@@ -22,7 +22,6 @@
 //! (possible only for symbols rarer than `2^-root_bits`) fall back to a
 //! short sorted scan. Streams are bit-identical to the pre-table decoder's.
 
-use crate::PAGE_SIZE;
 use tmcc_compression::{BitReader, BitWriter, CodecError};
 
 /// Number of leaves in the reduced tree (15 hot symbols + escape).
@@ -297,11 +296,6 @@ impl ReducedHuffman {
         Self::from_parts(hot, lengths)
     }
 
-    /// The in-tree symbols, hottest first.
-    pub fn hot_symbols(&self) -> &[u8] {
-        &self.hot
-    }
-
     /// Index of the escape leaf in the length/code tables.
     fn escape_idx(&self) -> usize {
         self.lengths.len() - 1
@@ -551,20 +545,6 @@ impl FullHuffman {
     }
 }
 
-/// Convenience: expected compressed size (bytes, with tree header) of a
-/// page under a freshly built reduced tree — the quantity the dynamic-skip
-/// logic compares against the raw LZ size.
-pub fn reduced_huffman_size(data: &[u8], max_depth: u32) -> usize {
-    let tree = ReducedHuffman::build(data, max_depth);
-    ReducedHuffman::TREE_BYTES + tree.encoded_bits(data).div_ceil(8)
-}
-
-/// Sanity guard used by tests: a page is never larger than this after
-/// escape-coding everything (tree + 17 bits/byte).
-pub fn worst_case_reduced_size() -> usize {
-    ReducedHuffman::TREE_BYTES + (PAGE_SIZE * 17).div_ceil(8)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -613,7 +593,7 @@ mod tests {
     fn reduced_tree_has_at_most_16_leaves() {
         let data: Vec<u8> = (0..=255u8).cycle().take(4096).collect();
         let tree = ReducedHuffman::build(&data, DEFAULT_MAX_DEPTH);
-        assert_eq!(tree.hot_symbols().len(), 15);
+        assert_eq!(tree.hot.len(), 15);
         assert!(tree.depth() <= DEFAULT_MAX_DEPTH);
     }
 
@@ -651,7 +631,8 @@ mod tests {
             };
             data.push(b);
         }
-        let size = reduced_huffman_size(&data, DEFAULT_MAX_DEPTH);
+        let tree = ReducedHuffman::build(&data, DEFAULT_MAX_DEPTH);
+        let size = ReducedHuffman::TREE_BYTES + tree.encoded_bits(&data).div_ceil(8);
         assert!(size < data.len() / 2, "got {size} for {}", data.len());
     }
 

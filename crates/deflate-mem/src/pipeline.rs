@@ -199,10 +199,6 @@ pub struct PageSeal {
 }
 
 impl PageSeal {
-    /// Modeled storage cost of a seal in ML2 metadata: 4 CRC bytes + 8 tag
-    /// bytes.
-    pub const STORED_BYTES: usize = 12;
-
     /// The stored CRC32.
     pub fn crc(&self) -> u32 {
         self.crc
@@ -293,11 +289,6 @@ impl DeflateParams {
     /// The configured depth threshold.
     pub fn depth(&self) -> u32 {
         self.max_tree_depth
-    }
-
-    /// Whether dynamic Huffman skipping is enabled.
-    pub fn skip_enabled(&self) -> bool {
-        self.dynamic_skip
     }
 }
 

@@ -117,18 +117,6 @@ pub struct DramStats {
     pub bus_busy_ns: f64,
 }
 
-impl DramStats {
-    /// Row-buffer hit rate.
-    pub fn row_hit_rate(&self) -> f64 {
-        let total = self.row_hits + self.row_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.row_hits as f64 / total as f64
-        }
-    }
-}
-
 /// The DRAM timing model.
 ///
 /// # Examples

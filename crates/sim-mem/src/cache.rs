@@ -153,16 +153,6 @@ impl<P: Clone> SetAssocCache<P> {
         (self.hits, self.misses)
     }
 
-    /// Hit rate over all accesses so far (0 when never accessed).
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-
     /// Zeroes the hit/miss counters (e.g. after warmup).
     pub fn reset_stats(&mut self) {
         self.hits = 0;
@@ -172,22 +162,6 @@ impl<P: Clone> SetAssocCache<P> {
     /// Iterates over resident `(key, payload)` pairs (diagnostics).
     pub fn iter(&self) -> impl Iterator<Item = (u64, &P)> {
         self.sets.iter().flatten().map(|l| (l.key, &l.payload))
-    }
-
-    /// Number of resident lines per key, sorted by key — diagnostics helper
-    /// asserting the no-duplicates invariant. Built by sorting the resident
-    /// keys and run-length counting them in a single pass, with no hashing.
-    pub fn residency_histogram(&self) -> Vec<(u64, usize)> {
-        let mut keys: Vec<u64> = self.iter().map(|(k, _)| k).collect();
-        keys.sort_unstable();
-        let mut out: Vec<(u64, usize)> = Vec::with_capacity(keys.len());
-        for k in keys {
-            match out.last_mut() {
-                Some((last, n)) if *last == k => *n += 1,
-                _ => out.push((k, 1)),
-            }
-        }
-        out
     }
 }
 
@@ -241,10 +215,10 @@ mod tests {
         c.access(1, false, ());
         c.access(2, false, ());
         assert_eq!(c.stats(), (1, 2));
-        assert!((c.hit_rate() - 1.0 / 3.0).abs() < 1e-12);
         c.reset_stats();
         assert_eq!(c.stats(), (0, 0));
-        assert_eq!(c.hit_rate(), 0.0);
+        assert!(c.access(2, false, ()).0.is_hit(), "a reset keeps the lines");
+        assert_eq!(c.stats(), (1, 0));
     }
 
     #[test]
@@ -253,9 +227,9 @@ mod tests {
         for i in 0..1000u64 {
             c.access(i % 64, i % 3 == 0, ());
         }
-        let hist = c.residency_histogram();
-        assert!(hist.iter().all(|&(_, n)| n == 1));
-        assert!(hist.windows(2).all(|w| w[0].0 < w[1].0), "sorted by key");
+        let mut keys: Vec<u64> = c.iter().map(|(k, _)| k).collect();
+        keys.sort_unstable();
+        assert!(keys.windows(2).all(|w| w[0] < w[1]), "a key resident twice: {keys:?}");
     }
 
     #[test]

@@ -431,11 +431,6 @@ impl PageTable {
         Some((table.block(idx / PTES_PER_PTB), idx % PTES_PER_PTB))
     }
 
-    /// Whether a physical page is a page-table page.
-    pub fn is_table_page(&self, ppn: Ppn) -> bool {
-        self.table_ppns().contains(&ppn.raw())
-    }
-
     /// Number of 4 KiB table pages allocated.
     pub fn table_page_count(&self) -> usize {
         self.identity.table_count() as usize
@@ -513,7 +508,7 @@ mod tests {
         assert_eq!(path.last().unwrap().next_ppn, Ppn::new(0xABCDE));
         // Every step's PTB lives in a table page.
         for s in &path {
-            assert!(pt.is_table_page(s.ptb_block.ppn()));
+            assert!(pt.table_ppns().contains(&s.ptb_block.ppn().raw()));
         }
     }
 
@@ -543,7 +538,7 @@ mod tests {
         // The leaf PTE carries the page-size bit.
         let leaf = path.last().unwrap();
         let ptb = pt.ptb_at(leaf.ptb_block).unwrap();
-        assert!(ptb.entry(leaf.slot).flags().is_huge());
+        assert_ne!(ptb.entry(leaf.slot).flags().low() & PteFlags::HUGE, 0);
     }
 
     #[test]
@@ -737,7 +732,7 @@ mod tests {
         assert_eq!(pt.mapped_pages(), r.mapped, "{ctx}");
         let (base, end) = (r.cfg.table_region_base, r.next);
         for (ppn, is_table) in [(base - 1, false), (base, true), (end - 1, true), (end, false)] {
-            assert_eq!(pt.is_table_page(Ppn::new(ppn)), is_table, "{ctx}: ppn {ppn:#x}");
+            assert_eq!(pt.table_ppns().contains(&ppn), is_table, "{ctx}: ppn {ppn:#x}");
         }
         let mut stream = Vec::new();
         for table in base..end {
@@ -866,7 +861,7 @@ mod tests {
             .map(|s| s.ptb_block.ppn().raw())
             .collect();
         assert_eq!(path, [cfg.table_region_base, end - 3, end - 2, end - 1]);
-        assert!(pt.is_table_page(Ppn::new(end - 1)) && !pt.is_table_page(Ppn::new(end)));
+        assert_eq!(pt.table_ppns().end, end);
     }
 
     #[test]
@@ -882,7 +877,8 @@ mod tests {
             let vpn = (k * 0x9E37_79B9) % pages;
             assert_eq!(pt.translate(Vpn::new(vpn)), Some(Ppn::new(vpn)));
             assert!(pt.walk_path_into(Vpn::new(vpn), &mut walker_buf));
-            assert!(walker_buf.iter().all(|(s, _)| pt.is_table_page(s.ptb_block.ppn())));
+            let table = pt.table_ppns();
+            assert!(walker_buf.iter().all(|(s, _)| table.contains(&s.ptb_block.ppn().raw())));
         }
         assert_eq!(pt.translate(Vpn::new(pages - 1)), Some(Ppn::new(pages - 1)));
         assert_eq!(pt.translate(Vpn::new(pages)), None);

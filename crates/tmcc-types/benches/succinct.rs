@@ -1,11 +1,11 @@
 //! Criterion benchmarks of the succinct metadata structures: the
-//! mutable [`BitVec`], its frozen [`RankSelect`] snapshot, and the
-//! fixed-width [`PackedSeq`]. These back residency maps, free lists and
-//! CTE slot metadata on the simulator's hot path, so their per-op cost
-//! bounds how cheaply a TB-scale footprint can be tracked.
+//! mutable [`BitVec`] and the fixed-width [`PackedSeq`]. These back
+//! membership maps and CTE slot metadata on the simulator's hot path, so
+//! their per-op cost bounds how cheaply a TB-scale footprint can be
+//! tracked.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
-use tmcc_types::{BitVec, PackedSeq, RankSelect};
+use tmcc_types::{BitVec, PackedSeq};
 
 const BITS: usize = 1 << 20;
 const OPS: usize = 1 << 12;
@@ -34,26 +34,10 @@ fn every_third(bits: usize) -> BitVec {
 
 fn bench_bitvec(c: &mut Criterion) {
     let bv = every_third(BITS);
-    let ranks = indices(1, BITS, OPS);
-    let selects = indices(2, bv.count_ones(), OPS);
     let churn = indices(3, BITS, OPS);
 
     let mut g = c.benchmark_group("bitvec");
     g.throughput(Throughput::Elements(OPS as u64));
-    g.bench_function("rank1/1Mi", |b| {
-        b.iter(|| {
-            for &i in &ranks {
-                black_box(bv.rank1(i));
-            }
-        })
-    });
-    g.bench_function("select1/1Mi", |b| {
-        b.iter(|| {
-            for &k in &selects {
-                black_box(bv.select1(k));
-            }
-        })
-    });
     g.bench_function("set-clear-churn/1Mi", |b| {
         let mut live = bv.clone();
         b.iter(|| {
@@ -62,33 +46,6 @@ fn bench_bitvec(c: &mut Criterion) {
                 live.clear(i);
             }
             black_box(live.count_ones())
-        })
-    });
-    g.finish();
-}
-
-fn bench_rank_select(c: &mut Criterion) {
-    let rs = RankSelect::build(every_third(BITS));
-    let ranks = indices(4, BITS, OPS);
-    let selects = indices(5, rs.count_ones(), OPS);
-
-    let mut g = c.benchmark_group("rank-select");
-    g.throughput(Throughput::Elements(OPS as u64));
-    g.bench_function("build/1Mi", |b| {
-        b.iter_with_setup(|| every_third(BITS), |bv| black_box(RankSelect::build(bv)))
-    });
-    g.bench_function("rank1/1Mi", |b| {
-        b.iter(|| {
-            for &i in &ranks {
-                black_box(rs.rank1(i));
-            }
-        })
-    });
-    g.bench_function("select1/1Mi", |b| {
-        b.iter(|| {
-            for &k in &selects {
-                black_box(rs.select1(k));
-            }
         })
     });
     g.finish();
@@ -134,5 +91,5 @@ fn bench_packed_seq(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_bitvec, bench_rank_select, bench_packed_seq);
+criterion_group!(benches, bench_bitvec, bench_packed_seq);
 criterion_main!(benches);

@@ -135,12 +135,6 @@ impl PhysAddr {
     pub const fn block(self) -> BlockAddr {
         BlockAddr::new(self.0 >> BLOCK_SHIFT)
     }
-
-    /// Index of this address's block within its page (`0..64`).
-    #[inline]
-    pub const fn block_in_page(self) -> usize {
-        ((self.0 >> BLOCK_SHIFT) & (BLOCKS_PER_PAGE as u64 - 1)) as usize
-    }
 }
 
 impl Vpn {
@@ -207,12 +201,6 @@ impl DramAddr {
     pub const fn frame(self) -> u64 {
         self.0 >> PAGE_SHIFT
     }
-
-    /// Byte offset within the 4 KiB frame.
-    #[inline]
-    pub const fn frame_offset(self) -> u64 {
-        self.0 & (PAGE_SIZE as u64 - 1)
-    }
 }
 
 #[cfg(test)]
@@ -225,7 +213,7 @@ mod tests {
         assert_eq!(pa.ppn().raw(), 0x1234_5678 >> 12);
         assert_eq!(pa.page_offset(), 0x678);
         assert_eq!(pa.block().base().raw(), 0x1234_5640);
-        assert_eq!(pa.block_in_page(), (0x678 >> 6) as usize);
+        assert_eq!(pa.block().index_in_page(), (0x678 >> 6) as usize);
     }
 
     #[test]
@@ -258,7 +246,8 @@ mod tests {
     fn dram_addr_frame() {
         let d = DramAddr::new(5 * PAGE_SIZE as u64 + 17);
         assert_eq!(d.frame(), 5);
-        assert_eq!(d.frame_offset(), 17);
+        assert_eq!(DramAddr::new(6 * PAGE_SIZE as u64 - 1).frame(), 5);
+        assert_eq!(DramAddr::new(6 * PAGE_SIZE as u64).frame(), 6);
     }
 
     #[test]

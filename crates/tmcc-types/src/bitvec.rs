@@ -1,28 +1,14 @@
-//! Succinct bit vectors with rank/select support.
+//! A succinct bit vector.
 //!
-//! Two structures, following the `bitm`-style split between mutable and
-//! indexed bitmaps:
-//!
-//! * [`BitVec`] — a growable, mutable bitmap storing one bit per element
-//!   in packed 64-bit words. `get`/`set`/`clear` are O(1); `rank1` /
-//!   `select1` scan whole words with `count_ones`, so they are O(n/64)
-//!   but allocation-free. This is the workhorse behind free-slot maps
-//!   and residency/present bits, where the bitmap mutates constantly.
-//! * [`RankSelect`] — a frozen snapshot of a [`BitVec`] plus a cumulative
-//!   rank directory (one counter per 512-bit block, ~1.6 % overhead).
-//!   `rank1` is O(1) block lookup + ≤ 8 popcounts; `select1` binary
-//!   searches the directory. Build it when a bitmap stops changing and
-//!   many rank/select queries follow (residency reports, audits).
-//!
-//! Both structures are deliberately dependency-free: the simulator's
-//! determinism contract means every consumer must get bit-exact answers
-//! on every platform.
+//! [`BitVec`] is a growable, mutable bitmap storing one bit per element in
+//! packed 64-bit words, with O(1) `get`/`set`/`clear` and an incrementally
+//! maintained count of set bits. It backs membership and free maps that
+//! mutate constantly. It is deliberately dependency-free: the simulator's
+//! determinism contract means every consumer must get bit-exact answers on
+//! every platform.
 
 /// Bits per storage word.
 const WORD_BITS: usize = 64;
-
-/// Words per [`RankSelect`] directory block (512 bits per block).
-const BLOCK_WORDS: usize = 8;
 
 /// A growable, mutable packed bitmap.
 ///
@@ -36,8 +22,7 @@ const BLOCK_WORDS: usize = 8;
 /// bv.set(64);
 /// bv.set(129);
 /// assert_eq!(bv.count_ones(), 3);
-/// assert_eq!(bv.rank1(65), 2); // ones strictly below index 65
-/// assert_eq!(bv.select1(2), Some(129)); // third one (0-indexed)
+/// assert_eq!(bv.iter_ones().collect::<Vec<_>>(), [0, 64, 129]);
 /// bv.clear(64);
 /// assert!(!bv.get(64));
 /// ```
@@ -88,11 +73,6 @@ impl BitVec {
     /// Number of set bits (maintained incrementally, O(1)).
     pub fn count_ones(&self) -> usize {
         self.ones
-    }
-
-    /// Number of clear bits.
-    pub fn count_zeros(&self) -> usize {
-        self.len - self.ones
     }
 
     /// Bit at `index`.
@@ -167,57 +147,6 @@ impl BitVec {
         self.words.shrink_to_fit();
     }
 
-    /// Number of ones strictly below `index` (`index` may equal `len`).
-    pub fn rank1(&self, index: usize) -> usize {
-        assert!(index <= self.len, "rank index {index} out of range (len {})", self.len);
-        let full = index / WORD_BITS;
-        let mut ones: usize = self.words[..full].iter().map(|w| w.count_ones() as usize).sum();
-        let rem = index % WORD_BITS;
-        if rem != 0 {
-            ones += (self.words[full] & ((1u64 << rem) - 1)).count_ones() as usize;
-        }
-        ones
-    }
-
-    /// Number of zeros strictly below `index`.
-    pub fn rank0(&self, index: usize) -> usize {
-        index - self.rank1(index)
-    }
-
-    /// Position of the `k`-th set bit (0-indexed), or `None` if fewer than
-    /// `k + 1` bits are set.
-    pub fn select1(&self, k: usize) -> Option<usize> {
-        if k >= self.ones {
-            return None;
-        }
-        let mut remaining = k;
-        for (wi, &w) in self.words.iter().enumerate() {
-            let pop = w.count_ones() as usize;
-            if remaining < pop {
-                return Some(wi * WORD_BITS + select_in_word(w, remaining as u32) as usize);
-            }
-            remaining -= pop;
-        }
-        unreachable!("ones counter out of sync with words")
-    }
-
-    /// Position of the `k`-th clear bit (0-indexed), or `None`.
-    pub fn select0(&self, k: usize) -> Option<usize> {
-        if k >= self.count_zeros() {
-            return None;
-        }
-        let mut remaining = k;
-        for (wi, &w) in self.words.iter().enumerate() {
-            let bits_here = WORD_BITS.min(self.len - wi * WORD_BITS);
-            let zeros = bits_here - (w & low_mask(bits_here)).count_ones() as usize;
-            if remaining < zeros {
-                return Some(wi * WORD_BITS + select_in_word(!w, remaining as u32) as usize);
-            }
-            remaining -= zeros;
-        }
-        unreachable!("zero count out of sync with words")
-    }
-
     /// Iterator over the indices of set bits, ascending.
     pub fn iter_ones(&self) -> impl Iterator<Item = usize> + '_ {
         self.words.iter().enumerate().flat_map(|(wi, &w)| {
@@ -241,138 +170,6 @@ impl BitVec {
     /// The raw packed words (low bit of word 0 is bit 0).
     pub fn words(&self) -> &[u64] {
         &self.words
-    }
-}
-
-/// Index of the `k`-th set bit within `word` (0-indexed). `k` must be less
-/// than `word.count_ones()`.
-#[inline]
-fn select_in_word(mut word: u64, k: u32) -> u32 {
-    for _ in 0..k {
-        word &= word - 1; // clear lowest set bit
-    }
-    word.trailing_zeros()
-}
-
-/// Mask with the low `bits` bits set (`bits <= 64`).
-#[inline]
-fn low_mask(bits: usize) -> u64 {
-    if bits >= WORD_BITS {
-        !0
-    } else {
-        (1u64 << bits) - 1
-    }
-}
-
-/// A frozen bitmap with a cumulative rank directory for O(1)-ish rank and
-/// directory-guided select.
-///
-/// # Examples
-///
-/// ```
-/// use tmcc_types::bitvec::{BitVec, RankSelect};
-///
-/// let mut bv = BitVec::with_len(10_000);
-/// for i in (0..10_000).step_by(3) {
-///     bv.set(i);
-/// }
-/// let rs = RankSelect::build(bv);
-/// assert_eq!(rs.rank1(9_000), 3_000);
-/// assert_eq!(rs.select1(1_000), Some(3_000));
-/// ```
-#[derive(Debug, Clone)]
-pub struct RankSelect {
-    bits: BitVec,
-    /// `blocks[i]` = ones strictly before block `i` (one block = 8 words).
-    blocks: Vec<u64>,
-}
-
-impl RankSelect {
-    /// Freezes `bits` and builds the rank directory.
-    pub fn build(bits: BitVec) -> Self {
-        let n_blocks = bits.words.len().div_ceil(BLOCK_WORDS);
-        let mut blocks = Vec::with_capacity(n_blocks + 1);
-        let mut acc = 0u64;
-        for chunk in bits.words.chunks(BLOCK_WORDS) {
-            blocks.push(acc);
-            acc += chunk.iter().map(|w| u64::from(w.count_ones())).sum::<u64>();
-        }
-        blocks.push(acc);
-        Self { bits, blocks }
-    }
-
-    /// The underlying bitmap.
-    pub fn bits(&self) -> &BitVec {
-        &self.bits
-    }
-
-    /// Number of bits.
-    pub fn len(&self) -> usize {
-        self.bits.len()
-    }
-
-    /// Whether the bitmap has no bits.
-    pub fn is_empty(&self) -> bool {
-        self.bits.is_empty()
-    }
-
-    /// Total set bits.
-    pub fn count_ones(&self) -> usize {
-        self.bits.count_ones()
-    }
-
-    /// Bit at `index`.
-    pub fn get(&self, index: usize) -> bool {
-        self.bits.get(index)
-    }
-
-    /// Ones strictly below `index`, using the directory.
-    pub fn rank1(&self, index: usize) -> usize {
-        assert!(index <= self.bits.len, "rank index {index} out of range");
-        let block = index / (BLOCK_WORDS * WORD_BITS);
-        let mut ones = self.blocks[block] as usize;
-        let first_word = block * BLOCK_WORDS;
-        let full = index / WORD_BITS;
-        for &w in &self.bits.words[first_word..full] {
-            ones += w.count_ones() as usize;
-        }
-        let rem = index % WORD_BITS;
-        if rem != 0 {
-            ones += (self.bits.words[full] & ((1u64 << rem) - 1)).count_ones() as usize;
-        }
-        ones
-    }
-
-    /// Zeros strictly below `index`.
-    pub fn rank0(&self, index: usize) -> usize {
-        index - self.rank1(index)
-    }
-
-    /// Position of the `k`-th set bit (0-indexed), binary-searching the
-    /// directory before scanning at most one block.
-    pub fn select1(&self, k: usize) -> Option<usize> {
-        if k >= self.bits.ones {
-            return None;
-        }
-        // Last block whose cumulative count is <= k.
-        let block = self.blocks.partition_point(|&c| c as usize <= k) - 1;
-        let mut remaining = k - self.blocks[block] as usize;
-        let first_word = block * BLOCK_WORDS;
-        for (off, &w) in self.bits.words[first_word..].iter().enumerate() {
-            let pop = w.count_ones() as usize;
-            if remaining < pop {
-                return Some(
-                    (first_word + off) * WORD_BITS + select_in_word(w, remaining as u32) as usize,
-                );
-            }
-            remaining -= pop;
-        }
-        unreachable!("directory out of sync with words")
-    }
-
-    /// Heap bytes owned by the bitmap plus directory.
-    pub fn heap_bytes(&self) -> usize {
-        self.bits.heap_bytes() + self.blocks.capacity() * std::mem::size_of::<u64>()
     }
 }
 
@@ -410,37 +207,12 @@ mod tests {
             bv.set(i);
         }
         assert_eq!(bv.count_ones(), 5);
-        assert_eq!(bv.rank1(64), 2);
-        assert_eq!(bv.rank1(65), 3);
-        assert_eq!(bv.rank1(129), 5);
-        assert_eq!(bv.select1(0), Some(0));
-        assert_eq!(bv.select1(2), Some(64));
-        assert_eq!(bv.select1(4), Some(128));
-        assert_eq!(bv.select1(5), None);
-    }
-
-    #[test]
-    fn rank_select_inverse() {
-        let mut bv = BitVec::with_len(1000);
-        for i in (0..1000).step_by(7) {
-            bv.set(i);
+        assert_eq!(bv.iter_ones().collect::<Vec<_>>(), [0, 63, 64, 127, 128]);
+        for i in [1, 62, 65, 126] {
+            assert!(!bv.get(i), "bit {i}");
         }
-        for k in 0..bv.count_ones() {
-            let pos = bv.select1(k).expect("in range");
-            assert_eq!(bv.rank1(pos), k);
-            assert!(bv.get(pos));
-        }
-    }
-
-    #[test]
-    fn select0_on_mixed_words() {
-        let mut bv = BitVec::with_len(130);
-        for i in 0..64 {
-            bv.set(i);
-        }
-        assert_eq!(bv.select0(0), Some(64));
-        assert_eq!(bv.select0(65), Some(129));
-        assert_eq!(bv.select0(66), None);
+        assert!(bv.clear(64) && !bv.get(64) && bv.get(63) && bv.get(127));
+        assert_eq!(bv.count_ones(), 4);
     }
 
     #[test]
@@ -468,33 +240,14 @@ mod tests {
     }
 
     #[test]
-    fn rank_select_directory_agrees_with_scan() {
-        let mut bv = BitVec::with_len(5000);
-        for i in (0..5000).step_by(11) {
-            bv.set(i);
-        }
-        let rs = RankSelect::build(bv.clone());
-        for i in (0..=5000).step_by(97) {
-            assert_eq!(rs.rank1(i), bv.rank1(i), "rank at {i}");
-        }
-        for k in (0..bv.count_ones()).step_by(13) {
-            assert_eq!(rs.select1(k), bv.select1(k), "select at {k}");
-        }
-        assert_eq!(rs.select1(bv.count_ones()), None);
-    }
-
-    #[test]
     fn all_zero_and_all_one_blocks() {
         let mut bv = BitVec::with_len(2048);
         for i in 512..1024 {
             bv.set(i);
         }
-        let rs = RankSelect::build(bv);
-        assert_eq!(rs.rank1(512), 0);
-        assert_eq!(rs.rank1(1024), 512);
-        assert_eq!(rs.rank1(2048), 512);
-        assert_eq!(rs.select1(0), Some(512));
-        assert_eq!(rs.select1(511), Some(1023));
+        assert_eq!(bv.count_ones(), 512);
+        assert!(bv.iter_ones().eq(512..1024));
+        assert!((0..2048).all(|i| bv.get(i) == (512..1024).contains(&i)));
     }
 
     #[test]

@@ -46,7 +46,7 @@ pub mod pte;
 pub use addr::{
     BlockAddr, DramAddr, PhysAddr, Ppn, VirtAddr, Vpn, BLOCKS_PER_PAGE, BLOCK_SIZE, PAGE_SIZE,
 };
-pub use bitvec::{BitVec, RankSelect};
+pub use bitvec::BitVec;
 pub use crc32::crc32;
 pub use cte::{BlockMetadata, TruncatedCte};
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};

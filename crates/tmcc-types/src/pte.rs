@@ -41,8 +41,6 @@ impl PteFlags {
     pub const PRESENT: u16 = 1 << 0;
     /// Writable bit (bit 1).
     pub const WRITABLE: u16 = 1 << 1;
-    /// User-accessible bit (bit 2).
-    pub const USER: u16 = 1 << 2;
     /// Accessed bit (bit 5).
     pub const ACCESSED: u16 = 1 << 5;
     /// Dirty bit (bit 6).
@@ -79,11 +77,6 @@ impl PteFlags {
     /// Whether the present bit is set.
     pub fn is_present(self) -> bool {
         self.low & Self::PRESENT != 0
-    }
-
-    /// Whether the page-size (huge) bit is set.
-    pub fn is_huge(self) -> bool {
-        self.low & Self::HUGE != 0
     }
 
     /// Packs the 24 status bits into their positions in a raw 64-bit PTE.
