@@ -8,12 +8,14 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughpu
 use tmcc_compression::{
     BdiCodec, BestOfCodec, BitReader, BitWriter, BlockCodec, BpcCodec, CpackCodec,
 };
-use tmcc_deflate::{DeflateScratch, FullHuffman, MemDeflate, ReducedHuffman, SoftwareDeflate};
+use tmcc_deflate::{FullHuffman, MemDeflate, ReducedHuffman, SoftwareDeflate};
 use tmcc_workloads::WorkloadProfile;
 
 fn corpus_page(i: u64) -> Vec<u8> {
     let w = WorkloadProfile::by_name("pageRank").expect("known workload");
-    w.page_content(42).page_bytes(i)
+    let mut page = vec![0u8; tmcc_deflate::PAGE_SIZE];
+    w.page_content(42).fill_page(i, &mut page);
+    page
 }
 
 fn bench_block_codecs(c: &mut Criterion) {
@@ -69,12 +71,12 @@ fn bench_deflate(c: &mut Criterion) {
         b.iter(|| black_box(codec.compress_page(black_box(&page))))
     });
     g.bench_function("decompress-4k", |b| {
-        b.iter(|| black_box(codec.decompress_page(black_box(&compressed))))
+        let mut out = Vec::with_capacity(page.len());
+        b.iter(|| codec.try_decompress_page_into(black_box(&compressed), &mut out).expect("clean"))
     });
     g.bench_function("compressed-size-4k", |b| {
         // The analytic sizing path ratio sweeps run per page.
-        let mut scratch = DeflateScratch::new();
-        b.iter(|| black_box(codec.compressed_size_with(black_box(&page), &mut scratch)))
+        b.iter(|| black_box(codec.compressed_size(black_box(&page))))
     });
     g.finish();
 
@@ -97,7 +99,8 @@ fn bench_huffman_decode(c: &mut Criterion) {
     let page = corpus_page(2);
     let reduced = ReducedHuffman::build(&page, 15);
     let reduced_stream = reduced.encode(&page);
-    let (reduced_tree, reduced_payload) = ReducedHuffman::read_tree(&reduced_stream);
+    let (reduced_tree, reduced_payload) =
+        ReducedHuffman::try_read_tree(&reduced_stream).expect("clean header");
 
     let mut dump = Vec::new();
     for i in 8..12 {
@@ -109,7 +112,12 @@ fn bench_huffman_decode(c: &mut Criterion) {
     let mut g = c.benchmark_group("huffman-decode");
     g.throughput(Throughput::Bytes(page.len() as u64));
     g.bench_function("reduced-lut-4k", |b| {
-        b.iter(|| black_box(reduced_tree.decode(black_box(reduced_payload), page.len())))
+        let mut out = Vec::with_capacity(page.len());
+        b.iter(|| {
+            out.clear();
+            let mut r = BitReader::new(black_box(reduced_payload));
+            reduced_tree.try_decode_from_into(&mut r, page.len(), &mut out).expect("clean")
+        })
     });
     g.bench_function("reduced-encode-4k", |b| {
         b.iter(|| black_box(reduced.encode(black_box(&page))))
@@ -119,13 +127,14 @@ fn bench_huffman_decode(c: &mut Criterion) {
     let mut g = c.benchmark_group("huffman-decode-full");
     g.throughput(Throughput::Bytes(dump.len() as u64));
     g.bench_function("full-lut-16k", |b| {
-        b.iter(|| black_box(FullHuffman::decode(black_box(&full_stream), dump.len())))
+        b.iter(|| black_box(FullHuffman::try_decode(black_box(&full_stream), dump.len())))
     });
     g.finish();
 }
 
 /// Raw bit I/O throughput: the word-at-a-time accumulator feeding every
-/// bit-packed codec. Mixed 5/11/13-bit fields model Huffman code widths.
+/// bit-packed codec, through the fallible reads the decoders run. Mixed
+/// 5/11/13-bit fields model Huffman code widths.
 fn bench_bit_io(c: &mut Criterion) {
     const FIELDS: usize = 8192;
     let widths = [5u32, 11, 13, 7, 3, 12];
@@ -150,18 +159,18 @@ fn bench_bit_io(c: &mut Criterion) {
             black_box(writer.len_bits())
         })
     });
-    g.bench_function("reader-get-mixed-fields", |b| {
+    g.bench_function("reader-try-get-mixed-fields", |b| {
         b.iter(|| {
             let mut r = BitReader::new(&bytes);
             let mut acc = 0u64;
             for i in 0..FIELDS {
                 let n = widths[i % widths.len()];
-                acc = acc.wrapping_add(r.get(n));
+                acc = acc.wrapping_add(r.try_get(n, "bench").expect("in stream"));
             }
             black_box(acc)
         })
     });
-    g.bench_function("reader-peek-consume", |b| {
+    g.bench_function("reader-peek-try-consume", |b| {
         // The LUT decoder's access pattern: wide peek, narrow consume.
         b.iter(|| {
             let mut r = BitReader::new(&bytes);
@@ -169,7 +178,7 @@ fn bench_bit_io(c: &mut Criterion) {
             for i in 0..FIELDS {
                 let n = widths[i % widths.len()];
                 acc = acc.wrapping_add(r.peek(16) >> (16 - n));
-                r.consume(n);
+                r.try_consume(n, "bench").expect("in stream");
             }
             black_box(acc)
         })

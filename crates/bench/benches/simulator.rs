@@ -21,10 +21,8 @@ fn bench_schemes(c: &mut Criterion) {
     for scheme in [SchemeKind::NoCompression, SchemeKind::Compresso, SchemeKind::Tmcc] {
         g.bench_function(scheme.name(), |b| {
             b.iter_with_setup(
-                || System::new(small_cfg(scheme)),
-                |mut sys| {
-                    let _ = sys.run(20_000);
-                },
+                || System::try_new(small_cfg(scheme)).expect("unbudgeted config"),
+                |mut sys| sys.try_run(20_000).expect("run completes"),
             )
         });
     }

@@ -4,10 +4,10 @@
 //!
 //! Usage: `cargo run --release -p tmcc-bench --bin diag_system [workload]`
 
-use tmcc::{SchemeKind, System, SystemConfig};
+use tmcc::{SchemeKind, System, SystemConfig, TmccError};
 use tmcc_workloads::WorkloadProfile;
 
-fn main() {
+fn main() -> Result<(), TmccError> {
     let name = std::env::args().nth(1).unwrap_or_else(|| "bfs".to_string());
     let Some(mut w) = WorkloadProfile::by_name(&name) else {
         eprintln!("unknown workload '{name}'");
@@ -23,7 +23,8 @@ fn main() {
     }
     println!("workload {} — {} pages\n", w.name, w.sim_pages);
 
-    let rc = System::new(SystemConfig::new(w.clone(), SchemeKind::Compresso)).run(100_000);
+    let rc =
+        System::try_new(SystemConfig::new(w.clone(), SchemeKind::Compresso))?.try_run(100_000)?;
     println!(
         "compresso: perf={:.2} used={}MB l3lat={:.1} cte_miss/llc={:.2} tlb_miss/llc={:.2}",
         rc.perf_accesses_per_us(),
@@ -35,8 +36,8 @@ fn main() {
 
     let min = System::min_budget_bytes(&SystemConfig::new(w.clone(), SchemeKind::Tmcc));
     let budget = rc.stats.dram_used_bytes.max(min);
-    let rt = System::new(SystemConfig::new(w.clone(), SchemeKind::Tmcc).with_budget(budget))
-        .run(100_000);
+    let rt = System::try_new(SystemConfig::new(w.clone(), SchemeKind::Tmcc).with_budget(budget))?
+        .try_run(100_000)?;
     let s = rt.stats;
     let ml1 = s.ml1_cte_hit + s.ml1_parallel_correct + s.ml1_parallel_mismatch + s.ml1_serial;
     println!(
@@ -69,4 +70,5 @@ fn main() {
         "  perf vs compresso: {:+.1}%",
         (rt.perf_accesses_per_us() / rc.perf_accesses_per_us() - 1.0) * 100.0
     );
+    Ok(())
 }

@@ -2,12 +2,13 @@
 //! codecs — the raw data for calibrating ContentProfile mixtures.
 
 use tmcc_compression::{BestOfCodec, BlockCodec};
-use tmcc_deflate::MemDeflate;
+use tmcc_deflate::{MemDeflate, PAGE_SIZE};
 use tmcc_workloads::{ContentProfile, PageContent, PageTemplate};
 
 fn main() {
     let deflate = MemDeflate::default();
     let block = BestOfCodec::new();
+    let mut page = vec![0u8; PAGE_SIZE];
     let templates = [
         ("sparse.05", PageTemplate::Sparse { density: 0.05 }),
         ("sparse.08", PageTemplate::Sparse { density: 0.08 }),
@@ -34,7 +35,7 @@ fn main() {
         let mut b = 0usize;
         const N: u64 = 16;
         for i in 0..N {
-            let page = content.page_bytes(i);
+            content.fill_page(i, &mut page);
             d += deflate.compressed_size(&page);
             b += page
                 .chunks_exact(64)

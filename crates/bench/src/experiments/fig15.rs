@@ -14,7 +14,7 @@ use crate::sweep::SweepCtx;
 use crate::{geomean, print_table};
 use serde::Serialize;
 use tmcc_compression::{BestOfCodec, BlockCodec};
-use tmcc_deflate::{DeflateParams, DeflateScratch, MemDeflate, SoftwareDeflate};
+use tmcc_deflate::{DeflateParams, MemDeflate, SoftwareDeflate, PAGE_SIZE};
 use tmcc_workloads::WorkloadProfile;
 
 /// Content seed shared by every workload image (each workload's content
@@ -38,20 +38,20 @@ pub fn run(ctx: &SweepCtx) {
         // Codecs are stateless across pages; per-point instances keep the
         // grid embarrassingly parallel. One analytic sizing pass per page
         // prices both dynamic-skip settings (they share LZ and tree
-        // parameters), and one scratch serves the whole image.
+        // parameters), and every page is generated into one buffer.
         let block = BestOfCodec::new();
         let deflate = MemDeflate::new(DeflateParams::new());
         let software = SoftwareDeflate::new();
-        let mut scratch = DeflateScratch::new();
         let content = w.page_content(SEED);
+        let mut page = vec![0u8; PAGE_SIZE];
         let mut raw = 0usize;
         let mut block_sz = 0usize;
         let mut noskip_sz = 0usize;
         let mut skip_sz = 0usize;
         let mut dump = Vec::new();
         for i in 0..pages {
-            let page = content.page_bytes(i);
-            let quote = deflate.size_quote_with(&page, &mut scratch);
+            content.fill_page(i, &mut page);
+            let quote = deflate.size_quote(&page);
             if quote.is_zero() {
                 continue; // paper: all-zero pages deleted from dumps
             }
@@ -67,7 +67,7 @@ pub fn run(ctx: &SweepCtx) {
             skip_sz += quote.stored_len(true);
             dump.extend_from_slice(&page);
         }
-        let sw_sz = software.compressed_size_with(&dump, &mut scratch);
+        let sw_sz = software.compressed_size(&dump);
         Row {
             workload: w.name,
             block_level: raw as f64 / block_sz as f64,

@@ -13,7 +13,7 @@
 use crate::sweep::SweepCtx;
 use crate::{mean, print_table};
 use serde::Serialize;
-use tmcc_deflate::{IbmDeflateModel, MemDeflate};
+use tmcc_deflate::{IbmDeflateModel, MemDeflate, PAGE_SIZE};
 use tmcc_workloads::WorkloadProfile;
 
 /// Seed for the page corpus feeding the cycle model.
@@ -50,6 +50,7 @@ pub fn run(ctx: &SweepCtx) {
     let per_workload: Vec<Samples> = ctx.par_map(WorkloadProfile::large_suite(), |w| {
         let codec = MemDeflate::default();
         let content = w.page_content(SEED);
+        let mut page = vec![0u8; PAGE_SIZE];
         let mut s = Samples {
             dec: Vec::new(),
             half: Vec::new(),
@@ -58,7 +59,7 @@ pub fn run(ctx: &SweepCtx) {
             comp_tp: Vec::new(),
         };
         for i in 0..pages {
-            let page = content.page_bytes(i);
+            content.fill_page(i, &mut page);
             let c = codec.compress_page(&page);
             s.dec.push(codec.decompress_latency(&c).ns);
             s.half.push(codec.needed_block_latency(&c).ns);

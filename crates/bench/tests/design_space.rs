@@ -1,19 +1,23 @@
 //! Design-space regression tests: the §V-B trade-offs the paper reports
 //! must hold for this implementation of the codec.
 
-use tmcc_deflate::{DeflateParams, MemDeflate};
+use tmcc_deflate::{DeflateParams, MemDeflate, PAGE_SIZE};
 use tmcc_workloads::WorkloadProfile;
 
-fn corpus() -> Vec<Vec<u8>> {
+/// 48 pageRank pages as one contiguous image.
+fn corpus() -> Vec<u8> {
     let w = WorkloadProfile::by_name("pageRank").expect("known workload");
     let content = w.page_content(0xD5E2);
-    (0..48u64).map(|i| content.page_bytes(i)).collect()
+    let mut image = vec![0u8; 48 * PAGE_SIZE];
+    for (i, page) in image.chunks_exact_mut(PAGE_SIZE).enumerate() {
+        content.fill_page(i as u64, page);
+    }
+    image
 }
 
-fn ratio(codec: &MemDeflate, corpus: &[Vec<u8>]) -> f64 {
-    let raw: usize = corpus.iter().map(|p| p.len()).sum();
-    let comp: usize = corpus.iter().map(|p| codec.compressed_size(p)).sum();
-    raw as f64 / comp as f64
+fn ratio(codec: &MemDeflate, corpus: &[u8]) -> f64 {
+    let comp: usize = corpus.chunks_exact(PAGE_SIZE).map(|p| codec.compressed_size(p)).sum();
+    corpus.len() as f64 / comp as f64
 }
 
 /// §V-B2: shrinking the CAM from 4 KiB to 1 KiB costs only a little

@@ -85,7 +85,7 @@ impl Encoding {
 /// let codec = BdiCodec::new();
 /// let out = codec.compress(&block).expect("BDI applies");
 /// assert!(out.len() <= 23);
-/// assert_eq!(codec.decompress(&out), block);
+/// assert_eq!(codec.try_decompress(&out), Ok(block));
 /// ```
 #[derive(Debug, Default, Clone, Copy)]
 pub struct BdiCodec {
@@ -266,7 +266,7 @@ mod tests {
         for block in sample_blocks() {
             if let Some(c) = codec.compress(&block) {
                 assert!(c.len() < BLOCK_SIZE);
-                assert_eq!(codec.decompress(&c), block, "round trip failed");
+                assert_eq!(codec.try_decompress(&c), Ok(block), "round trip failed");
             }
         }
     }
@@ -297,7 +297,7 @@ mod tests {
         }
         let c = codec.compress(&block).expect("pointer block compresses");
         assert!(c.len() <= 18, "base8-delta1 expected, got {}", c.len());
-        assert_eq!(codec.decompress(&c), block);
+        assert_eq!(codec.try_decompress(&c), Ok(block));
     }
 
     #[test]
@@ -342,6 +342,6 @@ mod tests {
             block[i as usize * 4..][..4].copy_from_slice(&v.to_le_bytes());
         }
         let c = codec.compress(&block).expect("descending ints compress");
-        assert_eq!(codec.decompress(&c), block);
+        assert_eq!(codec.try_decompress(&c), Ok(block));
     }
 }

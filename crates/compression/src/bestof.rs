@@ -30,7 +30,7 @@ enum Winner {
 ///     block[i as usize * 4..][..4].copy_from_slice(&(i * 2).to_le_bytes());
 /// }
 /// let out = codec.compress(&block).expect("ramp compresses");
-/// assert_eq!(codec.decompress(&out), block);
+/// assert_eq!(codec.try_decompress(&out), Ok(block));
 /// ```
 #[derive(Debug, Default, Clone, Copy)]
 pub struct BestOfCodec {
@@ -109,7 +109,7 @@ mod tests {
         for (i, block) in sample_blocks().into_iter().enumerate() {
             if let Some(c) = codec.compress(&block) {
                 assert!(c.len() < BLOCK_SIZE);
-                assert_eq!(codec.decompress(&c), block, "sample {i} failed");
+                assert_eq!(codec.try_decompress(&c), Ok(block), "sample {i} failed");
             }
         }
     }

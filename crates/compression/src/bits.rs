@@ -2,10 +2,12 @@
 //! (BPC, CPack) and by the Deflate implementation downstream.
 //!
 //! Both sides run on a 64-bit accumulator with byte-granular flush/refill
-//! instead of per-bit loops, so every `put`/`get` is O(1) in the number of
-//! *calls*, not bits. The stream format is unchanged: the first bit written
-//! is the most significant bit of the first byte, and the final partial
-//! byte is zero-padded in its low bits.
+//! instead of per-bit loops, so every `put`/`try_get` is O(1) in the number
+//! of *calls*, not bits. Reads are fallible: running past the end of the
+//! stream is a [`CodecError::UnexpectedEnd`], never a panic. The stream
+//! format is unchanged: the first bit written is the most significant bit
+//! of the first byte, and the final partial byte is zero-padded in its
+//! low bits.
 //!
 //! Invariants (relied on by the Huffman decode tables in `tmcc-deflate`):
 //!
@@ -93,31 +95,12 @@ impl BitWriter {
         self.acc &= mask(self.acc_bits);
     }
 
-    /// Appends a single bit.
-    #[inline]
-    pub fn put_bit(&mut self, bit: bool) {
-        self.put(bit as u64, 1);
-    }
-
     /// Finishes the stream, returning the padded bytes.
     pub fn into_bytes(mut self) -> Vec<u8> {
         if self.acc_bits > 0 {
             self.bytes.push((self.acc << (8 - self.acc_bits)) as u8);
         }
         self.bytes
-    }
-
-    /// Finishes the stream and moves the padded bytes out, leaving the
-    /// writer empty but with its allocation intact — the reuse hook for
-    /// per-page codec scratch.
-    pub fn take_bytes(&mut self) -> Vec<u8> {
-        if self.acc_bits > 0 {
-            self.bytes.push((self.acc << (8 - self.acc_bits)) as u8);
-        }
-        self.acc = 0;
-        self.acc_bits = 0;
-        self.len_bits = 0;
-        std::mem::take(&mut self.bytes)
     }
 
     /// The stream length rounded up to whole bytes.
@@ -156,42 +139,9 @@ impl<'a> BitReader<'a> {
         }
     }
 
-    /// Reads `n` bits, most significant first.
-    ///
-    /// # Panics
-    ///
-    /// Panics if fewer than `n` bits remain or `n > 64`.
-    #[inline]
-    pub fn get(&mut self, n: u32) -> u64 {
-        assert!(n <= 64, "cannot read more than 64 bits at once");
-        if n == 0 {
-            return 0;
-        }
-        if n > 56 {
-            let hi = self.get(n - 32);
-            return (hi << 32) | self.get(32);
-        }
-        if self.acc_bits < n {
-            self.refill();
-            assert!(self.acc_bits >= n, "bit stream exhausted");
-        }
-        self.acc_bits -= n;
-        (self.acc >> self.acc_bits) & mask(n)
-    }
-
-    /// Reads one bit.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the stream is exhausted.
-    #[inline]
-    pub fn get_bit(&mut self) -> bool {
-        self.get(1) != 0
-    }
-
-    /// Fallible [`get`](Self::get): returns
-    /// [`CodecError::UnexpectedEnd`] instead of panicking when fewer than
-    /// `n` bits remain. `context` names the decoder stage for the error.
+    /// Reads `n` bits, most significant first, or returns
+    /// [`CodecError::UnexpectedEnd`] when fewer than `n` bits remain.
+    /// `context` names the decoder stage for the error.
     ///
     /// # Panics
     ///
@@ -216,7 +166,8 @@ impl<'a> BitReader<'a> {
         Ok((self.acc >> self.acc_bits) & mask(n))
     }
 
-    /// Fallible [`get_bit`](Self::get_bit).
+    /// Reads one bit, or returns [`CodecError::UnexpectedEnd`] at the end
+    /// of the stream.
     #[inline]
     pub fn try_get_bit(&mut self, context: &'static str) -> Result<bool, CodecError> {
         Ok(self.try_get(1, context)? != 0)
@@ -242,21 +193,9 @@ impl<'a> BitReader<'a> {
     }
 
     /// Advances past `n` bits previously observed via [`peek`](Self::peek).
-    ///
-    /// # Panics
-    ///
-    /// Panics if fewer than `n` bits remain.
-    #[inline]
-    pub fn consume(&mut self, n: u32) {
-        assert!(self.acc_bits >= n, "cannot consume more bits than peeked");
-        self.acc_bits -= n;
-        self.acc &= mask(self.acc_bits);
-    }
-
-    /// Fallible [`consume`](Self::consume): a corrupt stream can resolve a
-    /// symbol off [`peek`](Self::peek)'s zero padding whose code is longer
-    /// than the bits actually left; that surfaces here as
-    /// [`CodecError::UnexpectedEnd`] instead of a panic.
+    /// A corrupt stream can resolve a symbol off `peek`'s zero padding
+    /// whose code is longer than the bits actually left; that surfaces
+    /// here as [`CodecError::UnexpectedEnd`].
     #[inline]
     pub fn try_consume(&mut self, n: u32, context: &'static str) -> Result<(), CodecError> {
         if self.acc_bits < n {
@@ -285,21 +224,32 @@ impl<'a> BitReader<'a> {
 mod tests {
     use super::*;
 
+    const CTX: &str = "test";
+
     #[test]
     fn round_trip_mixed_widths() {
         let mut w = BitWriter::new();
         w.put(0b101, 3);
         w.put(0xdead, 16);
-        w.put_bit(true);
+        w.put(1, 1);
         w.put(0x1234_5678_9abc_def0, 64);
         let bits = w.len_bits();
         let bytes = w.into_bytes();
         let mut r = BitReader::new(&bytes);
-        assert_eq!(r.get(3), 0b101);
-        assert_eq!(r.get(16), 0xdead);
-        assert!(r.get_bit());
-        assert_eq!(r.get(64), 0x1234_5678_9abc_def0);
+        assert_eq!(r.try_get(3, CTX), Ok(0b101));
+        assert_eq!(r.try_get(16, CTX), Ok(0xdead));
+        assert_eq!(r.try_get_bit(CTX), Ok(true));
+        assert_eq!(r.try_get(64, CTX), Ok(0x1234_5678_9abc_def0));
         assert_eq!(r.pos_bits(), bits);
+    }
+
+    #[test]
+    fn reads_past_the_end_are_typed_errors() {
+        let mut r = BitReader::new(&[0xff]);
+        assert_eq!(r.try_get(9, CTX), Err(CodecError::UnexpectedEnd { context: CTX }));
+        assert_eq!(r.try_get(8, CTX), Ok(0xff));
+        assert_eq!(r.try_get_bit(CTX), Err(CodecError::UnexpectedEnd { context: CTX }));
+        assert_eq!(r.try_consume(1, CTX), Err(CodecError::UnexpectedEnd { context: CTX }));
     }
 
     #[test]
@@ -308,13 +258,6 @@ mod tests {
         w.put(0xffff, 0);
         assert_eq!(w.len_bits(), 0);
         assert!(w.into_bytes().is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "bit stream exhausted")]
-    fn reader_panics_past_end() {
-        let mut r = BitReader::new(&[0xff]);
-        let _ = r.get(9);
     }
 
     #[test]
@@ -333,8 +276,8 @@ mod tests {
         w.put(u64::MAX, 60);
         let bytes = w.into_bytes();
         let mut r = BitReader::new(&bytes);
-        assert_eq!(r.get(3), 0b111);
-        assert_eq!(r.get(60), mask(60));
+        assert_eq!(r.try_get(3, CTX), Ok(0b111));
+        assert_eq!(r.try_get(60, CTX), Ok(mask(60)));
     }
 
     #[test]
@@ -342,23 +285,12 @@ mod tests {
         let mut r = BitReader::new(&[0b1010_1100, 0b1111_0000]);
         assert_eq!(r.peek(4), 0b1010);
         assert_eq!(r.peek(12), 0b1010_1100_1111);
-        assert_eq!(r.get(4), 0b1010);
+        assert_eq!(r.try_get(4, CTX), Ok(0b1010));
         // 12 bits remain; peeking 20 pads with zeros.
         assert_eq!(r.peek(20), 0b1100_1111_0000 << 8);
-        r.consume(12);
+        r.try_consume(12, CTX).unwrap();
         assert_eq!(r.remaining_bits(), 0);
         assert_eq!(r.peek(8), 0);
-    }
-
-    #[test]
-    fn take_bytes_resets_and_keeps_format() {
-        let mut w = BitWriter::new();
-        w.put(0b1_0110, 5);
-        let first = w.take_bytes();
-        assert_eq!(first, vec![0b1011_0000]);
-        assert_eq!(w.len_bits(), 0);
-        w.put(0xA5, 8);
-        assert_eq!(w.take_bytes(), vec![0xA5]);
     }
 
     #[test]

@@ -43,7 +43,7 @@ const PLANES: usize = 33; // 33-bit deltas
 /// let codec = BpcCodec::new();
 /// let out = codec.compress(&block).expect("ramp compresses");
 /// assert!(out.len() < 16);
-/// assert_eq!(codec.decompress(&out), block);
+/// assert_eq!(codec.try_decompress(&out), Ok(block));
 /// ```
 #[derive(Debug, Default, Clone, Copy)]
 pub struct BpcCodec {
@@ -260,7 +260,7 @@ mod tests {
         let codec = BpcCodec::new();
         for (i, block) in sample_blocks().into_iter().enumerate() {
             if let Some(c) = codec.compress(&block) {
-                assert_eq!(codec.decompress(&c), block, "sample {i} failed");
+                assert_eq!(codec.try_decompress(&c), Ok(block), "sample {i} failed");
             }
         }
     }
@@ -281,7 +281,7 @@ mod tests {
         }
         let c = codec.compress(&block).expect("stride compresses");
         assert!(c.len() <= 8, "stride pattern should be tiny, got {}", c.len());
-        assert_eq!(codec.decompress(&c), block);
+        assert_eq!(codec.try_decompress(&c), Ok(block));
     }
 
     #[test]
@@ -310,7 +310,7 @@ mod tests {
             block[i * 4..(i + 1) * 4].copy_from_slice(&v.to_le_bytes());
         }
         if let Some(c) = codec.compress(&block) {
-            assert_eq!(codec.decompress(&c), block);
+            assert_eq!(codec.try_decompress(&c), Ok(block));
         }
     }
 
@@ -360,7 +360,7 @@ mod tests {
                 block[i * 4..(i + 1) * 4].copy_from_slice(&v.to_le_bytes());
             }
             let c = codec.compress(&block).expect("compresses");
-            assert_eq!(codec.decompress(&c), block, "bit {bit}");
+            assert_eq!(codec.try_decompress(&c), Ok(block), "bit {bit}");
         }
     }
 }

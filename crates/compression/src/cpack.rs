@@ -80,7 +80,7 @@ impl Dict {
 /// }
 /// let codec = CpackCodec::new();
 /// let out = codec.compress(&block).expect("repetitive block compresses");
-/// assert_eq!(codec.decompress(&out), block);
+/// assert_eq!(codec.try_decompress(&out), Ok(block));
 /// ```
 #[derive(Debug, Default, Clone, Copy)]
 pub struct CpackCodec {
@@ -206,7 +206,7 @@ mod tests {
         let codec = CpackCodec::new();
         for (i, block) in sample_blocks().into_iter().enumerate() {
             if let Some(c) = codec.compress(&block) {
-                assert_eq!(codec.decompress(&c), block, "sample {i} failed");
+                assert_eq!(codec.try_decompress(&c), Ok(block), "sample {i} failed");
             }
         }
     }
@@ -228,7 +228,7 @@ mod tests {
         // First word: 34 bits; remaining 15: 6 bits each = 124 bits -> 16 B.
         let c = codec.compress(&block).expect("compresses");
         assert!(c.len() <= 16, "got {}", c.len());
-        assert_eq!(codec.decompress(&c), block);
+        assert_eq!(codec.try_decompress(&c), Ok(block));
     }
 
     #[test]
@@ -241,7 +241,7 @@ mod tests {
             c.copy_from_slice(&v.to_be_bytes());
         }
         let c = codec.compress(&block).expect("compresses");
-        assert_eq!(codec.decompress(&c), block);
+        assert_eq!(codec.try_decompress(&c), Ok(block));
     }
 
     #[test]
@@ -280,6 +280,6 @@ mod tests {
         // 16 words x 12 bits = 24 bytes.
         let c = codec.compress(&block).expect("compresses");
         assert_eq!(c.len(), 24);
-        assert_eq!(codec.decompress(&c), block);
+        assert_eq!(codec.try_decompress(&c), Ok(block));
     }
 }

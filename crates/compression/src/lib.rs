@@ -7,7 +7,7 @@
 //! that exact composite is [`BestOfCodec`].
 //!
 //! Every codec here is **functionally real**: `compress` produces a byte
-//! stream that `decompress` restores bit-exactly, verified by unit and
+//! stream that `try_decompress` restores bit-exactly, verified by unit and
 //! property tests. Compressed sizes are what the capacity accounting in the
 //! simulator consumes.
 //!
@@ -20,7 +20,7 @@
 //! let block = [0u8; BLOCK_SIZE]; // an all-zero block
 //! let compressed = codec.compress(&block).expect("zero blocks compress");
 //! assert!(compressed.len() < BLOCK_SIZE);
-//! assert_eq!(codec.decompress(&compressed), block);
+//! assert_eq!(codec.try_decompress(&compressed), Ok(block));
 //! ```
 
 mod bdi;
@@ -55,25 +55,12 @@ pub trait BlockCodec {
     /// encoding would not be smaller than [`BLOCK_SIZE`].
     fn compress(&self, block: &[u8; BLOCK_SIZE]) -> Option<Vec<u8>>;
 
-    /// Fallible decode: restores the original block, or reports *why* the
-    /// bytes cannot be a stream this codec produced. Implementations must
-    /// never panic, over-read, or allocate unboundedly on arbitrary input —
-    /// a corrupt stream is a value, not an abort.
-    fn try_decompress(&self, data: &[u8]) -> Result<[u8; BLOCK_SIZE], CodecError>;
-
     /// Restores the original block from bytes produced by
-    /// [`compress`](Self::compress).
-    ///
-    /// # Panics
-    ///
-    /// Panics on byte streams not produced by the same codec's `compress`
-    /// (the [`try_decompress`](Self::try_decompress) error, formatted).
-    fn decompress(&self, data: &[u8]) -> [u8; BLOCK_SIZE] {
-        match self.try_decompress(data) {
-            Ok(block) => block,
-            Err(e) => panic!("{} decode failed: {e}", self.name()),
-        }
-    }
+    /// [`compress`](Self::compress), or reports *why* the bytes cannot be
+    /// a stream this codec produced. Implementations must never panic,
+    /// over-read, or allocate unboundedly on arbitrary input — a corrupt
+    /// stream is a value, not an abort.
+    fn try_decompress(&self, data: &[u8]) -> Result<[u8; BLOCK_SIZE], CodecError>;
 
     /// The size the block occupies after compression: the encoded length,
     /// or [`BLOCK_SIZE`] when the codec declines to compress.

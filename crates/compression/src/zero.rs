@@ -63,7 +63,7 @@ mod tests {
         let codec = ZeroBlockCodec::new();
         let c = codec.compress(&[0u8; BLOCK_SIZE]).unwrap();
         assert_eq!(c.len(), 1);
-        assert_eq!(codec.decompress(&c), [0u8; BLOCK_SIZE]);
+        assert_eq!(codec.try_decompress(&c), Ok([0u8; BLOCK_SIZE]));
     }
 
     #[test]

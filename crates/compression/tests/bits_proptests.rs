@@ -1,7 +1,8 @@
 //! Property tests for the word-at-a-time bit I/O against a naive
 //! bit-at-a-time reference: any sequence of variable-width writes must
-//! produce the reference byte stream, and reads (in any get/peek/consume
-//! interleaving) must observe the reference bit sequence.
+//! produce the reference byte stream, and reads (in any
+//! try_get/peek/try_consume interleaving) must observe the reference bit
+//! sequence.
 
 use proptest::prelude::*;
 use tmcc_compression::{BitReader, BitWriter};
@@ -74,16 +75,17 @@ proptest! {
         let mut r = BitReader::new(&bytes);
         for &(value, n) in &writes {
             let masked = if n == 64 { value } else { value & ((1u64 << n) - 1) };
-            prop_assert_eq!(r.get(n), masked, "width {}", n);
+            prop_assert_eq!(r.try_get(n, "field"), Ok(masked), "width {}", n);
         }
     }
 
     #[test]
     fn peek_consume_agrees_with_get(bytes in prop::collection::vec(any::<u8>(), 0..64),
                                     widths in prop::collection::vec(1u32..=24, 1..40)) {
-        // Drive two readers over the same bytes: one with get(), one with
-        // peek()+consume(); both must see identical fields, and peek must
-        // zero-pad past the end instead of panicking.
+        // Drive two readers over the same bytes: one with try_get(), one
+        // with peek()+try_consume(); both must see identical fields, peek
+        // must zero-pad past the end instead of panicking, and a read past
+        // the end is an error on both.
         let mut getter = BitReader::new(&bytes);
         let mut peeker = BitReader::new(&bytes);
         let mut remaining = bytes.len() * 8;
@@ -92,31 +94,14 @@ proptest! {
             if (n as usize) > remaining {
                 let tail = peeker.peek(remaining as u32);
                 prop_assert_eq!(seen, tail << (n - remaining as u32));
+                prop_assert!(getter.try_get(n, "field").is_err());
+                prop_assert!(peeker.try_consume(n, "field").is_err());
                 break;
             }
-            prop_assert_eq!(getter.get(n), seen, "width {}", n);
-            peeker.consume(n);
+            prop_assert_eq!(getter.try_get(n, "field"), Ok(seen), "width {}", n);
+            prop_assert_eq!(peeker.try_consume(n, "field"), Ok(()));
             prop_assert_eq!(getter.pos_bits(), peeker.pos_bits());
             remaining -= n as usize;
         }
-    }
-
-    #[test]
-    fn take_bytes_streams_are_independent(first in arb_writes(), second in arb_writes()) {
-        // Reusing one writer via take_bytes must produce exactly the
-        // streams two fresh writers would.
-        let mut reused = BitWriter::new();
-        let mut fresh_bytes = Vec::new();
-        let mut reused_bytes = Vec::new();
-        for writes in [&first, &second] {
-            let mut fresh = BitWriter::new();
-            for &(value, n) in writes.iter() {
-                fresh.put(value, n);
-                reused.put(value, n);
-            }
-            fresh_bytes.push(fresh.into_bytes());
-            reused_bytes.push(reused.take_bytes());
-        }
-        prop_assert_eq!(fresh_bytes, reused_bytes);
     }
 }

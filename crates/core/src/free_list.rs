@@ -273,10 +273,11 @@ pub struct SubChunk {
 /// let mut ml1 = Ml1FreeList::with_chunks(1000);
 /// let mut ml2 = Ml2FreeLists::paper_classes();
 /// // Store a 1300-byte compressed page: needs the 1536-byte class.
-/// let sc = ml2.allocate(1300, &mut ml1).expect("space available");
+/// let sc = ml2.try_allocate(1300, &mut ml1)?;
 /// assert_eq!(ml2.class_size(sc.class), 1536);
-/// ml2.free(sc, &mut ml1);
+/// ml2.try_free(sc, &mut ml1)?;
 /// assert_eq!(ml1.len(), 1000, "all chunks returned");
+/// # Ok::<(), tmcc::TmccError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Ml2FreeLists {
@@ -402,15 +403,7 @@ impl Ml2FreeLists {
 
     /// Allocates a sub-chunk for a `bytes`-long compressed page, carving a
     /// new super-chunk from `ml1`'s free chunks when the class is empty.
-    /// Returns `None` when `bytes` exceeds the largest class or ML1 has no
-    /// chunks to donate (see [`try_allocate`](Self::try_allocate) for the
-    /// typed distinction between the two).
-    pub fn allocate(&mut self, bytes: usize, ml1: &mut Ml1FreeList) -> Option<SubChunk> {
-        self.try_allocate(bytes, ml1).ok()
-    }
-
-    /// Allocates a sub-chunk for a `bytes`-long compressed page, reporting
-    /// *why* an allocation cannot be satisfied:
+    /// Reports *why* an allocation cannot be satisfied:
     /// [`TmccError::OversizedAllocation`] when no class fits `bytes`, and
     /// [`TmccError::FreeListExhausted`] when ML1 cannot donate enough
     /// chunks to carve a fresh super-chunk.
@@ -583,19 +576,6 @@ impl Ml2FreeLists {
         TABLED << LOW_BITS | idx
     }
 
-    /// Frees a sub-chunk. If its super-chunk becomes entirely free, the
-    /// backing chunks return to ML1 (§IV-B).
-    ///
-    /// # Panics
-    ///
-    /// Panics on double-free or unknown sub-chunks. Library code should
-    /// use [`try_free`](Self::try_free) instead.
-    pub fn free(&mut self, sub: SubChunk, ml1: &mut Ml1FreeList) {
-        if let Err(e) = self.try_free(sub, ml1) {
-            panic!("{e}");
-        }
-    }
-
     /// Frees a sub-chunk, returning [`TmccError::DoubleFree`] /
     /// [`TmccError::UnknownSubChunk`] instead of panicking when the
     /// sub-chunk is not a live allocation. If its super-chunk becomes
@@ -738,22 +718,10 @@ impl Ml2FreeLists {
             + self.geometry.capacity() * std::mem::size_of::<(usize, usize)>()
     }
 
-    /// DRAM byte address where sub-chunk `sub` starts. Sub-chunks may span
-    /// the boundary between the interlinked chunks of their super-chunk.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sub` does not name a live allocation. Library code
-    /// should use [`try_addr_of`](Self::try_addr_of) instead.
-    pub fn addr_of(&self, sub: SubChunk) -> u64 {
-        match self.try_addr_of(sub) {
-            Ok(a) => a,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
     /// DRAM byte address where sub-chunk `sub` starts, or
     /// [`TmccError::UnknownSubChunk`] when its super-chunk is not live.
+    /// Sub-chunks may span the boundary between the interlinked chunks of
+    /// their super-chunk.
     #[inline]
     pub fn try_addr_of(&self, sub: SubChunk) -> Result<u64, TmccError> {
         let unknown = || TmccError::UnknownSubChunk { super_id: sub.super_id };
@@ -853,12 +821,12 @@ mod tests {
         let mut subs = Vec::new();
         for i in 0..20usize {
             let bytes = 200 + i * 150;
-            subs.push(ml2.allocate(bytes, &mut ml1).expect("fits"));
+            subs.push(ml2.try_allocate(bytes, &mut ml1).expect("fits"));
         }
         assert!(ml1.len() < 64);
         assert_eq!(ml2.owned_chunks() + ml1.len(), 64);
         for s in subs {
-            ml2.free(s, &mut ml1);
+            ml2.try_free(s, &mut ml1).expect("live");
         }
         assert_eq!(ml1.len(), 64, "every chunk must return to ML1");
         assert_eq!(ml2.allocated_bytes(), 0);
@@ -869,7 +837,7 @@ mod tests {
     fn allocation_prefers_smallest_fitting_class() {
         let mut ml1 = Ml1FreeList::with_chunks(8);
         let mut ml2 = Ml2FreeLists::paper_classes();
-        let s = ml2.allocate(513, &mut ml1).expect("fits");
+        let s = ml2.try_allocate(513, &mut ml1).expect("fits");
         assert_eq!(ml2.class_size(s.class), 768);
     }
 
@@ -880,15 +848,15 @@ mod tests {
         let mut addrs = std::collections::HashSet::new();
         let mut subs = Vec::new();
         for _ in 0..16 {
-            let s = ml2.allocate(1500, &mut ml1).expect("fits");
-            let a = ml2.addr_of(s);
+            let s = ml2.try_allocate(1500, &mut ml1).expect("fits");
+            let a = ml2.try_addr_of(s).expect("live");
             assert!(addrs.insert(a), "duplicate sub-chunk address {a:#x}");
             subs.push(s);
         }
         // Adjacent slots in one super-chunk are exactly 1536 B apart in
         // the concatenated chunk space.
-        let a0 = ml2.addr_of(subs[0]);
-        let a1 = ml2.addr_of(subs[1]);
+        let a0 = ml2.try_addr_of(subs[0]).expect("live");
+        let a1 = ml2.try_addr_of(subs[1]).expect("live");
         if subs[0].super_id == subs[1].super_id {
             let off = |s: &super::SubChunk| s.slot as u64 * 1536;
             assert_eq!(off(&subs[1]) - off(&subs[0]), 1536);
@@ -903,14 +871,14 @@ mod tests {
         // freed slot is handed out again before the next fresh one.
         let mut ml1 = Ml1FreeList::with_chunks(8);
         let mut ml2 = Ml2FreeLists::new(vec![256]);
-        let a = ml2.allocate(100, &mut ml1).expect("fits");
-        let b = ml2.allocate(100, &mut ml1).expect("fits");
-        let c = ml2.allocate(100, &mut ml1).expect("fits");
+        let a = ml2.try_allocate(100, &mut ml1).expect("fits");
+        let b = ml2.try_allocate(100, &mut ml1).expect("fits");
+        let c = ml2.try_allocate(100, &mut ml1).expect("fits");
         assert_eq!((a.slot, b.slot, c.slot), (0, 1, 2));
-        ml2.free(b, &mut ml1);
-        let d = ml2.allocate(100, &mut ml1).expect("fits");
+        ml2.try_free(b, &mut ml1).expect("live");
+        let d = ml2.try_allocate(100, &mut ml1).expect("fits");
         assert_eq!(d.slot, 1, "most recently freed slot is reused first");
-        let e = ml2.allocate(100, &mut ml1).expect("fits");
+        let e = ml2.try_allocate(100, &mut ml1).expect("fits");
         assert_eq!(e.slot, 3, "then the fresh run continues");
     }
 
@@ -918,33 +886,43 @@ mod tests {
     fn oversized_pages_rejected() {
         let mut ml1 = Ml1FreeList::with_chunks(8);
         let mut ml2 = Ml2FreeLists::paper_classes();
-        assert!(ml2.allocate(5000, &mut ml1).is_none());
+        assert_eq!(
+            ml2.try_allocate(5000, &mut ml1),
+            Err(TmccError::OversizedAllocation { requested_bytes: 5000, largest_class: 4096 })
+        );
     }
 
     #[test]
     fn exhausted_ml1_fails_cleanly() {
         let mut ml1 = Ml1FreeList::with_chunks(0);
         let mut ml2 = Ml2FreeLists::paper_classes();
-        assert!(ml2.allocate(100, &mut ml1).is_none());
+        assert_eq!(
+            ml2.try_allocate(100, &mut ml1),
+            Err(TmccError::FreeListExhausted { requested_bytes: 100, ml1_free_chunks: 0 })
+        );
         assert_eq!(ml1.len(), 0);
     }
 
     #[test]
-    #[should_panic(expected = "double-freed")]
-    fn double_free_detected() {
+    fn double_free_is_a_typed_error() {
         let mut ml1 = Ml1FreeList::with_chunks(8);
         let mut ml2 = Ml2FreeLists::new(vec![2048]);
-        let a = ml2.allocate(2000, &mut ml1).expect("fits");
-        let _b = ml2.allocate(2000, &mut ml1).expect("fits");
-        ml2.free(a, &mut ml1);
-        ml2.free(a, &mut ml1);
+        let a = ml2.try_allocate(2000, &mut ml1).expect("fits");
+        let _b = ml2.try_allocate(2000, &mut ml1).expect("fits");
+        ml2.try_free(a, &mut ml1).expect("live");
+        let before = (ml2.clone(), ml1.clone());
+        assert_eq!(
+            ml2.try_free(a, &mut ml1),
+            Err(TmccError::DoubleFree { super_id: a.super_id, slot: a.slot })
+        );
+        assert_eq!((ml2, ml1), before, "a refused free changes nothing");
     }
 
     #[test]
     fn out_of_range_slot_is_a_typed_error() {
         let mut ml1 = Ml1FreeList::with_chunks(8);
         let mut ml2 = Ml2FreeLists::new(vec![2048]);
-        let a = ml2.allocate(2000, &mut ml1).expect("fits");
+        let a = ml2.try_allocate(2000, &mut ml1).expect("fits");
         let bogus = SubChunk { class: a.class, super_id: a.super_id, slot: 99 };
         assert!(matches!(ml2.try_free(bogus, &mut ml1), Err(TmccError::UnknownSubChunk { .. })));
     }
@@ -957,18 +935,18 @@ mod tests {
         let mut k = 0usize;
         // Allocate until ML1 runs dry, then free half and repeat.
         for round in 0..6 {
-            while let Some(s) = ml2.allocate(300 + (k * 97) % 3500, &mut ml1) {
+            while let Ok(s) = ml2.try_allocate(300 + (k * 97) % 3500, &mut ml1) {
                 live.push(s);
                 k += 1;
             }
             let half = live.len() / 2;
             for s in live.drain(..half) {
-                ml2.free(s, &mut ml1);
+                ml2.try_free(s, &mut ml1).expect("live");
             }
             assert!(ml2.owned_chunks() + ml1.len() == 256, "round {round}");
         }
         for s in live.drain(..) {
-            ml2.free(s, &mut ml1);
+            ml2.try_free(s, &mut ml1).expect("live");
         }
         assert_eq!(ml1.len(), 256);
     }
@@ -986,13 +964,13 @@ mod tests {
         for _ in 0..4 {
             let mut live = Vec::new();
             let mut k = 0usize;
-            while let Some(s) = ml2.allocate(260 + (k * 131) % 3000, &mut ml1) {
+            while let Ok(s) = ml2.try_allocate(260 + (k * 131) % 3000, &mut ml1) {
                 live.push(s);
                 k += 1;
             }
             let peak = ml2.heap_bytes();
             for s in live {
-                ml2.free(s, &mut ml1);
+                ml2.try_free(s, &mut ml1).expect("live");
             }
             assert_eq!(ml2.owned_chunks(), 0);
             let drained = ml2.heap_bytes();
@@ -1130,14 +1108,18 @@ mod tests {
                 let draw = next();
                 if draw % 5 < 3 || live.is_empty() {
                     let bytes = 1 + (draw >> 8) as usize % 4096;
-                    let got = ml2.allocate(bytes, &mut ml1);
+                    let got = ml2.try_allocate(bytes, &mut ml1).ok();
                     assert_eq!(
                         got,
                         reference.allocate(&ml2, bytes, &mut ref_ml1),
                         "seed {seed} step {step}"
                     );
                     if let Some(sub) = got {
-                        assert_eq!(ml2.addr_of(sub), reference.addr_of(sub, &ml2), "seed {seed}");
+                        assert_eq!(
+                            ml2.try_addr_of(sub).expect("live"),
+                            reference.addr_of(sub, &ml2),
+                            "seed {seed}"
+                        );
                         live.push(sub);
                     }
                 } else {
@@ -1156,7 +1138,11 @@ mod tests {
                 assert_eq!(ml1, ref_ml1, "seed {seed} step {step}");
                 assert_eq!(ml2.owned_chunks(), reference.owned, "seed {seed} step {step}");
                 for &sub in live.iter().rev().take(3) {
-                    assert_eq!(ml2.addr_of(sub), reference.addr_of(sub, &ml2), "seed {seed}");
+                    assert_eq!(
+                        ml2.try_addr_of(sub).expect("live"),
+                        reference.addr_of(sub, &ml2),
+                        "seed {seed}"
+                    );
                 }
                 tabled += ml2.tables.len() - ml2.free_tables.len();
             }
@@ -1183,7 +1169,11 @@ mod tests {
         assert_eq!(fresh_ml1, ml1);
         for (i, sub, frame) in got {
             assert_eq!(sub, subs[i]);
-            assert_eq!(frame as u64, placed.addr_of(sub) / 4096, "the CTE's frame");
+            assert_eq!(
+                frame as u64,
+                placed.try_addr_of(sub).expect("live") / 4096,
+                "the CTE's frame"
+            );
         }
         assert!(placed.tables.is_empty(), "fresh carves are packed");
         let words = placed.supers.capacity() * 4;

@@ -28,9 +28,10 @@
 //!
 //! let cfg = SystemConfig::for_workload("canneal", SchemeKind::Tmcc)
 //!     .expect("known workload");
-//! let mut sys = System::new(cfg);
-//! let report = sys.run(200_000);
+//! let mut sys = System::try_new(cfg)?;
+//! let report = sys.try_run(200_000)?;
 //! println!("perf proxy: {:.3} accesses/us", report.perf_accesses_per_us());
+//! # Ok::<(), tmcc::TmccError>(())
 //! ```
 
 pub mod config;

@@ -38,7 +38,7 @@ use crate::stats::SimStats;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::collections::VecDeque;
-use tmcc_deflate::{DeflateParams, DeflateScratch, DeflateTiming, IbmDeflateModel, MemDeflate};
+use tmcc_deflate::{DeflateParams, DeflateTiming, IbmDeflateModel, MemDeflate};
 use tmcc_sim_dram::DramSim;
 use tmcc_sim_mem::{CteBuffer, CteBufferEntry, CteCache, CteCacheConfig, PageTable};
 use tmcc_types::addr::{BlockAddr, DramAddr, Ppn, BLOCKS_PER_PAGE, PAGE_SIZE};
@@ -1120,9 +1120,8 @@ impl Scheme for TwoLevelScheme {
                     }
                 }
                 // Detect: the sealed decode is the only read path.
-                let mut scratch = DeflateScratch::new();
                 let mut out = Vec::with_capacity(PAGE_SIZE);
-                let verdict = codec.try_decompress_sealed(&comp, &seal, 0, &mut scratch, &mut out);
+                let verdict = codec.try_decompress_sealed(&comp, &seal, 0, &mut out);
                 let Err(err) = verdict else {
                     // Distinct-bit flips cannot cancel, so a passing seal
                     // means the upset was absorbed by dead payload space —
@@ -2190,5 +2189,60 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A record-like page that compresses to a Huffman-coded payload, so
+    /// every flip shape lands in stored payload bits.
+    fn divergent_page() -> Vec<u8> {
+        b"key=value; next=0x7fffaa00; flags=rw-; count=0001732; "
+            .iter()
+            .copied()
+            .cycle()
+            .take(PAGE_SIZE)
+            .collect()
+    }
+
+    /// Lands one ML2-payload upset of `shape` on a dirty (divergent) page.
+    fn flip_dirty_page(s: &mut TwoLevelScheme, page: &[u8], shape: FlipShape) -> SimStats {
+        let mut stats = SimStats::default();
+        let flip = BitFlip { target: FlipTarget::Ml2Payload, shape };
+        let ctx = FlipPageContext { ppn: Ppn::new(3), bytes: page, dirty: true };
+        s.apply_bit_flip(flip, 0x5EED_1234_ABCD, Some(ctx), 0.0, &mut stats).unwrap();
+        assert_eq!((stats.flips_injected, stats.corruptions_detected), (1, 1), "{shape:?}");
+        assert_eq!(stats.sdc_escapes, 0, "{shape:?}");
+        stats
+    }
+
+    #[test]
+    fn dirty_payload_flips_are_restored_from_the_raw_copy() {
+        let page = divergent_page();
+        let payload_bits = MemDeflate::default().compress_page(&page).payload().len() * 8;
+        for shape in [FlipShape::Single, FlipShape::Burst] {
+            let (mut s, _pt) = build(TmccToggles::full(), 2000, 1200);
+            let frames = s.total_frames;
+            let stats = flip_dirty_page(&mut s, &page, shape);
+            // Regeneration cannot restore a divergent page: the raw copy
+            // does, one plain 4 KiB read after the failed decode.
+            assert_eq!((stats.corruptions_corrected, stats.raw_fallbacks), (1, 1), "{shape:?}");
+            assert_eq!((stats.corruptions_uncorrectable, stats.frames_poisoned), (0, 0));
+            let detect = s.timing.decompress_latency(payload_bits, PAGE_SIZE).ns;
+            let raw_copy = s.timing.decompress_latency(PAGE_SIZE * 8, PAGE_SIZE).ns;
+            assert_eq!(stats.recovery_ns, detect + raw_copy, "{shape:?}");
+            assert_eq!(s.total_frames, frames, "no frame leaves service");
+            s.validate().expect("a corrected upset leaves the books intact");
+        }
+    }
+
+    #[test]
+    fn rowhammer_on_a_dirty_page_poisons_one_frame() {
+        let (mut s, _pt) = build(TmccToggles::full(), 2000, 1200);
+        let frames = s.total_frames;
+        let stats = flip_dirty_page(&mut s, &divergent_page(), FlipShape::RowHammer);
+        // The raw copy sits in the same blast radius: nothing
+        // authoritative remains, so the frame leaves service.
+        assert_eq!((stats.corruptions_uncorrectable, stats.frames_poisoned), (1, 1));
+        assert_eq!((stats.corruptions_corrected, stats.raw_fallbacks), (0, 0));
+        assert_eq!(s.total_frames, frames - 1);
+        s.validate().expect("a poisoned frame keeps frame conservation");
     }
 }

@@ -19,7 +19,7 @@ use tmcc_compression::{BestOfCodec, BlockCodec};
 use tmcc_deflate::MemDeflate;
 use tmcc_types::cte::BlockMetadata;
 use tmcc_types::fxhash::FxHashMap;
-use tmcc_workloads::{PageContent, PageStore};
+use tmcc_workloads::PageStore;
 
 /// Process-wide memo of sampling results, keyed by the exact concatenated
 /// bytes of the sampled pages.
@@ -67,10 +67,10 @@ impl PageSizes {
 ///
 /// ```
 /// use tmcc::SizeModel;
-/// use tmcc_workloads::WorkloadProfile;
+/// use tmcc_workloads::{PageStore, WorkloadProfile};
 ///
 /// let w = WorkloadProfile::by_name("canneal").expect("known");
-/// let model = SizeModel::sample(&w.page_content(42), 16);
+/// let model = SizeModel::sample_via(&mut PageStore::new(w.page_content(42)), 16);
 /// let s = model.sizes_of(1234, 0);
 /// assert!(s.deflate_bytes <= 4096 + 3);
 /// assert_eq!(s, model.sizes_of(1234, 0), "deterministic");
@@ -81,18 +81,9 @@ pub struct SizeModel {
 }
 
 impl SizeModel {
-    /// Compresses `samples` representative pages with the real codecs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `samples` is zero.
-    pub fn sample(content: &PageContent, samples: usize) -> Self {
-        Self::sample_via(&mut PageStore::new(content.clone()), samples)
-    }
-
-    /// Like [`sample`](Self::sample), but materializes the sample pages
-    /// through an existing [`PageStore`] — the lazy generate-on-read path
-    /// the system model uses, so sampling shares the store's scratch
+    /// Compresses `samples` representative pages with the real codecs,
+    /// materializing them through `store` — the lazy generate-on-read
+    /// path the system model uses, so sampling shares the store's scratch
     /// buffer and sees any pinned (divergent) pages.
     ///
     /// # Panics
@@ -171,12 +162,17 @@ impl SizeModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tmcc_workloads::WorkloadProfile;
+    use tmcc_workloads::{PageContent, WorkloadProfile};
+
+    /// The model sampled from a fresh store over `content`.
+    fn sampled(content: PageContent, samples: usize) -> SizeModel {
+        SizeModel::sample_via(&mut PageStore::new(content), samples)
+    }
 
     #[test]
     fn sizes_are_deterministic_and_bounded() {
         let w = WorkloadProfile::by_name("pageRank").expect("known");
-        let m = SizeModel::sample(&w.page_content(7), 12);
+        let m = sampled(w.page_content(7), 12);
         for i in 0..100u64 {
             let s = m.sizes_of(i, 0);
             assert_eq!(s, m.sizes_of(i, 0));
@@ -199,7 +195,7 @@ mod tests {
     #[test]
     fn graph_ratios_match_calibration() {
         let w = WorkloadProfile::by_name("bfs").expect("known");
-        let m = SizeModel::sample(&w.page_content(3), 24);
+        let m = sampled(w.page_content(3), 24);
         // Mean ratios over the samples; block sizes with Compresso's 512 B
         // chunk rounding.
         let ratio = |bytes: fn(&PageSizes) -> usize| {
@@ -215,11 +211,11 @@ mod tests {
     fn memoized_resampling_is_identical() {
         let w = WorkloadProfile::by_name("canneal").expect("known");
         let c = w.page_content(11);
-        let fresh = SizeModel::sample(&c, 8);
-        let memoized = SizeModel::sample(&c, 8);
+        let fresh = sampled(c.clone(), 8);
+        let memoized = sampled(c, 8);
         assert_eq!(fresh.samples, memoized.samples);
         // A different seed draws different pages, so it must miss the memo.
-        let other = SizeModel::sample(&w.page_content(12), 8);
+        let other = sampled(w.page_content(12), 8);
         assert_ne!(fresh.samples, other.samples);
     }
 

@@ -128,15 +128,16 @@ pub struct System {
 }
 
 impl System {
-    /// Builds the system: constructs the page table (identity VPN→PPN for
-    /// the workload's pages), samples the size model, places pages and
-    /// instantiates the scheme.
+    /// [`System::try_new`], panicking on its error. It is the one
+    /// panicking twin the library keeps, because the benchmark's
+    /// `a_drifted_copy_is_caught` test calls it and the benchmark's use of
+    /// the library is frozen; everything else calls `try_new`.
     ///
     /// # Panics
     ///
     /// Panics if the configured DRAM budget cannot hold the workload even
-    /// fully compressed (see [`System::min_budget_bytes`]; use
-    /// [`System::try_new`] to get a typed error instead).
+    /// fully compressed (see [`System::min_budget_bytes`]) or the footprint
+    /// exceeds what the simulator can number.
     pub fn new(cfg: SystemConfig) -> Self {
         match Self::try_new(cfg) {
             Ok(s) => s,
@@ -438,22 +439,8 @@ impl System {
     }
 
     /// Runs `accesses` measured accesses (after the configured warmup) and
-    /// reports.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the simulation surfaces a [`TmccError`] (an unmapped
-    /// page, a broken invariant under auditing); use
-    /// [`System::try_run`] to handle those as values.
-    pub fn run(&mut self, accesses: u64) -> RunReport {
-        match self.try_run(accesses) {
-            Ok(r) => r,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Runs `accesses` measured accesses (after the configured warmup) and
-    /// reports, propagating any simulation error.
+    /// reports, propagating any simulation error (an unmapped page, a
+    /// broken invariant under auditing).
     pub fn try_run(&mut self, accesses: u64) -> Result<RunReport, TmccError> {
         self.try_warmup()?;
         self.try_run_slice(accesses)?;

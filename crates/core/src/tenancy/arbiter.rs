@@ -213,7 +213,7 @@ impl CapacityArbiter {
                 s.slots.push(slot);
             }
         }
-        self.policy.policy().allocate_into(self.pool_frames, &s.demands, &mut s.alloc, &mut s.qos);
+        self.policy.allocate_into(self.pool_frames, &s.demands, &mut s.alloc, &mut s.qos);
         for a in self.allocations.iter_mut() {
             *a = None;
         }
@@ -292,7 +292,13 @@ impl CapacityArbiter {
                 slots.push(slot);
             }
         }
-        let reference = self.policy.policy().allocate(self.pool_frames, &demands);
+        let mut reference = Vec::new();
+        self.policy.allocate_into(
+            self.pool_frames,
+            &demands,
+            &mut reference,
+            &mut AllocScratch::default(),
+        );
         let mut expect = vec![None; self.allocations.len()];
         for (&slot, &frames) in slots.iter().zip(&reference) {
             expect[slot] = Some(frames);

@@ -9,8 +9,8 @@
 //!   page table, TLB, CTE state) scheduled round-robin in access quanta;
 //! * [`CapacityArbiter`] — the frame ledger, with admission control and
 //!   capacity ballooning;
-//! * [`QosPolicy`] + [`QosPolicyKind`] — strict partitioning,
-//!   proportional share, and best-effort-with-floors fairness;
+//! * [`QosPolicyKind`] — strict partitioning, proportional share, and
+//!   best-effort-with-floors fairness;
 //! * [`ChurnPlan`] — deterministic arrivals, departures, demand spikes,
 //!   per-tenant faults and pool ballooning: the same
 //!   [`Schedule`](crate::Schedule) as [`FaultPlan`](crate::config::FaultPlan),
@@ -32,7 +32,5 @@ pub mod report;
 pub use arbiter::CapacityArbiter;
 pub use churn::{ChurnKind, ChurnPlan};
 pub use multi::{MultiTenantConfig, MultiTenantSystem, TenantSpec, ENTER_ROUNDS, EXIT_ROUNDS};
-pub use qos::{
-    BestEffortFloors, ProportionalShare, QosPolicy, QosPolicyKind, StrictPartition, TenantDemand,
-};
+pub use qos::{QosPolicyKind, TenantDemand};
 pub use report::{MultiTenantReport, TenantReport};

@@ -1,7 +1,7 @@
 //! Fairness/QoS policies for the shared capacity pool.
 //!
-//! A [`QosPolicy`] splits the pool's frames among the active tenants each
-//! time membership, demand, or the pool itself changes. All three built-in
+//! A [`QosPolicyKind`] splits the pool's frames among the active tenants
+//! each time membership, demand, or the pool itself changes. All three
 //! policies are pure integer functions of their inputs — same demands in,
 //! same allocation out — which keeps multi-tenant runs bit-reproducible.
 //!
@@ -43,43 +43,15 @@ impl TenantDemand {
     }
 }
 
-/// Reusable working memory for [`QosPolicy::allocate_into`]. Owning it in
-/// the caller (the arbiter) makes steady-state rebalances allocation-free.
+/// Reusable working memory for [`QosPolicyKind::allocate_into`]. Owning it
+/// in the caller (the arbiter) makes steady-state rebalances
+/// allocation-free.
 #[derive(Debug, Default)]
 pub struct AllocScratch {
     /// Per-tenant surplus caps (`u32::MAX` for "uncapped").
     caps: Vec<u32>,
     /// Still-hungry tenant indices, rebuilt per waterfilling round.
     hungry: Vec<usize>,
-}
-
-/// A capacity-partitioning policy.
-pub trait QosPolicy {
-    /// Display name used in experiment output.
-    fn name(&self) -> &'static str;
-
-    /// Splits `pool` frames among `tenants` into `alloc` (cleared and
-    /// refilled; one entry per tenant). The result sums to ≤ `pool` and
-    /// gives every tenant at least its guarantee whenever the pool covers
-    /// the sum of guarantees. `scratch` is working memory only — no
-    /// observable state crosses calls.
-    fn allocate_into(
-        &self,
-        pool: u64,
-        tenants: &[TenantDemand],
-        alloc: &mut Vec<u32>,
-        scratch: &mut AllocScratch,
-    );
-
-    /// Convenience wrapper over [`QosPolicy::allocate_into`] that
-    /// allocates fresh buffers. Tests and one-shot callers only; the hot
-    /// path goes through the arbiter's owned scratch.
-    fn allocate(&self, pool: u64, tenants: &[TenantDemand]) -> Vec<u32> {
-        let mut alloc = Vec::new();
-        let mut scratch = AllocScratch::default();
-        self.allocate_into(pool, tenants, &mut alloc, &mut scratch);
-        alloc
-    }
 }
 
 /// Lays the guarantee base layer into `alloc` (cleared first): each
@@ -151,109 +123,87 @@ fn distribute_weighted(
     }
 }
 
-/// Strict partitioning: the surplus is split by weight alone, ignoring
-/// demand. Unused capacity inside a partition is *not* lent out — maximal
-/// isolation, minimal utilization.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct StrictPartition;
+/// [`QosPolicyKind::StrictPartition`]'s split.
+fn strict_partition(
+    pool: u64,
+    tenants: &[TenantDemand],
+    alloc: &mut Vec<u32>,
+    scratch: &mut AllocScratch,
+) {
+    let surplus = guarantee_base(pool, tenants, alloc);
+    scratch.caps.clear();
+    scratch.caps.resize(tenants.len(), u32::MAX);
+    distribute_weighted(alloc, tenants, surplus, &scratch.caps, &mut scratch.hungry);
+}
 
-impl QosPolicy for StrictPartition {
-    fn name(&self) -> &'static str {
-        "strict-partition"
-    }
+/// [`QosPolicyKind::ProportionalShare`]'s split.
+fn proportional_share(
+    pool: u64,
+    tenants: &[TenantDemand],
+    alloc: &mut Vec<u32>,
+    scratch: &mut AllocScratch,
+) {
+    let surplus = guarantee_base(pool, tenants, alloc);
+    scratch.caps.clear();
+    scratch.caps.extend(tenants.iter().zip(alloc.iter()).map(|(t, &a)| t.demand_frames.max(a)));
+    distribute_weighted(alloc, tenants, surplus, &scratch.caps, &mut scratch.hungry);
+}
 
-    fn allocate_into(
-        &self,
-        pool: u64,
-        tenants: &[TenantDemand],
-        alloc: &mut Vec<u32>,
-        scratch: &mut AllocScratch,
-    ) {
-        let surplus = guarantee_base(pool, tenants, alloc);
-        scratch.caps.clear();
-        scratch.caps.resize(tenants.len(), u32::MAX);
-        distribute_weighted(alloc, tenants, surplus, &scratch.caps, &mut scratch.hungry);
+/// [`QosPolicyKind::BestEffortFloors`]' split.
+fn best_effort_floors(pool: u64, tenants: &[TenantDemand], alloc: &mut Vec<u32>) {
+    let mut surplus = guarantee_base(pool, tenants, alloc);
+    for (i, t) in tenants.iter().enumerate() {
+        let room = t.demand_frames.saturating_sub(alloc[i]) as u64;
+        let take = room.min(surplus);
+        alloc[i] += take as u32;
+        surplus -= take;
     }
 }
 
-/// Proportional sharing: the surplus is split by weight but capped at
-/// each tenant's demand; capacity a satisfied tenant leaves behind is
-/// waterfilled to the still-hungry.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ProportionalShare;
-
-impl QosPolicy for ProportionalShare {
-    fn name(&self) -> &'static str {
-        "proportional-share"
-    }
-
-    fn allocate_into(
-        &self,
-        pool: u64,
-        tenants: &[TenantDemand],
-        alloc: &mut Vec<u32>,
-        scratch: &mut AllocScratch,
-    ) {
-        let surplus = guarantee_base(pool, tenants, alloc);
-        scratch.caps.clear();
-        scratch.caps.extend(tenants.iter().zip(alloc.iter()).map(|(t, &a)| t.demand_frames.max(a)));
-        distribute_weighted(alloc, tenants, surplus, &scratch.caps, &mut scratch.hungry);
-    }
-}
-
-/// Best effort with floors: guarantees are honoured, then the surplus
-/// fills demands greedily in roster order — early tenants feast, late
-/// tenants get whatever is left above their floor.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct BestEffortFloors;
-
-impl QosPolicy for BestEffortFloors {
-    fn name(&self) -> &'static str {
-        "best-effort-floors"
-    }
-
-    fn allocate_into(
-        &self,
-        pool: u64,
-        tenants: &[TenantDemand],
-        alloc: &mut Vec<u32>,
-        _scratch: &mut AllocScratch,
-    ) {
-        let mut surplus = guarantee_base(pool, tenants, alloc);
-        for (i, t) in tenants.iter().enumerate() {
-            let room = t.demand_frames.saturating_sub(alloc[i]) as u64;
-            let take = room.min(surplus);
-            alloc[i] += take as u32;
-            surplus -= take;
-        }
-    }
-}
-
-/// Selector for the built-in policies — the configuration-friendly
-/// (`Copy`, `Debug`, serializable) face of [`QosPolicy`].
+/// The capacity-partitioning policies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum QosPolicyKind {
-    /// [`StrictPartition`].
+    /// Strict partitioning: the surplus is split by weight alone, ignoring
+    /// demand. Unused capacity inside a partition is *not* lent out —
+    /// maximal isolation, minimal utilization.
     StrictPartition,
-    /// [`ProportionalShare`].
+    /// Proportional sharing: the surplus is split by weight but capped at
+    /// each tenant's demand; capacity a satisfied tenant leaves behind is
+    /// waterfilled to the still-hungry.
     ProportionalShare,
-    /// [`BestEffortFloors`].
+    /// Best effort with floors: guarantees are honoured, then the surplus
+    /// fills demands greedily in roster order — early tenants feast, late
+    /// tenants get whatever is left above their floor.
     BestEffortFloors,
 }
 
 impl QosPolicyKind {
-    /// The policy implementation.
-    pub fn policy(self) -> &'static dyn QosPolicy {
+    /// Splits `pool` frames among `tenants` into `alloc` (cleared and
+    /// refilled; one entry per tenant). The result sums to ≤ `pool` and
+    /// gives every tenant at least its guarantee whenever the pool covers
+    /// the sum of guarantees. `scratch` is working memory only — no
+    /// observable state crosses calls.
+    pub fn allocate_into(
+        self,
+        pool: u64,
+        tenants: &[TenantDemand],
+        alloc: &mut Vec<u32>,
+        scratch: &mut AllocScratch,
+    ) {
         match self {
-            QosPolicyKind::StrictPartition => &StrictPartition,
-            QosPolicyKind::ProportionalShare => &ProportionalShare,
-            QosPolicyKind::BestEffortFloors => &BestEffortFloors,
+            QosPolicyKind::StrictPartition => strict_partition(pool, tenants, alloc, scratch),
+            QosPolicyKind::ProportionalShare => proportional_share(pool, tenants, alloc, scratch),
+            QosPolicyKind::BestEffortFloors => best_effort_floors(pool, tenants, alloc),
         }
     }
 
-    /// Display name used in experiment output.
+    /// Display name used in experiment output and journal keys.
     pub fn name(self) -> &'static str {
-        self.policy().name()
+        match self {
+            QosPolicyKind::StrictPartition => "strict-partition",
+            QosPolicyKind::ProportionalShare => "proportional-share",
+            QosPolicyKind::BestEffortFloors => "best-effort-floors",
+        }
     }
 
     /// Inverse of [`QosPolicyKind::name`]. Used by the sweep journal's
@@ -280,6 +230,13 @@ mod tests {
         v.iter().map(|&x| x as u64).sum()
     }
 
+    /// `kind`'s split of `pool` over `tenants`, on fresh buffers.
+    fn allocate(kind: QosPolicyKind, pool: u64, tenants: &[TenantDemand]) -> Vec<u32> {
+        let mut alloc = Vec::new();
+        kind.allocate_into(pool, tenants, &mut alloc, &mut AllocScratch::default());
+        alloc
+    }
+
     #[test]
     fn guarantees_hold_when_feasible() {
         let tenants = [d(1, 100, 80, 300), d(2, 50, 120, 200), d(1, 200, 10, 250)];
@@ -288,7 +245,7 @@ mod tests {
             QosPolicyKind::ProportionalShare,
             QosPolicyKind::BestEffortFloors,
         ] {
-            let alloc = kind.policy().allocate(600, &tenants);
+            let alloc = allocate(kind, 600, &tenants);
             assert!(sum(&alloc) <= 600, "{}: oversubscribed", kind.name());
             for (a, t) in alloc.iter().zip(&tenants) {
                 assert!(*a >= t.guaranteed(), "{}: guarantee broken", kind.name());
@@ -299,7 +256,7 @@ mod tests {
     #[test]
     fn proportional_respects_demand_caps_and_waterfills() {
         let tenants = [d(1, 10, 10, 20), d(1, 10, 10, 1000)];
-        let alloc = ProportionalShare.allocate(400, &tenants);
+        let alloc = allocate(QosPolicyKind::ProportionalShare, 400, &tenants);
         // Tenant 0 is capped at its demand; the rest flows to tenant 1.
         assert_eq!(alloc[0], 20);
         assert_eq!(alloc[1], 380);
@@ -308,7 +265,7 @@ mod tests {
     #[test]
     fn strict_partition_ignores_demand() {
         let tenants = [d(1, 10, 10, 20), d(1, 10, 10, 1000)];
-        let alloc = StrictPartition.allocate(400, &tenants);
+        let alloc = allocate(QosPolicyKind::StrictPartition, 400, &tenants);
         // Equal weights split the surplus evenly even though tenant 0
         // only wants 20 frames.
         assert_eq!(alloc[0], alloc[1]);
@@ -317,7 +274,7 @@ mod tests {
     #[test]
     fn best_effort_feasts_in_roster_order() {
         let tenants = [d(1, 10, 10, 300), d(1, 10, 10, 300)];
-        let alloc = BestEffortFloors.allocate(320, &tenants);
+        let alloc = allocate(QosPolicyKind::BestEffortFloors, 320, &tenants);
         assert_eq!(alloc[0], 300);
         assert_eq!(alloc[1], 20);
     }
@@ -330,7 +287,7 @@ mod tests {
             QosPolicyKind::ProportionalShare,
             QosPolicyKind::BestEffortFloors,
         ] {
-            let alloc = kind.policy().allocate(200, &tenants);
+            let alloc = allocate(kind, 200, &tenants);
             assert!(sum(&alloc) <= 200, "{}: oversubscribed", kind.name());
             // Scaling is proportional: the 3:1 ratio survives.
             assert_eq!(alloc[0], 50, "{}", kind.name());

@@ -25,8 +25,8 @@ fn all_incompressible_content_survives_budget_pressure() {
         min as f64 >= cfg.footprint_bytes() as f64 * 0.95,
         "incompressible content cannot be squeezed: min {min}"
     );
-    let mut sys = System::new(cfg.with_budget(min + (1 << 22)));
-    let r = sys.run(40_000);
+    let mut sys = System::try_new(cfg.with_budget(min + (1 << 22))).expect("feasible budget");
+    let r = sys.try_run(40_000).expect("run completes");
     assert_eq!(r.stats.accesses, 40_000);
     // Whatever was evicted must have been found incompressible or stored
     // raw; either way the system keeps running and data stays addressable.
@@ -43,8 +43,8 @@ fn migration_buffer_saturation_stalls_but_recovers() {
     let cfg = SystemConfig::new(w, SchemeKind::Tmcc);
     let min = System::min_budget_bytes(&cfg);
     let budget = min + (cfg.footprint_bytes().saturating_sub(min)) / 4;
-    let mut sys = System::new(cfg.with_budget(budget));
-    let r = sys.run(30_000);
+    let mut sys = System::try_new(cfg.with_budget(budget)).expect("feasible budget");
+    let r = sys.try_run(30_000).expect("run completes");
     assert!(r.stats.ml2_reads > 500, "tail hammering must reach ML2");
     // Every ML2 read that found a frame migrated; none vanished.
     assert!(r.stats.ml2_to_ml1_migrations <= r.stats.ml2_reads);
@@ -60,7 +60,10 @@ fn barebone_with_slow_deflate_is_much_slower_under_ml2_pressure() {
         let cfg = SystemConfig::new(w.clone(), SchemeKind::OsInspired).with_toggles(toggles);
         let min = System::min_budget_bytes(&cfg);
         let budget = min + (cfg.footprint_bytes().saturating_sub(min)) / 4;
-        System::new(cfg.with_budget(budget)).run(30_000)
+        System::try_new(cfg.with_budget(budget))
+            .expect("feasible budget")
+            .try_run(30_000)
+            .expect("run completes")
     };
     let slow = mk(TmccToggles::none());
     let fast = mk(TmccToggles::ml2_only());

@@ -31,7 +31,7 @@ fn balloon_plan(cfg: &SystemConfig) -> FaultPlan {
 fn budget_halving_degrades_gracefully_and_recovers() {
     let cfg = pressured_cfg();
     let plan = balloon_plan(&cfg);
-    let mut sys = System::new(cfg.with_fault_plan(plan).with_audit());
+    let mut sys = System::try_new(cfg.with_fault_plan(plan).with_audit()).expect("feasible budget");
     let r = sys.try_run(40_000).expect("a budget shock must not kill the run");
     assert_eq!(r.stats.accesses, 40_000, "system must not deadlock");
     assert_eq!(r.stats.faults_injected, 2);
@@ -57,7 +57,7 @@ fn stale_embedding_and_flush_storms_complete() {
         .with(72_000, FaultKind::RestoreMigrationBuffer)
         .with(74_000, FaultKind::ContentShift { percent: 40 })
         .with(78_000, FaultKind::ContentShift { percent: 0 });
-    let mut sys = System::new(cfg.with_fault_plan(plan).with_audit());
+    let mut sys = System::try_new(cfg.with_fault_plan(plan).with_audit()).expect("feasible budget");
     let r = sys.try_run(25_000).expect("fault storm must be survivable");
     assert_eq!(r.stats.accesses, 25_000);
     assert_eq!(r.stats.faults_injected, 6);
@@ -69,8 +69,10 @@ fn same_seed_same_plan_is_byte_identical() {
     let report_json = || {
         let cfg = pressured_cfg();
         let plan = balloon_plan(&cfg);
-        let mut sys = System::new(cfg.with_fault_plan(plan).with_audit());
-        serde_json::to_string(&sys.run(15_000)).expect("reports serialize")
+        let mut sys =
+            System::try_new(cfg.with_fault_plan(plan).with_audit()).expect("feasible budget");
+        serde_json::to_string(&sys.try_run(15_000).expect("run completes"))
+            .expect("reports serialize")
     };
     let a = report_json();
     let b = report_json();
@@ -82,8 +84,9 @@ fn different_plans_actually_diverge() {
     // Guards the determinism test against vacuity: the plan must matter.
     let run = |plan: FaultPlan| {
         let cfg = pressured_cfg().with_fault_plan(plan).with_audit();
-        let mut sys = System::new(cfg);
-        serde_json::to_string(&sys.run(15_000)).expect("reports serialize")
+        let mut sys = System::try_new(cfg).expect("feasible budget");
+        serde_json::to_string(&sys.try_run(15_000).expect("run completes"))
+            .expect("reports serialize")
     };
     let quiet = run(FaultPlan::none());
     let cfg = pressured_cfg();

@@ -21,14 +21,14 @@ proptest! {
         for (free, bytes) in ops {
             if free && !live.is_empty() {
                 let sub = live.swap_remove(bytes % live.len());
-                ml2.free(sub, &mut ml1);
-            } else if let Some(sub) = ml2.allocate(bytes, &mut ml1) {
+                prop_assert_eq!(ml2.try_free(sub, &mut ml1), Ok(()));
+            } else if let Ok(sub) = ml2.try_allocate(bytes, &mut ml1) {
                 live.push(sub);
             }
             prop_assert_eq!(ml2.owned_chunks() + ml1.len(), total as usize);
         }
         for sub in live {
-            ml2.free(sub, &mut ml1);
+            prop_assert_eq!(ml2.try_free(sub, &mut ml1), Ok(()));
         }
         prop_assert_eq!(ml1.len(), total as usize);
         prop_assert_eq!(ml2.allocated_bytes(), 0);
@@ -87,8 +87,8 @@ proptest! {
         let mut ml2 = Ml2FreeLists::paper_classes();
         let mut spans: Vec<(u64, u64)> = Vec::new();
         for bytes in sizes {
-            if let Some(sub) = ml2.allocate(bytes, &mut ml1) {
-                let start = ml2.addr_of(sub);
+            if let Ok(sub) = ml2.try_allocate(bytes, &mut ml1) {
+                let start = ml2.try_addr_of(sub).expect("live");
                 let len = ml2.class_size(sub.class) as u64;
                 for &(s, l) in &spans {
                     prop_assert!(start + len <= s || s + l <= start,

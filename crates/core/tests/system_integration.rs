@@ -18,8 +18,8 @@ fn test_config(scheme: SchemeKind) -> SystemConfig {
 
 #[test]
 fn no_compression_runs_and_counts() {
-    let mut sys = System::new(test_config(SchemeKind::NoCompression));
-    let r = sys.run(40_000);
+    let mut sys = System::try_new(test_config(SchemeKind::NoCompression)).expect("feasible budget");
+    let r = sys.try_run(40_000).expect("run completes");
     assert_eq!(r.stats.accesses, 40_000);
     assert!(r.stats.elapsed_ns > 0.0);
     assert!(r.stats.tlb_misses > 0, "large irregular workload must miss TLB");
@@ -30,10 +30,10 @@ fn no_compression_runs_and_counts() {
 
 #[test]
 fn compresso_pays_serial_translation() {
-    let mut nc = System::new(test_config(SchemeKind::NoCompression));
-    let mut cp = System::new(test_config(SchemeKind::Compresso));
-    let rn = nc.run(40_000);
-    let rc = cp.run(40_000);
+    let mut nc = System::try_new(test_config(SchemeKind::NoCompression)).expect("feasible budget");
+    let mut cp = System::try_new(test_config(SchemeKind::Compresso)).expect("feasible budget");
+    let rn = nc.try_run(40_000).expect("run completes");
+    let rc = cp.try_run(40_000).expect("run completes");
     assert!(rc.stats.cte_misses > 0, "CTE misses must occur");
     // Fig. 18 shape: Compresso's average L3-miss latency exceeds the
     // uncompressed system's.
@@ -49,15 +49,15 @@ fn compresso_pays_serial_translation() {
 
 #[test]
 fn tmcc_beats_compresso_latency_at_same_savings() {
-    let mut cp = System::new(test_config(SchemeKind::Compresso));
-    let rc = cp.run(60_000);
+    let mut cp = System::try_new(test_config(SchemeKind::Compresso)).expect("feasible budget");
+    let rc = cp.try_run(60_000).expect("run completes");
     // Run TMCC at the same DRAM usage Compresso achieved (Fig. 17's
     // iso-savings comparison), clamped to TMCC's feasibility floor.
     let budget =
         rc.stats.dram_used_bytes.max(System::min_budget_bytes(&test_config(SchemeKind::Tmcc)));
     let cfg = test_config(SchemeKind::Tmcc).with_budget(budget);
-    let mut tm = System::new(cfg);
-    let rt = tm.run(60_000);
+    let mut tm = System::try_new(cfg).expect("feasible budget");
+    let rt = tm.try_run(60_000).expect("run completes");
     assert!(
         rt.stats.avg_l3_miss_latency_ns() < rc.stats.avg_l3_miss_latency_ns(),
         "tmcc {:.1} vs compresso {:.1}",
@@ -82,12 +82,14 @@ fn tmcc_beats_barebone_at_same_budget() {
     let min = System::min_budget_bytes(&base);
     let footprint = base.footprint_bytes();
     let budget = min + (footprint.saturating_sub(min)) / 3;
-    let mut tmcc = System::new(test_config(SchemeKind::Tmcc).with_budget(budget));
-    let mut bare = System::new(
+    let mut tmcc = System::try_new(test_config(SchemeKind::Tmcc).with_budget(budget))
+        .expect("feasible budget");
+    let mut bare = System::try_new(
         test_config(SchemeKind::OsInspired).with_budget(budget).with_toggles(TmccToggles::none()),
-    );
-    let rt = tmcc.run(60_000);
-    let rb = bare.run(60_000);
+    )
+    .expect("feasible budget");
+    let rt = tmcc.try_run(60_000).expect("run completes");
+    let rb = bare.try_run(60_000).expect("run completes");
     assert!(
         rt.perf_accesses_per_us() > rb.perf_accesses_per_us(),
         "tmcc {:.2} vs barebone {:.2} accesses/us",
@@ -105,8 +107,9 @@ fn cte_misses_mostly_follow_tlb_misses() {
     let cfg = test_config(SchemeKind::Tmcc);
     let min = System::min_budget_bytes(&cfg);
     let footprint = cfg.footprint_bytes();
-    let mut sys = System::new(cfg.with_budget(min + footprint.saturating_sub(min) / 3));
-    let r = sys.run(60_000);
+    let mut sys = System::try_new(cfg.with_budget(min + footprint.saturating_sub(min) / 3))
+        .expect("feasible budget");
+    let r = sys.try_run(60_000).expect("run completes");
     assert!(r.stats.cte_misses > 0);
     let frac = r.stats.cte_miss_after_tlb_fraction();
     assert!(frac > 0.5, "Fig. 5 fraction too low: {frac}");
@@ -115,8 +118,8 @@ fn cte_misses_mostly_follow_tlb_misses() {
 #[test]
 fn deterministic_across_identical_runs() {
     let run = || {
-        let mut sys = System::new(test_config(SchemeKind::Tmcc));
-        let r = sys.run(20_000);
+        let mut sys = System::try_new(test_config(SchemeKind::Tmcc)).expect("feasible budget");
+        let r = sys.try_run(20_000).expect("run completes");
         (r.stats.elapsed_ns, r.stats.llc_misses(), r.stats.cte_misses)
     };
     assert_eq!(run(), run(), "simulation must be deterministic under a fixed seed");
@@ -126,8 +129,8 @@ fn deterministic_across_identical_runs() {
 fn huge_pages_mode_runs() {
     let mut cfg = test_config(SchemeKind::Tmcc);
     cfg.huge_pages = true;
-    let mut sys = System::new(cfg);
-    let r = sys.run(30_000);
+    let mut sys = System::try_new(cfg).expect("feasible budget");
+    let r = sys.try_run(30_000).expect("run completes");
     assert_eq!(r.stats.accesses, 30_000);
     // Embedded CTEs are ineffective under huge pages (§VIII): everything
     // is serial or CTE-cache hit.
@@ -141,8 +144,8 @@ fn effective_ratio_accounting_is_consistent() {
     let footprint = cfg.footprint_bytes();
     let budget = min + footprint.saturating_sub(min) / 4;
     assert!(budget < footprint, "test premise: budget must apply pressure");
-    let mut sys = System::new(cfg.with_budget(budget));
-    let r = sys.run(30_000);
+    let mut sys = System::try_new(cfg.with_budget(budget)).expect("feasible budget");
+    let r = sys.try_run(30_000).expect("run completes");
     let ratio = r.stats.effective_ratio();
     assert!(ratio > 1.0, "budget pressure must produce savings: {ratio}");
     assert!(ratio < 5.0, "ratio implausibly high: {ratio}");

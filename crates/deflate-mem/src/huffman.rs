@@ -202,20 +202,24 @@ impl DecodeTable {
 ///
 /// A `ReducedHuffman` value is the *tree*: build one per page with
 /// [`ReducedHuffman::build`], or recover it from a compressed stream with
-/// [`ReducedHuffman::read_tree`]. Construction also derives the encode
+/// [`ReducedHuffman::try_read_tree`]. Construction also derives the encode
 /// (symbol→slot, per-symbol bit cost) and decode (root LUT) tables once,
 /// so the per-byte hot paths are single array lookups.
 ///
 /// # Examples
 ///
 /// ```
+/// use tmcc_compression::BitReader;
 /// use tmcc_deflate::ReducedHuffman;
 ///
 /// let data = b"aaaaaabbbbccdde".repeat(20);
 /// let tree = ReducedHuffman::build(&data, 15);
 /// let encoded = tree.encode(&data);
-/// let (tree2, rest) = ReducedHuffman::read_tree(&encoded);
-/// assert_eq!(tree2.decode(rest, data.len()), data);
+/// let (tree2, rest) = ReducedHuffman::try_read_tree(&encoded).expect("clean header");
+/// let mut decoded = Vec::new();
+/// tree2.try_decode_from_into(&mut BitReader::new(rest), data.len(), &mut decoded)?;
+/// assert_eq!(decoded, data);
+/// # Ok::<(), tmcc_deflate::CodecError>(())
 /// ```
 #[derive(Debug, Clone)]
 pub struct ReducedHuffman {
@@ -254,7 +258,7 @@ impl ReducedHuffman {
 
     /// Finishes construction from the semantic fields, deriving every
     /// cached table. Single point shared by [`build`](Self::build) and
-    /// [`read_tree`](Self::read_tree).
+    /// [`try_read_tree`](Self::try_read_tree).
     fn from_parts(hot: Vec<u8>, lengths: Vec<u32>) -> Self {
         let codes = canonical_codes(&lengths);
         let escape = lengths.len() - 1;
@@ -353,88 +357,35 @@ impl ReducedHuffman {
 
     /// Reads a tree written by [`write_tree`](Self::write_tree) from the
     /// head of `stream`; returns the tree and the remaining payload bytes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `stream` is shorter than [`Self::TREE_BYTES`] or the tree
-    /// entries are corrupt (the [`try_read_tree`](Self::try_read_tree)
-    /// error, formatted).
-    pub fn read_tree(stream: &[u8]) -> (Self, &[u8]) {
-        match Self::try_read_tree(stream) {
-            Ok(parts) => parts,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible tree read for untrusted streams: reports a short header or
-    /// an oversubscribed (Kraft-violating) set of code lengths — which a
-    /// single flipped length bit can produce — instead of panicking.
+    /// Streams may be untrusted: a short header or an oversubscribed
+    /// (Kraft-violating) set of code lengths — which a single flipped
+    /// length bit can produce — is an error value.
     pub fn try_read_tree(stream: &[u8]) -> Result<(Self, &[u8]), CodecError> {
+        const CTX: &str = "reduced tree header";
         if stream.len() < Self::TREE_BYTES {
-            return Err(CodecError::UnexpectedEnd { context: "reduced tree header" });
+            return Err(CodecError::UnexpectedEnd { context: CTX });
         }
         let mut r = BitReader::new(&stream[..Self::TREE_BYTES]);
         let mut hot = Vec::new();
         let mut lengths = Vec::new();
         for _ in 0..REDUCED_LEAVES - 1 {
-            let sym = r.get(8) as u8;
-            let len = r.get(4) as u32;
+            let sym = r.try_get(8, CTX)? as u8;
+            let len = r.try_get(4, CTX)? as u32;
             if len > 0 {
                 hot.push(sym);
                 lengths.push(len);
             }
         }
-        let _ = r.get(8);
-        lengths.push(r.get(4) as u32); // escape
+        r.try_get(8, CTX)?;
+        lengths.push(r.try_get(4, CTX)? as u32); // escape
         validate_kraft(&lengths)?;
         Ok((Self::from_parts(hot, lengths), &stream[Self::TREE_BYTES..]))
     }
 
-    /// Decodes `n` original bytes from `payload` (no tree header).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the stream is malformed or shorter than `n` symbols.
-    pub fn decode(&self, payload: &[u8], n: usize) -> Vec<u8> {
-        let mut r = BitReader::new(payload);
-        self.decode_from(&mut r, n)
-    }
-
-    /// Decodes `n` bytes from an open bit stream.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the stream is malformed.
-    pub fn decode_from(&self, r: &mut BitReader<'_>, n: usize) -> Vec<u8> {
-        let mut out = Vec::with_capacity(n);
-        self.decode_from_into(r, n, &mut out);
-        out
-    }
-
-    /// Decodes `n` bytes from an open bit stream, appending to `out`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the stream is malformed (the
-    /// [`try_decode_from_into`](Self::try_decode_from_into) error,
-    /// formatted).
-    pub fn decode_from_into(&self, r: &mut BitReader<'_>, n: usize, out: &mut Vec<u8>) {
-        if let Err(e) = self.try_decode_from_into(r, n, out) {
-            panic!("{e}");
-        }
-    }
-
-    /// Fallible decode of `n` bytes from `payload` (no tree header).
-    pub fn try_decode(&self, payload: &[u8], n: usize) -> Result<Vec<u8>, CodecError> {
-        let mut r = BitReader::new(payload);
-        let mut out = Vec::new();
-        self.try_decode_from_into(&mut r, n, &mut out)?;
-        Ok(out)
-    }
-
-    /// Fallible variant of [`decode_from_into`](Self::decode_from_into):
-    /// invalid codes and exhaustion are error values. `out` may hold a
-    /// partial prefix on error; the length is bounded by `n` either way.
+    /// Decodes `n` bytes from an open bit stream (no tree header),
+    /// appending to `out`. Invalid codes and exhaustion are error values;
+    /// `out` may hold a partial prefix on error, and the length is bounded
+    /// by `n` either way.
     pub fn try_decode_from_into(
         &self,
         r: &mut BitReader<'_>,
@@ -504,30 +455,18 @@ impl FullHuffman {
         w.into_bytes()
     }
 
-    /// Reads the tree and decodes `n` bytes.
-    ///
-    /// # Panics
-    ///
-    /// Panics on malformed streams (the [`try_decode`](Self::try_decode)
-    /// error, formatted).
-    pub fn decode(stream: &[u8], n: usize) -> Vec<u8> {
-        match Self::try_decode(stream, n) {
-            Ok(out) => out,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible decode for untrusted streams: a short header, an
-    /// oversubscribed length table, or a payload that exhausts or hits an
-    /// invalid code is an error value instead of a panic.
+    /// Reads the tree and decodes `n` bytes. Streams may be untrusted: a
+    /// short header, an oversubscribed length table, or a payload that
+    /// exhausts or hits an invalid code is an error value.
     pub fn try_decode(stream: &[u8], n: usize) -> Result<Vec<u8>, CodecError> {
+        const CTX: &str = "full tree header";
         if stream.len() < Self::TREE_BYTES {
-            return Err(CodecError::UnexpectedEnd { context: "full tree header" });
+            return Err(CodecError::UnexpectedEnd { context: CTX });
         }
         let mut r = BitReader::new(stream);
         let mut lengths = vec![0u32; 256];
         for l in lengths.iter_mut() {
-            *l = r.get(4) as u32;
+            *l = r.try_get(4, CTX)? as u32;
         }
         validate_kraft(&lengths)?;
         let table = DecodeTable::build(&canonical_codes(&lengths));
@@ -548,6 +487,19 @@ impl FullHuffman {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Decodes `n` bytes of a header-less payload.
+    fn decode(tree: &ReducedHuffman, payload: &[u8], n: usize) -> Result<Vec<u8>, CodecError> {
+        let mut out = Vec::new();
+        tree.try_decode_from_into(&mut BitReader::new(payload), n, &mut out)?;
+        Ok(out)
+    }
+
+    /// Reads the tree header of `stream` and decodes `n` bytes after it.
+    fn read_and_decode(stream: &[u8], n: usize) -> Result<Vec<u8>, CodecError> {
+        let (tree, rest) = ReducedHuffman::try_read_tree(stream)?;
+        decode(&tree, rest, n)
+    }
 
     #[test]
     fn lengths_satisfy_kraft() {
@@ -575,8 +527,7 @@ mod tests {
         let tree = ReducedHuffman::build(&data, DEFAULT_MAX_DEPTH);
         let enc = tree.encode(&data);
         assert!(enc.len() < data.len());
-        let (tree2, rest) = ReducedHuffman::read_tree(&enc);
-        assert_eq!(tree2.decode(rest, data.len()), data.to_vec());
+        assert_eq!(read_and_decode(&enc, data.len()), Ok(data.to_vec()));
     }
 
     #[test]
@@ -585,8 +536,7 @@ mod tests {
         let data: Vec<u8> = (0..=255u8).cycle().take(2048).collect();
         let tree = ReducedHuffman::build(&data, DEFAULT_MAX_DEPTH);
         let enc = tree.encode(&data);
-        let (tree2, rest) = ReducedHuffman::read_tree(&enc);
-        assert_eq!(tree2.decode(rest, data.len()), data);
+        assert_eq!(read_and_decode(&enc, data.len()), Ok(data));
     }
 
     #[test]
@@ -606,8 +556,7 @@ mod tests {
         let tree = ReducedHuffman::build(&data, 6);
         assert!(tree.depth() <= 6);
         let enc = tree.encode(&data);
-        let (t2, rest) = ReducedHuffman::read_tree(&enc);
-        assert_eq!(t2.decode(rest, data.len()), data);
+        assert_eq!(read_and_decode(&enc, data.len()), Ok(data));
     }
 
     #[test]
@@ -642,7 +591,7 @@ mod tests {
         let tree = FullHuffman::build(&data);
         let enc = tree.encode(&data);
         assert!(enc.len() < data.len());
-        assert_eq!(FullHuffman::decode(&enc, data.len()), data.to_vec());
+        assert_eq!(FullHuffman::try_decode(&enc, data.len()), Ok(data.to_vec()));
     }
 
     #[test]
@@ -650,7 +599,7 @@ mod tests {
         let data = vec![7u8; 500];
         let tree = FullHuffman::build(&data);
         let enc = tree.encode(&data);
-        assert_eq!(FullHuffman::decode(&enc, data.len()), data);
+        assert_eq!(FullHuffman::try_decode(&enc, data.len()), Ok(data));
     }
 
     #[test]
@@ -658,8 +607,7 @@ mod tests {
         let tree = ReducedHuffman::build(&[], DEFAULT_MAX_DEPTH);
         let enc = tree.encode(&[]);
         assert_eq!(enc.len(), ReducedHuffman::TREE_BYTES);
-        let (t2, rest) = ReducedHuffman::read_tree(&enc);
-        assert!(t2.decode(rest, 0).is_empty());
+        assert_eq!(read_and_decode(&enc, 0), Ok(Vec::new()));
     }
 
     /// Reference decoder: the pre-LUT per-bit scan over the canonical code
@@ -672,12 +620,12 @@ mod tests {
             let mut code = 0u32;
             let mut len = 0u32;
             loop {
-                code = (code << 1) | r.get_bit() as u32;
+                code = (code << 1) | r.try_get_bit("reference code").unwrap() as u32;
                 len += 1;
                 assert!(len <= 15, "code longer than any in tree");
                 if let Some(i) = tree.codes.iter().position(|&(c, l)| l == len && c == code) {
                     if i == escape {
-                        out.push(r.get(8) as u8);
+                        out.push(r.try_get(8, "reference escape").unwrap() as u8);
                     } else {
                         out.push(tree.hot[i]);
                     }
@@ -703,8 +651,8 @@ mod tests {
                 tree.encode_into(&mut w, &data);
                 let payload = w.into_bytes();
                 assert_eq!(
-                    tree.decode(&payload, data.len()),
-                    decode_by_bit_scan(&tree, &payload, data.len()),
+                    decode(&tree, &payload, data.len()),
+                    Ok(decode_by_bit_scan(&tree, &payload, data.len())),
                     "depth {depth}"
                 );
             }
@@ -722,24 +670,16 @@ mod tests {
         assert!(tree.depth() > ROOT_BITS_CAP, "need a deep tree for this test");
         assert!(!tree.decode_table.long.is_empty());
         let enc = tree.encode(&data);
-        let (t2, rest) = ReducedHuffman::read_tree(&enc);
-        assert_eq!(t2.decode(rest, data.len()), data);
-    }
-
-    #[test]
-    #[should_panic(expected = "invalid code")]
-    fn malformed_stream_panics() {
-        // A single-symbol tree leaves half the root table invalid; a
-        // stream of 1-bits hits it immediately.
-        let tree = ReducedHuffman::build(&[], DEFAULT_MAX_DEPTH);
-        let _ = tree.decode(&[0xFF, 0xFF], 4);
+        assert_eq!(read_and_decode(&enc, data.len()), Ok(data));
     }
 
     #[test]
     fn malformed_stream_is_a_typed_error() {
+        // A single-symbol tree leaves half the root table invalid; a
+        // stream of 1-bits hits it immediately.
         let tree = ReducedHuffman::build(&[], DEFAULT_MAX_DEPTH);
         assert_eq!(
-            tree.try_decode(&[0xFF, 0xFF], 4),
+            decode(&tree, &[0xFF, 0xFF], 4),
             Err(CodecError::InvalidCode { context: "Huffman code", value: 1 })
         );
         // An exhausted payload is UnexpectedEnd, not a panic.
@@ -748,7 +688,7 @@ mod tests {
         let mut w = BitWriter::new();
         tree.encode_into(&mut w, &data);
         let payload = w.into_bytes();
-        let err = tree.try_decode(&payload, data.len() + 512).unwrap_err();
+        let err = decode(&tree, &payload, data.len() + 512).unwrap_err();
         assert!(
             matches!(err, CodecError::UnexpectedEnd { .. } | CodecError::InvalidCode { .. }),
             "got {err}"

@@ -31,7 +31,11 @@
 //! let page = vec![42u8; 4096];
 //! let compressed = codec.compress_page(&page);
 //! assert!(compressed.stored_len() < 200);
-//! assert_eq!(codec.decompress_page(&compressed), page);
+//! assert_eq!(codec.compressed_size(&page), compressed.stored_len());
+//! // Decoders are fallible: a corrupt page is an error value, not a panic.
+//! let mut restored = Vec::new();
+//! codec.try_decompress_page_into(&compressed, &mut restored).expect("clean page");
+//! assert_eq!(restored, page);
 //! ```
 
 pub mod area;
@@ -46,8 +50,7 @@ pub use huffman::{FullHuffman, ReducedHuffman};
 pub use ibm::IbmDeflateModel;
 pub use lz::{LzCodec, LzScratch};
 pub use pipeline::{
-    CompressedPage, DeflateParams, DeflateScratch, MemDeflate, PageMode, PageSeal, SizeQuote,
-    SoftwareDeflate,
+    CompressedPage, DeflateParams, MemDeflate, PageMode, PageSeal, SizeQuote, SoftwareDeflate,
 };
 pub use timing::{DeflateTiming, TimingReport};
 pub use tmcc_compression::CodecError;

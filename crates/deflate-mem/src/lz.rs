@@ -119,14 +119,18 @@ fn match_len(data: &[u8], a: usize, b: usize, max: usize) -> usize {
 /// # Examples
 ///
 /// ```
-/// use tmcc_deflate::LzCodec;
+/// use tmcc_deflate::{LzCodec, LzScratch};
 ///
 /// let lz = LzCodec::new(1024);
 /// let data = b"abcabcabcabcabcabcabcabc".repeat(8);
-/// let (out, stats) = lz.compress(&data);
-/// assert!(out.len() < data.len());
+/// let mut stream = Vec::new();
+/// let stats = lz.compress_with(&data, &mut LzScratch::new(), &mut stream);
+/// assert!(stream.len() < data.len());
 /// assert!(stats.matches > 0);
-/// assert_eq!(lz.decompress(&out), data);
+/// let mut restored = Vec::new();
+/// lz.try_decompress_into(&stream, &mut restored, data.len())?;
+/// assert_eq!(restored, data);
+/// # Ok::<(), tmcc_deflate::CodecError>(())
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LzCodec {
@@ -173,17 +177,9 @@ impl LzCodec {
         self.min_match + MAX_LEN_CODE as usize - 1
     }
 
-    /// Compresses `data`, returning the LZ byte stream and token
-    /// statistics. Convenience wrapper allocating fresh scratch; hot paths
-    /// use [`compress_with`](Self::compress_with).
-    pub fn compress(&self, data: &[u8]) -> (Vec<u8>, LzStats) {
-        let mut out = Vec::new();
-        let stats = self.compress_with(data, &mut LzScratch::new(), &mut out);
-        (out, stats)
-    }
-
-    /// Compresses `data` into `out` (cleared first), reusing `scratch`
-    /// across calls. Output is byte-identical to [`compress`](Self::compress).
+    /// Compresses `data` into `out` (cleared first) and returns the token
+    /// statistics. `scratch` may be reused across calls and window sizes:
+    /// the output never depends on what it compressed before.
     pub fn compress_with(
         &self,
         data: &[u8],
@@ -292,37 +288,12 @@ impl LzCodec {
     }
 
     /// Restores the original bytes from an LZ stream produced by
-    /// [`compress`](Self::compress).
-    ///
-    /// # Panics
-    ///
-    /// Panics on a malformed stream (truncated match fields, distances
-    /// reaching before the start of output).
-    pub fn decompress(&self, stream: &[u8]) -> Vec<u8> {
-        let mut out = Vec::new();
-        self.decompress_into(stream, &mut out);
-        out
-    }
-
-    /// [`decompress`](Self::decompress) into a caller-owned buffer
-    /// (cleared first) — the allocation-free variant for codec scratch.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a malformed stream (the
-    /// [`try_decompress_into`](Self::try_decompress_into) error, formatted).
-    pub fn decompress_into(&self, stream: &[u8], out: &mut Vec<u8>) {
-        if let Err(e) = self.try_decompress_into(stream, out, usize::MAX) {
-            panic!("{e}");
-        }
-    }
-
-    /// Fallible decompression for untrusted streams: truncated escape
-    /// sequences and match fields, zero length codes, and back-references
-    /// past the start of output are error values, and the output never
-    /// grows past `cap` bytes (a corrupt stream must not allocate
-    /// unboundedly). `out` is cleared first and may hold a partial prefix
-    /// on error.
+    /// [`compress_with`](Self::compress_with) into `out` (cleared first).
+    /// Streams may be untrusted: truncated escape sequences and match
+    /// fields, zero length codes, and back-references past the start of
+    /// output are error values, and the output never grows past `cap`
+    /// bytes (a corrupt stream must not allocate unboundedly). `out` may
+    /// hold a partial prefix on error.
     pub fn try_decompress_into(
         &self,
         stream: &[u8],
@@ -400,40 +371,54 @@ impl Default for LzCodec {
 mod tests {
     use super::*;
 
+    /// Compresses `data` on fresh scratch.
+    fn compress(lz: &LzCodec, data: &[u8]) -> (Vec<u8>, LzStats) {
+        let mut out = Vec::new();
+        let stats = lz.compress_with(data, &mut LzScratch::new(), &mut out);
+        (out, stats)
+    }
+
+    /// Decodes a stream the codec produced, which must succeed.
+    fn decompress(lz: &LzCodec, stream: &[u8]) -> Vec<u8> {
+        let mut out = Vec::new();
+        lz.try_decompress_into(stream, &mut out, usize::MAX).expect("clean stream decodes");
+        out
+    }
+
     #[test]
     fn empty_round_trip() {
         let lz = LzCodec::memory_specialized();
-        let (out, stats) = lz.compress(&[]);
+        let (out, stats) = compress(&lz, &[]);
         assert!(out.is_empty());
         assert_eq!(stats, LzStats::default());
-        assert!(lz.decompress(&out).is_empty());
+        assert!(decompress(&lz, &out).is_empty());
     }
 
     #[test]
     fn literal_only_round_trip() {
         let lz = LzCodec::memory_specialized();
         let data: Vec<u8> = (0..200u8).collect();
-        let (out, stats) = lz.compress(&data);
+        let (out, stats) = compress(&lz, &data);
         assert_eq!(stats.matches, 0);
-        assert_eq!(lz.decompress(&out), data);
+        assert_eq!(decompress(&lz, &out), data);
     }
 
     #[test]
     fn marker_bytes_escape_correctly() {
         let lz = LzCodec::memory_specialized();
         let data = vec![0xFFu8, 1, 0xFF, 2, 0xFF, 3, 7, 8, 9, 10, 11, 12];
-        let (out, _) = lz.compress(&data);
-        assert_eq!(lz.decompress(&out), data);
+        let (out, _) = compress(&lz, &data);
+        assert_eq!(decompress(&lz, &out), data);
     }
 
     #[test]
     fn repetitive_data_compresses() {
         let lz = LzCodec::memory_specialized();
         let data = b"the quick brown fox ".repeat(50);
-        let (out, stats) = lz.compress(&data);
+        let (out, stats) = compress(&lz, &data);
         assert!(out.len() < data.len() / 3, "len {} of {}", out.len(), data.len());
         assert!(stats.matched_bytes > data.len() / 2);
-        assert_eq!(lz.decompress(&out), data);
+        assert_eq!(decompress(&lz, &out), data);
     }
 
     #[test]
@@ -442,9 +427,9 @@ mod tests {
         let lz = LzCodec::memory_specialized();
         let mut data = vec![7u8; 300];
         data.extend_from_slice(&[1, 2, 3]);
-        let (out, _) = lz.compress(&data);
+        let (out, _) = compress(&lz, &data);
         assert!(out.len() < 30);
-        assert_eq!(lz.decompress(&out), data);
+        assert_eq!(decompress(&lz, &out), data);
     }
 
     #[test]
@@ -454,8 +439,8 @@ mod tests {
         let mut data = b"0123456789abcdef".repeat(2);
         data.extend((0..512usize).map(|i| (i % 251) as u8));
         data.extend_from_slice(&b"0123456789abcdef".repeat(2));
-        let (out, _) = lz.compress(&data);
-        assert_eq!(lz.decompress(&out), data);
+        let (out, _) = compress(&lz, &data);
+        assert_eq!(decompress(&lz, &out), data);
     }
 
     #[test]
@@ -463,8 +448,8 @@ mod tests {
         for w in [256, 512, 1024, 2048, 4096, 32768] {
             let lz = LzCodec::new(w);
             let data: Vec<u8> = (0..4096u32).map(|i| ((i * i) >> 3) as u8).collect();
-            let (out, _) = lz.compress(&data);
-            assert_eq!(lz.decompress(&out), data, "window {w}");
+            let (out, _) = compress(&lz, &data);
+            assert_eq!(decompress(&lz, &out), data, "window {w}");
         }
     }
 
@@ -482,8 +467,8 @@ mod tests {
             (0..1536u64).map(|i| ((i.wrapping_mul(2654435761)) >> 13) as u8).collect();
         let mut data = chunk.clone();
         data.extend_from_slice(&chunk);
-        let small = LzCodec::new(256).compress(&data).0.len();
-        let large = LzCodec::new(4096).compress(&data).0.len();
+        let small = compress(&LzCodec::new(256), &data).0.len();
+        let large = compress(&LzCodec::new(4096), &data).0.len();
         assert!(large < small, "large {large} vs small {small}");
     }
 
@@ -510,7 +495,7 @@ mod tests {
             for page in &pages {
                 let mut out = Vec::new();
                 let stats = lz.compress_with(page, &mut scratch, &mut out);
-                let (fresh, fresh_stats) = lz.compress(page);
+                let (fresh, fresh_stats) = compress(&lz, page);
                 assert_eq!(out, fresh, "window {w}");
                 assert_eq!(stats, fresh_stats);
             }
@@ -568,7 +553,7 @@ mod tests {
         );
         // Output cap: a valid RLE stream that would exceed 4 bytes.
         let data = vec![9u8; 300];
-        let (stream, _) = lz.compress(&data);
+        let (stream, _) = compress(&lz, &data);
         assert_eq!(
             lz.try_decompress_into(&stream, &mut out, 4),
             Err(CodecError::OutputOverflow { context: "LZ match", cap: 4 })
@@ -589,6 +574,6 @@ mod tests {
         let mut out = Vec::new();
         lz.compress_with(&data, &mut scratch, &mut out);
         assert_eq!(scratch.chain_dist.len(), 256);
-        assert_eq!(lz.decompress(&out), data);
+        assert_eq!(decompress(&lz, &out), data);
     }
 }

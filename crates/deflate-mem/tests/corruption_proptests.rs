@@ -19,8 +19,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use tmcc_compression::{BestOfCodec, BlockCodec, CodecError, BLOCK_SIZE};
 use tmcc_deflate::{
-    CompressedPage, DeflateScratch, MemDeflate, PageMode, ReducedHuffman, SoftwareDeflate,
-    PAGE_SIZE,
+    CompressedPage, MemDeflate, PageMode, ReducedHuffman, SoftwareDeflate, PAGE_SIZE,
 };
 
 /// Deterministic page in one of the regimes real dumps contain.
@@ -95,10 +94,9 @@ fn corrupt(bytes: &mut Vec<u8>, rng: &mut SmallRng) -> bool {
 
 /// One fuzz case over the page pipeline: compress a real page, corrupt
 /// the payload, decode fallibly. The decode must return `Ok` with exactly
-/// `original_len` bytes or a typed `Err`; the scratch and output stay
-/// bounded either way. Panics (the bug class this PR removes) propagate
-/// out and fail the test.
-fn page_case(rng: &mut SmallRng, codec: &MemDeflate, scratch: &mut DeflateScratch) {
+/// `original_len` bytes or a typed `Err`; the output stays bounded
+/// either way. Panics propagate out and fail the test.
+fn page_case(rng: &mut SmallRng, codec: &MemDeflate) {
     let page = gen_page(rng);
     let clean = codec.compress_page(&page);
     let mut payload = clean.payload().to_vec();
@@ -115,7 +113,7 @@ fn page_case(rng: &mut SmallRng, codec: &MemDeflate, scratch: &mut DeflateScratc
         if rng.gen_range(0u8..8) == 0 { rng.gen_range(0..=PAGE_SIZE) } else { clean.lz_len() };
     let bad = CompressedPage::from_parts(clean.mode(), original_len, lz_len, payload);
     let mut out = Vec::new();
-    match codec.try_decompress_page_into(&bad, scratch, &mut out) {
+    match codec.try_decompress_page_into(&bad, &mut out) {
         Ok(()) => assert_eq!(out.len(), original_len),
         Err(_) => assert!(out.len() <= original_len),
     }
@@ -156,12 +154,11 @@ fn fuzz_smoke() {
         std::env::var("TMCC_FUZZ_CASES").ok().and_then(|v| v.parse().ok()).unwrap_or(2_000);
     let codec = MemDeflate::default();
     let blocks = BestOfCodec::new();
-    let mut scratch = DeflateScratch::new();
     for case in 0..cases {
         let seed = 0x7A6C_5F00_u64 ^ case.wrapping_mul(0x9E37_79B9_7F4A_7C15);
         let mut rng = SmallRng::seed_from_u64(seed);
         let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            page_case(&mut rng, &codec, &mut scratch);
+            page_case(&mut rng, &codec);
             let mut rng2 = SmallRng::seed_from_u64(seed ^ 1);
             block_case(&mut rng2, &blocks);
         }));
@@ -175,7 +172,6 @@ fn fuzz_smoke() {
 #[test]
 fn seal_detects_every_payload_corruption() {
     let codec = MemDeflate::default();
-    let mut scratch = DeflateScratch::new();
     let mut out = Vec::new();
     let mut detected = 0u32;
     for case in 0..500u64 {
@@ -190,7 +186,7 @@ fn seal_detects_every_payload_corruption() {
         let bit = rng.gen_range(0..bad.payload().len() * 8);
         bad.payload_mut()[bit / 8] ^= 1 << (bit % 8);
         let err = codec
-            .try_decompress_sealed(&bad, &seal, 0, &mut scratch, &mut out)
+            .try_decompress_sealed(&bad, &seal, 0, &mut out)
             .expect_err("a flipped payload bit must fail the seal");
         assert!(matches!(err, CodecError::ChecksumMismatch { .. }), "case {case}: {err}");
         detected += 1;
@@ -206,9 +202,7 @@ proptest! {
     #[test]
     fn corrupted_pages_never_panic(seed in any::<u64>()) {
         let mut rng = SmallRng::seed_from_u64(seed);
-        let codec = MemDeflate::default();
-        let mut scratch = DeflateScratch::new();
-        page_case(&mut rng, &codec, &mut scratch);
+        page_case(&mut rng, &MemDeflate::default());
     }
 
     /// Arbitrary corruption of valid block-codec streams.
@@ -223,11 +217,10 @@ proptest! {
     #[test]
     fn garbage_streams_never_panic(bytes in prop::collection::vec(any::<u8>(), 0..512)) {
         let codec = MemDeflate::default();
-        let mut scratch = DeflateScratch::new();
         let mut out = Vec::new();
         for mode in [PageMode::LzHuffman, PageMode::LzOnly, PageMode::Raw] {
             let page = CompressedPage::from_parts(mode, PAGE_SIZE, bytes.len(), bytes.clone());
-            let _ = codec.try_decompress_page_into(&page, &mut scratch, &mut out);
+            let _ = codec.try_decompress_page_into(&page, &mut out);
             prop_assert!(out.len() <= PAGE_SIZE);
         }
         let _ = SoftwareDeflate::new().try_decompress(&bytes);

@@ -10,9 +10,9 @@
 //!    current codec reproduces the recorded stream byte-for-byte, so
 //!    golden ratio results can never drift from a "pure speedup".
 
+use tmcc_compression::BitReader;
 use tmcc_deflate::{
-    CodecError, CompressedPage, DeflateScratch, FullHuffman, MemDeflate, PageMode, ReducedHuffman,
-    SoftwareDeflate,
+    CodecError, CompressedPage, FullHuffman, MemDeflate, PageMode, ReducedHuffman, SoftwareDeflate,
 };
 
 /// Deterministic page generator shared verbatim with
@@ -131,8 +131,11 @@ fn reduced_huffman_decodes_old_streams() {
         let page = fixture_page(f.seed, f.kind);
         let n: usize = f.extra.parse().expect("page len");
         assert_eq!(n, page.len());
-        let (tree, rest) = ReducedHuffman::read_tree(&f.stream);
-        assert_eq!(tree.decode(rest, n), page, "seed {} kind {}", f.seed, f.kind);
+        let (tree, rest) = ReducedHuffman::try_read_tree(&f.stream).expect("clean tree");
+        let mut decoded = Vec::new();
+        tree.try_decode_from_into(&mut BitReader::new(rest), n, &mut decoded)
+            .expect("clean decode");
+        assert_eq!(decoded, page, "seed {} kind {}", f.seed, f.kind);
         // Encoder stability: same tree, same bits.
         assert_eq!(tree.encode(&page), f.stream, "seed {} kind {}", f.seed, f.kind);
         let fresh = ReducedHuffman::build(&page, 15);
@@ -145,7 +148,7 @@ fn full_huffman_decodes_old_streams() {
     for f in load_fixtures().iter().filter(|f| f.codec == "full") {
         let page = fixture_page(f.seed, f.kind);
         let n: usize = f.extra.parse().expect("page len");
-        assert_eq!(FullHuffman::decode(&f.stream, n), page, "seed {} kind {}", f.seed, f.kind);
+        assert_eq!(FullHuffman::try_decode(&f.stream, n), Ok(page.clone()), "seed {}", f.seed);
         assert_eq!(FullHuffman::build(&page).encode(&page), f.stream, "seed {}", f.seed);
     }
 }
@@ -153,13 +156,15 @@ fn full_huffman_decodes_old_streams() {
 #[test]
 fn mem_deflate_decodes_old_pages() {
     let mem = MemDeflate::default();
+    let mut decoded = Vec::new();
     for f in load_fixtures().iter().filter(|f| f.codec == "mem") {
         let page = fixture_page(f.seed, f.kind);
         let (mode_tag, lz_len) = f.extra.split_once(':').expect("mode:lz_len");
         let mode = page_mode(mode_tag.parse().expect("mode"));
         let lz_len: usize = lz_len.parse().expect("lz_len");
         let stored = CompressedPage::from_parts(mode, page.len(), lz_len, f.stream.clone());
-        assert_eq!(mem.decompress_page(&stored), page, "seed {} kind {}", f.seed, f.kind);
+        mem.try_decompress_page_into(&stored, &mut decoded).expect("clean page decodes");
+        assert_eq!(decoded, page, "seed {} kind {}", f.seed, f.kind);
         // Encoder stability end to end: mode, lz_len and payload bytes.
         let fresh = mem.compress_page(&page);
         assert_eq!(fresh.mode(), mode, "seed {}", f.seed);
@@ -174,7 +179,6 @@ fn mem_deflate_decodes_old_pages() {
 #[test]
 fn corrupted_old_streams_yield_typed_errors() {
     let mem = MemDeflate::default();
-    let mut scratch = DeflateScratch::new();
     let mut out = Vec::new();
     for f in load_fixtures() {
         match f.codec.as_str() {
@@ -189,10 +193,10 @@ fn corrupted_old_streams_yield_typed_errors() {
                 // Clean stream still decodes through the fallible path.
                 let n: usize = f.extra.parse().expect("page len");
                 let (tree, rest) = ReducedHuffman::try_read_tree(&f.stream).expect("clean tree");
-                assert_eq!(
-                    tree.try_decode(rest, n).expect("clean decode"),
-                    fixture_page(f.seed, f.kind)
-                );
+                out.clear();
+                tree.try_decode_from_into(&mut BitReader::new(rest), n, &mut out)
+                    .expect("clean decode");
+                assert_eq!(out, fixture_page(f.seed, f.kind));
             }
             "full" => {
                 assert_eq!(
@@ -213,7 +217,7 @@ fn corrupted_old_streams_yield_typed_errors() {
                 let cut = f.stream.len() / 2;
                 let bad = CompressedPage::from_parts(mode, 4096, lz_len, f.stream[..cut].to_vec());
                 let err = mem
-                    .try_decompress_page_into(&bad, &mut scratch, &mut out)
+                    .try_decompress_page_into(&bad, &mut out)
                     .expect_err("truncated page must not decode");
                 assert!(
                     matches!(
@@ -247,7 +251,7 @@ fn software_deflate_decodes_old_dumps() {
         }
         let n: usize = f.extra.parse().expect("dump len");
         assert_eq!(n, dump.len());
-        assert_eq!(sw.decompress(&f.stream), dump);
+        assert_eq!(sw.try_decompress(&f.stream).as_ref(), Ok(&dump));
         assert_eq!(sw.compress(&dump), f.stream, "software stream drifted");
     }
 }

@@ -4,10 +4,24 @@
 //! after compression and decompression").
 
 use proptest::prelude::*;
+use tmcc_compression::BitReader;
 use tmcc_deflate::{
-    DeflateParams, DeflateScratch, LzCodec, LzScratch, MemDeflate, PageMode, ReducedHuffman,
+    CompressedPage, DeflateParams, LzCodec, LzScratch, MemDeflate, PageMode, ReducedHuffman,
     SoftwareDeflate,
 };
+
+/// Decodes a page the codec produced; the error, if any, is the result.
+fn decode(codec: &MemDeflate, c: &CompressedPage) -> Result<Vec<u8>, tmcc_deflate::CodecError> {
+    let mut out = Vec::new();
+    codec.try_decompress_page_into(c, &mut out)?;
+    Ok(out)
+}
+
+/// Runs `f` first thing on a freshly spawned thread, whose codec scratch
+/// has never been used.
+fn on_fresh_thread<R: Send>(f: impl FnOnce() -> R + Send) -> R {
+    std::thread::scope(|s| s.spawn(f).join()).expect("fresh thread")
+}
 
 /// Pages drawn from a mixture of regimes: runs, strided records, random
 /// tails — the kinds of content real memory dumps contain.
@@ -66,23 +80,31 @@ proptest! {
     #[test]
     fn lz_round_trips(page in arb_page()) {
         let lz = LzCodec::memory_specialized();
-        let (out, _) = lz.compress(&page);
-        prop_assert_eq!(lz.decompress(&out), page);
+        let mut stream = Vec::new();
+        lz.compress_with(&page, &mut LzScratch::new(), &mut stream);
+        let mut out = Vec::new();
+        prop_assert_eq!(lz.try_decompress_into(&stream, &mut out, page.len()), Ok(()));
+        prop_assert_eq!(out, page);
     }
 
     #[test]
     fn reduced_huffman_round_trips(page in arb_page()) {
         let tree = ReducedHuffman::build(&page, 15);
         let enc = tree.encode(&page);
-        let (tree2, rest) = ReducedHuffman::read_tree(&enc);
-        prop_assert_eq!(tree2.decode(rest, page.len()), page);
+        let (tree2, rest) = ReducedHuffman::try_read_tree(&enc).expect("clean header");
+        let mut out = Vec::new();
+        prop_assert_eq!(
+            tree2.try_decode_from_into(&mut BitReader::new(rest), page.len(), &mut out),
+            Ok(())
+        );
+        prop_assert_eq!(out, page);
     }
 
     #[test]
     fn mem_deflate_round_trips(page in arb_page()) {
         let codec = MemDeflate::default();
         let c = codec.compress_page(&page);
-        prop_assert_eq!(codec.decompress_page(&c), page);
+        prop_assert_eq!(decode(&codec, &c).as_ref(), Ok(&page));
         // Stored size never exceeds raw + header.
         prop_assert!(c.stored_len() <= 4096 + 3);
     }
@@ -100,14 +122,14 @@ proptest! {
             .dynamic_skip(skip);
         let codec = MemDeflate::new(params);
         let c = codec.compress_page(&page);
-        prop_assert_eq!(codec.decompress_page(&c), page);
+        prop_assert_eq!(decode(&codec, &c).as_ref(), Ok(&page));
     }
 
     #[test]
     fn software_deflate_round_trips(page in arb_page()) {
         let sw = SoftwareDeflate::new();
         let c = sw.compress(&page);
-        prop_assert_eq!(sw.decompress(&c), page);
+        prop_assert_eq!(sw.try_decompress(&c), Ok(page));
     }
 
     /// Every page mode the codec can choose round-trips and keeps its
@@ -117,7 +139,7 @@ proptest! {
     fn page_modes_keep_their_invariants(page in arb_mode_page(), skip in any::<bool>()) {
         let codec = MemDeflate::new(DeflateParams::new().dynamic_skip(skip));
         let c = codec.compress_page(&page);
-        prop_assert_eq!(codec.decompress_page(&c), page);
+        prop_assert_eq!(decode(&codec, &c).as_ref(), Ok(&page));
         prop_assert_eq!(codec.compressed_size(&page), c.stored_len());
         match c.mode() {
             PageMode::Zero => {
@@ -141,25 +163,26 @@ proptest! {
         }
     }
 
-    /// A shared scratch must never leak state between pages: interleaving
-    /// compressions of different pages through one scratch yields exactly
-    /// the pages' fresh-scratch results.
+    /// The per-thread scratch never leaks state between calls. On this
+    /// thread, page compression, size quotes and decodes (1 KiB window)
+    /// interleave with software-Deflate sizing of the whole dump (32 KiB
+    /// window) on one scratch, as fig15 runs them; each result equals the
+    /// same call made first on a freshly spawned thread.
     #[test]
     fn scratch_reuse_is_invisible(pages in prop::collection::vec(arb_mode_page(), 1..6)) {
         let codec = MemDeflate::default();
-        let mut scratch = DeflateScratch::new();
-        let mut lz_scratch = LzScratch::new();
-        let lz = LzCodec::memory_specialized();
+        let sw = SoftwareDeflate::new();
+        let dump = pages.concat();
         for page in &pages {
-            let reused = codec.compress_page_with(page, &mut scratch);
-            let fresh = codec.compress_page_with(page, &mut DeflateScratch::new());
-            prop_assert_eq!(&reused, &fresh);
-            let mut out = Vec::new();
-            codec.decompress_page_into(&reused, &mut scratch, &mut out);
-            prop_assert_eq!(&out, page);
-            let mut lz_out = Vec::new();
-            lz.compress_with(page, &mut lz_scratch, &mut lz_out);
-            prop_assert_eq!(lz_out, lz.compress(page).0);
+            let c = codec.compress_page(page);
+            prop_assert_eq!(&c, &on_fresh_thread(|| codec.compress_page(page)));
+            let quote = codec.size_quote(page);
+            prop_assert_eq!(quote, on_fresh_thread(|| codec.size_quote(page)));
+            let decoded = decode(&codec, &c);
+            prop_assert_eq!(&decoded, &on_fresh_thread(|| decode(&codec, &c)));
+            prop_assert_eq!(decoded.as_ref(), Ok(page));
+            let sw_size = sw.compressed_size(&dump);
+            prop_assert_eq!(sw_size, on_fresh_thread(|| sw.compressed_size(&dump)));
         }
     }
 }

@@ -28,4 +28,4 @@ pub use cte_slots::PackedCteSlots;
 pub use hierarchy::{CacheHierarchy, HierarchyConfig, HitLevel, MemAccess};
 pub use page_table::{PageTable, PageTableConfig};
 pub use tlb::Tlb;
-pub use walker::{PageWalker, WalkResult};
+pub use walker::PageWalker;

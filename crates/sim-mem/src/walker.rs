@@ -12,18 +12,6 @@ use crate::page_table::{PageTable, WalkStep};
 use tmcc_types::addr::{Ppn, Vpn};
 use tmcc_types::pte::PageTableBlock;
 
-/// Result of one page walk.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WalkResult {
-    /// The steps whose PTB the walker actually had to fetch from the
-    /// memory system (upper levels may be skipped via PWC hits).
-    pub fetched: Vec<WalkStep>,
-    /// Steps resolved from the PWC without a memory access.
-    pub pwc_hits: u32,
-    /// The final translation.
-    pub ppn: Ppn,
-}
-
 /// The page walker.
 ///
 /// # Examples
@@ -34,12 +22,13 @@ pub struct WalkResult {
 ///
 /// let pt = PageTable::identity(PageTableConfig::default(), 12);
 /// let mut walker = PageWalker::paper_default();
-/// let first = walker.walk(&pt, Vpn::new(10)).expect("mapped");
-/// assert_eq!(first.ppn, Ppn::new(10));
-/// assert_eq!(first.fetched.len(), 4);
+/// let mut fetched = Vec::new();
+/// let (ppn, pwc_hits) = walker.walk_into(&pt, Vpn::new(10), &mut fetched).expect("mapped");
+/// assert_eq!((ppn, pwc_hits), (Ppn::new(10), 0));
+/// assert_eq!(fetched.len(), 4);
 /// // A second walk nearby skips the upper levels via the PWC.
-/// let again = walker.walk(&pt, Vpn::new(11)).expect("mapped");
-/// assert_eq!(again.fetched.len(), 1);
+/// walker.walk_into(&pt, Vpn::new(11), &mut fetched).expect("mapped");
+/// assert_eq!(fetched.len(), 1);
 /// ```
 #[derive(Debug, Clone)]
 pub struct PageWalker {
@@ -66,25 +55,16 @@ impl PageWalker {
         (vpn.raw() >> (9 * (level as u64 - 1))) << 3 | level as u64
     }
 
-    /// Walks the table for `vpn`. Returns `None` for unmapped addresses.
-    ///
-    /// Upper-level steps whose translations hit in the PWC are skipped; the
-    /// remaining steps (always at least the leaf) are returned in
+    /// Walks the table for `vpn`: clears `out` and fills it with the steps
+    /// the walker actually fetches, each paired with its PTB, in
     /// root-to-leaf order for the caller to issue to the cache hierarchy.
-    pub fn walk(&mut self, table: &PageTable, vpn: Vpn) -> Option<WalkResult> {
-        let mut buf = Vec::with_capacity(4);
-        let (ppn, pwc_hits) = self.walk_into(table, vpn, &mut buf)?;
-        Some(WalkResult { fetched: buf.into_iter().map(|(step, _)| step).collect(), pwc_hits, ppn })
-    }
-
-    /// Allocation-free walk: clears `out` and fills it with the steps the
-    /// walker actually fetches (PWC-skipped upper levels excluded), each
-    /// paired with its PTB. Returns the final translation and the PWC hit
-    /// count, or `None` (with `out` empty) for unmapped addresses.
+    /// Upper-level steps whose translations hit in the PWC are skipped;
+    /// the leaf is always fetched. Returns the final translation and the
+    /// PWC hit count, or `None` (with `out` empty) for unmapped addresses.
     ///
     /// The hot per-TLB-miss path of the system model: with a caller-owned
-    /// scratch buffer it performs no heap allocation, and the table builds
-    /// only the PTBs the walker fetches.
+    /// buffer it performs no heap allocation, and the table builds only
+    /// the PTBs the walker fetches.
     pub fn walk_into(
         &mut self,
         table: &PageTable,
@@ -125,25 +105,32 @@ mod tests {
         PageTable::identity(PageTableConfig::default(), n)
     }
 
+    /// One walk's outcome: the fetched steps, the PWC hits and the PPN.
+    fn walk(w: &mut PageWalker, table: &PageTable, vpn: Vpn) -> Option<(Vec<WalkStep>, u32, Ppn)> {
+        let mut out = Vec::new();
+        let (ppn, pwc_hits) = w.walk_into(table, vpn, &mut out)?;
+        Some((out.into_iter().map(|(step, _)| step).collect(), pwc_hits, ppn))
+    }
+
     #[test]
     fn cold_walk_fetches_everything() {
         let pt = table_with(16);
         let mut w = PageWalker::paper_default();
-        let r = w.walk(&pt, Vpn::new(0)).unwrap();
-        assert_eq!(r.fetched.len(), 4);
-        assert_eq!(r.pwc_hits, 0);
+        let (fetched, pwc_hits, _) = walk(&mut w, &pt, Vpn::new(0)).unwrap();
+        assert_eq!(fetched.len(), 4);
+        assert_eq!(pwc_hits, 0);
     }
 
     #[test]
     fn warm_walk_fetches_only_leaf() {
         let pt = table_with(64);
         let mut w = PageWalker::paper_default();
-        let _ = w.walk(&pt, Vpn::new(0)).unwrap();
-        let r = w.walk(&pt, Vpn::new(63)).unwrap();
-        assert_eq!(r.fetched.len(), 1, "only the leaf PTB should be fetched");
-        assert_eq!(r.fetched[0].level, 1);
-        assert_eq!(r.pwc_hits, 3);
-        assert_eq!(r.ppn, Ppn::new(63));
+        let _ = walk(&mut w, &pt, Vpn::new(0)).unwrap();
+        let (fetched, pwc_hits, ppn) = walk(&mut w, &pt, Vpn::new(63)).unwrap();
+        assert_eq!(fetched.len(), 1, "only the leaf PTB should be fetched");
+        assert_eq!(fetched[0].level, 1);
+        assert_eq!(pwc_hits, 3);
+        assert_eq!(ppn, Ppn::new(63));
     }
 
     #[test]
@@ -152,22 +139,22 @@ mod tests {
         // 512 x 512 pages), so only the L4 pointer is shared.
         let pt = table_with((1 << 18) + 9);
         let mut w = PageWalker::paper_default();
-        let _ = w.walk(&pt, Vpn::new(0)).unwrap();
-        let r = w.walk(&pt, Vpn::new(1 << 18)).unwrap();
-        assert_eq!(r.fetched.len(), 3, "L3 + L2 + leaf must be fetched");
-        assert_eq!(r.fetched[0].level, 3);
-        assert_eq!(r.pwc_hits, 1);
+        let _ = walk(&mut w, &pt, Vpn::new(0)).unwrap();
+        let (fetched, pwc_hits, _) = walk(&mut w, &pt, Vpn::new(1 << 18)).unwrap();
+        assert_eq!(fetched.len(), 3, "L3 + L2 + leaf must be fetched");
+        assert_eq!(fetched[0].level, 3);
+        assert_eq!(pwc_hits, 1);
         // A VPN in the same L1 table (within 512 pages) fetches only the
         // leaf PTB.
-        let r2 = w.walk(&pt, Vpn::new((1 << 18) + 8)).unwrap();
-        assert_eq!(r2.fetched.len(), 1);
+        let (fetched, ..) = walk(&mut w, &pt, Vpn::new((1 << 18) + 8)).unwrap();
+        assert_eq!(fetched.len(), 1);
     }
 
     #[test]
     fn unmapped_returns_none() {
         let pt = table_with(1);
         let mut w = PageWalker::paper_default();
-        assert!(w.walk(&pt, Vpn::new(1 << 30)).is_none());
+        assert!(walk(&mut w, &pt, Vpn::new(1 << 30)).is_none());
     }
 
     /// The reference walk: the full path from the root, minus the upper
@@ -231,9 +218,9 @@ mod tests {
     fn flush_forgets_pointers() {
         let pt = table_with(8);
         let mut w = PageWalker::paper_default();
-        let _ = w.walk(&pt, Vpn::new(0));
+        let _ = walk(&mut w, &pt, Vpn::new(0));
         w.flush();
-        let r = w.walk(&pt, Vpn::new(1)).unwrap();
-        assert_eq!(r.fetched.len(), 4);
+        let (fetched, ..) = walk(&mut w, &pt, Vpn::new(1)).unwrap();
+        assert_eq!(fetched.len(), 4);
     }
 }

@@ -22,7 +22,7 @@ const WORD_BITS: usize = 64;
 /// bv.set(64);
 /// bv.set(129);
 /// assert_eq!(bv.count_ones(), 3);
-/// assert_eq!(bv.iter_ones().collect::<Vec<_>>(), [0, 64, 129]);
+/// assert!(bv.get(129) && !bv.get(128));
 /// bv.clear(64);
 /// assert!(!bv.get(64));
 /// ```
@@ -120,19 +120,6 @@ impl BitVec {
         }
     }
 
-    /// Appends a bit.
-    pub fn push(&mut self, value: bool) {
-        if self.len.is_multiple_of(WORD_BITS) {
-            self.words.push(0);
-        }
-        self.len += 1;
-        if value {
-            let i = self.len - 1;
-            self.words[i / WORD_BITS] |= 1u64 << (i % WORD_BITS);
-            self.ones += 1;
-        }
-    }
-
     /// Grows to `new_len` bits, zero-filling; no-op when already at least
     /// that long.
     pub fn grow(&mut self, new_len: usize) {
@@ -147,29 +134,9 @@ impl BitVec {
         self.words.shrink_to_fit();
     }
 
-    /// Iterator over the indices of set bits, ascending.
-    pub fn iter_ones(&self) -> impl Iterator<Item = usize> + '_ {
-        self.words.iter().enumerate().flat_map(|(wi, &w)| {
-            let mut rest = w;
-            std::iter::from_fn(move || {
-                if rest == 0 {
-                    return None;
-                }
-                let bit = rest.trailing_zeros() as usize;
-                rest &= rest - 1;
-                Some(wi * WORD_BITS + bit)
-            })
-        })
-    }
-
     /// Heap bytes owned by the bitmap (capacity, not length).
     pub fn heap_bytes(&self) -> usize {
         self.words.capacity() * std::mem::size_of::<u64>()
-    }
-
-    /// The raw packed words (low bit of word 0 is bit 0).
-    pub fn words(&self) -> &[u64] {
-        &self.words
     }
 }
 
@@ -193,8 +160,14 @@ mod tests {
     fn prefix_equals_pushed_bits() {
         for len in [0usize, 1, 63, 64, 65, 128, 130] {
             for ones in [0, 1.min(len), len / 2, len.saturating_sub(1), len] {
+                // Append the bits one at a time: grow by one, set if a one.
                 let mut pushed = BitVec::new();
-                (0..len).for_each(|i| pushed.push(i < ones));
+                for i in 0..len {
+                    pushed.grow(i + 1);
+                    if i < ones {
+                        pushed.set(i);
+                    }
+                }
                 assert_eq!(BitVec::with_prefix(len, ones), pushed, "len {len}, ones {ones}");
             }
         }
@@ -207,36 +180,14 @@ mod tests {
             bv.set(i);
         }
         assert_eq!(bv.count_ones(), 5);
-        assert_eq!(bv.iter_ones().collect::<Vec<_>>(), [0, 63, 64, 127, 128]);
+        for i in [0, 63, 64, 127, 128] {
+            assert!(bv.get(i), "bit {i}");
+        }
         for i in [1, 62, 65, 126] {
             assert!(!bv.get(i), "bit {i}");
         }
         assert!(bv.clear(64) && !bv.get(64) && bv.get(63) && bv.get(127));
         assert_eq!(bv.count_ones(), 4);
-    }
-
-    #[test]
-    fn push_and_grow() {
-        let mut bv = BitVec::new();
-        for i in 0..100 {
-            bv.push(i % 3 == 0);
-        }
-        assert_eq!(bv.len(), 100);
-        assert_eq!(bv.count_ones(), 34);
-        bv.grow(150);
-        assert_eq!(bv.len(), 150);
-        assert!(!bv.get(149));
-        assert_eq!(bv.count_ones(), 34);
-    }
-
-    #[test]
-    fn iter_ones_matches_gets() {
-        let mut bv = BitVec::with_len(300);
-        let set: Vec<usize> = vec![0, 1, 63, 64, 65, 199, 299];
-        for &i in &set {
-            bv.set(i);
-        }
-        assert_eq!(bv.iter_ones().collect::<Vec<_>>(), set);
     }
 
     #[test]
@@ -246,7 +197,6 @@ mod tests {
             bv.set(i);
         }
         assert_eq!(bv.count_ones(), 512);
-        assert!(bv.iter_ones().eq(512..1024));
         assert!((0..2048).all(|i| bv.get(i) == (512..1024).contains(&i)));
     }
 

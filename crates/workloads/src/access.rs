@@ -203,17 +203,17 @@ impl AccessStream {
         let work_cycles = self.rng.gen_range(0..=jitter * 2);
         AccessEvent { vaddr: VirtAddr::new(block * 64), write, work_cycles }
     }
-
-    /// Produces `n` accesses (convenience for tests and warmup).
-    pub fn take_accesses(&mut self, n: usize) -> Vec<AccessEvent> {
-        (0..n).map(|_| self.next_access()).collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::collections::HashSet;
+
+    /// The next `n` accesses of `s`.
+    fn take(s: &mut AccessStream, n: usize) -> Vec<AccessEvent> {
+        (0..n).map(|_| s.next_access()).collect()
+    }
 
     #[test]
     fn stays_within_footprint() {
@@ -228,21 +228,21 @@ mod tests {
     fn deterministic_under_seed() {
         let mut a = AccessStream::new(AccessPattern::irregular(), 1000, 7);
         let mut b = AccessStream::new(AccessPattern::irregular(), 1000, 7);
-        assert_eq!(a.take_accesses(1000), b.take_accesses(1000));
+        assert_eq!(take(&mut a, 1000), take(&mut b, 1000));
     }
 
     #[test]
     fn seeds_differ() {
         let mut a = AccessStream::new(AccessPattern::irregular(), 1000, 7);
         let mut b = AccessStream::new(AccessPattern::irregular(), 1000, 8);
-        assert_ne!(a.take_accesses(100), b.take_accesses(100));
+        assert_ne!(take(&mut a, 100), take(&mut b, 100));
     }
 
     #[test]
     fn irregular_touches_many_pages() {
         let mut s = AccessStream::new(AccessPattern::irregular(), 50_000, 3);
         let pages: HashSet<u64> =
-            s.take_accesses(20_000).iter().map(|a| a.vaddr.vpn().raw()).collect();
+            take(&mut s, 20_000).iter().map(|a| a.vaddr.vpn().raw()).collect();
         assert!(pages.len() > 5_000, "only {} pages touched", pages.len());
     }
 
@@ -250,11 +250,7 @@ mod tests {
     fn streaming_is_more_local_than_irregular() {
         let count_pages = |pattern| {
             let mut s = AccessStream::new(pattern, 50_000, 3);
-            s.take_accesses(20_000)
-                .iter()
-                .map(|a| a.vaddr.vpn().raw())
-                .collect::<HashSet<_>>()
-                .len()
+            take(&mut s, 20_000).iter().map(|a| a.vaddr.vpn().raw()).collect::<HashSet<_>>().len()
         };
         assert!(count_pages(AccessPattern::streaming()) < count_pages(AccessPattern::irregular()));
     }
@@ -262,7 +258,7 @@ mod tests {
     #[test]
     fn cold_tail_is_rarely_touched() {
         let mut s = AccessStream::new(AccessPattern::irregular(), 100_000, 5);
-        let accesses = s.take_accesses(200_000);
+        let accesses = take(&mut s, 200_000);
         // Pages beyond the warm region are reached only by tail draws and
         // the occasional sequential wrap.
         let tail = accesses.iter().filter(|a| a.vaddr.vpn().raw() >= 50_000).count();
@@ -279,7 +275,7 @@ mod tests {
             let mut s = AccessStream::new(pattern, 10_000, 3);
             let warm_head = 10_000 / 10; // top decile of the footprint
             let hits =
-                s.take_accesses(20_000).iter().filter(|a| a.vaddr.vpn().raw() < warm_head).count();
+                take(&mut s, 20_000).iter().filter(|a| a.vaddr.vpn().raw() < warm_head).count();
             hits as f64 / 20_000.0
         };
         let u = head_share(uniform);
@@ -293,7 +289,7 @@ mod tests {
         assert_eq!(p.zipf_theta, 0.0);
         let mut a = AccessStream::new(p, 5000, 9);
         let mut b = AccessStream::new(AccessPattern { zipf_theta: 0.0, ..p }, 5000, 9);
-        assert_eq!(a.take_accesses(2000), b.take_accesses(2000));
+        assert_eq!(take(&mut a, 2000), take(&mut b, 2000));
     }
 
     #[test]
@@ -301,7 +297,7 @@ mod tests {
         let mut p = AccessPattern::irregular();
         p.write_fraction = 0.5;
         let mut s = AccessStream::new(p, 1000, 11);
-        let writes = s.take_accesses(20_000).iter().filter(|a| a.write).count();
+        let writes = take(&mut s, 20_000).iter().filter(|a| a.write).count();
         let frac = writes as f64 / 20_000.0;
         assert!((frac - 0.5).abs() < 0.03, "write fraction {frac}");
     }

@@ -134,8 +134,10 @@ impl PageTemplate {
 ///
 /// let profile = ContentProfile::graph_analytics();
 /// let content = PageContent::new(profile, 99);
-/// let a = content.page_bytes(7);
-/// assert_eq!(a, content.page_bytes(7), "deterministic");
+/// let (mut a, mut b) = ([0u8; 4096], [1u8; 4096]);
+/// content.fill_page(7, &mut a);
+/// content.fill_page(7, &mut b);
+/// assert_eq!(a, b, "deterministic");
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct ContentProfile {
@@ -242,16 +244,9 @@ impl PageContent {
         self.profile.templates.last().expect("non-empty").0
     }
 
-    /// The 4 KiB content of page `index`, regenerated on demand.
-    pub fn page_bytes(&self, index: u64) -> Vec<u8> {
-        let mut page = vec![0u8; PAGE_SIZE];
-        self.fill_page(index, &mut page);
-        page
-    }
-
-    /// Regenerates page `index` into a caller-owned buffer — the
-    /// allocation-free form of [`page_bytes`](Self::page_bytes) used by
-    /// `PageStore` to materialize pages into one reusable scratch buffer.
+    /// Regenerates the 4 KiB content of page `index` into a caller-owned
+    /// buffer, so a caller reading many pages (`PageStore`, the codec
+    /// sweeps) reuses one buffer for all of them.
     ///
     /// # Panics
     ///
@@ -271,6 +266,13 @@ mod tests {
     use tmcc_compression::{BestOfCodec, BlockCodec};
     use tmcc_deflate::MemDeflate;
 
+    /// Page `index` of `content` in a fresh buffer.
+    fn page(content: &PageContent, index: u64) -> Vec<u8> {
+        let mut page = vec![0u8; PAGE_SIZE];
+        content.fill_page(index, &mut page);
+        page
+    }
+
     fn ratios(profile: ContentProfile, pages: u64) -> (f64, f64) {
         let content = PageContent::new(profile, 42);
         let deflate = MemDeflate::default();
@@ -279,7 +281,7 @@ mod tests {
         let mut dz = 0usize;
         let mut bz = 0usize;
         for i in 0..pages {
-            let p = content.page_bytes(i);
+            let p = page(&content, i);
             raw += p.len();
             dz += deflate.compressed_size(&p);
             bz += p
@@ -296,9 +298,9 @@ mod tests {
     #[test]
     fn pages_are_deterministic() {
         let c = PageContent::new(ContentProfile::graph_analytics(), 7);
-        assert_eq!(c.page_bytes(123), c.page_bytes(123));
+        assert_eq!(page(&c, 123), page(&c, 123));
         let c2 = PageContent::new(ContentProfile::graph_analytics(), 8);
-        assert_ne!(c.page_bytes(123), c2.page_bytes(123));
+        assert_ne!(page(&c, 123), page(&c2, 123));
     }
 
     #[test]

@@ -9,26 +9,28 @@
 //!
 //! Run with: `cargo run --release --example asic_explorer`
 
-use tmcc_deflate::{AreaModel, DeflateParams, MemDeflate};
+use tmcc_deflate::{AreaModel, DeflateParams, MemDeflate, PAGE_SIZE};
 use tmcc_workloads::WorkloadProfile;
 
 const PAGES: u64 = 160;
 
-fn corpus() -> Vec<Vec<u8>> {
-    let mut pages = Vec::new();
+/// The corpus as one contiguous image of whole pages.
+fn corpus() -> Vec<u8> {
+    let mut image = Vec::new();
     for w in WorkloadProfile::large_suite() {
         let content = w.page_content(0xD5E);
         for i in 0..PAGES / 12 {
-            pages.push(content.page_bytes(i));
+            let at = image.len();
+            image.resize(at + PAGE_SIZE, 0);
+            content.fill_page(i, &mut image[at..]);
         }
     }
-    pages
+    image
 }
 
-fn ratio(codec: &MemDeflate, corpus: &[Vec<u8>]) -> f64 {
-    let raw: usize = corpus.iter().map(|p| p.len()).sum();
-    let comp: usize = corpus.iter().map(|p| codec.compressed_size(p)).sum();
-    raw as f64 / comp as f64
+fn ratio(codec: &MemDeflate, corpus: &[u8]) -> f64 {
+    let comp: usize = corpus.chunks_exact(PAGE_SIZE).map(|p| codec.compressed_size(p)).sum();
+    corpus.len() as f64 / comp as f64
 }
 
 fn main() {

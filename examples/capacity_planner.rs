@@ -4,12 +4,12 @@
 //!
 //! Run with: `cargo run --release --example capacity_planner [workload]`
 
-use tmcc::{SchemeKind, System, SystemConfig};
+use tmcc::{SchemeKind, System, SystemConfig, TmccError};
 use tmcc_workloads::WorkloadProfile;
 
 const ACCESSES: u64 = 100_000;
 
-fn main() {
+fn main() -> Result<(), TmccError> {
     let name = std::env::args().nth(1).unwrap_or_else(|| "mcf".to_string());
     let Some(mut workload) = WorkloadProfile::by_name(&name) else {
         eprintln!("unknown workload '{name}'; try mcf, pageRank, canneal, omnetpp …");
@@ -19,8 +19,9 @@ fn main() {
     let footprint = workload.sim_pages * 4096;
 
     // Reference: uncompressed performance.
-    let mut nocomp = System::new(SystemConfig::new(workload.clone(), SchemeKind::NoCompression));
-    let base = nocomp.run(ACCESSES).perf_accesses_per_us();
+    let mut nocomp =
+        System::try_new(SystemConfig::new(workload.clone(), SchemeKind::NoCompression))?;
+    let base = nocomp.try_run(ACCESSES)?.perf_accesses_per_us();
 
     let min = System::min_budget_bytes(&SystemConfig::new(workload.clone(), SchemeKind::Tmcc));
     println!(
@@ -36,7 +37,7 @@ fn main() {
     for step in 0..=6 {
         let budget = min + (footprint.saturating_sub(min)) * step / 6;
         let cfg = SystemConfig::new(workload.clone(), SchemeKind::Tmcc).with_budget(budget);
-        let r = System::new(cfg).run(ACCESSES);
+        let r = System::try_new(cfg)?.try_run(ACCESSES)?;
         println!(
             "{:>10} {:>12.2} {:>12.2} {:>11.1}% {:>9.2}%",
             budget >> 20,
@@ -51,4 +52,5 @@ fn main() {
          penalty you can tolerate; the effective ratio column is the capacity\n\
          multiplier TMCC provides at that point."
     );
+    Ok(())
 }

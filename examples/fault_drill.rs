@@ -29,7 +29,8 @@ fn main() {
     let plan = FaultPlan::none()
         .with(65_000, FaultKind::ShrinkBudget { frames: shrink })
         .with(85_000, FaultKind::GrowBudget { frames: shrink });
-    let mut sys = System::new(cfg.with_budget(budget).with_fault_plan(plan).with_audit());
+    let mut sys = System::try_new(cfg.with_budget(budget).with_fault_plan(plan).with_audit())
+        .expect("half-way budget is feasible");
     match sys.try_run(40_000) {
         Ok(r) => {
             println!("\n--- balloon drill: {} frames out at 65k, back at 85k ---", shrink);

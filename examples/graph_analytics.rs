@@ -4,12 +4,12 @@
 //!
 //! Run with: `cargo run --release --example graph_analytics`
 
-use tmcc::{SchemeKind, System, SystemConfig};
+use tmcc::{SchemeKind, System, SystemConfig, TmccError};
 use tmcc_workloads::WorkloadProfile;
 
 const ACCESSES: u64 = 120_000;
 
-fn main() {
+fn main() -> Result<(), TmccError> {
     let mut workload = WorkloadProfile::by_name("pageRank").expect("known workload");
     // Shrink a little so the example runs in seconds.
     workload.sim_pages = 32_768; // 128 MiB
@@ -17,12 +17,14 @@ fn main() {
     println!("workload: {} ({} MiB footprint)\n", workload.name, workload.sim_pages * 4 / 1024);
 
     // 1. Conventional memory.
-    let mut nocomp = System::new(SystemConfig::new(workload.clone(), SchemeKind::NoCompression));
-    let rn = nocomp.run(ACCESSES);
+    let mut nocomp =
+        System::try_new(SystemConfig::new(workload.clone(), SchemeKind::NoCompression))?;
+    let rn = nocomp.try_run(ACCESSES)?;
 
     // 2. Compresso.
-    let mut compresso = System::new(SystemConfig::new(workload.clone(), SchemeKind::Compresso));
-    let rc = compresso.run(ACCESSES);
+    let mut compresso =
+        System::try_new(SystemConfig::new(workload.clone(), SchemeKind::Compresso))?;
+    let rc = compresso.try_run(ACCESSES)?;
 
     // 3. TMCC at Compresso's DRAM usage.
     let budget = rc
@@ -30,8 +32,8 @@ fn main() {
         .dram_used_bytes
         .max(System::min_budget_bytes(&SystemConfig::new(workload.clone(), SchemeKind::Tmcc)));
     let mut tmcc =
-        System::new(SystemConfig::new(workload.clone(), SchemeKind::Tmcc).with_budget(budget));
-    let rt = tmcc.run(ACCESSES);
+        System::try_new(SystemConfig::new(workload.clone(), SchemeKind::Tmcc).with_budget(budget))?;
+    let rt = tmcc.try_run(ACCESSES)?;
 
     println!(
         "{:<16} {:>12} {:>14} {:>12} {:>10}",
@@ -68,4 +70,5 @@ fn main() {
                 .max(1) as f64
             * 100.0,
     );
+    Ok(())
 }

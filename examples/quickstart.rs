@@ -4,9 +4,9 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
-use tmcc_deflate::{IbmDeflateModel, MemDeflate};
+use tmcc_deflate::{CodecError, IbmDeflateModel, MemDeflate};
 
-fn main() {
+fn main() -> Result<(), CodecError> {
     // A page that looks like real memory: repeated records, some zero
     // padding, a few random fields.
     let mut page = vec![0u8; 4096];
@@ -26,7 +26,8 @@ fn main() {
 
     // Functional round trip — the same check the paper runs over 50M
     // pages of RTL simulation.
-    let restored = codec.decompress_page(&compressed);
+    let mut restored = Vec::new();
+    codec.try_decompress_page_into(&compressed, &mut restored)?;
     assert_eq!(restored, page);
     println!("round trip:      OK");
 
@@ -47,4 +48,5 @@ fn main() {
         ibm.decompress_latency_ns(4096) / dec.ns,
         ibm.half_page_decompress_ns(4096) / half.ns
     );
+    Ok(())
 }

@@ -21,18 +21,21 @@ fn corpus_round_trips_under_all_codecs() {
     let deflate = MemDeflate::default();
     let software = SoftwareDeflate::new();
     let block = BestOfCodec::new();
+    let mut page = vec![0u8; 4096];
+    let mut restored = Vec::new();
     for w in WorkloadProfile::large_suite().into_iter().take(4) {
         let content = w.page_content(99);
         for i in 0..24u64 {
-            let page = content.page_bytes(i * 31);
+            content.fill_page(i * 31, &mut page);
             let c = deflate.compress_page(&page);
-            assert_eq!(deflate.decompress_page(&c), page, "{} page {i}", w.name);
+            deflate.try_decompress_page_into(&c, &mut restored).expect("clean page decodes");
+            assert_eq!(restored, page, "{} page {i}", w.name);
             let sw = software.compress(&page);
-            assert_eq!(software.decompress(&sw), page, "{} page {i}", w.name);
+            assert_eq!(software.try_decompress(&sw), Ok(page.clone()), "{} page {i}", w.name);
             for blk in page.chunks_exact(64) {
                 let arr: &[u8; 64] = blk.try_into().expect("64B");
                 if let Some(cb) = block.compress(arr) {
-                    assert_eq!(&block.decompress(&cb), arr);
+                    assert_eq!(block.try_decompress(&cb).as_ref(), Ok(arr));
                 }
             }
         }
@@ -116,7 +119,7 @@ fn cte_misses_rival_tlb_misses_under_compresso() {
     w.sim_pages = 24_576;
     let mut cfg = SystemConfig::new(w, SchemeKind::Compresso);
     cfg.warmup_accesses = 20_000;
-    let r = System::new(cfg).run(60_000);
+    let r = System::try_new(cfg).expect("feasible budget").try_run(60_000).expect("run completes");
     let tlb = r.stats.tlb_miss_per_llc_miss();
     let cte = r.stats.cte_miss_per_llc_miss();
     assert!(tlb > 0.02, "TLB misses too rare: {tlb}");
@@ -134,11 +137,15 @@ fn page_level_ctes_cut_misses() {
     block_cfg.warmup_accesses = 20_000;
     // Page-level CTEs at the same 64 KiB capacity (the §IV comparison).
     block_cfg.cte_cache.size_bytes = 64 * 1024;
-    let rb = System::new(block_cfg).run(60_000);
+    let rb = System::try_new(block_cfg)
+        .expect("feasible budget")
+        .try_run(60_000)
+        .expect("run completes");
 
     let mut page_cfg = SystemConfig::new(w, SchemeKind::OsInspired);
     page_cfg.warmup_accesses = 20_000;
-    let rp = System::new(page_cfg).run(60_000);
+    let rp =
+        System::try_new(page_cfg).expect("feasible budget").try_run(60_000).expect("run completes");
     assert!(
         rp.stats.cte_miss_per_llc_miss() < rb.stats.cte_miss_per_llc_miss(),
         "page-level {:.3} vs block-level {:.3}",
