@@ -209,11 +209,6 @@ impl<'a> BitReader<'a> {
         Ok(())
     }
 
-    /// Bits remaining (counting byte padding).
-    pub fn remaining_bits(&self) -> usize {
-        (self.bytes.len() - self.byte_pos) * 8 + self.acc_bits as usize
-    }
-
     /// Current read position in bits.
     pub fn pos_bits(&self) -> usize {
         self.byte_pos * 8 - self.acc_bits as usize
@@ -289,7 +284,7 @@ mod tests {
         // 12 bits remain; peeking 20 pads with zeros.
         assert_eq!(r.peek(20), 0b1100_1111_0000 << 8);
         r.try_consume(12, CTX).unwrap();
-        assert_eq!(r.remaining_bits(), 0);
+        assert_eq!(r.try_get_bit(CTX), Err(CodecError::UnexpectedEnd { context: CTX }));
         assert_eq!(r.peek(8), 0);
     }
 

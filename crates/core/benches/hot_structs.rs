@@ -6,7 +6,10 @@
 //! structures at least once, so their per-op cost is the floor of the
 //! whole simulator's throughput. The `construction` group times the
 //! two-level scheme's initial placement, which builds them all, and
-//! Compresso's over the same pages.
+//! Compresso's over the same pages. The `cache-hierarchy` group times the
+//! tag stores every access crosses: building the L1/L2/L3 (each fleet
+//! tenant pays it), a shortestPath block stream through them, and the
+//! TLB's lookup-then-fill.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use std::collections::HashMap;
@@ -14,9 +17,12 @@ use tmcc::config::TmccToggles;
 use tmcc::recency::SAMPLE_PROBABILITY;
 use tmcc::schemes::{CompressoScheme, TwoLevelScheme};
 use tmcc::{PageIndex, PageMetaStore, PageSizes, Placement, RecencyList, SizeModel};
-use tmcc_sim_mem::{CteCacheConfig, PageTable, PageTableConfig, PageWalker};
+use tmcc_sim_mem::{
+    CacheHierarchy, CteCacheConfig, HierarchyConfig, PageTable, PageTableConfig, PageWalker, Tlb,
+};
 use tmcc_types::addr::{Ppn, Vpn};
 use tmcc_types::FxHashMap;
+use tmcc_workloads::{AccessStream, WorkloadProfile};
 
 const PAGES: u64 = 1 << 16;
 const OPS: usize = 1 << 12;
@@ -231,12 +237,68 @@ fn bench_construction(c: &mut Criterion) {
     g.finish();
 }
 
+fn bench_cache_hierarchy(c: &mut Criterion) {
+    // shortestPath's stream over 64 Ki identity-mapped pages (256 MiB,
+    // 32x the L3): its hot set fits the L3, its scans and cold draws miss.
+    // Each timed batch is the next `OPS` accesses of a 1 Mi-access cycle,
+    // long enough that a replayed block has left the L3.
+    let pattern = WorkloadProfile::by_name("shortestPath").expect("profile").pattern;
+    let mut stream = AccessStream::new(pattern, PAGES, 11);
+    let events: Vec<_> = (0..1 << 20)
+        .map(|_| {
+            let ev = stream.next_access();
+            let vpn = ev.vaddr.vpn();
+            (vpn, Ppn::new(vpn.raw()).block(ev.vaddr.page_offset() as usize / 64), ev.write)
+        })
+        .collect();
+    let mut hierarchy = CacheHierarchy::new(HierarchyConfig::default());
+    for pass in 0..2 {
+        hierarchy.reset_stats();
+        for &(_, block, write) in &events {
+            hierarchy.access(block, write, false);
+        }
+        // Pin the stream's shape: once warm, ~80 % of accesses miss the
+        // L3, as in the step loop on shortestPath.
+        let miss_rate = hierarchy.llc_misses() as f64 / events.len() as f64;
+        assert!(pass == 0 || (0.7..0.9).contains(&miss_rate), "LLC miss rate {miss_rate}");
+    }
+
+    let mut g = c.benchmark_group("cache-hierarchy");
+    g.bench_function("new/default", |b| {
+        b.iter(|| CacheHierarchy::new(black_box(HierarchyConfig::default())))
+    });
+    let batches = || events.chunks(OPS).cycle();
+    g.throughput(Throughput::Elements(OPS as u64));
+    g.bench_function("access/shortestPath-64Ki", |b| {
+        let mut batch = batches();
+        b.iter(|| {
+            for &(_, block, write) in batch.next().expect("cycle") {
+                black_box(hierarchy.access(block, write, false));
+            }
+        })
+    });
+    // The step loop's translation: a lookup, and a fill after each miss.
+    let mut tlb = Tlb::paper_default();
+    g.bench_function("tlb-lookup-fill/shortestPath-64Ki", |b| {
+        let mut batch = batches();
+        b.iter(|| {
+            for &(vpn, ..) in batch.next().expect("cycle") {
+                if tlb.lookup(vpn).is_none() {
+                    tlb.fill(vpn, Ppn::new(vpn.raw()));
+                }
+            }
+        })
+    });
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_page_meta,
     bench_recency_list,
     bench_hash_maps,
     bench_page_walk,
-    bench_construction
+    bench_construction,
+    bench_cache_hierarchy
 );
 criterion_main!(benches);

@@ -289,23 +289,22 @@ mod tests {
             Self { entries: SetAssocCache::fully_associative(entries) }
         }
 
+        /// Sets the entry, then touches it.
         fn insert(&mut self, ppn: Ppn, entry: CteBufferEntry) {
-            if self.entries.contains(ppn.raw()) {
-                *self.entries.payload_mut(ppn.raw()).expect("resident") = entry;
-            }
-            let _ = self.entries.access(ppn.raw(), false, entry);
+            let _ = self.entries.insert(ppn.raw(), entry);
+            let _ = self.entries.lookup(ppn.raw());
         }
 
         fn lookup(&mut self, ppn: Ppn) -> Option<CteBufferEntry> {
-            let e = *self.entries.payload(ppn.raw())?;
-            let _ = self.entries.access(ppn.raw(), false, e);
-            Some(e)
+            self.entries.lookup(ppn.raw())
         }
 
+        /// Rewrites a resident entry without touching it.
         fn reconcile(&mut self, ppn: Ppn, correct: TruncatedCte) -> Option<(BlockAddr, usize)> {
-            let entry = self.entries.payload_mut(ppn.raw())?;
+            let mut entry = self.entries.peek(ppn.raw())?;
             let stale = entry.cte != Some(correct);
             entry.cte = Some(correct);
+            let _ = self.entries.insert(ppn.raw(), entry);
             stale.then_some((entry.ptb_block, entry.slot))
         }
 

@@ -6,9 +6,10 @@
 //!
 //! The model is tag-accurate (exact hit/miss behaviour under LRU) and
 //! latency-additive; it reports dirty evictions so the memory controller
-//! model can account for writebacks and for the compressed-PTB data bit the
-//! paper adds to every L2/L3 line (§V-A4) — tracked here as the line
-//! payload.
+//! model can account for writebacks. The lines carry no payload: the
+//! compressed-PTB data bit the paper adds to every L2/L3 line (§V-A4)
+//! changes no hit, miss or latency here, and nothing reads it, so it is
+//! not stored.
 
 use crate::cache::SetAssocCache;
 use tmcc_types::addr::BlockAddr;
@@ -78,10 +79,6 @@ impl Default for HierarchyConfig {
     }
 }
 
-/// Whether a line holds a hardware-compressed PTB (the extra data bit of
-/// §V-A4). Tracked in L2/L3 payloads.
-pub type CompressedBit = bool;
-
 /// The cache hierarchy.
 ///
 /// # Examples
@@ -100,14 +97,16 @@ pub type CompressedBit = bool;
 pub struct CacheHierarchy {
     cfg: HierarchyConfig,
     l1: SetAssocCache<()>,
-    l2: SetAssocCache<CompressedBit>,
-    l3: SetAssocCache<CompressedBit>,
+    l2: SetAssocCache<()>,
+    l3: SetAssocCache<()>,
     /// Access counts per level outcome (L1 hits, L2 hits, L3 hits, misses).
     counts: [u64; 4],
 }
 
 impl CacheHierarchy {
-    /// Builds the hierarchy.
+    /// Builds the hierarchy. Each level allocates only its zeroed set
+    /// index here (64 KiB for the default L3); a level's lines are
+    /// reserved on its first fill and become resident set by set.
     pub fn new(cfg: HierarchyConfig) -> Self {
         let lines = |bytes: usize| bytes / 64 / cfg.ways;
         Self {
@@ -119,9 +118,12 @@ impl CacheHierarchy {
         }
     }
 
-    /// Accesses `block`. `compressed_ptb` sets the new-data bit when the
-    /// line is (re)filled into L2/L3 — pass `false` for ordinary data.
-    pub fn access(&mut self, block: BlockAddr, write: bool, compressed_ptb: bool) -> MemAccess {
+    /// Accesses `block`. `_compressed_ptb` says whether the block is a
+    /// hardware-compressed PTB, the new data bit of §V-A4; no outcome
+    /// depends on it, so it is accepted and not stored. It stays in the
+    /// signature for the callers that pass it (the system model's walk
+    /// and the benchmark's traced copy of it).
+    pub fn access(&mut self, block: BlockAddr, write: bool, _compressed_ptb: bool) -> MemAccess {
         let key = block.raw();
         let t = &self.cfg;
         let l1_ns = t.l1_cycles as f64 * NS_PER_CYCLE;
@@ -131,15 +133,15 @@ impl CacheHierarchy {
         if self.l1.access(key, write, ()).0.is_hit() {
             self.counts[0] = self.counts[0].saturating_add(1);
             // L2 is inclusive of L1; keep its copy warm for recency.
-            let _ = self.l2.access(key, write, compressed_ptb);
+            let _ = self.l2.access(key, write, ());
             return MemAccess { level: HitLevel::L1, latency_ns: l1_ns, writeback: None };
         }
         let mut writeback = None;
-        if self.l2.access(key, write, compressed_ptb).0.is_hit() {
+        if self.l2.access(key, write, ()).0.is_hit() {
             self.counts[1] = self.counts[1].saturating_add(1);
             return MemAccess { level: HitLevel::L2, latency_ns: l2_ns, writeback: None };
         }
-        let (l3_outcome, l3_victim) = self.l3.access(key, write, compressed_ptb);
+        let (l3_outcome, l3_victim) = self.l3.access(key, write, ());
         if l3_outcome.is_hit() {
             self.counts[2] = self.counts[2].saturating_add(1);
             return MemAccess { level: HitLevel::L3, latency_ns: l3_ns, writeback: None };
@@ -152,18 +154,6 @@ impl CacheHierarchy {
             }
         }
         MemAccess { level: HitLevel::Memory, latency_ns: l3_ns + NOC_LATENCY_NS, writeback }
-    }
-
-    /// Whether the L2 copy of `block` carries the compressed-PTB bit.
-    pub fn l2_compressed_bit(&self, block: BlockAddr) -> Option<bool> {
-        self.l2.payload(block.raw()).copied()
-    }
-
-    /// Sets the compressed-PTB bit on a resident L2 line.
-    pub fn set_l2_compressed_bit(&mut self, block: BlockAddr, v: bool) {
-        if let Some(b) = self.l2.payload_mut(block.raw()) {
-            *b = v;
-        }
     }
 
     /// Drops `block` from every level (used by page-migration flows).
@@ -186,9 +176,6 @@ impl CacheHierarchy {
     /// Clears the outcome counters (after warmup).
     pub fn reset_stats(&mut self) {
         self.counts = [0; 4];
-        self.l1.reset_stats();
-        self.l2.reset_stats();
-        self.l3.reset_stats();
     }
 
     /// The configured geometry.
@@ -258,15 +245,6 @@ mod tests {
             saw_writeback |= r.writeback.is_some();
         }
         assert!(saw_writeback, "dirty evictions must surface");
-    }
-
-    #[test]
-    fn compressed_bit_round_trip() {
-        let mut h = h();
-        h.access(BlockAddr::new(99), false, true);
-        assert_eq!(h.l2_compressed_bit(BlockAddr::new(99)), Some(true));
-        h.set_l2_compressed_bit(BlockAddr::new(99), false);
-        assert_eq!(h.l2_compressed_bit(BlockAddr::new(99)), Some(false));
     }
 
     #[test]

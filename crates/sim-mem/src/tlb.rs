@@ -45,27 +45,24 @@ impl Tlb {
         Self::new(2048, 8)
     }
 
-    /// Looks up a translation; updates recency on hit.
+    /// Looks up a translation; updates recency on hit. One probe of the
+    /// set.
     pub fn lookup(&mut self, vpn: Vpn) -> Option<Ppn> {
-        if self.cache.contains(vpn.raw()) {
+        let ppn = self.cache.lookup(vpn.raw());
+        if ppn.is_some() {
             self.hits = self.hits.saturating_add(1);
-            let (_, _) = self.cache.access(vpn.raw(), false, Ppn::new(0));
-            self.cache.payload(vpn.raw()).copied()
         } else {
             // Counted here, not at fill time: a miss whose walk fails (or
             // is aborted) must still show up in the miss count.
             self.misses = self.misses.saturating_add(1);
-            None
         }
+        ppn
     }
 
-    /// Installs a translation after a walk.
+    /// Installs a translation after a walk. One probe of the set: a
+    /// resident entry takes the new PPN and keeps its recency.
     pub fn fill(&mut self, vpn: Vpn, ppn: Ppn) {
-        if self.cache.contains(vpn.raw()) {
-            *self.cache.payload_mut(vpn.raw()).expect("resident") = ppn;
-        } else {
-            let (_, _) = self.cache.access(vpn.raw(), false, ppn);
-        }
+        let _ = self.cache.insert(vpn.raw(), ppn);
     }
 
     /// Removes a translation (OS shootdown).
@@ -83,7 +80,6 @@ impl Tlb {
     pub fn reset_stats(&mut self) {
         self.hits = 0;
         self.misses = 0;
-        self.cache.reset_stats();
     }
 
     /// Total entry capacity.

@@ -34,11 +34,6 @@ pub struct BitVec {
 }
 
 impl BitVec {
-    /// An empty bitmap.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// A bitmap of `len` zero bits.
     pub fn with_len(len: usize) -> Self {
         Self { words: vec![0; len.div_ceil(WORD_BITS)], len, ones: 0 }
@@ -161,7 +156,7 @@ mod tests {
         for len in [0usize, 1, 63, 64, 65, 128, 130] {
             for ones in [0, 1.min(len), len / 2, len.saturating_sub(1), len] {
                 // Append the bits one at a time: grow by one, set if a one.
-                let mut pushed = BitVec::new();
+                let mut pushed = BitVec::default();
                 for i in 0..len {
                     pushed.grow(i + 1);
                     if i < ones {
