@@ -9,7 +9,9 @@
 //! Compresso's over the same pages. The `cache-hierarchy` group times the
 //! tag stores every access crosses: building the L1/L2/L3 (each fleet
 //! tenant pays it), a shortestPath block stream through them, and the
-//! TLB's lookup-then-fill.
+//! TLB's lookup-then-fill. The `cte-directory` group times what the
+//! memory controller does on each of that stream's LLC misses: the CTE
+//! cache probe at TMCC's and Compresso's geometries, and the DRAM access.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use std::collections::HashMap;
@@ -17,10 +19,12 @@ use tmcc::config::TmccToggles;
 use tmcc::recency::SAMPLE_PROBABILITY;
 use tmcc::schemes::{CompressoScheme, TwoLevelScheme};
 use tmcc::{PageIndex, PageMetaStore, PageSizes, Placement, RecencyList, SizeModel};
+use tmcc_sim_dram::{DramConfig, DramSim, InterleavePolicy};
 use tmcc_sim_mem::{
-    CacheHierarchy, CteCacheConfig, HierarchyConfig, PageTable, PageTableConfig, PageWalker, Tlb,
+    CacheHierarchy, CteCache, CteCacheConfig, HierarchyConfig, HitLevel, PageTable,
+    PageTableConfig, PageWalker, Tlb,
 };
-use tmcc_types::addr::{Ppn, Vpn};
+use tmcc_types::addr::{DramAddr, Ppn, Vpn};
 use tmcc_types::FxHashMap;
 use tmcc_workloads::{AccessStream, WorkloadProfile};
 
@@ -252,14 +256,19 @@ fn bench_cache_hierarchy(c: &mut Criterion) {
         })
         .collect();
     let mut hierarchy = CacheHierarchy::new(HierarchyConfig::default());
+    // The blocks that reach memory on the warm pass: the stream the
+    // memory controller sees.
+    let mut misses = Vec::new();
     for pass in 0..2 {
-        hierarchy.reset_stats();
+        misses.clear();
         for &(_, block, write) in &events {
-            hierarchy.access(block, write, false);
+            if hierarchy.access(block, write, false).level == HitLevel::Memory {
+                misses.push((block, write));
+            }
         }
         // Pin the stream's shape: once warm, ~80 % of accesses miss the
         // L3, as in the step loop on shortestPath.
-        let miss_rate = hierarchy.llc_misses() as f64 / events.len() as f64;
+        let miss_rate = misses.len() as f64 / events.len() as f64;
         assert!(pass == 0 || (0.7..0.9).contains(&miss_rate), "LLC miss rate {miss_rate}");
     }
 
@@ -287,6 +296,42 @@ fn bench_cache_hierarchy(c: &mut Criterion) {
                     tlb.fill(vpn, Ppn::new(vpn.raw()));
                 }
             }
+        })
+    });
+    g.finish();
+
+    // Each LLC miss probes the memory controller's CTE cache, warmed over
+    // the whole miss stream first, and then goes to DRAM.
+    let mut g = c.benchmark_group("cte-directory");
+    g.throughput(Throughput::Elements(OPS as u64));
+    let miss_batches = || misses.chunks(OPS).cycle();
+    for (name, cfg) in
+        [("tmcc", CteCacheConfig::tmcc()), ("compresso", CteCacheConfig::compresso())]
+    {
+        let mut cache = CteCache::new(cfg);
+        for &(block, _) in &misses {
+            cache.access(block.ppn());
+        }
+        g.bench_function(&format!("cte-cache-access/{name}"), |b| {
+            let mut batch = miss_batches();
+            b.iter(|| {
+                for &(block, _) in batch.next().expect("cycle") {
+                    black_box(cache.access(block.ppn()));
+                }
+            })
+        });
+    }
+    // The step loop's DRAM model and interleave, each access starting
+    // when the previous one completes.
+    let mut dram = DramSim::new(DramConfig::default(), InterleavePolicy::coarse_mc());
+    let mut now_ns = 0.0;
+    g.bench_function("dram-access/shortestPath-misses", |b| {
+        let mut batch = miss_batches();
+        b.iter(|| {
+            for &(block, write) in batch.next().expect("cycle") {
+                now_ns = dram.access(now_ns, DramAddr::new(block.base().raw()), write);
+            }
+            black_box(now_ns)
         })
     });
     g.finish();

@@ -633,6 +633,8 @@ impl TwoLevelScheme {
         let info = self.pages.get_id(id);
         let in_ml1 = matches!(info.place, Placement::Ml1 { .. });
         let addr = self.data_addr(&info, req)?;
+        // A miss installs the line: the MC caches every CTE it fetches
+        // (§VII).
         if self.cte_cache.access(req.ppn) {
             if count_stats {
                 stats.cte_hits = stats.cte_hits.saturating_add(1);
@@ -700,8 +702,6 @@ impl TwoLevelScheme {
             let cte_done = dram.access(now_ns, cte_addr, false);
             dram.access(cte_done, DramAddr::new(addr), req.write)
         };
-        // The MC always caches the CTE it fetched (§VII).
-        self.cte_cache.fill(req.ppn);
         Ok(done)
     }
 

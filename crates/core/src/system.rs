@@ -457,9 +457,7 @@ impl System {
             self.try_step()?;
         }
         self.stats = SimStats::default();
-        self.hierarchy.reset_stats();
         self.dram.reset_stats();
-        self.tlb.reset_stats();
         self.latency.reset();
         self.measure_start_ns = self.now_ns;
         Ok(())

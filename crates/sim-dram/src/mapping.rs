@@ -76,15 +76,35 @@ impl Location {
     }
 }
 
-/// Decodes DRAM byte addresses into device coordinates.
+/// Decodes DRAM byte addresses into device coordinates. Every count and
+/// granularity is a power of two, so a decode is shifts and masks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AddressMapping {
-    cfg_mcs: usize,
-    cfg_channels: usize,
-    cfg_ranks: usize,
-    cfg_banks: usize,
-    row_bytes: u64,
+    /// `log2` of the MC interleave granularity.
+    mc_shift: u32,
+    /// `log2` of the MC count.
+    mc_bits: u32,
+    /// `log2` of the channel interleave granularity.
+    channel_shift: u32,
+    /// `log2` of the channels per MC.
+    channel_bits: u32,
+    /// `log2` of the row-buffer size.
+    row_shift: u32,
+    /// `log2` of the banks per rank.
+    bank_bits: u32,
+    /// `log2` of the ranks per channel.
+    rank_bits: u32,
     policy: InterleavePolicy,
+}
+
+/// `log2(n)` for a power-of-two `n`.
+///
+/// # Panics
+///
+/// Panics, naming `what`, if `n` is not a power of two.
+fn log2(n: u64, what: &str) -> u32 {
+    assert!(n.is_power_of_two(), "{what} must be a power of two (got {n})");
+    n.trailing_zeros()
 }
 
 impl AddressMapping {
@@ -92,29 +112,25 @@ impl AddressMapping {
     ///
     /// # Panics
     ///
-    /// Panics unless `banks` and `ranks` are powers of two. The XOR bank
-    /// hash folds row bits into the bank selector bitwise; with a
-    /// non-power-of-two device count the fold both skews the bank
+    /// Panics unless `banks`, `ranks`, `mcs`, `channels_per_mc`,
+    /// `row_bytes` and both interleave granularities are powers of two.
+    /// The XOR bank hash folds row bits into the bank selector bitwise;
+    /// with a non-power-of-two device count the fold both skews the bank
     /// distribution and breaks decode injectivity (two columns of one row
     /// can alias onto the same bank), so such geometries are rejected
-    /// outright — no real DDR4/DDR5 part ships them either.
+    /// outright — no real DDR4/DDR5 part ships them either. The other
+    /// counts and sizes are address bit fields on real parts too, and
+    /// every configuration here uses powers of two, so the decode is
+    /// shifts and masks.
     pub fn new(cfg: DramConfig, policy: InterleavePolicy) -> Self {
-        assert!(
-            cfg.banks.is_power_of_two(),
-            "banks per rank must be a power of two (got {})",
-            cfg.banks
-        );
-        assert!(
-            cfg.ranks.is_power_of_two(),
-            "ranks per channel must be a power of two (got {})",
-            cfg.ranks
-        );
         Self {
-            cfg_mcs: cfg.mcs,
-            cfg_channels: cfg.channels_per_mc,
-            cfg_ranks: cfg.ranks,
-            cfg_banks: cfg.banks,
-            row_bytes: cfg.row_bytes,
+            bank_bits: log2(cfg.banks as u64, "banks per rank"),
+            rank_bits: log2(cfg.ranks as u64, "ranks per channel"),
+            mc_bits: log2(cfg.mcs as u64, "memory controllers"),
+            channel_bits: log2(cfg.channels_per_mc as u64, "channels per MC"),
+            row_shift: log2(cfg.row_bytes, "row bytes"),
+            mc_shift: log2(policy.mc_granularity, "MC interleave granularity"),
+            channel_shift: log2(policy.channel_granularity, "channel interleave granularity"),
             policy,
         }
     }
@@ -127,35 +143,34 @@ impl AddressMapping {
     /// Decodes `addr`.
     pub fn locate(&self, addr: DramAddr) -> Location {
         let a = addr.raw();
-        let mc = ((a / self.policy.mc_granularity) % self.cfg_mcs as u64) as usize;
+        let mc = field(a, self.mc_shift, self.mc_bits) as usize;
         // Strip the MC selector, keeping addresses within an MC dense.
-        let within_mc = collapse(a, self.policy.mc_granularity, self.cfg_mcs as u64);
-        let channel =
-            ((within_mc / self.policy.channel_granularity) % self.cfg_channels as u64) as usize;
-        let within_ch =
-            collapse(within_mc, self.policy.channel_granularity, self.cfg_channels as u64);
+        let within_mc = collapse(a, self.mc_shift, self.mc_bits);
+        let channel = field(within_mc, self.channel_shift, self.channel_bits) as usize;
+        let within_ch = collapse(within_mc, self.channel_shift, self.channel_bits);
         // Within a channel: column bits, then bank/rank with XOR hash.
-        let column = within_ch % self.row_bytes;
-        let row_seq = within_ch / self.row_bytes;
-        let banks = self.cfg_banks as u64;
-        let ranks = self.cfg_ranks as u64;
+        let column = field(within_ch, 0, self.row_shift);
+        let row_seq = within_ch >> self.row_shift;
         // XOR-based bank hash (Skylake-like): bank bits XOR row low bits.
         // Both counts are powers of two (checked at construction), so the
         // fold is an exact bitwise XOR of the row index into the bank
         // selector — unbiased and invertible for fixed (rank, row).
-        let row = row_seq / (banks * ranks);
-        let bank = ((row_seq ^ row) & (banks - 1)) as usize;
-        let rank = ((row_seq / banks) & (ranks - 1)) as usize;
+        let row = row_seq >> (self.bank_bits + self.rank_bits);
+        let bank = field(row_seq ^ row, 0, self.bank_bits) as usize;
+        let rank = field(row_seq, self.bank_bits, self.rank_bits) as usize;
         Location { mc, channel, rank, bank, row, column }
     }
 }
 
-/// Removes the interleave-selector bits from `a`, producing a dense
-/// address within the selected unit.
-fn collapse(a: u64, granularity: u64, units: u64) -> u64 {
-    let block = a / granularity;
-    let offset = a % granularity;
-    (block / units) * granularity + offset
+/// The `bits`-bit field of `a` starting at bit `shift`.
+fn field(a: u64, shift: u32, bits: u32) -> u64 {
+    (a >> shift) & ((1 << bits) - 1)
+}
+
+/// Removes the `bits`-bit interleave selector above a `2^shift`-byte
+/// granule from `a`, producing a dense address within the selected unit.
+fn collapse(a: u64, shift: u32, bits: u32) -> u64 {
+    (a >> (shift + bits)) << shift | field(a, 0, shift)
 }
 
 #[cfg(test)]
@@ -261,6 +276,108 @@ mod tests {
     fn rejects_non_pow2_ranks() {
         let cfg = DramConfig { ranks: 3, ..DramConfig::default() };
         let _ = AddressMapping::new(cfg, InterleavePolicy::baseline());
+    }
+
+    #[test]
+    #[should_panic(expected = "memory controllers must be a power of two")]
+    fn rejects_non_pow2_mcs() {
+        let cfg = DramConfig { mcs: 3, ..DramConfig::default() };
+        let _ = AddressMapping::new(cfg, InterleavePolicy::baseline());
+    }
+
+    #[test]
+    #[should_panic(expected = "channels per MC must be a power of two")]
+    fn rejects_non_pow2_channels() {
+        let cfg = DramConfig { channels_per_mc: 6, ..DramConfig::default() };
+        let _ = AddressMapping::new(cfg, InterleavePolicy::baseline());
+    }
+
+    #[test]
+    #[should_panic(expected = "row bytes must be a power of two")]
+    fn rejects_non_pow2_row_bytes() {
+        let cfg = DramConfig { row_bytes: 6144, ..DramConfig::default() };
+        let _ = AddressMapping::new(cfg, InterleavePolicy::baseline());
+    }
+
+    #[test]
+    #[should_panic(expected = "MC interleave granularity must be a power of two")]
+    fn rejects_non_pow2_mc_granularity() {
+        let policy = InterleavePolicy { mc_granularity: 3072, ..InterleavePolicy::coarse_mc() };
+        let _ = AddressMapping::new(DramConfig::default(), policy);
+    }
+
+    #[test]
+    #[should_panic(expected = "channel interleave granularity must be a power of two")]
+    fn rejects_non_pow2_channel_granularity() {
+        let policy = InterleavePolicy { channel_granularity: 384, ..InterleavePolicy::baseline() };
+        let _ = AddressMapping::new(DramConfig::default(), policy);
+    }
+
+    /// The decode as divisions and remainders, the formula the shifts and
+    /// masks replace.
+    fn locate_by_division(cfg: &DramConfig, policy: InterleavePolicy, a: u64) -> Location {
+        fn collapse(a: u64, granularity: u64, units: u64) -> u64 {
+            (a / granularity / units) * granularity + a % granularity
+        }
+        let (mcs, channels) = (cfg.mcs as u64, cfg.channels_per_mc as u64);
+        let (banks, ranks) = (cfg.banks as u64, cfg.ranks as u64);
+        let mc = ((a / policy.mc_granularity) % mcs) as usize;
+        let within_mc = collapse(a, policy.mc_granularity, mcs);
+        let channel = ((within_mc / policy.channel_granularity) % channels) as usize;
+        let within_ch = collapse(within_mc, policy.channel_granularity, channels);
+        let column = within_ch % cfg.row_bytes;
+        let row_seq = within_ch / cfg.row_bytes;
+        let row = row_seq / (banks * ranks);
+        let bank = ((row_seq ^ row) % banks) as usize;
+        let rank = ((row_seq / banks) % ranks) as usize;
+        Location { mc, channel, rank, bank, row, column }
+    }
+
+    #[test]
+    fn shift_decode_matches_division_decode() {
+        let policies = [
+            InterleavePolicy::baseline(),
+            InterleavePolicy::coarse_mc(),
+            InterleavePolicy::page_channel(),
+        ];
+        let geometries = [
+            DramConfig::default(),
+            DramConfig::two_mc_two_channel(),
+            DramConfig { mcs: 4, channels_per_mc: 8, ranks: 2, banks: 32, ..DramConfig::default() },
+            DramConfig {
+                mcs: 8,
+                channels_per_mc: 1,
+                ranks: 1,
+                banks: 4,
+                row_bytes: 1024,
+                ..DramConfig::default()
+            },
+            DramConfig {
+                mcs: 2,
+                channels_per_mc: 4,
+                ranks: 16,
+                banks: 8,
+                row_bytes: 65536,
+                ..DramConfig::default()
+            },
+        ];
+        let mut state = 0x5EED_u64;
+        for cfg in &geometries {
+            for &policy in &policies {
+                let m = AddressMapping::new(*cfg, policy);
+                // Dense low addresses, then random ones over 48 bits.
+                for i in 0..200_000u64 {
+                    let a = if i < 100_000 {
+                        i * 8
+                    } else {
+                        state = state.wrapping_mul(0x5851_F42D_4C95_7F2D).wrapping_add(1);
+                        state >> 16
+                    };
+                    let want = locate_by_division(cfg, policy, a);
+                    assert_eq!(m.locate(DramAddr::new(a)), want, "{cfg:?} {policy:?} {a:#x}");
+                }
+            }
+        }
     }
 
     #[test]

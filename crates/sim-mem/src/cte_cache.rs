@@ -12,10 +12,12 @@
 //!
 //! This 8× reach difference is most of §IV's 40 % CTE-miss reduction.
 //!
-//! The directory itself is a [`PackedCteSlots`] — tags and per-set recency
-//! ranks in fixed-width packed sequences (5.5 B per line instead of a
-//! 24 B generic cache line), because multi-tenant rosters instantiate one
-//! CTE cache per tenant and the metadata must stay kilobytes-scale.
+//! The directory itself is a [`PackedCteSlots`]: one 64-bit word per
+//! line holding its tag, valid bit, per-set recency rank and parity bit,
+//! so an 8-way set is 64 B, the size of one host cache line. Every LLC
+//! miss and every writeback probes it, and multi-tenant rosters
+//! instantiate one CTE cache per tenant at 8 B per line (8 KiB for
+//! TMCC's 64 KiB cache).
 
 use crate::cte_slots::PackedCteSlots;
 use tmcc_types::addr::Ppn;
@@ -26,7 +28,7 @@ pub struct CteCacheConfig {
     /// Total capacity in bytes.
     pub size_bytes: usize,
     /// Pages translated per 64 B line (1 for block-level CTEs, 8 for
-    /// page-level CTEs).
+    /// page-level CTEs); a power of two.
     pub pages_per_line: usize,
     /// Associativity.
     pub ways: usize,
@@ -74,10 +76,9 @@ impl CteCacheConfig {
 /// ```
 #[derive(Debug, Clone)]
 pub struct CteCache {
-    cfg: CteCacheConfig,
     slots: PackedCteSlots,
-    /// Fills that must not count as demand misses (see [`CteCache::fill`]).
-    adjust: u64,
+    /// `log2(pages_per_line)`: a page's line key is its PPN shifted down.
+    line_shift: u32,
 }
 
 impl CteCache {
@@ -85,36 +86,25 @@ impl CteCache {
     ///
     /// # Panics
     ///
-    /// Panics if the geometry yields zero or a non-power-of-two set count.
+    /// Panics if `pages_per_line` is not a power of two, or if the
+    /// geometry yields zero or a non-power-of-two set count.
     pub fn new(cfg: CteCacheConfig) -> Self {
+        assert!(cfg.pages_per_line.is_power_of_two(), "pages per line must be a power of two");
         let sets = cfg.lines() / cfg.ways;
-        Self { cfg, slots: PackedCteSlots::new(sets, cfg.ways), adjust: 0 }
+        Self {
+            slots: PackedCteSlots::new(sets, cfg.ways),
+            line_shift: cfg.pages_per_line.trailing_zeros(),
+        }
     }
 
     fn line_key(&self, ppn: Ppn) -> u64 {
-        ppn.raw() / self.cfg.pages_per_line as u64
+        ppn.raw() >> self.line_shift
     }
 
-    /// Looks up the CTE for `ppn`, filling the line on a miss. Returns
-    /// whether it hit.
+    /// Looks up the CTE for `ppn`, filling the line on a miss (the MC
+    /// caches every CTE it fetches, §VII). Returns whether it hit.
     pub fn access(&mut self, ppn: Ppn) -> bool {
         self.slots.access(self.line_key(ppn))
-    }
-
-    /// Whether the CTE for `ppn` is resident, without LRU side effects.
-    pub fn contains(&self, ppn: Ppn) -> bool {
-        self.slots.contains(self.line_key(ppn))
-    }
-
-    /// Fills the line for `ppn` without counting an access (used when the
-    /// MC caches a CTE after fetching it from DRAM for verification,
-    /// §VII).
-    pub fn fill(&mut self, ppn: Ppn) {
-        if !self.slots.contains(self.line_key(ppn)) {
-            let _ = self.slots.access(self.line_key(ppn));
-            // Remove the implicit miss this fill recorded.
-            self.adjust = self.adjust.saturating_add(1);
-        }
     }
 
     /// Invalidates the line covering `ppn`.
@@ -122,22 +112,9 @@ impl CteCache {
         let _ = self.slots.invalidate(self.line_key(ppn));
     }
 
-    /// Drops every resident line (a flush storm); hit/miss counters are
-    /// preserved.
+    /// Drops every resident line (a flush storm).
     pub fn flush(&mut self) {
         self.slots.clear();
-    }
-
-    /// `(hits, misses)` over [`access`](Self::access) calls only.
-    pub fn stats(&self) -> (u64, u64) {
-        let (h, m) = self.slots.stats();
-        (h, m - self.adjust)
-    }
-
-    /// Clears counters (after warmup).
-    pub fn reset_stats(&mut self) {
-        self.slots.reset_stats();
-        self.adjust = 0;
     }
 
     /// Fault-injection hook: flips one stored bit of directory line
@@ -159,14 +136,9 @@ impl CteCache {
         self.slots.scrub()
     }
 
-    /// Heap bytes the packed slot directory occupies on the host.
+    /// Heap bytes the slot directory occupies on the host: 8 per line.
     pub fn heap_bytes(&self) -> usize {
         self.slots.heap_bytes()
-    }
-
-    /// The configured geometry.
-    pub fn config(&self) -> CteCacheConfig {
-        self.cfg
     }
 }
 
@@ -201,19 +173,16 @@ mod tests {
     }
 
     #[test]
-    fn fill_does_not_count_as_demand_miss() {
-        let mut c = CteCache::new(CteCacheConfig::tmcc());
-        c.fill(Ppn::new(40));
-        assert_eq!(c.stats(), (0, 0));
-        assert!(c.access(Ppn::new(40)));
-        assert_eq!(c.stats(), (1, 0));
-    }
-
-    #[test]
     fn invalidate_forces_miss() {
         let mut c = CteCache::new(CteCacheConfig::tmcc());
         c.access(Ppn::new(0));
         c.invalidate(Ppn::new(3)); // same line
         assert!(!c.access(Ppn::new(0)));
+    }
+
+    #[test]
+    #[should_panic(expected = "pages per line must be a power of two")]
+    fn rejects_non_pow2_pages_per_line() {
+        let _ = CteCache::new(CteCacheConfig { pages_per_line: 6, ..CteCacheConfig::tmcc() });
     }
 }

@@ -99,8 +99,6 @@ pub struct CacheHierarchy {
     l1: SetAssocCache<()>,
     l2: SetAssocCache<()>,
     l3: SetAssocCache<()>,
-    /// Access counts per level outcome (L1 hits, L2 hits, L3 hits, misses).
-    counts: [u64; 4],
 }
 
 impl CacheHierarchy {
@@ -114,7 +112,6 @@ impl CacheHierarchy {
             l1: SetAssocCache::new(lines(cfg.l1_bytes).next_power_of_two(), cfg.ways),
             l2: SetAssocCache::new(lines(cfg.l2_bytes).next_power_of_two(), cfg.ways),
             l3: SetAssocCache::new(lines(cfg.l3_bytes).next_power_of_two(), cfg.ways),
-            counts: [0; 4],
         }
     }
 
@@ -131,22 +128,18 @@ impl CacheHierarchy {
         let l3_ns = (t.l1_cycles + t.l2_extra_cycles + t.l3_extra_cycles) as f64 * NS_PER_CYCLE;
 
         if self.l1.access(key, write, ()).0.is_hit() {
-            self.counts[0] = self.counts[0].saturating_add(1);
             // L2 is inclusive of L1; keep its copy warm for recency.
             let _ = self.l2.access(key, write, ());
             return MemAccess { level: HitLevel::L1, latency_ns: l1_ns, writeback: None };
         }
         let mut writeback = None;
         if self.l2.access(key, write, ()).0.is_hit() {
-            self.counts[1] = self.counts[1].saturating_add(1);
             return MemAccess { level: HitLevel::L2, latency_ns: l2_ns, writeback: None };
         }
         let (l3_outcome, l3_victim) = self.l3.access(key, write, ());
         if l3_outcome.is_hit() {
-            self.counts[2] = self.counts[2].saturating_add(1);
             return MemAccess { level: HitLevel::L3, latency_ns: l3_ns, writeback: None };
         }
-        self.counts[3] = self.counts[3].saturating_add(1);
         // The miss installed the line; a dirty victim becomes a writeback.
         if let Some((victim, dirty, _)) = l3_victim {
             if dirty && victim != key {
@@ -163,25 +156,10 @@ impl CacheHierarchy {
         let _ = self.l3.invalidate(block.raw());
     }
 
-    /// `(l1_hits, l2_hits, l3_hits, misses)` since the last reset.
-    pub fn counts(&self) -> [u64; 4] {
-        self.counts
-    }
-
-    /// LLC miss count (accesses that reached memory).
-    pub fn llc_misses(&self) -> u64 {
-        self.counts[3]
-    }
-
-    /// Clears the outcome counters (after warmup).
-    pub fn reset_stats(&mut self) {
-        self.counts = [0; 4];
-    }
-
-    /// The configured geometry.
-    pub fn config(&self) -> HierarchyConfig {
-        self.cfg
-    }
+    /// Does nothing: the hierarchy keeps no counters (each access returns
+    /// its outcome). It stays because the benchmark's traced copy of the
+    /// step loop (`tmcc-benchmark`) calls it after warmup.
+    pub fn reset_stats(&mut self) {}
 }
 
 #[cfg(test)]
@@ -197,7 +175,6 @@ mod tests {
         let mut h = h();
         assert_eq!(h.access(BlockAddr::new(1), false, false).level, HitLevel::Memory);
         assert_eq!(h.access(BlockAddr::new(1), false, false).level, HitLevel::L1);
-        assert_eq!(h.counts(), [1, 0, 0, 1]);
     }
 
     #[test]

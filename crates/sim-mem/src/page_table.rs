@@ -370,6 +370,13 @@ impl PageTable {
         self.walk_from_into(vpn, 4, out)
     }
 
+    /// Whether a walk of `vpn` reaches a mapping: the check the walker
+    /// makes before it touches its page-walk cache.
+    pub(crate) fn maps(&self, vpn: Vpn) -> bool {
+        // As in a walk, VPN bits above the four levels are ignored.
+        vpn.raw() & (VIRTUAL_PAGES - 1) < self.identity.covered
+    }
+
     /// [`walk_path_into`](Self::walk_path_into), keeping only the steps
     /// at level `top` and below: what the walker fetches once the
     /// page-walk cache has supplied the table pointers above.

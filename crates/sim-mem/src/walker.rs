@@ -71,22 +71,24 @@ impl PageWalker {
         vpn: Vpn,
         out: &mut Vec<(WalkStep, PageTableBlock)>,
     ) -> Option<(Ppn, u32)> {
-        let leaf = table.leaf_level();
-        // The deepest level whose *table pointer* the PWC knows: fetching
-        // starts below it. The leaf PTB itself is never skipped.
-        let mut top = 4;
-        while top > leaf && self.pwc.contains(Self::pwc_key(vpn, top)) {
-            top -= 1;
-        }
         // An unmapped address leaves the PWC untouched.
-        if !table.walk_from_into(vpn, top, out) {
+        if !table.maps(vpn) {
+            out.clear();
             return None;
         }
-        // Touch the pointers that hit (LRU) and install the ones the
-        // fetched steps produced, root first.
-        for level in (leaf + 1..=4).rev() {
-            let _ = self.pwc.access(Self::pwc_key(vpn, level), false, ());
+        // One probe per upper level, root first: a hit touches the pointer
+        // (LRU), a miss installs the one this walk produces. Fetching
+        // starts below the unbroken run of hits from the root; the leaf
+        // PTB itself is never skipped.
+        let mut top = 4;
+        for level in (table.leaf_level() + 1..=4).rev() {
+            let hit = self.pwc.access(Self::pwc_key(vpn, level), false, ()).0.is_hit();
+            if hit && top == level {
+                top -= 1;
+            }
         }
+        let walked = table.walk_from_into(vpn, top, out);
+        debug_assert!(walked, "a mapped VPN walks");
         Some((out.last()?.0.next_ppn, u32::from(4 - top)))
     }
 

@@ -1,11 +1,10 @@
 //! Criterion benchmarks of the succinct metadata structures: the
-//! mutable [`BitVec`] and the fixed-width [`PackedSeq`]. These back
-//! membership maps and CTE slot metadata on the simulator's hot path, so
-//! their per-op cost bounds how cheaply a TB-scale footprint can be
-//! tracked.
+//! mutable [`BitVec`]. It backs membership maps on the simulator's hot
+//! path, so its per-op cost bounds how cheaply a TB-scale footprint can
+//! be tracked.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
-use tmcc_types::{BitVec, PackedSeq};
+use tmcc_types::BitVec;
 
 const BITS: usize = 1 << 20;
 const OPS: usize = 1 << 12;
@@ -51,45 +50,5 @@ fn bench_bitvec(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_packed_seq(c: &mut Criterion) {
-    const WIDTH: u32 = 13; // CTE-slot-sized values, straddles words
-    let len = BITS / 8;
-    let mut seq = PackedSeq::with_len(WIDTH, len);
-    for (pos, v) in indices(6, 1 << WIDTH, len).into_iter().enumerate() {
-        seq.set(pos, v as u64);
-    }
-    let gets = indices(7, len, OPS);
-    let sets = indices(8, len, OPS);
-
-    let mut g = c.benchmark_group("packed-seq");
-    g.throughput(Throughput::Elements(OPS as u64));
-    g.bench_function("get/13-bit", |b| {
-        b.iter(|| {
-            for &i in &gets {
-                black_box(seq.get(i));
-            }
-        })
-    });
-    g.bench_function("set/13-bit", |b| {
-        let mut live = seq.clone();
-        b.iter(|| {
-            for &i in &sets {
-                live.set(i, (i as u64 * 7) & live.max_value());
-            }
-            black_box(live.get(0))
-        })
-    });
-    g.bench_function("push/13-bit", |b| {
-        b.iter(|| {
-            let mut s = PackedSeq::new(WIDTH);
-            for i in 0..OPS as u64 {
-                s.push(i & s.max_value());
-            }
-            black_box(s.len())
-        })
-    });
-    g.finish();
-}
-
-criterion_group!(benches, bench_bitvec, bench_packed_seq);
+criterion_group!(benches, bench_bitvec);
 criterion_main!(benches);

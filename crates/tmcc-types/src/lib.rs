@@ -19,10 +19,9 @@
 //!   block-level metadata entry used by Compresso-style designs.
 //! * [`addr`] — virtual/physical/DRAM address newtypes and geometry
 //!   constants.
-//! * [`bitvec`] / [`packed`] — succinct rank/select bitmaps and
-//!   fixed-width packed sequences backing the simulator's hot metadata
-//!   (free-slot maps, residency bits, CTE slot state) at datacenter-scale
-//!   page counts.
+//! * [`bitvec`] — the packed bitmap backing the simulator's membership
+//!   bits (recency-list membership, compressed-encoding and repacked-page
+//!   bits) at datacenter-scale page counts.
 //!
 //! # Examples
 //!
@@ -39,7 +38,6 @@ pub mod bitvec;
 pub mod crc32;
 pub mod cte;
 pub mod fxhash;
-pub mod packed;
 pub mod ptb;
 pub mod pte;
 
@@ -50,6 +48,5 @@ pub use bitvec::BitVec;
 pub use crc32::crc32;
 pub use cte::{BlockMetadata, TruncatedCte};
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
-pub use packed::PackedSeq;
 pub use ptb::PtbCompressError;
 pub use pte::{PageTableBlock, Pte, PteFlags};

@@ -1,12 +1,10 @@
 //! Property tests pinning the succinct structures to naive reference
-//! models: [`BitVec`] against a `Vec<bool>`, and [`PackedSeq`] against a
-//! `Vec<u64>`. Arbitrary op traces must leave every observable (get,
-//! counts, lengths) identical to the model, including at word
-//! boundaries.
+//! models: [`BitVec`] against a `Vec<bool>`. Arbitrary op traces must
+//! leave every observable (get, counts, lengths) identical to the model,
+//! including at word boundaries.
 
 use proptest::prelude::*;
 use tmcc_types::bitvec::BitVec;
-use tmcc_types::packed::PackedSeq;
 
 #[derive(Debug, Clone)]
 enum BitOp {
@@ -73,58 +71,5 @@ proptest! {
         for (i, &b) in model.iter().enumerate() {
             prop_assert_eq!(bv.get(i), b, "bit {}", i);
         }
-    }
-}
-
-#[derive(Debug, Clone)]
-enum SeqOp {
-    Push(u64),
-    Set(usize, u64),
-}
-
-fn seq_op() -> impl Strategy<Value = SeqOp> {
-    (any::<bool>(), 0usize..300, any::<u64>()).prop_map(|(push, i, v)| {
-        if push {
-            SeqOp::Push(v)
-        } else {
-            SeqOp::Set(i, v)
-        }
-    })
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(96))]
-
-    /// `PackedSeq` matches a `Vec<u64>` model under arbitrary push/set
-    /// traces at every width, so straddled word boundaries never leak
-    /// bits into neighbors.
-    #[test]
-    fn packed_seq_matches_vec_u64(
-        width in 1u32..=64,
-        init_len in 0usize..80,
-        ops in prop::collection::vec(seq_op(), 0..100),
-    ) {
-        let mask = if width == 64 { !0u64 } else { (1u64 << width) - 1 };
-        let mut seq = PackedSeq::with_len(width, init_len);
-        let mut model = vec![0u64; init_len];
-        for op in ops {
-            match op {
-                SeqOp::Push(v) => {
-                    seq.push(v & mask);
-                    model.push(v & mask);
-                }
-                SeqOp::Set(i, v) if !model.is_empty() => {
-                    let i = i % model.len();
-                    seq.set(i, v & mask);
-                    model[i] = v & mask;
-                }
-                _ => {}
-            }
-        }
-        prop_assert_eq!(seq.len(), model.len());
-        for (i, &v) in model.iter().enumerate() {
-            prop_assert_eq!(seq.get(i), v, "element {}", i);
-        }
-        prop_assert_eq!(seq.iter().collect::<Vec<_>>(), model);
     }
 }
