@@ -8,8 +8,9 @@
 //! two-level scheme's initial placement, which builds them all, and
 //! Compresso's over the same pages. The `cache-hierarchy` group times the
 //! tag stores every access crosses: building the L1/L2/L3 (each fleet
-//! tenant pays it), a shortestPath block stream through them, and the
-//! TLB's lookup-then-fill. The `cte-directory` group times what the
+//! tenant pays it), a shortestPath block stream through them, the TLB's
+//! lookup-then-fill, and a cold fleet tenant's first accesses through a
+//! fresh hierarchy and TLB. The `cte-directory` group times what the
 //! memory controller does on each of that stream's LLC misses: the CTE
 //! cache probe at TMCC's and Compresso's geometries, and the DRAM access.
 
@@ -24,7 +25,7 @@ use tmcc_sim_mem::{
     CacheHierarchy, CteCache, CteCacheConfig, HierarchyConfig, HitLevel, PageTable,
     PageTableConfig, PageWalker, Tlb,
 };
-use tmcc_types::addr::{DramAddr, Ppn, Vpn};
+use tmcc_types::addr::{BlockAddr, DramAddr, Ppn, Vpn};
 use tmcc_types::FxHashMap;
 use tmcc_workloads::{AccessStream, WorkloadProfile};
 
@@ -241,20 +242,26 @@ fn bench_construction(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_cache_hierarchy(c: &mut Criterion) {
-    // shortestPath's stream over 64 Ki identity-mapped pages (256 MiB,
-    // 32x the L3): its hot set fits the L3, its scans and cold draws miss.
-    // Each timed batch is the next `OPS` accesses of a 1 Mi-access cycle,
-    // long enough that a replayed block has left the L3.
-    let pattern = WorkloadProfile::by_name("shortestPath").expect("profile").pattern;
-    let mut stream = AccessStream::new(pattern, PAGES, 11);
-    let events: Vec<_> = (0..1 << 20)
+/// The first `n` accesses of `profile`'s stream over `pages` identity-mapped
+/// pages: each one's VPN, block and write flag.
+fn stream_events(profile: &str, pages: u64, seed: u64, n: usize) -> Vec<(Vpn, BlockAddr, bool)> {
+    let pattern = WorkloadProfile::by_name(profile).expect("profile").pattern;
+    let mut stream = AccessStream::new(pattern, pages, seed);
+    (0..n)
         .map(|_| {
             let ev = stream.next_access();
             let vpn = ev.vaddr.vpn();
             (vpn, Ppn::new(vpn.raw()).block(ev.vaddr.page_offset() as usize / 64), ev.write)
         })
-        .collect();
+        .collect()
+}
+
+fn bench_cache_hierarchy(c: &mut Criterion) {
+    // shortestPath's stream over 64 Ki identity-mapped pages (256 MiB,
+    // 32x the L3): its hot set fits the L3, its scans and cold draws miss.
+    // Each timed batch is the next `OPS` accesses of a 1 Mi-access cycle,
+    // long enough that a replayed block has left the L3.
+    let events = stream_events("shortestPath", PAGES, 11, 1 << 20);
     let mut hierarchy = CacheHierarchy::new(HierarchyConfig::default());
     // The blocks that reach memory on the warm pass: the stream the
     // memory controller sees.
@@ -296,6 +303,24 @@ fn bench_cache_hierarchy(c: &mut Criterion) {
                     tlb.fill(vpn, Ppn::new(vpn.raw()));
                 }
             }
+        })
+    });
+    // A cold fleet tenant: `fleet_1k`'s tenants each build a hierarchy
+    // and TLB of their own, so here every batch of a 64-page kv_zipf
+    // stream starts on fresh ones and pays their first-fill reservations
+    // and the set blocks its accesses take.
+    let tenant = stream_events("kv_zipf", 64, 13, OPS);
+    g.bench_function("cold-tenant/kv_zipf-64", |b| {
+        b.iter(|| {
+            let mut hierarchy = CacheHierarchy::new(HierarchyConfig::default());
+            let mut tlb = Tlb::paper_default();
+            for &(vpn, block, write) in &tenant {
+                if tlb.lookup(vpn).is_none() {
+                    tlb.fill(vpn, Ppn::new(vpn.raw()));
+                }
+                black_box(hierarchy.access(block, write, false));
+            }
+            black_box((hierarchy, tlb))
         })
     });
     g.finish();

@@ -13,21 +13,20 @@
 //! update).
 //!
 //! The buffer is fully associative with exact LRU replacement. Every PTB
-//! fetch inserts up to eight entries, so it is stored for O(1) operations:
-//! a fixed arena of entries, a chained key index with four buckets per
-//! entry, and an intrusive recency list. The victim is the least recently
-//! *touched* entry — [`insert`](CteBuffer::insert) and a
+//! fetch inserts up to eight entries, so it is stored for O(1) operations
+//! in the same exact-LRU map as the page-walk cache: a fixed arena of
+//! entries, a chained key index with four buckets per entry, and an
+//! intrusive recency list. The victim is the least recently *touched*
+//! entry — [`insert`](CteBuffer::insert) and a
 //! [`lookup`](CteBuffer::lookup) hit touch;
 //! [`reconcile`](CteBuffer::reconcile) and
-//! [`invalidate`](CteBuffer::invalidate) do not — which is the order the
-//! generic [`SetAssocCache`](crate::SetAssocCache)'s stamps gave. The
-//! parity test at the bottom drives both with one trace.
+//! [`invalidate`](CteBuffer::invalidate) do not — which is the order an
+//! LRU stamp per entry gives. The parity test at the bottom drives the
+//! buffer beside a stamped fully-associative cache with one trace.
 
+use crate::lru_map::LruMap;
 use tmcc_types::addr::{BlockAddr, Ppn};
 use tmcc_types::cte::TruncatedCte;
-
-/// Link and index sentinel: no entry.
-const NIL: u32 = u32::MAX;
 
 /// One CTE-buffer entry (Fig. 10: PPN key → embedded CTE + PTB address).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -38,19 +37,6 @@ pub struct CteBufferEntry {
     pub ptb_block: BlockAddr,
     /// Which of the PTB's PTEs (`0..8`) recorded this PPN.
     pub slot: usize,
-}
-
-/// One arena slot: a resident entry, its recency links and its index chain.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Node {
-    key: u64,
-    entry: CteBufferEntry,
-    /// Next more recently touched node (`NIL` at the MRU end).
-    newer: u32,
-    /// Next less recently touched node (`NIL` at the LRU end).
-    older: u32,
-    /// Next node whose key hashes to the same bucket.
-    chain: u32,
 }
 
 /// The 64-entry CTE buffer (~1 KiB, §V-A6).
@@ -73,20 +59,7 @@ struct Node {
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CteBuffer {
-    /// Entry arena; grows to `capacity`, then recycles the LRU node.
-    nodes: Vec<Node>,
-    capacity: usize,
-    /// Arena indices released by `invalidate`.
-    free: Vec<u32>,
-    /// Key index: per bucket, the first node of its chain (`NIL` when
-    /// empty). Power-of-two length, at least 4× `capacity`, so chains
-    /// average well under one node.
-    heads: Vec<u32>,
-    /// Right shift that maps a multiplicative key hash onto `heads`.
-    shift: u32,
-    /// Most and least recently touched nodes.
-    mru: u32,
-    lru: u32,
+    entries: LruMap<CteBufferEntry>,
 }
 
 impl CteBuffer {
@@ -97,17 +70,7 @@ impl CteBuffer {
     /// Panics if `entries` is zero or above 2^24 (the arena links are
     /// `u32`).
     pub fn new(entries: usize) -> Self {
-        assert!((1..=1 << 24).contains(&entries), "CTE buffer size {entries} outside 1..=2^24");
-        let buckets = (entries * 4).next_power_of_two();
-        Self {
-            nodes: Vec::with_capacity(entries),
-            capacity: entries,
-            free: Vec::new(),
-            heads: vec![NIL; buckets],
-            shift: u64::BITS - buckets.trailing_zeros(),
-            mru: NIL,
-            lru: NIL,
-        }
+        Self { entries: LruMap::new(entries) }
     }
 
     /// The paper's 64-entry buffer.
@@ -118,111 +81,18 @@ impl CteBuffer {
     /// Heap bytes the buffer owns (capacity, not length): the entry
     /// arena, its free list and the key index.
     pub fn heap_bytes(&self) -> usize {
-        self.nodes.capacity() * std::mem::size_of::<Node>()
-            + (self.free.capacity() + self.heads.capacity()) * std::mem::size_of::<u32>()
-    }
-
-    /// Bucket of `key` (Fibonacci hashing keeps runs of adjacent PPNs —
-    /// one PTB's worth — apart).
-    #[inline]
-    fn bucket(&self, key: u64) -> usize {
-        (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.shift) as usize
-    }
-
-    /// Arena index of `key`, if resident.
-    #[inline]
-    fn find(&self, key: u64) -> Option<usize> {
-        let mut n = self.heads[self.bucket(key)];
-        while n != NIL {
-            let node = &self.nodes[n as usize];
-            if node.key == key {
-                return Some(n as usize);
-            }
-            n = node.chain;
-        }
-        None
-    }
-
-    /// Removes node `n` from its bucket's chain.
-    fn unchain(&mut self, n: usize) {
-        let b = self.bucket(self.nodes[n].key);
-        let next = self.nodes[n].chain;
-        if self.heads[b] == n as u32 {
-            self.heads[b] = next;
-            return;
-        }
-        let mut prev = self.heads[b] as usize;
-        while self.nodes[prev].chain != n as u32 {
-            prev = self.nodes[prev].chain as usize;
-        }
-        self.nodes[prev].chain = next;
-    }
-
-    /// Detaches node `n` from the recency list.
-    fn unlink(&mut self, n: usize) {
-        let Node { newer, older, .. } = self.nodes[n];
-        match newer {
-            NIL => self.mru = older,
-            m => self.nodes[m as usize].older = older,
-        }
-        match older {
-            NIL => self.lru = newer,
-            o => self.nodes[o as usize].newer = newer,
-        }
-    }
-
-    /// Links detached node `n` in as the most recently touched.
-    fn push_mru(&mut self, n: usize) {
-        self.nodes[n].newer = NIL;
-        self.nodes[n].older = self.mru;
-        match self.mru {
-            NIL => self.lru = n as u32,
-            m => self.nodes[m as usize].newer = n as u32,
-        }
-        self.mru = n as u32;
-    }
-
-    /// Marks node `n` as the most recently touched.
-    fn touch(&mut self, n: usize) {
-        if self.mru != n as u32 {
-            self.unlink(n);
-            self.push_mru(n);
-        }
+        self.entries.heap_bytes()
     }
 
     /// Inserts (or replaces) the entry for `ppn`, evicting the least
     /// recently touched entry when the buffer is full.
     pub fn insert(&mut self, ppn: Ppn, entry: CteBufferEntry) {
-        let key = ppn.raw();
-        if let Some(n) = self.find(key) {
-            self.nodes[n].entry = entry;
-            self.touch(n);
-            return;
-        }
-        let node = Node { key, entry, newer: NIL, older: NIL, chain: NIL };
-        let n = if let Some(n) = self.free.pop() {
-            n as usize
-        } else if self.nodes.len() < self.capacity {
-            self.nodes.push(node);
-            self.nodes.len() - 1
-        } else {
-            let victim = self.lru as usize;
-            self.unlink(victim);
-            self.unchain(victim);
-            victim
-        };
-        // Read the bucket head only now: the victim may have been it.
-        let b = self.bucket(key);
-        self.nodes[n] = Node { chain: self.heads[b], ..node };
-        self.heads[b] = n as u32;
-        self.push_mru(n);
+        self.entries.insert(ppn.raw(), entry);
     }
 
     /// Looks up the entry for `ppn` (recency-updating).
     pub fn lookup(&mut self, ppn: Ppn) -> Option<CteBufferEntry> {
-        let n = self.find(ppn.raw())?;
-        self.touch(n);
-        Some(self.nodes[n].entry)
+        self.entries.lookup(ppn.raw())
     }
 
     /// Stores the verified CTE into an existing entry (the response path
@@ -230,8 +100,7 @@ impl CteBuffer {
     /// PTB block and PTE slot to repair when the entry existed and
     /// disagreed.
     pub fn reconcile(&mut self, ppn: Ppn, correct: TruncatedCte) -> Option<(BlockAddr, usize)> {
-        let n = self.find(ppn.raw())?;
-        let entry = &mut self.nodes[n].entry;
+        let entry = self.entries.get_mut(ppn.raw())?;
         let stale = entry.cte != Some(correct);
         entry.cte = Some(correct);
         stale.then_some((entry.ptb_block, entry.slot))
@@ -239,25 +108,17 @@ impl CteBuffer {
 
     /// Drops the entry for `ppn`.
     pub fn invalidate(&mut self, ppn: Ppn) {
-        if let Some(n) = self.find(ppn.raw()) {
-            self.unchain(n);
-            self.unlink(n);
-            self.free.push(n as u32);
-        }
+        self.entries.remove(ppn.raw());
     }
 
     /// Drops every entry (a flush storm).
     pub fn clear(&mut self) {
-        self.nodes.clear();
-        self.free.clear();
-        self.heads.fill(NIL);
-        self.mru = NIL;
-        self.lru = NIL;
+        self.entries.clear();
     }
 
     /// Number of resident entries.
     pub fn len(&self) -> usize {
-        self.nodes.len() - self.free.len()
+        self.entries.len()
     }
 
     /// Whether the buffer is empty.
@@ -269,7 +130,7 @@ impl CteBuffer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cache::SetAssocCache;
+    use crate::stamp_cache::StampCache;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
 
@@ -277,16 +138,16 @@ mod tests {
         CteBufferEntry { cte: cte.map(TruncatedCte::new), ptb_block: BlockAddr::new(block), slot }
     }
 
-    /// The buffer as it was built before the arena: the generic
-    /// fully-associative cache, whose LRU stamps define the victim order
-    /// the arena must reproduce.
+    /// The buffer as it was built before the arena: a fully-associative
+    /// cache whose LRU stamps define the victim order the arena must
+    /// reproduce.
     struct ReferenceBuffer {
-        entries: SetAssocCache<CteBufferEntry>,
+        entries: StampCache<CteBufferEntry>,
     }
 
     impl ReferenceBuffer {
         fn new(entries: usize) -> Self {
-            Self { entries: SetAssocCache::fully_associative(entries) }
+            Self { entries: StampCache::fully_associative(entries) }
         }
 
         /// Sets the entry, then touches it.
@@ -393,6 +254,13 @@ mod tests {
         buf.clear();
         assert!(buf.is_empty());
         assert!(buf.lookup(Ppn::new(2)).is_none());
+    }
+
+    #[test]
+    fn heap_bytes_are_the_arena_and_index() {
+        // 64 arena nodes of 48 B and 256 index buckets of 4 B: the bytes
+        // `capacity_cliff` reports per TMCC system.
+        assert_eq!(CteBuffer::paper_default().heap_bytes(), 64 * 48 + 256 * 4);
     }
 
     #[test]

@@ -15,14 +15,14 @@
 //! probe is one pass over it, a line's parity check is the parity of its
 //! word, and a modeled bit flip is one XOR.
 //!
-//! The recency ranks are behaviorally identical to the generic cache's
-//! global LRU stamps: stamps are only ever *compared within one set*, so
-//! the per-set rank order (0 = least recent, `valid-1` = most recent) picks
-//! the same victim on every eviction, and hit/miss outcomes are a function
-//! of residency only. The tests at the bottom drive the directory beside
-//! the generic cache, and beside the earlier layout that kept tag, meta
-//! and parity in three arrays (flips included), and assert identical
-//! outcomes.
+//! The recency ranks are behaviorally identical to global LRU stamps:
+//! stamps are only ever *compared within one set*, so the per-set rank
+//! order (0 = least recent, `valid-1` = most recent) picks the same victim
+//! on every eviction, and hit/miss outcomes are a function of residency
+//! only. The tests at the bottom drive the directory beside a cache with
+//! one LRU stamp per line (at 4 and 16 ways), and beside the earlier
+//! layout that kept tag, meta and parity in three arrays (flips
+//! included), and assert identical outcomes.
 
 /// Bits per tag: covers any line key derived from a 40-bit PPN.
 const TAG_BITS: u32 = 40;
@@ -281,7 +281,7 @@ impl PackedCteSlots {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cache::SetAssocCache;
+    use crate::stamp_cache::StampCache;
     use proptest::prelude::*;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
@@ -627,7 +627,7 @@ mod tests {
     #[test]
     fn parity_with_generic_cache_on_random_trace() {
         let mut d = PackedCteSlots::new(8, 4);
-        let mut c: SetAssocCache<()> = SetAssocCache::new(8, 4);
+        let mut c: StampCache<()> = StampCache::new(8, 4);
         let (mut d_stats, mut c_stats) = ((0, 0), (0, 0));
         let mut rng = SmallRng::seed_from_u64(0xC7E);
         for step in 0..20_000u32 {
@@ -768,7 +768,7 @@ mod tests {
         // A 4x-scaled CTE cache is 16-way; ranks 0..16 need 4 bits.
         let mut d = PackedCteSlots::new(4, 16);
         assert_eq!(d.line_bits(), 46);
-        let mut c: SetAssocCache<()> = SetAssocCache::new(4, 16);
+        let mut c: StampCache<()> = StampCache::new(4, 16);
         let (mut d_stats, mut c_stats) = ((0, 0), (0, 0));
         let mut rng = SmallRng::seed_from_u64(0x16C7E);
         for step in 0..20_000u32 {

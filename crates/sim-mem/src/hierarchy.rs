@@ -79,6 +79,18 @@ impl Default for HierarchyConfig {
     }
 }
 
+/// The tag store of a `bytes`-byte level of 64 B lines, `ways` to a set.
+fn level(name: &str, bytes: usize, ways: usize) -> SetAssocCache<()> {
+    let set_bytes = 64 * ways;
+    assert!(
+        ways > 0 && bytes.is_multiple_of(set_bytes),
+        "{name} size {bytes} B is not a whole number of {ways}-way sets of 64 B lines"
+    );
+    let sets = bytes / set_bytes;
+    assert!(sets.is_power_of_two(), "{name} set count {sets} must be a power of two");
+    SetAssocCache::new(sets, ways)
+}
+
 /// The cache hierarchy.
 ///
 /// # Examples
@@ -103,15 +115,19 @@ pub struct CacheHierarchy {
 
 impl CacheHierarchy {
     /// Builds the hierarchy. Each level allocates only its zeroed set
-    /// index here (64 KiB for the default L3); a level's lines are
+    /// index here (32 KiB for the default L3); a level's lines are
     /// reserved on its first fill and become resident set by set.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless every level is 64 B × `ways` × a power of two, and
+    /// `ways` is 1 to 8: a level is never silently resized.
     pub fn new(cfg: HierarchyConfig) -> Self {
-        let lines = |bytes: usize| bytes / 64 / cfg.ways;
         Self {
             cfg,
-            l1: SetAssocCache::new(lines(cfg.l1_bytes).next_power_of_two(), cfg.ways),
-            l2: SetAssocCache::new(lines(cfg.l2_bytes).next_power_of_two(), cfg.ways),
-            l3: SetAssocCache::new(lines(cfg.l3_bytes).next_power_of_two(), cfg.ways),
+            l1: level("L1", cfg.l1_bytes, cfg.ways),
+            l2: level("L2", cfg.l2_bytes, cfg.ways),
+            l3: level("L3", cfg.l3_bytes, cfg.ways),
         }
     }
 
@@ -222,6 +238,21 @@ mod tests {
             saw_writeback |= r.writeback.is_some();
         }
         assert!(saw_writeback, "dirty evictions must surface");
+    }
+
+    #[test]
+    #[should_panic(expected = "L1 set count 96 must be a power of two")]
+    fn rejects_non_pow2_set_count() {
+        // 48 KiB of 8-way sets is 96 sets; it used to become 64 KiB.
+        let _ = CacheHierarchy::new(HierarchyConfig { l1_bytes: 48 * 1024, ..Default::default() });
+    }
+
+    #[test]
+    #[should_panic(expected = "L3 size 8388672 B is not a whole number of 8-way sets")]
+    fn rejects_partial_set() {
+        // 8 MiB plus one line: the division used to drop the partial set.
+        let l3_bytes = 8 * 1024 * 1024 + 64;
+        let _ = CacheHierarchy::new(HierarchyConfig { l3_bytes, ..Default::default() });
     }
 
     #[test]

@@ -17,7 +17,10 @@ pub mod cte_buffer;
 pub mod cte_cache;
 pub mod cte_slots;
 pub mod hierarchy;
+mod lru_map;
 pub mod page_table;
+#[cfg(test)]
+mod stamp_cache;
 pub mod tlb;
 pub mod walker;
 

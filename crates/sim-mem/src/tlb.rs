@@ -32,7 +32,7 @@ impl Tlb {
     /// # Panics
     ///
     /// Panics if `entries` is not a multiple of `ways` with a power-of-two
-    /// set count.
+    /// set count, or `ways` exceeds 8.
     pub fn new(entries: usize, ways: usize) -> Self {
         assert!(entries.is_multiple_of(ways), "entries must divide evenly into ways");
         Self { cache: SetAssocCache::new(entries / ways, ways) }

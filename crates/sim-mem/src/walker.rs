@@ -6,8 +6,14 @@
 //! the lower levels; the PTB fetches that remain are issued to the cache
 //! hierarchy by the caller, which is where TMCC's embedded CTEs pay off
 //! (Fig. 12a).
+//!
+//! The PWC is fully associative with exact LRU replacement, stored in the
+//! O(1) exact-LRU map the CTE buffer uses (an arena, a chained key index
+//! and an intrusive recency list): a probe hashes its key once, whether
+//! the PWC is empty, full or in between, and a flush costs one index
+//! write per entry.
 
-use crate::cache::SetAssocCache;
+use crate::lru_map::LruMap;
 use crate::page_table::{PageTable, WalkStep};
 use tmcc_types::addr::{Ppn, Vpn};
 use tmcc_types::pte::PageTableBlock;
@@ -32,15 +38,19 @@ use tmcc_types::pte::PageTableBlock;
 /// ```
 #[derive(Debug, Clone)]
 pub struct PageWalker {
-    /// PWC keyed by `(level, table-relative prefix)`; payload is unused —
+    /// PWC keyed by `(level, table-relative prefix)`; the value is unused —
     /// a hit means "the walker already knows the level-N table pointer".
-    pwc: SetAssocCache<()>,
+    pwc: LruMap<()>,
 }
 
 impl PageWalker {
     /// Creates a walker whose PWC holds `pwc_entries` upper-level entries.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pwc_entries` is zero or above 2^24.
     pub fn new(pwc_entries: usize) -> Self {
-        Self { pwc: SetAssocCache::fully_associative(pwc_entries) }
+        Self { pwc: LruMap::new(pwc_entries) }
     }
 
     /// The paper's 1 KiB PWC: 64 entries of 16 B.
@@ -82,7 +92,7 @@ impl PageWalker {
         // PTB itself is never skipped.
         let mut top = 4;
         for level in (table.leaf_level() + 1..=4).rev() {
-            let hit = self.pwc.access(Self::pwc_key(vpn, level), false, ()).0.is_hit();
+            let hit = self.pwc.insert(Self::pwc_key(vpn, level), ());
             if hit && top == level {
                 top -= 1;
             }
@@ -102,6 +112,7 @@ impl PageWalker {
 mod tests {
     use super::*;
     use crate::page_table::PageTableConfig;
+    use crate::stamp_cache::StampCache;
 
     fn table_with(n: u64) -> PageTable {
         PageTable::identity(PageTableConfig::default(), n)
@@ -160,9 +171,11 @@ mod tests {
     }
 
     /// The reference walk: the full path from the root, minus the upper
-    /// levels whose pointers hit in the PWC; the rest are installed.
+    /// levels whose pointers hit in the PWC; the rest are installed. The
+    /// reference PWC is a stamped fully-associative cache, whose LRU
+    /// stamps give the exact victim order.
     fn reference_walk(
-        pwc: &mut SetAssocCache<()>,
+        pwc: &mut StampCache<()>,
         table: &PageTable,
         vpn: Vpn,
     ) -> Option<(Vec<(WalkStep, PageTableBlock)>, u32)> {
@@ -195,7 +208,7 @@ mod tests {
         );
         for table in [table_with(1 << 20), huge] {
             let mut walker = PageWalker::paper_default();
-            let mut pwc = SetAssocCache::fully_associative(64);
+            let mut pwc = StampCache::fully_associative(64);
             let mut buf = Vec::new();
             let mut state = 7u64;
             for _ in 0..20_000 {

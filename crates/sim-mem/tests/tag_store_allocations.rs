@@ -1,6 +1,8 @@
 //! Pins how the cache hierarchy allocates: construction allocates only the
-//! three levels' zeroed set indexes, and accesses allocate once per level
-//! (the slab reservation on its first fill) however many sets they fill.
+//! three levels' zeroed `u16` set indexes, and accesses allocate twice per
+//! level (the key and meta slabs, each reserved whole on the level's first
+//! fill; payload-free lines need no payload slab) however many sets they
+//! fill.
 //!
 //! The counting allocator tallies per thread, so tests that run in
 //! parallel do not see each other's allocations.
@@ -82,24 +84,31 @@ fn sparse_blocks(n: usize) -> Vec<BlockAddr> {
 fn construction_allocates_only_the_set_indexes() {
     let cfg = HierarchyConfig::default();
     let ((n, bytes), _h) = allocations(|| CacheHierarchy::new(cfg));
-    // 128, 512 and 16 384 sets of 8 ways: one `u32` index entry each.
+    // 128, 512 and 16 384 sets of 8 ways: one `u16` index entry each,
+    // 256 B, 1 KiB and 32 KiB.
     let sets = [cfg.l1_bytes, cfg.l2_bytes, cfg.l3_bytes].map(|b| b / 64 / cfg.ways);
     assert_eq!(n, 3, "one zeroed index array per level");
-    assert_eq!(bytes, sets.iter().sum::<usize>() * 4);
+    assert_eq!(bytes, sets.iter().sum::<usize>() * 2);
+    assert_eq!(bytes, 256 + 1024 + 32 * 1024);
 }
 
 #[test]
 fn accesses_allocate_once_per_level() {
     let blocks = sparse_blocks(5_000);
-    let mut h = CacheHierarchy::new(HierarchyConfig::default());
-    let ((n, _), writebacks) = allocations(|| {
+    let cfg = HierarchyConfig::default();
+    let mut h = CacheHierarchy::new(cfg);
+    let ((n, bytes), writebacks) = allocations(|| {
         (0..10_000usize)
             .filter(|&i| {
                 h.access(blocks[i * 7 % blocks.len()], i % 3 == 0, false).writeback.is_some()
             })
             .count()
     });
-    assert_eq!(n, 3, "each level reserves its slab once, on its first fill");
+    assert_eq!(n, 6, "each level reserves its key and meta slabs once, on its first fill");
+    // Per set: a 64 B key block and an 8 B meta word.
+    let sets: usize =
+        [cfg.l1_bytes, cfg.l2_bytes, cfg.l3_bytes].map(|b| b / 64 / cfg.ways).iter().sum();
+    assert_eq!(bytes, sets * (64 + 8));
     // The accesses did fill thousands of L3 sets; none of them allocated.
     assert_eq!(writebacks, 0, "5 000 blocks fit in the L3");
     let ((n, _), _) = allocations(|| {

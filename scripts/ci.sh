@@ -40,9 +40,10 @@ TMCC_BENCH_SMOKE=1 cargo bench -q -p tmcc --bench arbiter
 
 echo "==> remaining criterion benches execute (TMCC_BENCH_SMOKE=1)"
 # The same smoke run for the other three bench targets: the hot-path
-# structures (incl. the page walk, and the CTE-cache probe and DRAM access
-# of the `cte-directory` group), the succinct structures, and the
-# end-to-end simulator step loop.
+# structures (incl. the page walk, the `cache-hierarchy` group's cold
+# fleet tenant on a fresh hierarchy and TLB, and the CTE-cache probe and
+# DRAM access of the `cte-directory` group), the succinct structures, and
+# the end-to-end simulator step loop.
 TMCC_BENCH_SMOKE=1 cargo bench -q -p tmcc --bench hot_structs
 TMCC_BENCH_SMOKE=1 cargo bench -q -p tmcc-types --bench succinct
 TMCC_BENCH_SMOKE=1 cargo bench -q -p tmcc-bench --bench simulator
