@@ -4,9 +4,11 @@
 //! for keeping the simulator fast — and are distinct from the modelled
 //! ASIC latencies of Table II (`tmcc-bench run table2_deflate_perf`).
 
-use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
+use criterion::{
+    black_box, criterion_group, criterion_main, BenchmarkGroup, Criterion, Throughput,
+};
 use tmcc_compression::{
-    BdiCodec, BestOfCodec, BitReader, BitWriter, BlockCodec, BpcCodec, CpackCodec,
+    BdiCodec, BestOfCodec, BitReader, BitSink, BitWriter, BlockCodec, BpcCodec, CpackCodec,
 };
 use tmcc_deflate::{FullHuffman, MemDeflate, ReducedHuffman, SoftwareDeflate};
 use tmcc_workloads::WorkloadProfile;
@@ -18,47 +20,42 @@ fn corpus_page(i: u64) -> Vec<u8> {
     page
 }
 
+/// Both paths of each block codec over one page's 64 blocks:
+/// `*/size-page` times `compressed_size` (what the size model and Fig. 15
+/// run), `*/compress-page` times `compress` (the bytes a round trip needs).
 fn bench_block_codecs(c: &mut Criterion) {
     let page = corpus_page(0);
-    let mut blocks: Vec<[u8; 64]> = Vec::new();
-    for ch in page.chunks_exact(64) {
-        blocks.push(ch.try_into().expect("64B"));
-    }
+    let blocks: Vec<[u8; 64]> =
+        page.chunks_exact(64).map(|ch| ch.try_into().expect("64B")).collect();
     let mut g = c.benchmark_group("block-codecs");
     g.throughput(Throughput::Bytes(4096));
-    g.bench_function("bdi/compress-page", |b| {
-        let codec = BdiCodec::new();
-        b.iter(|| {
-            for blk in &blocks {
-                black_box(codec.compressed_size(blk));
-            }
-        })
-    });
-    g.bench_function("bpc/compress-page", |b| {
-        let codec = BpcCodec::new();
-        b.iter(|| {
-            for blk in &blocks {
-                black_box(codec.compressed_size(blk));
-            }
-        })
-    });
-    g.bench_function("cpack/compress-page", |b| {
-        let codec = CpackCodec::new();
-        b.iter(|| {
-            for blk in &blocks {
-                black_box(codec.compressed_size(blk));
-            }
-        })
-    });
-    g.bench_function("best-of/compress-page", |b| {
-        let codec = BestOfCodec::new();
-        b.iter(|| {
-            for blk in &blocks {
-                black_box(codec.compressed_size(blk));
-            }
-        })
-    });
+    bench_block_codec(&mut g, "bdi", BdiCodec::new(), &blocks);
+    bench_block_codec(&mut g, "bpc", BpcCodec::new(), &blocks);
+    bench_block_codec(&mut g, "cpack", CpackCodec::new(), &blocks);
+    bench_block_codec(&mut g, "best-of", BestOfCodec::new(), &blocks);
     g.finish();
+}
+
+fn bench_block_codec(
+    g: &mut BenchmarkGroup<'_>,
+    name: &str,
+    codec: impl BlockCodec,
+    blocks: &[[u8; 64]],
+) {
+    g.bench_function(&format!("{name}/size-page"), |b| {
+        b.iter(|| {
+            for blk in blocks {
+                black_box(codec.compressed_size(blk));
+            }
+        })
+    });
+    g.bench_function(&format!("{name}/compress-page"), |b| {
+        b.iter(|| {
+            for blk in blocks {
+                black_box(codec.compress(blk));
+            }
+        })
+    });
 }
 
 fn bench_deflate(c: &mut Criterion) {

@@ -5,19 +5,21 @@
 //!
 //! A block is viewed as an array of `base_size`-byte values. BDI stores one
 //! explicit base plus, per value, a narrow delta from either the explicit
-//! base or an implicit zero base (the "immediate" part). Eight encodings are
-//! tried and the smallest valid one wins:
+//! base or an implicit zero base (the "immediate" part). Each encoding has
+//! a fixed length, so the smallest valid one is found without writing any:
+//! the codec checks them in the order of this table, shortest first (at 39
+//! bytes base2-Δ1 before base4-Δ2), and the first that fits wins.
 //!
 //! | encoding     | output bytes (64 B block)          |
 //! |--------------|------------------------------------|
 //! | zeros        | 1 (header only)                    |
 //! | repeat-8     | 1 + 8                              |
 //! | base8-Δ1     | 1 + 8 + 1 + 8×1 = 18               |
-//! | base8-Δ2     | 1 + 8 + 1 + 8×2 = 26               |
-//! | base8-Δ4     | 1 + 8 + 1 + 8×4 = 42               |
 //! | base4-Δ1     | 1 + 4 + 2 + 16×1 = 23              |
-//! | base4-Δ2     | 1 + 4 + 2 + 16×2 = 39              |
+//! | base8-Δ2     | 1 + 8 + 1 + 8×2 = 26               |
 //! | base2-Δ1     | 1 + 2 + 4 + 32×1 = 39              |
+//! | base4-Δ2     | 1 + 4 + 2 + 16×2 = 39              |
+//! | base8-Δ4     | 1 + 8 + 1 + 8×4 = 42               |
 //!
 //! (The per-value mask records which base — explicit or zero — each delta is
 //! relative to.)
@@ -57,6 +59,23 @@ impl Encoding {
         })
     }
 
+    /// The base-delta encodings in the module table's order, shortest
+    /// first: the first that fits a block is its smallest.
+    const BASE_DELTA: [Self; 6] =
+        [Self::B8D1, Self::B4D1, Self::B8D2, Self::B2D1, Self::B4D2, Self::B8D4];
+
+    /// Output bytes of this encoding of a 64 B block, header included.
+    fn len(self) -> usize {
+        match self.base_delta() {
+            None if self == Self::Zeros => 1,
+            None => 1 + 8,
+            Some((bs, ds)) => {
+                let n = BLOCK_SIZE / bs;
+                1 + bs + n.div_ceil(8) + n * ds
+            }
+        }
+    }
+
     fn base_delta(self) -> Option<(usize, usize)> {
         match self {
             Self::Zeros | Self::Repeat8 => None,
@@ -68,6 +87,15 @@ impl Encoding {
             Self::B2D1 => Some((2, 1)),
         }
     }
+}
+
+/// A base-delta encoding's body: the explicit base, which values use it
+/// (bit `i` of `mask` for value `i`; its little-endian bytes are the
+/// stream's mask) and each value's delta in its low `delta_size` bytes.
+struct BaseDelta {
+    base: u64,
+    mask: u32,
+    deltas: [u64; BLOCK_SIZE / 2],
 }
 
 /// The Base-Delta-Immediate block codec.
@@ -98,17 +126,6 @@ impl BdiCodec {
         Self::default()
     }
 
-    fn values(block: &[u8; BLOCK_SIZE], size: usize) -> Vec<u64> {
-        block
-            .chunks_exact(size)
-            .map(|c| {
-                let mut v = [0u8; 8];
-                v[..size].copy_from_slice(c);
-                u64::from_le_bytes(v)
-            })
-            .collect()
-    }
-
     /// Whether `value - base` (wrapping, in `base_size`-byte arithmetic)
     /// fits in a sign-extended `delta_size`-byte delta.
     fn delta_fits(value: u64, base: u64, base_size: usize, delta_size: usize) -> Option<u64> {
@@ -130,39 +147,41 @@ impl BdiCodec {
         }
     }
 
-    fn try_base_delta(block: &[u8; BLOCK_SIZE], enc: Encoding) -> Option<Vec<u8>> {
+    /// The base-delta body of `enc` for `block`, or `None` when some value
+    /// fits neither the zero base nor the explicit one, which is the first
+    /// value that does not fit the zero base.
+    fn try_base_delta(block: &[u8; BLOCK_SIZE], enc: Encoding) -> Option<BaseDelta> {
         let (bs, ds) = enc.base_delta().expect("base-delta encoding");
-        let values = Self::values(block, bs);
-        let n = values.len();
-        // The explicit base is the first value not representable from zero.
         let mut base: Option<u64> = None;
-        let mut mask = vec![false; n]; // true = uses explicit base
-        let mut deltas = vec![0u64; n];
-        for (i, &v) in values.iter().enumerate() {
-            if let Some(d) = Self::delta_fits(v, 0, bs, ds) {
-                deltas[i] = d;
-            } else {
-                let b = *base.get_or_insert(v);
-                let d = Self::delta_fits(v, b, bs, ds)?;
-                mask[i] = true;
-                deltas[i] = d;
-            }
+        let mut body = BaseDelta { base: 0, mask: 0, deltas: [0; BLOCK_SIZE / 2] };
+        for (i, c) in block.chunks_exact(bs).enumerate() {
+            let mut v = [0u8; 8];
+            v[..bs].copy_from_slice(c);
+            let v = u64::from_le_bytes(v);
+            body.deltas[i] = match Self::delta_fits(v, 0, bs, ds) {
+                Some(d) => d,
+                None => {
+                    body.mask |= 1 << i;
+                    Self::delta_fits(v, *base.get_or_insert(v), bs, ds)?
+                }
+            };
         }
-        let base = base.unwrap_or(0);
-        let mut out = vec![enc as u8];
-        out.extend_from_slice(&base.to_le_bytes()[..bs]);
-        // Mask bytes.
-        let mut mask_bytes = vec![0u8; n.div_ceil(8)];
-        for (i, &m) in mask.iter().enumerate() {
-            if m {
-                mask_bytes[i / 8] |= 1 << (i % 8);
-            }
+        body.base = base.unwrap_or(0);
+        Some(body)
+    }
+
+    /// The encoding `compress` writes for `block`, with its body when it is
+    /// a base-delta one, or `None` when none fits.
+    fn choose(block: &[u8; BLOCK_SIZE]) -> Option<(Encoding, Option<BaseDelta>)> {
+        if block.iter().all(|&b| b == 0) {
+            return Some((Encoding::Zeros, None));
         }
-        out.extend_from_slice(&mask_bytes);
-        for &d in &deltas {
-            out.extend_from_slice(&d.to_le_bytes()[..ds]);
+        if block.chunks_exact(8).all(|c| c == &block[..8]) {
+            return Some((Encoding::Repeat8, None));
         }
-        Some(out)
+        Encoding::BASE_DELTA
+            .into_iter()
+            .find_map(|enc| Some((enc, Some(Self::try_base_delta(block, enc)?))))
     }
 }
 
@@ -172,30 +191,27 @@ impl BlockCodec for BdiCodec {
     }
 
     fn compress(&self, block: &[u8; BLOCK_SIZE]) -> Option<Vec<u8>> {
-        if block.iter().all(|&b| b == 0) {
-            return Some(vec![Encoding::Zeros as u8]);
-        }
-        if block.chunks_exact(8).all(|c| c == &block[..8]) {
-            let mut out = vec![Encoding::Repeat8 as u8];
-            out.extend_from_slice(&block[..8]);
-            return Some(out);
-        }
-        let mut best: Option<Vec<u8>> = None;
-        for enc in [
-            Encoding::B8D1,
-            Encoding::B4D1,
-            Encoding::B8D2,
-            Encoding::B2D1,
-            Encoding::B4D2,
-            Encoding::B8D4,
-        ] {
-            if let Some(out) = Self::try_base_delta(block, enc) {
-                if best.as_ref().is_none_or(|b| out.len() < b.len()) {
-                    best = Some(out);
+        let (enc, body) = Self::choose(block)?;
+        let mut out = Vec::with_capacity(enc.len());
+        out.push(enc as u8);
+        match (enc.base_delta(), body) {
+            (Some((bs, ds)), Some(body)) => {
+                let n = BLOCK_SIZE / bs;
+                out.extend_from_slice(&body.base.to_le_bytes()[..bs]);
+                out.extend_from_slice(&body.mask.to_le_bytes()[..n.div_ceil(8)]);
+                for d in &body.deltas[..n] {
+                    out.extend_from_slice(&d.to_le_bytes()[..ds]);
                 }
             }
+            _ if enc == Encoding::Repeat8 => out.extend_from_slice(&block[..8]),
+            _ => {}
         }
-        best.filter(|b| b.len() < BLOCK_SIZE)
+        debug_assert_eq!(out.len(), enc.len());
+        Some(out)
+    }
+
+    fn compressed_size(&self, block: &[u8; BLOCK_SIZE]) -> usize {
+        Self::choose(block).map_or(BLOCK_SIZE, |(enc, _)| enc.len())
     }
 
     fn try_decompress(&self, data: &[u8]) -> Result<[u8; BLOCK_SIZE], CodecError> {
@@ -217,7 +233,7 @@ impl BlockCodec for BdiCodec {
                 let (bs, ds) = enc.base_delta().expect("base-delta encoding");
                 let n = BLOCK_SIZE / bs;
                 // Fixed layout per encoding: header + base + mask + deltas.
-                let expected = 1 + bs + n.div_ceil(8) + n * ds;
+                let expected = enc.len();
                 if data.len() < expected {
                     return Err(CodecError::LengthMismatch {
                         context: "BDI base-delta body",
@@ -258,7 +274,98 @@ impl BlockCodec for BdiCodec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::sample_blocks;
+    use crate::testutil::{profile_blocks, sample_blocks};
+
+    /// The codec's earlier `compress`, kept as a reference: it writes every
+    /// base-delta encoding that fits into a vector of its own and keeps
+    /// the shortest, the earlier one on a tie.
+    fn reference_compress(block: &[u8; BLOCK_SIZE]) -> Option<Vec<u8>> {
+        if block.iter().all(|&b| b == 0) {
+            return Some(vec![Encoding::Zeros as u8]);
+        }
+        if block.chunks_exact(8).all(|c| c == &block[..8]) {
+            let mut out = vec![Encoding::Repeat8 as u8];
+            out.extend_from_slice(&block[..8]);
+            return Some(out);
+        }
+        let mut best: Option<Vec<u8>> = None;
+        for enc in [
+            Encoding::B8D1,
+            Encoding::B4D1,
+            Encoding::B8D2,
+            Encoding::B2D1,
+            Encoding::B4D2,
+            Encoding::B8D4,
+        ] {
+            if let Some(out) = reference_base_delta(block, enc) {
+                if best.as_ref().is_none_or(|b| out.len() < b.len()) {
+                    best = Some(out);
+                }
+            }
+        }
+        best.filter(|b| b.len() < BLOCK_SIZE)
+    }
+
+    fn reference_base_delta(block: &[u8; BLOCK_SIZE], enc: Encoding) -> Option<Vec<u8>> {
+        let (bs, ds) = enc.base_delta().expect("base-delta encoding");
+        let values: Vec<u64> = block
+            .chunks_exact(bs)
+            .map(|c| {
+                let mut v = [0u8; 8];
+                v[..bs].copy_from_slice(c);
+                u64::from_le_bytes(v)
+            })
+            .collect();
+        let n = values.len();
+        let mut base: Option<u64> = None;
+        let mut mask = vec![false; n];
+        let mut deltas = vec![0u64; n];
+        for (i, &v) in values.iter().enumerate() {
+            if let Some(d) = BdiCodec::delta_fits(v, 0, bs, ds) {
+                deltas[i] = d;
+            } else {
+                let b = *base.get_or_insert(v);
+                let d = BdiCodec::delta_fits(v, b, bs, ds)?;
+                mask[i] = true;
+                deltas[i] = d;
+            }
+        }
+        let base = base.unwrap_or(0);
+        let mut out = vec![enc as u8];
+        out.extend_from_slice(&base.to_le_bytes()[..bs]);
+        let mut mask_bytes = vec![0u8; n.div_ceil(8)];
+        for (i, &m) in mask.iter().enumerate() {
+            if m {
+                mask_bytes[i / 8] |= 1 << (i % 8);
+            }
+        }
+        out.extend_from_slice(&mask_bytes);
+        for &d in &deltas {
+            out.extend_from_slice(&d.to_le_bytes()[..ds]);
+        }
+        Some(out)
+    }
+
+    #[test]
+    fn compress_matches_the_all_encodings_reference() {
+        let codec = BdiCodec::new();
+        let mut hits = [0usize; 8];
+        for block in profile_blocks().iter().chain(&sample_blocks()) {
+            let out = codec.compress(block);
+            assert_eq!(out, reference_compress(block));
+            if let Some(out) = out {
+                hits[out[0] as usize] += 1;
+            }
+        }
+        assert!(hits.iter().all(|&n| n > 0), "every encoding is chosen somewhere: {hits:?}");
+    }
+
+    #[test]
+    fn table_lengths_are_the_encoded_lengths() {
+        let lengths: Vec<usize> = Encoding::BASE_DELTA.iter().map(|e| e.len()).collect();
+        assert_eq!(lengths, [18, 23, 26, 39, 39, 42]);
+        assert_eq!((Encoding::Zeros.len(), Encoding::Repeat8.len()), (1, 9));
+    }
 
     #[test]
     fn round_trips_all_samples() {

@@ -17,6 +17,11 @@ enum Winner {
     Cpack = 3,
 }
 
+impl Winner {
+    /// Every member, in header order.
+    const ALL: [Self; 4] = [Self::Zero, Self::Bdi, Self::Bpc, Self::Cpack];
+}
+
 /// Chooses the smallest output among the four block codecs.
 ///
 /// # Examples
@@ -46,24 +51,23 @@ impl BestOfCodec {
         Self::default()
     }
 
-    /// Which codec would win for this block, with its payload, if any
-    /// compresses.
-    fn best(&self, block: &[u8; BLOCK_SIZE]) -> Option<(Winner, Vec<u8>)> {
-        let mut best: Option<(Winner, Vec<u8>)> = None;
-        let candidates: [(Winner, Option<Vec<u8>>); 4] = [
-            (Winner::Zero, self.zero.compress(block)),
-            (Winner::Bdi, self.bdi.compress(block)),
-            (Winner::Bpc, self.bpc.compress(block)),
-            (Winner::Cpack, self.cpack.compress(block)),
-        ];
-        for (who, out) in candidates {
-            if let Some(out) = out {
-                if best.as_ref().is_none_or(|(_, b)| out.len() < b.len()) {
-                    best = Some((who, out));
-                }
-            }
+    fn member(&self, who: Winner) -> &dyn BlockCodec {
+        match who {
+            Winner::Zero => &self.zero,
+            Winner::Bdi => &self.bdi,
+            Winner::Bpc => &self.bpc,
+            Winner::Cpack => &self.cpack,
         }
-        best
+    }
+
+    /// The member `compress` encodes `block` with and that member's size:
+    /// the smallest, the earlier in header order on a tie.
+    fn best(&self, block: &[u8; BLOCK_SIZE]) -> (Winner, usize) {
+        Winner::ALL
+            .into_iter()
+            .map(|who| (who, self.member(who).compressed_size(block)))
+            .min_by_key(|&(_, size)| size)
+            .expect("four members")
     }
 }
 
@@ -73,35 +77,77 @@ impl BlockCodec for BestOfCodec {
     }
 
     fn compress(&self, block: &[u8; BLOCK_SIZE]) -> Option<Vec<u8>> {
-        let (winner, payload) = self.best(block)?;
-        if payload.len() + 1 >= BLOCK_SIZE {
+        let (winner, size) = self.best(block);
+        if size + 1 >= BLOCK_SIZE {
             return None;
         }
-        let mut out = Vec::with_capacity(payload.len() + 1);
+        let payload = self.member(winner).compress(block).expect("a member sized below a block");
+        let mut out = Vec::with_capacity(size + 1);
         out.push(winner as u8);
         out.extend_from_slice(&payload);
         Some(out)
     }
 
+    /// One header byte plus the smallest member's size, or [`BLOCK_SIZE`].
+    fn compressed_size(&self, block: &[u8; BLOCK_SIZE]) -> usize {
+        (self.best(block).1 + 1).min(BLOCK_SIZE)
+    }
+
     fn try_decompress(&self, data: &[u8]) -> Result<[u8; BLOCK_SIZE], CodecError> {
         let (&header, payload) =
             data.split_first().ok_or(CodecError::UnexpectedEnd { context: "best-of header" })?;
-        match header {
-            0 => self.zero.try_decompress(payload),
-            1 => self.bdi.try_decompress(payload),
-            2 => self.bpc.try_decompress(payload),
-            3 => self.cpack.try_decompress(payload),
-            other => {
-                Err(CodecError::InvalidCode { context: "best-of header", value: other as u64 })
-            }
-        }
+        let who = Winner::ALL
+            .get(header as usize)
+            .ok_or(CodecError::InvalidCode { context: "best-of header", value: header as u64 })?;
+        self.member(*who).try_decompress(payload)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::sample_blocks;
+    use crate::testutil::{profile_blocks, sample_blocks};
+
+    /// The codec's earlier `compress`, kept as a reference: it encodes the
+    /// block with every member and keeps the shortest payload, the earlier
+    /// member on a tie.
+    fn reference_compress(codec: &BestOfCodec, block: &[u8; BLOCK_SIZE]) -> Option<Vec<u8>> {
+        let mut best: Option<(Winner, Vec<u8>)> = None;
+        let candidates: [(Winner, Option<Vec<u8>>); 4] = [
+            (Winner::Zero, codec.zero.compress(block)),
+            (Winner::Bdi, codec.bdi.compress(block)),
+            (Winner::Bpc, codec.bpc.compress(block)),
+            (Winner::Cpack, codec.cpack.compress(block)),
+        ];
+        for (who, out) in candidates {
+            if let Some(out) = out {
+                if best.as_ref().is_none_or(|(_, b)| out.len() < b.len()) {
+                    best = Some((who, out));
+                }
+            }
+        }
+        let (winner, payload) = best?;
+        if payload.len() + 1 >= BLOCK_SIZE {
+            return None;
+        }
+        let mut out = vec![winner as u8];
+        out.extend_from_slice(&payload);
+        Some(out)
+    }
+
+    #[test]
+    fn compress_matches_the_every_member_reference() {
+        let codec = BestOfCodec::new();
+        let mut wins = [0usize; 4];
+        for block in profile_blocks().iter().chain(&sample_blocks()) {
+            let out = codec.compress(block);
+            assert_eq!(out, reference_compress(&codec, block));
+            if let Some(out) = out {
+                wins[out[0] as usize] += 1;
+            }
+        }
+        assert!(wins.iter().all(|&n| n > 0), "every member wins somewhere: {wins:?}");
+    }
 
     #[test]
     fn round_trips_all_samples() {

@@ -1,6 +1,10 @@
 //! MSB-first bit-granular writer/reader used by the bit-packed codecs
 //! (BPC, CPack) and by the Deflate implementation downstream.
 //!
+//! An encoder writes into a [`BitSink`]: [`BitWriter`] stores the bits,
+//! while [`BitCount`] only sums their widths, so one encoder yields both
+//! a codec's bytes and, without producing them, its exact length.
+//!
 //! Both sides run on a 64-bit accumulator with byte-granular flush/refill
 //! instead of per-bit loops, so every `put`/`try_get` is O(1) in the number
 //! of *calls*, not bits. Reads are fallible: running past the end of the
@@ -27,6 +31,25 @@ fn mask(n: u32) -> u64 {
         u64::MAX
     } else {
         (1u64 << n) - 1
+    }
+}
+
+/// Where an encoder puts its MSB-first bit fields.
+pub trait BitSink {
+    /// Appends the low `n` bits of `value`, most significant first.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n > 64`.
+    fn put(&mut self, value: u64, n: u32);
+
+    /// Number of bits put so far.
+    fn len_bits(&self) -> usize;
+
+    /// The stream length rounded up to whole bytes, the final partial
+    /// byte included.
+    fn len_bytes(&self) -> usize {
+        self.len_bits().div_ceil(8)
     }
 }
 
@@ -62,18 +85,18 @@ impl BitWriter {
         self.len_bits = 0;
     }
 
-    /// Number of bits written so far.
-    pub fn len_bits(&self) -> usize {
-        self.len_bits
+    /// Finishes the stream, returning the padded bytes.
+    pub fn into_bytes(mut self) -> Vec<u8> {
+        if self.acc_bits > 0 {
+            self.bytes.push((self.acc << (8 - self.acc_bits)) as u8);
+        }
+        self.bytes
     }
+}
 
-    /// Appends the low `n` bits of `value`, most significant first.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n > 64`.
+impl BitSink for BitWriter {
     #[inline]
-    pub fn put(&mut self, value: u64, n: u32) {
+    fn put(&mut self, value: u64, n: u32) {
         assert!(n <= 64, "cannot write more than 64 bits at once");
         if n == 0 {
             return;
@@ -95,17 +118,35 @@ impl BitWriter {
         self.acc &= mask(self.acc_bits);
     }
 
-    /// Finishes the stream, returning the padded bytes.
-    pub fn into_bytes(mut self) -> Vec<u8> {
-        if self.acc_bits > 0 {
-            self.bytes.push((self.acc << (8 - self.acc_bits)) as u8);
-        }
-        self.bytes
+    fn len_bits(&self) -> usize {
+        self.len_bits
+    }
+}
+
+/// A [`BitSink`] that keeps no bits, only their number: running an
+/// encoder into it measures the stream [`BitWriter`] would hold, with no
+/// allocation.
+#[derive(Debug, Default, Clone, Copy)]
+pub struct BitCount {
+    len_bits: usize,
+}
+
+impl BitCount {
+    /// Creates an empty count.
+    pub fn new() -> Self {
+        Self::default()
+    }
+}
+
+impl BitSink for BitCount {
+    #[inline]
+    fn put(&mut self, _value: u64, n: u32) {
+        assert!(n <= 64, "cannot write more than 64 bits at once");
+        self.len_bits += n as usize;
     }
 
-    /// The stream length rounded up to whole bytes.
-    pub fn len_bytes(&self) -> usize {
-        self.len_bits.div_ceil(8)
+    fn len_bits(&self) -> usize {
+        self.len_bits
     }
 }
 

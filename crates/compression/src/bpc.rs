@@ -21,7 +21,7 @@
 //!
 //! The base word uses a small width code (zero / 4 / 8 / 16 / 32 bits).
 
-use crate::bits::{BitReader, BitWriter};
+use crate::bits::{BitCount, BitReader, BitSink, BitWriter};
 use crate::{BlockCodec, CodecError, BLOCK_SIZE};
 
 const WORDS: usize = 16;
@@ -89,7 +89,7 @@ impl BpcCodec {
         planes
     }
 
-    fn encode_base(w: &mut BitWriter, base: u32) {
+    fn encode_base(w: &mut impl BitSink, base: u32) {
         // 2-bit width selector: 0 => zero, 1 => 8-bit, 2 => 16-bit, 3 => 32.
         if base == 0 {
             w.put(0, 2);
@@ -105,28 +105,12 @@ impl BpcCodec {
         }
     }
 
-    fn decode_base(r: &mut BitReader<'_>) -> Result<u32, CodecError> {
-        const CTX: &str = "BPC base word";
-        Ok(match r.try_get(2, CTX)? {
-            0 => 0,
-            1 => r.try_get(8, CTX)? as u32,
-            2 => r.try_get(16, CTX)? as u32,
-            _ => r.try_get(32, CTX)? as u32,
-        })
-    }
-}
-
-impl BlockCodec for BpcCodec {
-    fn name(&self) -> &'static str {
-        "bpc"
-    }
-
-    fn compress(&self, block: &[u8; BLOCK_SIZE]) -> Option<Vec<u8>> {
+    /// Writes `block`'s encoding into `w`, whatever its length.
+    fn encode(block: &[u8; BLOCK_SIZE], w: &mut impl BitSink) {
         let words = Self::words(block);
         let deltas = Self::deltas(&words);
         let dbp = Self::dbp(&deltas);
-        let mut w = BitWriter::new();
-        Self::encode_base(&mut w, words[0]);
+        Self::encode_base(w, words[0]);
 
         const ALL_ONES: u16 = (1 << DELTAS as u16) - 1;
         let mut p = 0;
@@ -164,11 +148,34 @@ impl BlockCodec for BpcCodec {
             }
             p += 1;
         }
-        if w.len_bytes() >= BLOCK_SIZE {
-            None
-        } else {
-            Some(w.into_bytes())
-        }
+    }
+
+    fn decode_base(r: &mut BitReader<'_>) -> Result<u32, CodecError> {
+        const CTX: &str = "BPC base word";
+        Ok(match r.try_get(2, CTX)? {
+            0 => 0,
+            1 => r.try_get(8, CTX)? as u32,
+            2 => r.try_get(16, CTX)? as u32,
+            _ => r.try_get(32, CTX)? as u32,
+        })
+    }
+}
+
+impl BlockCodec for BpcCodec {
+    fn name(&self) -> &'static str {
+        "bpc"
+    }
+
+    fn compress(&self, block: &[u8; BLOCK_SIZE]) -> Option<Vec<u8>> {
+        let mut w = BitWriter::with_capacity(BLOCK_SIZE);
+        Self::encode(block, &mut w);
+        (w.len_bytes() < BLOCK_SIZE).then(|| w.into_bytes())
+    }
+
+    fn compressed_size(&self, block: &[u8; BLOCK_SIZE]) -> usize {
+        let mut count = BitCount::new();
+        Self::encode(block, &mut count);
+        count.len_bytes().min(BLOCK_SIZE)
     }
 
     fn try_decompress(&self, data: &[u8]) -> Result<[u8; BLOCK_SIZE], CodecError> {

@@ -20,7 +20,7 @@
 //! the dictionary; the decompressor mirrors the exact same update rule, so
 //! no dictionary is stored in the output.
 
-use crate::bits::{BitReader, BitWriter};
+use crate::bits::{BitCount, BitReader, BitSink, BitWriter};
 use crate::{BlockCodec, CodecError, BLOCK_SIZE};
 
 const DICT_ENTRIES: usize = 16;
@@ -29,13 +29,13 @@ const DICT_ENTRIES: usize = 16;
 /// decompressor.
 #[derive(Debug, Clone)]
 struct Dict {
-    entries: Vec<u32>,
+    entries: [u32; DICT_ENTRIES],
     next: usize,
 }
 
 impl Dict {
     fn new() -> Self {
-        Self { entries: vec![0; DICT_ENTRIES], next: 0 }
+        Self { entries: [0; DICT_ENTRIES], next: 0 }
     }
 
     fn push(&mut self, word: u32) {
@@ -92,16 +92,10 @@ impl CpackCodec {
     pub fn new() -> Self {
         Self::default()
     }
-}
 
-impl BlockCodec for CpackCodec {
-    fn name(&self) -> &'static str {
-        "cpack"
-    }
-
-    fn compress(&self, block: &[u8; BLOCK_SIZE]) -> Option<Vec<u8>> {
+    /// Writes `block`'s encoding into `w`, whatever its length.
+    fn encode(block: &[u8; BLOCK_SIZE], w: &mut impl BitSink) {
         let mut dict = Dict::new();
-        let mut w = BitWriter::new();
         for chunk in block.chunks_exact(4) {
             // Big-endian view so "high bytes" are the most significant.
             let word = u32::from_be_bytes(chunk.try_into().expect("4 bytes"));
@@ -139,11 +133,24 @@ impl BlockCodec for CpackCodec {
                 }
             }
         }
-        if w.len_bytes() >= BLOCK_SIZE {
-            None
-        } else {
-            Some(w.into_bytes())
-        }
+    }
+}
+
+impl BlockCodec for CpackCodec {
+    fn name(&self) -> &'static str {
+        "cpack"
+    }
+
+    fn compress(&self, block: &[u8; BLOCK_SIZE]) -> Option<Vec<u8>> {
+        let mut w = BitWriter::with_capacity(BLOCK_SIZE);
+        Self::encode(block, &mut w);
+        (w.len_bytes() < BLOCK_SIZE).then(|| w.into_bytes())
+    }
+
+    fn compressed_size(&self, block: &[u8; BLOCK_SIZE]) -> usize {
+        let mut count = BitCount::new();
+        Self::encode(block, &mut count);
+        count.len_bytes().min(BLOCK_SIZE)
     }
 
     fn try_decompress(&self, data: &[u8]) -> Result<[u8; BLOCK_SIZE], CodecError> {

@@ -9,7 +9,12 @@
 //! Every codec here is **functionally real**: `compress` produces a byte
 //! stream that `try_decompress` restores bit-exactly, verified by unit and
 //! property tests. Compressed sizes are what the capacity accounting in the
-//! simulator consumes.
+//! simulator consumes, and [`BlockCodec::compressed_size`] measures them
+//! without producing the stream: the bit-packed codecs (BPC, CPack) run the
+//! one encoder `compress` runs into a [`BitCount`] instead of a
+//! [`BitWriter`] (both are [`BitSink`]s), BDI reads the fixed length of the
+//! smallest encoding that fits, and the composite adds its header byte to
+//! its smallest member's size. None of them allocates to size a block.
 //!
 //! # Examples
 //!
@@ -33,7 +38,7 @@ mod zero;
 
 pub use bdi::BdiCodec;
 pub use bestof::BestOfCodec;
-pub use bits::{BitReader, BitWriter};
+pub use bits::{BitCount, BitReader, BitSink, BitWriter};
 pub use bpc::BpcCodec;
 pub use cpack::CpackCodec;
 pub use error::CodecError;
@@ -63,15 +68,41 @@ pub trait BlockCodec {
     fn try_decompress(&self, data: &[u8]) -> Result<[u8; BLOCK_SIZE], CodecError>;
 
     /// The size the block occupies after compression: the encoded length,
-    /// or [`BLOCK_SIZE`] when the codec declines to compress.
-    fn compressed_size(&self, block: &[u8; BLOCK_SIZE]) -> usize {
-        self.compress(block).map_or(BLOCK_SIZE, |v| v.len())
-    }
+    /// or [`BLOCK_SIZE`] when the codec declines to compress. It always
+    /// equals `compress(block).map_or(BLOCK_SIZE, |v| v.len())`, and the
+    /// codecs of this crate compute it without encoding the block or
+    /// touching the heap.
+    fn compressed_size(&self, block: &[u8; BLOCK_SIZE]) -> usize;
 }
 
 #[cfg(test)]
 pub(crate) mod testutil {
     use super::BLOCK_SIZE;
+    use tmcc_workloads::WorkloadProfile;
+
+    /// The blocks of the first 16 pages the size model samples (index
+    /// `i * 0x9E37 + i`) from every profile of the four suites, at a fixed
+    /// seed: the data the codecs are sized on in the simulator.
+    pub fn profile_blocks() -> Vec<[u8; BLOCK_SIZE]> {
+        let profiles = WorkloadProfile::large_suite()
+            .into_iter()
+            .chain(WorkloadProfile::small_suite())
+            .chain(WorkloadProfile::bandwidth_suite())
+            .chain(WorkloadProfile::kv_suite());
+        let mut page = vec![0u8; 4096];
+        let mut blocks = Vec::new();
+        for w in profiles {
+            let content = w.page_content(0xC0FFEE);
+            for i in 0..16u64 {
+                content.fill_page(i.wrapping_mul(0x9E37) + i, &mut page);
+                blocks.extend(
+                    page.chunks_exact(BLOCK_SIZE)
+                        .map(|b| <[u8; BLOCK_SIZE]>::try_from(b).expect("64 B chunk")),
+                );
+            }
+        }
+        blocks
+    }
 
     /// A few structured blocks covering the interesting regimes.
     pub fn sample_blocks() -> Vec<[u8; BLOCK_SIZE]> {
@@ -102,5 +133,40 @@ pub(crate) mod testutil {
         }
         blocks.push(rnd);
         blocks
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::testutil::{profile_blocks, sample_blocks};
+
+    /// Every codec, sized and encoded, on every block of the workload
+    /// corpus: the size is the encoding's length and the encoding round
+    /// trips.
+    #[test]
+    fn sizes_are_encoding_lengths_on_profile_pages() {
+        let codecs: [&dyn BlockCodec; 5] = [
+            &ZeroBlockCodec::new(),
+            &BdiCodec::new(),
+            &BpcCodec::new(),
+            &CpackCodec::new(),
+            &BestOfCodec::new(),
+        ];
+        let blocks = profile_blocks();
+        for codec in codecs {
+            let mut compressed = 0;
+            for block in blocks.iter().chain(&sample_blocks()) {
+                let out = codec.compress(block);
+                let size = codec.compressed_size(block);
+                assert_eq!(size, out.as_ref().map_or(BLOCK_SIZE, Vec::len), "{}", codec.name());
+                if let Some(out) = out {
+                    compressed += 1;
+                    assert!(out.len() < BLOCK_SIZE, "{}", codec.name());
+                    assert_eq!(codec.try_decompress(&out), Ok(*block), "{}", codec.name());
+                }
+            }
+            assert!(compressed > 0, "{} compressed no corpus block", codec.name());
+        }
     }
 }

@@ -29,13 +29,25 @@ impl ZeroBlockCodec {
     }
 }
 
+fn is_zero(block: &[u8; BLOCK_SIZE]) -> bool {
+    block.iter().all(|&b| b == 0)
+}
+
 impl BlockCodec for ZeroBlockCodec {
     fn name(&self) -> &'static str {
         "zero"
     }
 
     fn compress(&self, block: &[u8; BLOCK_SIZE]) -> Option<Vec<u8>> {
-        block.iter().all(|&b| b == 0).then(|| vec![0u8])
+        is_zero(block).then(|| vec![0u8])
+    }
+
+    fn compressed_size(&self, block: &[u8; BLOCK_SIZE]) -> usize {
+        if is_zero(block) {
+            1
+        } else {
+            BLOCK_SIZE
+        }
     }
 
     fn try_decompress(&self, data: &[u8]) -> Result<[u8; BLOCK_SIZE], CodecError> {

@@ -1,11 +1,11 @@
 //! Property tests for the word-at-a-time bit I/O against a naive
 //! bit-at-a-time reference: any sequence of variable-width writes must
-//! produce the reference byte stream, and reads (in any
+//! produce the reference byte stream (and `BitCount` its length), and reads (in any
 //! try_get/peek/try_consume interleaving) must observe the reference bit
 //! sequence.
 
 use proptest::prelude::*;
-use tmcc_compression::{BitReader, BitWriter};
+use tmcc_compression::{BitCount, BitReader, BitSink, BitWriter};
 
 /// Reference writer: collects individual bits, packs MSB-first with
 /// low-bit zero padding — the stream format definition, executed one bit
@@ -54,15 +54,20 @@ proptest! {
     #[test]
     fn writer_matches_naive_reference(writes in arb_writes()) {
         let mut w = BitWriter::new();
+        let mut count = BitCount::new();
         let mut naive = NaiveWriter::default();
         for &(value, n) in &writes {
             w.put(value, n);
+            count.put(value, n);
             let masked = if n == 64 { value } else { value & ((1u64 << n) - 1) };
             naive.put(masked, n);
         }
         let total: usize = writes.iter().map(|&(_, n)| n as usize).sum();
         prop_assert_eq!(w.len_bits(), total);
-        prop_assert_eq!(w.into_bytes(), naive.into_bytes());
+        prop_assert_eq!(count.len_bits(), total);
+        let bytes = naive.into_bytes();
+        prop_assert_eq!(count.len_bytes(), bytes.len());
+        prop_assert_eq!(w.into_bytes(), bytes);
     }
 
     #[test]

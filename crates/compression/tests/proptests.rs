@@ -1,5 +1,6 @@
 //! Property tests: every block codec must restore any 64-byte block it
-//! claims to compress, across structured and adversarial inputs.
+//! claims to compress, and size it at exactly the length it encodes it to,
+//! across structured and adversarial inputs.
 
 use proptest::prelude::*;
 use tmcc_compression::{
@@ -38,7 +39,10 @@ fn arb_strided_block() -> impl Strategy<Value = [u8; BLOCK_SIZE]> {
 }
 
 fn check_round_trip(codec: &dyn BlockCodec, block: &[u8; BLOCK_SIZE]) {
-    if let Some(c) = codec.compress(block) {
+    let out = codec.compress(block);
+    let size = out.as_ref().map_or(BLOCK_SIZE, Vec::len);
+    assert_eq!(codec.compressed_size(block), size, "{}: size is the encoded length", codec.name());
+    if let Some(c) = out {
         assert!(c.len() < BLOCK_SIZE, "{}: compressed output not smaller", codec.name());
         assert_eq!(codec.try_decompress(&c).as_ref(), Ok(block), "{}: round trip", codec.name());
     }

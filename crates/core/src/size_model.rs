@@ -14,11 +14,13 @@
 //! lets callers re-draw a page's size after heavy write activity, which is
 //! how Compresso-style page-overflow events arise.
 
+use std::hash::{Hash, Hasher};
 use std::sync::{Mutex, OnceLock};
 use tmcc_compression::{BestOfCodec, BlockCodec};
 use tmcc_deflate::MemDeflate;
+use tmcc_types::addr::PAGE_SIZE;
 use tmcc_types::cte::BlockMetadata;
-use tmcc_types::fxhash::FxHashMap;
+use tmcc_types::fxhash::{FxHashMap, FxHasher};
 use tmcc_workloads::PageStore;
 
 /// Process-wide memo of sampling results, keyed by the exact concatenated
@@ -26,16 +28,46 @@ use tmcc_workloads::PageStore;
 ///
 /// Sweeps construct many systems over the *same* workload content — every
 /// grid point of an experiment, every probe of an iso-performance budget
-/// search — and each construction used to re-run the real codecs over the
-/// identical sample pages. Keying by the full page bytes makes the memo
-/// exactly behavior-preserving (two different contents can never share an
-/// entry), while a hit skips straight to the stored empirical
-/// distribution. Distinct workload images are few (tens), so the retained
-/// keys stay small; generating the page bytes to build the key costs
-/// microseconds against the milliseconds the codecs take.
-fn sample_memo() -> &'static Mutex<FxHashMap<Vec<u8>, Vec<PageSizes>>> {
-    static MEMO: OnceLock<Mutex<FxHashMap<Vec<u8>, Vec<PageSizes>>>> = OnceLock::new();
+/// search, every fleet tenant that shares a workload and seed with
+/// another, and each tenant twice (its budget probe, then its system) —
+/// and each construction used to re-run the real codecs over the identical
+/// sample pages. Keying by the full page bytes makes the memo exactly
+/// behavior-preserving (two different contents can never share an entry),
+/// while a hit skips straight to the stored empirical distribution.
+/// Distinct workload images are few (tens), so the retained keys stay
+/// small. A hit still pays for its key: every sample page is generated,
+/// copied and digested, and where hits are the rule, as in a fleet of
+/// tenants over a few images, that is most of what sampling costs. So the
+/// pages are read straight into the one buffer that becomes the key, its
+/// digest is computed before the lock is taken, and under the lock the map
+/// hashes only the digest and compares bytes only with an entry whose
+/// digest matches.
+fn sample_memo() -> &'static Mutex<FxHashMap<SampleKey, Vec<PageSizes>>> {
+    static MEMO: OnceLock<Mutex<FxHashMap<SampleKey, Vec<PageSizes>>>> = OnceLock::new();
     MEMO.get_or_init(|| Mutex::new(FxHashMap::default()))
+}
+
+/// A memo key: the sampled pages' bytes, end to end, and their digest,
+/// which is all the map hashes. Equality compares the digest, then every
+/// byte.
+#[derive(PartialEq, Eq)]
+struct SampleKey {
+    digest: u64,
+    pages: Vec<u8>,
+}
+
+impl SampleKey {
+    fn new(pages: Vec<u8>) -> Self {
+        let mut hasher = FxHasher::default();
+        hasher.write(&pages);
+        Self { digest: hasher.finish(), pages }
+    }
+}
+
+impl Hash for SampleKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.digest);
+    }
 }
 
 /// Compressed sizes of one page under the two compressor families.
@@ -92,16 +124,19 @@ impl SizeModel {
     pub fn sample_via(store: &mut PageStore, samples: usize) -> Self {
         assert!(samples > 0, "need at least one sample");
         // Spread sample indices to hit every template in the mix.
-        let pages: Vec<Vec<u8>> =
-            (0..samples as u64).map(|i| store.read(i.wrapping_mul(0x9E37) + i).to_vec()).collect();
-        let key: Vec<u8> = pages.iter().flat_map(|p| p.iter().copied()).collect();
+        let mut pages = Vec::with_capacity(samples * PAGE_SIZE);
+        for i in 0..samples as u64 {
+            pages.extend_from_slice(store.read(i.wrapping_mul(0x9E37) + i));
+        }
+        let key = SampleKey::new(pages);
         if let Some(hit) = sample_memo().lock().expect("memo poisoned").get(&key) {
             return Self { samples: hit.clone() };
         }
         let deflate = MemDeflate::default();
         let block = BestOfCodec::new();
-        let samples: Vec<PageSizes> = pages
-            .iter()
+        let samples: Vec<PageSizes> = key
+            .pages
+            .chunks_exact(PAGE_SIZE)
             .map(|page| {
                 let deflate_bytes = deflate.compressed_size(page);
                 let block_bytes = page
@@ -217,6 +252,17 @@ mod tests {
         // A different seed draws different pages, so it must miss the memo.
         let other = sampled(w.page_content(12), 8);
         assert_ne!(fresh.samples, other.samples);
+    }
+
+    #[test]
+    fn memo_keys_compare_bytes_not_only_digests() {
+        let key = |byte| SampleKey { digest: 7, pages: vec![byte; PAGE_SIZE] };
+        assert!(key(0) == key(0));
+        assert!(key(0) != key(1), "a digest collision must not share an entry");
+        let mut memo = FxHashMap::default();
+        memo.insert(key(0), 0);
+        memo.insert(key(1), 1);
+        assert_eq!((memo.get(&key(0)), memo.get(&key(1))), (Some(&0), Some(&1)));
     }
 
     #[test]

@@ -22,7 +22,7 @@
 //! (possible only for symbols rarer than `2^-root_bits`) fall back to a
 //! short sorted scan. Streams are bit-identical to the pre-table decoder's.
 
-use tmcc_compression::{BitReader, BitWriter, CodecError};
+use tmcc_compression::{BitReader, BitSink, BitWriter, CodecError};
 
 /// Number of leaves in the reduced tree (15 hot symbols + escape).
 pub const REDUCED_LEAVES: usize = 16;

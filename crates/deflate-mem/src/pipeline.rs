@@ -31,7 +31,7 @@ use std::cell::RefCell;
 use crate::huffman::{FullHuffman, ReducedHuffman, DEFAULT_MAX_DEPTH};
 use crate::lz::{LzCodec, LzScratch, LzStats};
 use crate::timing::{DeflateTiming, TimingReport};
-use tmcc_compression::{BitReader, BitWriter, CodecError};
+use tmcc_compression::{BitReader, BitSink, BitWriter, CodecError};
 use tmcc_types::crc32;
 
 /// How a page is stored (first byte of the serialized form).

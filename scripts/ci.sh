@@ -29,7 +29,9 @@ RUSTDOCFLAGS="-D warnings" cargo doc -q --workspace --no-deps
 
 echo "==> codec benches execute (TMCC_BENCH_SMOKE=1)"
 # Smoke mode shrinks criterion's warm-up/samples so this only asserts the
-# bench binary runs end to end; timings printed here are noise.
+# bench binary runs end to end; timings printed here are noise. The
+# `block-codecs` group times both paths of each codec per page:
+# `*/size-page` (`compressed_size`) and `*/compress-page` (`compress`).
 TMCC_BENCH_SMOKE=1 cargo bench -q -p tmcc-bench --bench codecs
 
 echo "==> arbiter benches execute (TMCC_BENCH_SMOKE=1)"
