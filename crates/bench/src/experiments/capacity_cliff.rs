@@ -25,13 +25,14 @@ use tmcc_workloads::WorkloadProfile;
 const GIB: u64 = 1 << 30;
 const PAGE: u64 = 4096;
 
-/// Simulated footprints in pages, per scale. Quick tops out at 100 GiB —
-/// the CI `footprint-smoke` acceptance point, which must fit under a
-/// 4 GiB host ceiling — and Full at 1 TiB.
+/// Simulated footprints in pages, per scale: 16 GiB to 1 TiB at full
+/// scale (about 3.3 GiB resident at 1 TiB) and two tiny points at the
+/// test scale. CI's `footprint-smoke` job checks a 100 GiB system under
+/// a 4 GiB host ceiling with `footprint_probe 100`, which builds TMCC at
+/// this module's budget rule.
 pub fn grid_pages(scale: Scale) -> Vec<u64> {
     match scale {
         Scale::Full => vec![16 * GIB / PAGE, 64 * GIB / PAGE, 256 * GIB / PAGE, 1024 * GIB / PAGE],
-        Scale::Quick => vec![GIB / PAGE, 16 * GIB / PAGE, 100 * GIB / PAGE],
         Scale::Test => vec![1024, 2048],
     }
 }
@@ -91,8 +92,8 @@ struct FootprintRow {
     rss_before_kb: u64,
     rss_after_kb: u64,
     /// Process-wide peak RSS at point completion, kB (monotonic across
-    /// the whole process; meaningful when the experiment runs alone, as
-    /// in the CI `footprint-smoke` job).
+    /// the whole process; meaningful when the experiment runs alone,
+    /// `tmcc-bench run capacity_cliff --jobs 1`).
     peak_rss_kb: u64,
 }
 
@@ -177,9 +178,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn grids_scale_and_quick_reaches_100_gib() {
-        let quick = grid_pages(Scale::Quick);
-        assert!(quick.iter().any(|&p| p * PAGE >= 100 * GIB), "quick must reach 100 GiB");
+    fn grids_scale_and_full_reaches_1_tib() {
         let full = grid_pages(Scale::Full);
         assert!(full.iter().any(|&p| p * PAGE >= 1024 * GIB), "full must reach 1 TiB");
         assert!(grid_pages(Scale::Test).iter().all(|&p| p <= 2048), "test points stay tiny");
@@ -187,7 +186,7 @@ mod tests {
 
     #[test]
     fn budgets_force_compression_pressure() {
-        for pages in grid_pages(Scale::Quick) {
+        for pages in grid_pages(Scale::Full) {
             let cfg = point_cfg(pages);
             let budget = cfg.dram_budget_bytes.expect("budgeted");
             assert!(budget < pages * PAGE, "budget must undercut the footprint");

@@ -26,7 +26,6 @@ use tmcc::{BitFlipPlan, SystemConfig};
 pub fn grid_events(scale: Scale) -> Vec<(&'static str, u64)> {
     match scale {
         Scale::Full => vec![("quiet", 0), ("drizzle", 12), ("storm", 48), ("hammer", 144)],
-        Scale::Quick => vec![("quiet", 0), ("drizzle", 12), ("storm", 48)],
         Scale::Test => vec![("quiet", 0), ("storm", 12)],
     }
 }
@@ -159,7 +158,7 @@ mod tests {
 
     #[test]
     fn grids_include_a_quiet_control_at_every_scale() {
-        for scale in [Scale::Full, Scale::Quick, Scale::Test] {
+        for scale in [Scale::Full, Scale::Test] {
             let grid = grid_events(scale);
             assert!(grid.iter().any(|&(_, e)| e == 0), "{scale:?} needs the flip-free control");
             assert!(grid.iter().any(|&(_, e)| e > 0), "{scale:?} needs a real storm");
@@ -170,13 +169,13 @@ mod tests {
     fn quiet_point_has_an_empty_plan() {
         // The flip-free control must not perturb pre-integrity goldens:
         // an empty plan draws nothing from the flip RNG.
-        assert!(point_cfg(Scale::Quick, 0).flip_plan.is_empty());
-        assert!(!point_cfg(Scale::Quick, 12).flip_plan.is_empty());
+        assert!(point_cfg(Scale::Full, 0).flip_plan.is_empty());
+        assert!(!point_cfg(Scale::Full, 12).flip_plan.is_empty());
     }
 
     #[test]
     fn storm_lands_inside_the_measured_window() {
-        for scale in [Scale::Full, Scale::Quick, Scale::Test] {
+        for scale in [Scale::Full, Scale::Test] {
             let (warmup, measured) = window(scale);
             for (_, events) in grid_events(scale) {
                 let cfg = point_cfg(scale, events);

@@ -19,10 +19,10 @@ use tmcc::tenancy::{ChurnKind, ChurnPlan, MultiTenantConfig, TenantSpec};
 use tmcc::{FaultKind, MultiTenantReport, QosPolicyKind, SchemeKind};
 use tmcc_workloads::WorkloadProfile;
 
-/// Per-scale scenario sizing. The quick tier mirrors the core acceptance
-/// test (`tenancy_integration.rs`) exactly, so the quarantine dynamics it
-/// asserts — adversary enters *and* exits degraded mode while every
-/// well-behaved floor holds — are what `mt_degradation --quick` shows.
+/// Per-scale scenario sizing. The full grid's adversarial
+/// proportional-share point is the one `tests/mt_isolation.rs` asserts
+/// isolation on: the adversary enters *and* exits degraded mode while
+/// every well-behaved floor holds.
 struct MtParams {
     pages: u64,
     warmup: u64,
@@ -35,9 +35,6 @@ fn params(scale: Scale) -> MtParams {
     match scale {
         Scale::Full => {
             MtParams { pages: 2_048, warmup: 2_000, quantum: 384, total: 56_000, size_samples: 16 }
-        }
-        Scale::Quick => {
-            MtParams { pages: 1_024, warmup: 800, quantum: 256, total: 28_000, size_samples: 8 }
         }
         Scale::Test => {
             MtParams { pages: 512, warmup: 300, quantum: 128, total: 9_000, size_samples: 8 }
@@ -273,14 +270,6 @@ fn fleet_params(scale: Scale) -> FleetParams {
             warmup: 100,
             quantum: 64,
             total: 800_000,
-            size_samples: 8,
-        },
-        Scale::Quick => FleetParams {
-            tenants: 1_024,
-            pages: 64,
-            warmup: 100,
-            quantum: 64,
-            total: 200_000,
             size_samples: 8,
         },
         Scale::Test => FleetParams {
@@ -583,23 +572,19 @@ pub fn run_fleet(ctx: &SweepCtx) {
 mod tests {
     use super::*;
 
-    /// The fleet acceptance floor: ≥1024 tenants at quick scale, ≥4096
-    /// at full, with the main fleet rosters' floors admissible within
-    /// the pool (the frontier points deliberately oversubscribe).
+    /// The fleet acceptance floor: ≥4096 tenants at full scale, with the
+    /// main fleet rosters' floors admissible within the pool (the
+    /// frontier points deliberately oversubscribe).
     #[test]
     fn fleet_rosters_are_fleet_sized_and_admissible() {
-        for (scale, floor) in [(Scale::Quick, 1_024), (Scale::Full, 4_096)] {
-            let points = fleet_points(scale);
-            for point in points.iter().filter(|p| p.scenario == "fleet") {
-                assert!(
-                    point.cfg.roster.len() >= floor,
-                    "{} fleet roster has only {} tenants (need {floor})",
-                    scale.name(),
-                    point.cfg.roster.len()
-                );
-                let floors: u64 = point.cfg.roster.iter().map(|t| u64::from(t.floor_frames)).sum();
-                assert!(floors <= point.cfg.pool_frames, "fleet floors exceed the pool");
-            }
+        for point in fleet_points(Scale::Full).iter().filter(|p| p.scenario == "fleet") {
+            assert!(
+                point.cfg.roster.len() >= 4_096,
+                "full fleet roster has only {} tenants (need 4096)",
+                point.cfg.roster.len()
+            );
+            let floors: u64 = point.cfg.roster.iter().map(|t| u64::from(t.floor_frames)).sum();
+            assert!(floors <= point.cfg.pool_frames, "fleet floors exceed the pool");
         }
         for point in fleet_points(Scale::Test).iter().filter(|p| p.scenario == "fleet") {
             assert!(point.cfg.roster.len() >= 128, "test fleet still exercises many tenants");
@@ -611,7 +596,7 @@ mod tests {
     /// point, and every pool still covers at least one tenant.
     #[test]
     fn frontier_points_sweep_overcommit_monotonically() {
-        for scale in [Scale::Test, Scale::Quick, Scale::Full] {
+        for scale in [Scale::Full, Scale::Test] {
             let points = fleet_points(scale);
             let frontier: Vec<_> =
                 points.iter().filter(|p| p.scenario.starts_with("frontier")).collect();

@@ -2,10 +2,9 @@
 //!
 //! ```text
 //! tmcc-bench list
-//! tmcc-bench run <name>... [--jobs N] [--quick|--test] [--out DIR]
-//!                          [--resume] [--point N]
-//! tmcc-bench run-all       [--jobs N] [--quick|--test] [--out DIR]
-//!                          [--resume]
+//! tmcc-bench run <name>... [--jobs N] [--test] [--out DIR] [--resume]
+//!                          [--point N]
+//! tmcc-bench run-all       [--jobs N] [--test] [--out DIR] [--resume]
 //! ```
 //!
 //! `run <name>` runs the named experiments, each writing its
@@ -66,7 +65,6 @@ fn usage() -> ! {
          \n\
          options:\n\
          \x20 --jobs N             worker threads (default: one per CPU)\n\
-         \x20 --quick              ~5x smaller runs (CI smoke scale)\n\
          \x20 --test               tiny runs (golden determinism scale)\n\
          \x20 --out DIR            output directory (default: repo results/)\n\
          \x20 --resume             replay completed runs from the sweep journal\n\
@@ -92,7 +90,6 @@ fn parse_options(args: &[String]) -> Options {
                 let v = it.next().unwrap_or_else(|| usage());
                 opts.jobs = v.parse().unwrap_or_else(|_| usage());
             }
-            "--quick" => opts.scale = Scale::Quick,
             "--test" => opts.scale = Scale::Test,
             "--out" => {
                 let v = it.next().unwrap_or_else(|| usage());

@@ -1,7 +1,7 @@
 //! CI performance-regression gate: diffs the per-experiment `acc/s`
-//! throughput of two `BENCH_sweep.json` summaries (a checked-in baseline
-//! vs the current quick sweep) and fails when any shared experiment
-//! regressed beyond the tolerance.
+//! throughput of two `BENCH_sweep.json` summaries (the checked-in pin,
+//! `results/BENCH_baseline.json`, vs the current full sweep) and fails
+//! when any shared experiment regressed beyond the tolerance.
 //!
 //! Only experiments that completed (`status == "ok"`) in *both* sweeps
 //! are compared; experiments present on one side only are listed as

@@ -49,8 +49,6 @@ use tmcc_workloads::WorkloadProfile;
 pub enum Scale {
     /// Paper-fidelity runs (the published `results/` files).
     Full,
-    /// ~5× smaller: CI smoke runs that still exercise every phase.
-    Quick,
     /// Tiny: the golden determinism test (seconds for the whole suite).
     Test,
 }
@@ -60,7 +58,6 @@ impl Scale {
     pub fn name(self) -> &'static str {
         match self {
             Scale::Full => "full",
-            Scale::Quick => "quick",
             Scale::Test => "test",
         }
     }
@@ -69,7 +66,6 @@ impl Scale {
     pub fn accesses(self) -> u64 {
         match self {
             Scale::Full => DEFAULT_ACCESSES,
-            Scale::Quick => 10_000,
             Scale::Test => 1_000,
         }
     }
@@ -78,7 +74,6 @@ impl Scale {
     pub fn warmup(self) -> Option<u64> {
         match self {
             Scale::Full => None,
-            Scale::Quick => Some(5_000),
             Scale::Test => Some(500),
         }
     }
@@ -87,7 +82,6 @@ impl Scale {
     pub fn content_pages(self) -> u64 {
         match self {
             Scale::Full => 384,
-            Scale::Quick => 96,
             Scale::Test => 16,
         }
     }
@@ -96,7 +90,6 @@ impl Scale {
     pub fn corpus_pages(self) -> u64 {
         match self {
             Scale::Full => 24,
-            Scale::Quick => 8,
             Scale::Test => 4,
         }
     }
@@ -107,7 +100,7 @@ impl Scale {
     /// pages and would otherwise dominate tiny runs.
     pub fn pages_cap(self) -> Option<u64> {
         match self {
-            Scale::Full | Scale::Quick => None,
+            Scale::Full => None,
             Scale::Test => Some(2_048),
         }
     }
@@ -118,7 +111,7 @@ impl Scale {
     /// for paper-scale runs, dominant at the test scale.
     pub fn size_samples(self) -> usize {
         match self {
-            Scale::Full | Scale::Quick => 128,
+            Scale::Full => 128,
             Scale::Test => 16,
         }
     }
@@ -130,7 +123,6 @@ impl Scale {
     pub fn point_budget(self) -> Duration {
         match self {
             Scale::Full => Duration::from_secs(600),
-            Scale::Quick => Duration::from_secs(120),
             Scale::Test => Duration::from_secs(60),
         }
     }

@@ -1,5 +1,5 @@
-//! Acceptance: the `mt_degradation` quick grid — exactly what
-//! `tmcc-bench run mt_degradation --quick` executes — demonstrates
+//! Acceptance: the `mt_degradation` grid — exactly what
+//! `tmcc-bench run mt_degradation` executes — demonstrates
 //! isolation. Under proportional share with an adversarial neighbor,
 //! every well-behaved tenant's achieved capacity stays at or above its
 //! floor while the adversary enters *and* exits degraded mode, and the
@@ -10,17 +10,17 @@ use tmcc::MultiTenantSystem;
 use tmcc_bench::experiments::mt::{degradation_points, MtPoint};
 use tmcc_bench::sweep::Scale;
 
-/// The quick grid's adversarial point under proportional share.
-fn quick_adversarial_point() -> MtPoint {
-    degradation_points(Scale::Quick)
+/// The full grid's adversarial point under proportional share.
+fn adversarial_point() -> MtPoint {
+    degradation_points(Scale::Full)
         .into_iter()
         .find(|p| p.scenario == "adversarial" && p.cfg.policy.name() == "proportional-share")
-        .expect("the quick grid carries an adversarial proportional-share point")
+        .expect("the grid carries an adversarial proportional-share point")
 }
 
 #[test]
-fn quick_degradation_point_isolates_the_adversary() {
-    let point = quick_adversarial_point();
+fn degradation_point_isolates_the_adversary() {
+    let point = adversarial_point();
     let mut sys = MultiTenantSystem::try_new(point.cfg).expect("scenario constructs");
     let report = sys.try_run(point.total).expect("scenario survives");
     sys.validate().expect("invariants clean after the run");
@@ -43,9 +43,9 @@ fn quick_degradation_point_isolates_the_adversary() {
 }
 
 #[test]
-fn quick_degradation_point_is_deterministic() {
+fn degradation_point_is_deterministic() {
     let run = || {
-        let point = quick_adversarial_point();
+        let point = adversarial_point();
         let mut sys = MultiTenantSystem::try_new(point.cfg).expect("scenario constructs");
         let report = sys.try_run(point.total).expect("scenario survives");
         serde_json::to_string(&report).expect("serializes")
