@@ -493,6 +493,15 @@ fn main() {
             if outcome.rss.is_some_and(|r| r.regressed) {
                 eprintln!("perf-gate: peak RSS grew beyond {rss_tolerance:.0}%");
             }
+            if !outcome.replayed.is_empty() {
+                let names: Vec<String> =
+                    outcome.replayed.iter().map(|(name, n)| format!("{name} ({n})")).collect();
+                eprintln!(
+                    "perf-gate: the current sweep replayed journaled points, so its acc/s is \
+                     not comparable; gate a fresh sweep: {}",
+                    names.join(", ")
+                );
+            }
             if outcome.failed() {
                 std::process::exit(1);
             }

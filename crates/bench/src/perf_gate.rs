@@ -5,8 +5,14 @@
 //!
 //! Only experiments that completed (`status == "ok"`) in *both* sweeps
 //! are compared; experiments present on one side only are listed as
-//! skipped, never silently dropped. Speedups always pass — the gate is
-//! one-sided.
+//! skipped, never silently dropped, and so are experiments whose baseline
+//! simulates no accesses (0 acc/s), which acc/s cannot judge. Speedups
+//! always pass — the gate is one-sided.
+//!
+//! A current sweep that replayed journaled points (`points_replayed > 0`,
+//! a `--resume`) fails the gate outright: a replay adds its accesses but
+//! almost none of their busy time, so its acc/s reads high whatever the
+//! code's speed.
 //!
 //! The gate also compares the sweeps' `peak_rss_kb` (peak host RSS over
 //! the whole suite), one-sided the other way: using *less* memory always
@@ -60,9 +66,12 @@ pub struct GateOutcome {
     /// Peak-RSS comparison; `None` when either summary predates the
     /// `peak_rss_kb` field (reported under `skipped`).
     pub rss: Option<RssGate>,
-    /// Experiments skipped (missing or not `ok` on one side), with the
-    /// reason.
+    /// Experiments skipped (missing or not `ok` on one side, or with no
+    /// accesses in the baseline), with the reason.
     pub skipped: Vec<String>,
+    /// Experiments of the current sweep that replayed journaled points,
+    /// with how many; any of them fails the gate.
+    pub replayed: Vec<(String, u64)>,
 }
 
 impl GateOutcome {
@@ -71,9 +80,12 @@ impl GateOutcome {
         self.rows.iter().filter(|r| r.regressed).map(|r| r.name.as_str()).collect()
     }
 
-    /// Whether the gate fails overall (throughput or RSS).
+    /// Whether the gate fails overall (throughput, RSS, or a resumed
+    /// current sweep).
     pub fn failed(&self) -> bool {
-        !self.regressions().is_empty() || self.rss.is_some_and(|r| r.regressed)
+        !self.regressions().is_empty()
+            || self.rss.is_some_and(|r| r.regressed)
+            || !self.replayed.is_empty()
     }
 }
 
@@ -85,9 +97,17 @@ fn peak_rss_kb(json: &str, label: &str) -> Result<Option<u64>, String> {
     Ok(parsed.get("peak_rss_kb").and_then(Value::as_u64).filter(|&kb| kb > 0))
 }
 
-/// Per-experiment `(name, status, accesses_per_sec)` out of one
-/// `BENCH_sweep.json` text.
-fn experiments(json: &str, label: &str) -> Result<Vec<(String, String, f64)>, String> {
+/// One experiment's row of a sweep summary.
+struct Entry {
+    name: String,
+    status: String,
+    aps: f64,
+    /// Journaled points replayed rather than simulated (0 when absent).
+    replayed: u64,
+}
+
+/// Per-experiment entries out of one `BENCH_sweep.json` text.
+fn experiments(json: &str, label: &str) -> Result<Vec<Entry>, String> {
     let value = serde_json::from_str(json).map_err(|e| format!("{label}: unparsable: {e}"))?;
     let entries = value
         .get("experiments")
@@ -104,7 +124,8 @@ fn experiments(json: &str, label: &str) -> Result<Vec<(String, String, f64)>, St
             .get("accesses_per_sec")
             .and_then(Value::as_f64)
             .ok_or_else(|| format!("{label}: {name} has no accesses_per_sec"))?;
-        out.push((name.to_string(), status.to_string(), aps));
+        let replayed = e.get("points_replayed").and_then(Value::as_u64).unwrap_or(0);
+        out.push(Entry { name: name.to_string(), status: status.to_string(), aps, replayed });
     }
     Ok(out)
 }
@@ -136,35 +157,39 @@ pub fn evaluate(
             outcome.skipped.push(format!("peak_rss_kb: missing from {side} (pre-RSS sweep?)"));
         }
     }
-    for (name, status, baseline_aps) in &baseline {
+    outcome.replayed =
+        current.iter().filter(|e| e.replayed > 0).map(|e| (e.name.clone(), e.replayed)).collect();
+    for Entry { name, status, aps: baseline_aps, .. } in &baseline {
         if status != "ok" {
             outcome.skipped.push(format!("{name}: baseline status {status}"));
             continue;
         }
-        let Some((_, cur_status, current_aps)) = current.iter().find(|(n, _, _)| n == name) else {
+        let Some(cur) = current.iter().find(|e| &e.name == name) else {
             outcome.skipped.push(format!("{name}: missing from current sweep"));
             continue;
         };
-        if cur_status != "ok" {
-            outcome.skipped.push(format!("{name}: current status {cur_status}"));
+        if cur.status != "ok" {
+            outcome.skipped.push(format!("{name}: current status {}", cur.status));
             continue;
         }
-        let delta_pct = if *baseline_aps > 0.0 {
-            (current_aps - baseline_aps) / baseline_aps * 100.0
-        } else {
-            0.0
-        };
+        if *baseline_aps <= 0.0 {
+            outcome.skipped.push(format!("{name}: simulates no accesses (0 acc/s in baseline)"));
+            continue;
+        }
+        if cur.replayed > 0 {
+            continue; // listed in `replayed`, which fails the gate
+        }
         outcome.rows.push(GateRow {
             name: name.clone(),
             baseline_aps: *baseline_aps,
-            current_aps: *current_aps,
-            delta_pct,
-            regressed: *current_aps < baseline_aps * (1.0 - tolerance_pct / 100.0),
+            current_aps: cur.aps,
+            delta_pct: (cur.aps - baseline_aps) / baseline_aps * 100.0,
+            regressed: cur.aps < baseline_aps * (1.0 - tolerance_pct / 100.0),
         });
     }
-    for (name, _, _) in &current {
-        if !baseline.iter().any(|(n, _, _)| n == name) {
-            outcome.skipped.push(format!("{name}: missing from baseline (new experiment?)"));
+    for e in &current {
+        if !baseline.iter().any(|b| b.name == e.name) {
+            outcome.skipped.push(format!("{}: missing from baseline (new experiment?)", e.name));
         }
     }
     Ok(outcome)
@@ -223,6 +248,54 @@ mod tests {
         assert!(outcome.regressions().is_empty());
         let perf_skips = outcome.skipped.iter().filter(|s| !s.starts_with("peak_rss_kb")).count();
         assert_eq!(perf_skips, 3, "a, b and d all reported: {:?}", outcome.skipped);
+    }
+
+    #[test]
+    fn zero_access_experiments_are_skipped_not_judged() {
+        // fig06-style rows: 0 acc/s on both sides can never regress, so
+        // they are listed as skipped instead of reading "ok".
+        let baseline = sweep(&[("fig06", "ok", 0.0), ("fig15", "ok", 0.0), ("a", "ok", 1000.0)]);
+        let current = sweep(&[("fig06", "ok", 0.0), ("fig15", "ok", 0.0), ("a", "ok", 990.0)]);
+        let outcome =
+            evaluate(&baseline, &current, 15.0, DEFAULT_RSS_TOLERANCE_PCT).expect("evaluates");
+        let judged: Vec<&str> = outcome.rows.iter().map(|r| r.name.as_str()).collect();
+        assert_eq!(judged, vec!["a"], "only the experiment with accesses is judged");
+        for name in ["fig06", "fig15"] {
+            assert!(
+                outcome.skipped.iter().any(|s| s.starts_with(name) && s.contains("no accesses")),
+                "{name} is skipped with its reason: {:?}",
+                outcome.skipped
+            );
+        }
+        assert!(!outcome.failed());
+    }
+
+    #[test]
+    fn a_resumed_current_sweep_fails_and_names_the_replays() {
+        let row = |name: &str, aps: f64, replayed: u64| {
+            format!(
+                "{{\"name\":\"{name}\",\"status\":\"ok\",\"accesses_per_sec\":{aps},\
+                 \"points_replayed\":{replayed}}}"
+            )
+        };
+        let baseline =
+            format!("{{\"experiments\":[{},{}]}}", row("fig01", 2.4e6, 0), row("fig02", 2.5e6, 0));
+        // fig01's replayed points inflate its acc/s to 35 M: never a pass.
+        let current = format!(
+            "{{\"experiments\":[{},{}]}}",
+            row("fig01", 35.2e6, 11),
+            row("fig02", 2.5e6, 0)
+        );
+        let outcome = evaluate(&baseline, &current, 15.0, 25.0).expect("evaluates");
+        assert_eq!(outcome.replayed, vec![("fig01".to_string(), 11)]);
+        assert!(outcome.regressions().is_empty(), "fig02 is within tolerance");
+        assert!(outcome.rows.iter().all(|r| r.name != "fig01"), "a replayed row is not judged");
+        assert!(outcome.failed(), "a resumed sweep cannot pass the gate");
+        // The same sweep without replays passes.
+        let fresh =
+            format!("{{\"experiments\":[{},{}]}}", row("fig01", 2.4e6, 0), row("fig02", 2.5e6, 0));
+        let outcome = evaluate(&baseline, &fresh, 15.0, 25.0).expect("evaluates");
+        assert!(outcome.replayed.is_empty() && !outcome.failed());
     }
 
     #[test]

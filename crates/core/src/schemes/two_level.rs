@@ -37,6 +37,7 @@ use crate::size_model::SizeModel;
 use crate::stats::SimStats;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use std::cell::Cell;
 use std::collections::VecDeque;
 use tmcc_deflate::{DeflateParams, DeflateTiming, IbmDeflateModel, MemDeflate};
 use tmcc_sim_dram::DramSim;
@@ -312,6 +313,10 @@ pub struct TwoLevelScheme {
     /// Embedded-CTE lookups left to forcibly treat as stale (fault).
     force_stale: u64,
     rng: SmallRng,
+    /// `validate`'s map of the ML1 frames it has seen, kept between calls
+    /// so that an audit of a warm scheme allocates nothing. Audit scratch,
+    /// not simulated metadata: `metadata_heap_bytes` leaves it out.
+    audit_frames: Cell<BitVec>,
 }
 
 impl TwoLevelScheme {
@@ -425,6 +430,7 @@ impl TwoLevelScheme {
             size_inflation_pct: 0,
             force_stale: 0,
             rng: SmallRng::seed_from_u64(seed ^ 0x2_1E5E1),
+            audit_frames: Cell::default(),
         };
         s.place_pages(page_table, data_pages, split, &placements);
         Ok(s)
@@ -796,6 +802,68 @@ impl TwoLevelScheme {
             self.migration_buffer.push_back(t);
         }
         Ok(done)
+    }
+
+    /// The checks [`Scheme::validate`] makes, with `frames_seen` as the
+    /// scratch map of ML1 frames (reset here, so its storage is reused).
+    fn audit_placement(&self, frames_seen: &mut BitVec) -> Result<(), TmccError> {
+        // The CTE is derived from the placement (see `cte_of`), so the
+        // old CTE↔placement lockstep checks hold by construction; what
+        // remains auditable is the placement itself.
+        let mut ml1_resident = 0usize;
+        frames_seen.reset(self.next_frame_id as usize);
+        for (ppn, info) in self.pages.iter() {
+            match info.place {
+                Placement::Ml1 { frame } => {
+                    ml1_resident += 1;
+                    if frame >= self.next_frame_id {
+                        return Err(TmccError::InvariantViolation {
+                            detail: format!(
+                                "page {ppn:#x}: ML1 frame {frame} was never minted \
+                                 (next id {})",
+                                self.next_frame_id
+                            ),
+                        });
+                    }
+                    if !frames_seen.set(frame as usize) {
+                        return Err(TmccError::InvariantViolation {
+                            detail: format!("frame {frame} backs more than one ML1 page"),
+                        });
+                    }
+                }
+                Placement::Ml2 { sub, comp_bytes } => {
+                    // A dangling sub-chunk surfaces as a typed error here.
+                    let _addr = self.ml2.try_addr_of(sub)?;
+                    if comp_bytes as usize > self.ml2.class_size(sub.class) {
+                        return Err(TmccError::InvariantViolation {
+                            detail: format!(
+                                "page {ppn:#x}: {comp_bytes} compressed bytes overflow \
+                                 its {}-byte class",
+                                self.ml2.class_size(sub.class)
+                            ),
+                        });
+                    }
+                }
+            }
+        }
+        // Frame conservation: every frame the budget covers (plus the
+        // ones a shrink has yet to reclaim) is free, owned by ML2, or
+        // backing exactly one resident ML1 page.
+        let held = self.ml1_free.len() + self.ml2.owned_chunks() + ml1_resident;
+        let budgeted = self.total_frames as usize + self.reclaim_debt as usize;
+        if held != budgeted {
+            return Err(TmccError::InvariantViolation {
+                detail: format!(
+                    "frame conservation broken: {} free + {} ML2-owned + {ml1_resident} \
+                     ML1-resident = {held}, budget covers {budgeted} ({} total + {} debt)",
+                    self.ml1_free.len(),
+                    self.ml2.owned_chunks(),
+                    self.total_frames,
+                    self.reclaim_debt
+                ),
+            });
+        }
+        Ok(())
     }
 }
 
@@ -1241,63 +1309,10 @@ impl Scheme for TwoLevelScheme {
     }
 
     fn validate(&self) -> Result<(), TmccError> {
-        // The CTE is derived from the placement (see `cte_of`), so the
-        // old CTE↔placement lockstep checks hold by construction; what
-        // remains auditable is the placement itself.
-        let mut ml1_resident = 0usize;
-        let mut frames_seen = BitVec::with_len(self.next_frame_id as usize);
-        for (ppn, info) in self.pages.iter() {
-            match info.place {
-                Placement::Ml1 { frame } => {
-                    ml1_resident += 1;
-                    if frame >= self.next_frame_id {
-                        return Err(TmccError::InvariantViolation {
-                            detail: format!(
-                                "page {ppn:#x}: ML1 frame {frame} was never minted \
-                                 (next id {})",
-                                self.next_frame_id
-                            ),
-                        });
-                    }
-                    if !frames_seen.set(frame as usize) {
-                        return Err(TmccError::InvariantViolation {
-                            detail: format!("frame {frame} backs more than one ML1 page"),
-                        });
-                    }
-                }
-                Placement::Ml2 { sub, comp_bytes } => {
-                    // A dangling sub-chunk surfaces as a typed error here.
-                    let _addr = self.ml2.try_addr_of(sub)?;
-                    if comp_bytes as usize > self.ml2.class_size(sub.class) {
-                        return Err(TmccError::InvariantViolation {
-                            detail: format!(
-                                "page {ppn:#x}: {comp_bytes} compressed bytes overflow \
-                                 its {}-byte class",
-                                self.ml2.class_size(sub.class)
-                            ),
-                        });
-                    }
-                }
-            }
-        }
-        // Frame conservation: every frame the budget covers (plus the
-        // ones a shrink has yet to reclaim) is free, owned by ML2, or
-        // backing exactly one resident ML1 page.
-        let held = self.ml1_free.len() + self.ml2.owned_chunks() + ml1_resident;
-        let budgeted = self.total_frames as usize + self.reclaim_debt as usize;
-        if held != budgeted {
-            return Err(TmccError::InvariantViolation {
-                detail: format!(
-                    "frame conservation broken: {} free + {} ML2-owned + {ml1_resident} \
-                     ML1-resident = {held}, budget covers {budgeted} ({} total + {} debt)",
-                    self.ml1_free.len(),
-                    self.ml2.owned_chunks(),
-                    self.total_frames,
-                    self.reclaim_debt
-                ),
-            });
-        }
-        Ok(())
+        let mut frames_seen = self.audit_frames.take();
+        let audit = self.audit_placement(&mut frames_seen);
+        self.audit_frames.set(frames_seen);
+        audit
     }
 
     fn drain_evicted_pages(&mut self, out: &mut Vec<Ppn>) {
@@ -1887,6 +1902,7 @@ mod tests {
             size_inflation_pct: 0,
             force_stale: 0,
             rng: SmallRng::seed_from_u64(seed ^ 0x2_1E5E1),
+            audit_frames: Cell::default(),
         };
         let infeasible = |required_frames, stage| TmccError::InfeasibleBudget {
             budget_frames: budget_frames.into(),

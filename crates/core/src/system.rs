@@ -39,7 +39,7 @@ use tmcc_sim_dram::DramSim;
 use tmcc_sim_mem::hierarchy::NOC_LATENCY_NS;
 use tmcc_sim_mem::page_table::{WalkStep, VIRTUAL_PAGES};
 use tmcc_sim_mem::{CacheHierarchy, HitLevel, PageTable, PageTableConfig, PageWalker, Tlb};
-use tmcc_types::addr::Ppn;
+use tmcc_types::addr::{Ppn, BLOCKS_PER_PAGE};
 use tmcc_types::pte::PageTableBlock;
 use tmcc_workloads::{AccessStream, PageStore};
 
@@ -77,6 +77,35 @@ fn two_level_budget_frames(
         return Err(frame_limit_error(frames));
     }
     Ok(frames as u32)
+}
+
+/// Fails with [`TmccError::ScaleLimit`] when a run could present a key
+/// past the TLB's or a cache level's tag range (a tag is a key's low 32
+/// bits, and only keys below 2^(32+s) for 2^s sets are named exactly):
+/// the VPNs `0..pages`, or the block addresses of the data pages and the
+/// table region above them.
+fn check_tag_range(
+    pages: u64,
+    page_table: &PageTable,
+    tlb: &Tlb,
+    hierarchy: &CacheHierarchy,
+) -> Result<(), TmccError> {
+    if pages > tlb.vpn_limit() {
+        return Err(TmccError::ScaleLimit {
+            quantity: "virtual pages (TLB tag range)",
+            requested: pages,
+            limit: tlb.vpn_limit(),
+        });
+    }
+    let blocks = pages.max(page_table.table_ppns().end) * BLOCKS_PER_PAGE as u64;
+    if blocks > hierarchy.block_limit() {
+        return Err(TmccError::ScaleLimit {
+            quantity: "block addresses (cache tag range)",
+            requested: blocks,
+            limit: hierarchy.block_limit(),
+        });
+    }
+    Ok(())
 }
 
 /// A complete simulated system.
@@ -148,9 +177,9 @@ impl System {
     /// Builds the system, returning [`TmccError::InfeasibleBudget`] when
     /// the configured DRAM budget cannot hold the workload even fully
     /// compressed, and [`TmccError::ScaleLimit`] when the footprint or
-    /// budget exceeds what the simulator can number (page handles and
-    /// frame numbers for the two-level schemes, chunk numbers for
-    /// Compresso).
+    /// budget exceeds what the simulator can number (the TLB's and the
+    /// caches' tags, page handles and frame numbers for the two-level
+    /// schemes, chunk numbers for Compresso).
     pub fn try_new(cfg: SystemConfig) -> Result<Self, TmccError> {
         let pages = cfg.workload.sim_pages;
         if pages > VIRTUAL_PAGES {
@@ -163,8 +192,11 @@ impl System {
         let page_table =
             PageTable::identity(PageTableConfig::for_data_pages(pages, cfg.huge_pages), pages);
         let table_pages = page_table.table_page_count() as u64;
+        let tlb = Tlb::new(cfg.tlb_entries, 8);
+        let hierarchy = CacheHierarchy::new(cfg.hierarchy);
         // Checked before the size model is sampled or any per-page state
         // allocated, so an out-of-range configuration fails at once.
+        check_tag_range(pages, &page_table, &tlb, &hierarchy)?;
         let budget_frames = match cfg.scheme {
             SchemeKind::OsInspired | SchemeKind::Tmcc => {
                 two_level_budget_frames(&cfg, pages, table_pages)?
@@ -206,9 +238,9 @@ impl System {
         let flip_rng = SmallRng::seed_from_u64(cfg.seed ^ 0xB17_F11B5);
 
         Ok(Self {
-            tlb: Tlb::new(cfg.tlb_entries, 8),
+            tlb,
             walker: PageWalker::paper_default(),
-            hierarchy: CacheHierarchy::new(cfg.hierarchy),
+            hierarchy,
             dram: DramSim::new(cfg.dram, cfg.interleave),
             scheme,
             page_table,

@@ -168,3 +168,47 @@ fn compresso_chunk_numbers_past_u32_are_a_typed_error() {
     assert!(err.to_string().contains("Compresso chunks (32-bit chunk numbers)"), "{err}");
     assert!(took < Duration::from_secs(1), "rejection took {took:?}");
 }
+
+#[test]
+fn footprint_past_the_cache_tag_range_is_a_typed_error() {
+    // A cache tag is a block address's low 32 bits, so the default 128-set
+    // L1 names 2^39 blocks (32 TiB) exactly. A 32 TiB NoCompression
+    // footprint (2^33 pages) puts its table region past that; the schemes
+    // that compress stop at their own limits first.
+    let (err, took) = rejection(tb_scale(1 << 33, SchemeKind::NoCompression));
+    assert!(
+        matches!(err, TmccError::ScaleLimit { requested, limit, .. }
+            if requested > 1 << 39 && limit == 1 << 39),
+        "got: {err}"
+    );
+    assert!(err.to_string().contains("block addresses (cache tag range)"), "{err}");
+    assert!(took < Duration::from_secs(1), "rejection took {took:?}");
+}
+
+#[test]
+fn vpns_past_the_tlb_tag_range_are_a_typed_error() {
+    // An 8-entry, 8-way TLB has one set, so its tags name 2^32 VPNs.
+    let mut cfg = tb_scale((1 << 32) + 1, SchemeKind::NoCompression);
+    cfg.tlb_entries = 8;
+    let (err, took) = rejection(cfg);
+    assert!(
+        matches!(err, TmccError::ScaleLimit { requested, limit, .. }
+            if requested == (1 << 32) + 1 && limit == 1 << 32),
+        "got: {err}"
+    );
+    assert!(err.to_string().contains("virtual pages (TLB tag range)"), "{err}");
+    assert!(took < Duration::from_secs(1), "rejection took {took:?}");
+}
+
+#[test]
+fn the_largest_footprint_the_tags_name_runs() {
+    // 2^33 - 2^25 data pages and their table region end below PPN 2^33,
+    // so every block stays below the L1's 2^39: the system builds in
+    // O(1) and runs, page walks into the top of the table region
+    // included, with no tag assert firing.
+    let pages = (1u64 << 33) - (1 << 25);
+    let mut sys = System::try_new(tb_scale(pages, SchemeKind::NoCompression)).expect("in range");
+    let r = sys.try_run(10_000).expect("run completes");
+    assert_eq!(r.stats.accesses, 10_000);
+    assert!(r.stats.walker_fetches > 0, "the run walks the table region");
+}

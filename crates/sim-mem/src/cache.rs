@@ -7,35 +7,79 @@
 //! has a packed one-word-per-way directory
 //! ([`PackedCteSlots`](crate::PackedCteSlots)).
 //!
-//! A set holds at most eight ways and is one host cache line of keys.
-//! Each set has one `u16` index entry, allocated zeroed with the cache,
-//! where 0 means the set was never filled and `b` points at block `b - 1`
-//! of three parallel append-only slabs: a 64-byte-aligned block of eight
-//! keys, a `u64` meta word, and (for a non-empty payload type) a block of
+//! A set holds at most eight ways. Each set has one `u16` index entry,
+//! allocated zeroed with the cache, where 0 means the set was never filled
+//! and `b` points at block `b - 1` of three parallel append-only slabs: a
+//! 32-byte-aligned block of eight 32-bit tags (two sets to a host cache
+//! line), a `u64` meta word, and (for a non-empty payload type) a block of
 //! eight payloads. The slabs reserve their full capacity once, on the
 //! first fill, and a set gets its block the first time it is filled; no
 //! set is allocated, grown or moved on its own, so only the sets a run
 //! touches become resident.
 //!
-//! A free way holds the sentinel key `u64::MAX`, so a probe compares all
-//! eight keys, with no early exit and nothing else read. The meta word
-//! holds the set's recency order as eight 4-bit way numbers, most recent
-//! first, and the dirty mask above it. Free ways sit at the least recent
-//! end of the order, so the victim is always the order's last way: a
-//! free way while the set has one, else the least recently touched line.
-//! Touching a line moves its nibble to the front and invalidating one
-//! moves it to the back, each a few shifts of the meta word.
+//! A way's tag is the low 32 bits of its key. The set index is bits 32 and
+//! up of the key times an odd constant, masked to the set count 2^s, so
+//! keys below 2^(32+s) that share their low 32 bits always land in
+//! different sets: a set and a tag name exactly one key, and an evicted
+//! line's full key is rebuilt from them (`key_of`). A key at or past
+//! 2^(32+s) fails an assert ([`SetAssocCache::key_limit`]).
+//!
+//! The meta word holds the set's recency order as eight 4-bit way
+//! numbers, most recent first, then the dirty mask and the valid mask. A
+//! probe compares all eight tags, with no early exit, and masks the
+//! matches with the valid bits. Free ways sit at the least recent end of
+//! the order, so the victim is always the order's last way: a free way
+//! while the set has one, else the least recently touched line. Touching
+//! a line moves its nibble to the front and invalidating one clears its
+//! valid bit and moves it to the back, each a few shifts of the meta word.
 
-/// Key of a free way. No simulated key reaches it: block addresses, VPNs
-/// and page-walk keys all sit far below 2^63.
-const FREE: u64 = u64::MAX;
-/// Ways per set at most: one key block, one nibble per way in the order.
+/// Ways per set at most: one tag block, one nibble per way in the order.
 const MAX_WAYS: usize = 8;
 /// Bit offset of the dirty mask in a meta word, above the 32-bit order.
 const DIRTY_SHIFT: usize = 32;
+/// Bit offset of the valid mask in a meta word, above the dirty mask.
+const VALID_SHIFT: usize = 40;
+/// The odd multiplier of the set-index hash (2^64 over the golden ratio).
+const MUL: u64 = 0x9E37_79B9_7F4A_7C15;
+/// The inverse of `MUL` mod 2^32.
+const MUL_INV: u32 = inverse(MUL as u32);
+const _: () = assert!((MUL as u32).wrapping_mul(MUL_INV) == 1);
 
-/// One set's worth of keys or payloads; a block of keys is one host
-/// cache line.
+/// The inverse of an odd `a` mod 2^32 by Newton's iteration: `a` is its
+/// own inverse mod 8, and each step doubles the bits that are right.
+const fn inverse(a: u32) -> u32 {
+    let mut x = a;
+    let mut steps = 0;
+    while steps < 4 {
+        x = x.wrapping_mul(2u32.wrapping_sub(a.wrapping_mul(x)));
+        steps += 1;
+    }
+    x
+}
+
+/// Bits 32..64 of `key × MUL`: the hash a set index is the low bits of.
+fn hash(key: u64) -> u32 {
+    (key.wrapping_mul(MUL) >> 32) as u32
+}
+
+/// The key of `tag` in set `set` of a store of `mask + 1` = 2^s sets: the
+/// one key below 2^(32+s) with that set and low 32 bits `tag`.
+///
+/// Write the key as `tag + j·2^32` with `j < 2^s`. The low 32 bits of
+/// `j·2^32 × MUL` are zero, so adding it to `tag × MUL` carries nothing
+/// into bit 32, and the key's set is `(hash(tag) + j·MUL) mod 2^s`. `MUL`
+/// is odd, so `j = (set − hash(tag))·MUL⁻¹ mod 2^s`.
+fn key_of(set: usize, tag: u32, mask: usize) -> u64 {
+    let high = (set as u32).wrapping_sub(hash(u64::from(tag))).wrapping_mul(MUL_INV);
+    u64::from(high & mask as u32) << 32 | u64::from(tag)
+}
+
+/// One set's tags: two blocks to a host cache line.
+#[derive(Debug, Clone, Copy)]
+#[repr(C, align(32))]
+struct Tags([u32; MAX_WAYS]);
+
+/// One set's payloads.
 #[derive(Debug, Clone, Copy)]
 #[repr(C, align(64))]
 struct Block<T>([T; MAX_WAYS]);
@@ -60,6 +104,7 @@ pub type Evicted<P> = (u64, bool, P);
 /// use tmcc_sim_mem::SetAssocCache;
 ///
 /// let mut c: SetAssocCache<u32> = SetAssocCache::new(2, 4); // 8 lines
+/// assert_eq!(c.key_limit(), 1 << 33, "keys below 2^(32 + log2 sets)");
 /// assert!(!c.access(42, false, 7).0.is_hit());
 /// assert!(c.access(42, false, 8).0.is_hit());
 /// assert_eq!(c.lookup(42), Some(7), "a hit keeps the fill's payload");
@@ -70,15 +115,18 @@ pub type Evicted<P> = (u64, bool, P);
 pub struct SetAssocCache<P> {
     /// Per set: 0 if never filled, else 1 + its block's index.
     sets: Vec<u16>,
-    /// Per filled set: its keys, `FREE` in a free way.
-    keys: Vec<Block<u64>>,
+    /// Per filled set: each way's tag, the low 32 bits of its key (stale
+    /// in a free way).
+    tags: Vec<Tags>,
     /// Per filled set: the recency order (bits 0..32, way numbers most
-    /// recent first) and the dirty mask (bits 32..40; a free way's bit is
-    /// stale until a fill sets it).
+    /// recent first), the dirty mask (bits 32..40; a free way's bit is
+    /// stale until a fill sets it) and the valid mask (bits 40..48).
     meta: Vec<u64>,
     /// Per filled set: its payloads (no memory for `()`).
     payloads: Vec<Block<P>>,
     ways: usize,
+    /// `32 + s` for 2^s sets: every key is below `1 << key_bits`.
+    key_bits: u32,
 }
 
 impl CacheOutcome {
@@ -123,6 +171,11 @@ fn dirty_bit(w: usize) -> u64 {
     1 << (DIRTY_SHIFT + w)
 }
 
+/// The valid bit of way `w`.
+fn valid_bit(w: usize) -> u64 {
+    1 << (VALID_SHIFT + w)
+}
+
 impl<P: Copy> SetAssocCache<P> {
     /// Creates a cache with `num_sets` sets of `ways` lines. Only the
     /// zeroed set index is allocated here.
@@ -137,89 +190,112 @@ impl<P: Copy> SetAssocCache<P> {
         assert!(num_sets.is_power_of_two(), "set count must be a power of two");
         assert!(num_sets <= 1 << 15, "set count must fit the u16 set index");
         let sets = vec![0; num_sets];
-        Self { sets, keys: Vec::new(), meta: Vec::new(), payloads: Vec::new(), ways }
+        let key_bits = 32 + num_sets.trailing_zeros();
+        Self { sets, tags: Vec::new(), meta: Vec::new(), payloads: Vec::new(), ways, key_bits }
     }
 
+    /// One past the largest key the cache takes: 2^(32+s) for 2^s sets.
+    /// Every operation panics on a key at or past it.
+    pub fn key_limit(&self) -> u64 {
+        1 << self.key_bits
+    }
+
+    /// The set of `key`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `key` is at or past [`key_limit`](Self::key_limit), where
+    /// its tag and set would name another key.
     fn set_of(&self, key: u64) -> usize {
-        // Multiplicative hash spreads structured keys across sets.
-        (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize & (self.sets.len() - 1)
+        assert!(
+            key >> self.key_bits == 0,
+            "key {key:#x} is at or past 2^{}, the key range of a {}-set cache",
+            self.key_bits,
+            self.sets.len()
+        );
+        hash(key) as usize & (self.sets.len() - 1)
     }
 
-    /// The block of `key`'s set, if the set was ever filled.
-    fn block(&self, key: u64) -> Option<usize> {
-        match self.sets[self.set_of(key)] {
+    /// The block of `set`, if the set was ever filled.
+    fn block(&self, set: usize) -> Option<usize> {
+        match self.sets[set] {
             0 => None,
             b => Some(b as usize - 1),
         }
     }
 
-    /// The way of block `b` that holds `key`: all eight keys compared.
-    fn way_of(&self, b: usize, key: u64) -> Option<usize> {
-        let hits = self.keys[b]
+    /// The valid way of block `b` whose tag is `tag`: all eight tags
+    /// compared, the matches masked with the valid bits. Always inlined:
+    /// as a call it made every probe 8–10 % slower.
+    #[inline(always)]
+    fn way_of(&self, b: usize, tag: u32) -> Option<usize> {
+        let hits = self.tags[b]
             .0
             .iter()
             .enumerate()
-            .fold(0u32, |hits, (w, &k)| hits | u32::from(k == key) << w);
+            .fold(0u32, |hits, (w, &t)| hits | u32::from(t == tag) << w);
+        let hits = hits & (self.meta[b] >> VALID_SHIFT) as u32 & 0xFF;
         (hits != 0).then(|| hits.trailing_zeros() as usize)
     }
 
     /// `(block, way)` of a resident `key`.
     fn find(&self, key: u64) -> Option<(usize, usize)> {
-        let b = self.block(key)?;
-        Some((b, self.way_of(b, key)?))
+        let b = self.block(self.set_of(key))?;
+        Some((b, self.way_of(b, key as u32)?))
     }
 
     /// Probes `key`'s set, giving a never-filled set its block (whose
-    /// payloads are copies of `filler`): its block, and `Ok` with the way
-    /// holding `key` or `Err` with the way a fill takes, the last in the
-    /// order.
-    fn probe(&mut self, key: u64, filler: P) -> (usize, Result<usize, usize>) {
-        debug_assert_ne!(key, FREE, "u64::MAX marks a free way");
-        let b = match self.block(key) {
+    /// payloads are copies of `filler`): the set, its block, and `Ok` with
+    /// the way holding `key` or `Err` with the way a fill takes, the last
+    /// in the order.
+    fn probe(&mut self, key: u64, filler: P) -> (usize, usize, Result<usize, usize>) {
+        let set = self.set_of(key);
+        let b = match self.block(set) {
             Some(b) => b,
-            None => self.append_block(key, filler),
+            None => self.append_block(set, filler),
         };
-        match self.way_of(b, key) {
-            Some(w) => (b, Ok(w)),
-            None => (b, Err(((self.meta[b] >> (4 * (self.ways - 1))) & 0xF) as usize)),
+        match self.way_of(b, key as u32) {
+            Some(w) => (set, b, Ok(w)),
+            None => (set, b, Err(((self.meta[b] >> (4 * (self.ways - 1))) & 0xF) as usize)),
         }
     }
 
-    /// Gives `key`'s set a fresh block of free ways, reserving every
-    /// set's block on the first call; returns the block.
-    fn append_block(&mut self, key: u64, filler: P) -> usize {
-        let b = self.keys.len();
-        if b == self.keys.capacity() {
+    /// Gives `set` a fresh block of free ways, reserving every set's block
+    /// on the first call; returns the block.
+    fn append_block(&mut self, set: usize, filler: P) -> usize {
+        let b = self.tags.len();
+        if b == self.tags.capacity() {
             let rest = self.sets.len() - b;
-            self.keys.reserve_exact(rest);
+            self.tags.reserve_exact(rest);
             self.meta.reserve_exact(rest);
             self.payloads.reserve_exact(rest);
         }
-        self.keys.push(Block([FREE; MAX_WAYS]));
+        self.tags.push(Tags([0; MAX_WAYS]));
         self.payloads.push(Block([filler; MAX_WAYS]));
-        // Way 0 last in the order, so the set fills from way 0 up.
+        // No way valid, and way 0 last in the order, so the set fills
+        // from way 0 up.
         let fresh = (0..self.ways).fold(0, |m, w| m << 4 | w as u64);
         self.meta.push(fresh);
-        let set = self.set_of(key);
         self.sets[set] = b as u16 + 1;
         b
     }
 
-    /// Writes `key` into way `w` of block `b` (the last in its order) and
-    /// makes it the most recent, returning the line it evicted.
+    /// Writes `key` into way `w` of block `b` of `set` (the last in its
+    /// order) and makes it the most recent, returning the line it
+    /// evicted.
     fn fill(
         &mut self,
-        b: usize,
-        w: usize,
+        (set, b, w): (usize, usize, usize),
         key: u64,
         dirty: bool,
         payload: P,
     ) -> Option<Evicted<P>> {
-        let old = std::mem::replace(&mut self.keys[b].0[w], key);
+        let old = std::mem::replace(&mut self.tags[b].0[w], key as u32);
         let old_payload = std::mem::replace(&mut self.payloads[b].0[w], payload);
         let (meta, bit) = (self.meta[b], dirty_bit(w));
-        self.meta[b] = (promote(meta, w) & !bit) | if dirty { bit } else { 0 };
-        (old != FREE).then_some((old, meta & bit != 0, old_payload))
+        self.meta[b] = (promote(meta, w) & !bit) | valid_bit(w) | if dirty { bit } else { 0 };
+        (meta & valid_bit(w) != 0)
+            .then(|| (key_of(set, old, self.sets.len() - 1), meta & bit != 0, old_payload))
     }
 
     /// Makes way `w` of block `b` the most recent, marking it dirty on a
@@ -232,6 +308,11 @@ impl<P: Copy> SetAssocCache<P> {
     /// Accesses `key`; fills it with `payload` on miss. Returns the outcome
     /// and, on miss, the evicted line if the set was full. A hit keeps the
     /// line's payload.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `key` is at or past [`key_limit`](Self::key_limit), as
+    /// does every operation.
     pub fn access(
         &mut self,
         key: u64,
@@ -239,11 +320,11 @@ impl<P: Copy> SetAssocCache<P> {
         payload: P,
     ) -> (CacheOutcome, Option<Evicted<P>>) {
         match self.probe(key, payload) {
-            (b, Ok(w)) => {
+            (_, b, Ok(w)) => {
                 self.touch(b, w, write);
                 (CacheOutcome::Hit, None)
             }
-            (b, Err(w)) => (CacheOutcome::Miss, self.fill(b, w, key, write, payload)),
+            (set, b, Err(w)) => (CacheOutcome::Miss, self.fill((set, b, w), key, write, payload)),
         }
     }
 
@@ -260,11 +341,11 @@ impl<P: Copy> SetAssocCache<P> {
     /// and the evicted line, if the set was full, is returned.
     pub fn insert(&mut self, key: u64, payload: P) -> Option<Evicted<P>> {
         match self.probe(key, payload) {
-            (b, Ok(w)) => {
+            (_, b, Ok(w)) => {
                 self.payloads[b].0[w] = payload;
                 None
             }
-            (b, Err(w)) => self.fill(b, w, key, false, payload),
+            (set, b, Err(w)) => self.fill((set, b, w), key, false, payload),
         }
     }
 
@@ -277,16 +358,17 @@ impl<P: Copy> SetAssocCache<P> {
     /// moves to the back of the order.
     pub fn invalidate(&mut self, key: u64) -> Option<P> {
         let (b, w) = self.find(key)?;
-        self.keys[b].0[w] = FREE;
-        self.meta[b] = demote(self.meta[b], w, self.ways);
+        self.meta[b] = demote(self.meta[b] & !valid_bit(w), w, self.ways);
         Some(self.payloads[b].0[w])
     }
 
     /// Empties every way; filled sets keep their blocks. Any order of
-    /// free ways is valid, and a fill sets its way's dirty bit, so only
-    /// the keys are reset.
+    /// free ways is valid, and a fill sets its way's tag and dirty bit,
+    /// so only the valid masks are reset.
     pub fn clear(&mut self) {
-        self.keys.fill(Block([FREE; MAX_WAYS]));
+        for meta in &mut self.meta {
+            *meta &= !(0xFF << VALID_SHIFT);
+        }
     }
 
     /// The payload of a resident `key`, without touching LRU state.
@@ -395,32 +477,98 @@ mod tests {
         assert_eq!(demote(meta, 4, 5), 0x40123);
         assert_eq!(demote(meta, 1, 5), 0x10234);
         assert_eq!(demote(meta, 0, 5), meta);
-        // The dirty mask above the order rides through unchanged.
-        let dirty = 0x1F << DIRTY_SHIFT;
-        assert_eq!(promote(dirty | meta, 1), dirty | 0x02341);
-        assert_eq!(demote(dirty | meta, 3, 5), dirty | 0x30124);
+        // The dirty and valid masks above the order ride through unchanged.
+        let masks = 0x1F << DIRTY_SHIFT | 0x15 << VALID_SHIFT;
+        assert_eq!(promote(masks | meta, 1), masks | 0x02341);
+        assert_eq!(demote(masks | meta, 3, 5), masks | 0x30124);
     }
 
     #[test]
     fn slab_blocks_only_for_filled_sets() {
         let mut c: SetAssocCache<()> = SetAssocCache::new(1 << 14, 8);
-        assert!(c.keys.is_empty() && c.keys.capacity() == 0 && c.meta.capacity() == 0);
+        assert!(c.tags.is_empty() && c.tags.capacity() == 0 && c.meta.capacity() == 0);
         assert_eq!(c.lookup(5), None);
         assert!(!c.contains(5) && c.invalidate(5).is_none());
-        assert_eq!(c.keys.capacity(), 0, "reads allocate nothing");
+        assert_eq!(c.tags.capacity(), 0, "reads allocate nothing");
         for key in 0..3u64 {
             c.access(key * 977, false, ());
         }
-        assert_eq!(c.keys.capacity(), 1 << 14, "one reservation of every set's block");
+        assert_eq!(c.tags.capacity(), 1 << 14, "one reservation of every set's block");
         assert_eq!(c.meta.capacity(), 1 << 14);
         let filled = c.sets.iter().filter(|&&b| b != 0).count();
-        assert_eq!((c.keys.len(), c.meta.len()), (filled, filled));
-        let blocks = c.keys.len();
+        assert_eq!((c.tags.len(), c.meta.len()), (filled, filled));
+        let blocks = c.tags.len();
         c.clear();
         assert!((0..3u64).all(|key| !c.contains(key * 977)));
         c.access(977, false, ());
         assert!(c.contains(977));
-        assert_eq!(c.keys.len(), blocks, "a cleared set refills its own block");
+        assert_eq!(c.tags.len(), blocks, "a cleared set refills its own block");
+    }
+
+    #[test]
+    fn a_set_costs_40_bytes_or_104_with_ppns() {
+        /// Bytes the slabs reserve per set on the first fill.
+        fn bytes_per_set<P: Copy>(mut c: SetAssocCache<P>, filler: P) -> usize {
+            c.access(0, false, filler);
+            let sets = c.sets.len();
+            assert_eq!((c.tags.capacity(), c.meta.capacity()), (sets, sets));
+            let payloads = c.payloads.capacity().min(sets) * std::mem::size_of::<Block<P>>();
+            (sets * (std::mem::size_of::<Tags>() + std::mem::size_of::<u64>()) + payloads) / sets
+        }
+        // The L3 and the TLB: 32 B of tags and an 8 B meta word, plus 64 B
+        // of PPNs in the TLB.
+        assert_eq!(bytes_per_set(SetAssocCache::new(1 << 14, 8), ()), 40);
+        assert_eq!(bytes_per_set(SetAssocCache::new(256, 8), Ppn::new(0)), 104);
+        assert_eq!(std::mem::align_of::<Tags>(), 32, "two sets' tags to a host cache line");
+    }
+
+    #[test]
+    fn key_limit_is_two_to_the_32_plus_log2_sets() {
+        // The default L1, the TLB and the L3, and the extremes.
+        for (sets, bits) in [(128, 39), (256, 40), (1 << 14, 46), (1, 32), (1 << 15, 47)] {
+            assert_eq!(SetAssocCache::<()>::new(sets, 8).key_limit(), 1 << bits, "{sets} sets");
+        }
+        let mut c: SetAssocCache<()> = SetAssocCache::new(128, 8);
+        let top = c.key_limit() - 1;
+        assert!(!c.access(top, true, ()).0.is_hit() && c.contains(top));
+        assert_eq!(c.invalidate(top), Some(()));
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "key 0x8000000000 is at or past 2^39, the key range of a 128-set cache"
+    )]
+    fn rejects_keys_past_the_range() {
+        // The default L1: 2^39 blocks (32 TiB) and no further, where the
+        // key's set and low 32 bits would name key 0.
+        let mut c: SetAssocCache<()> = SetAssocCache::new(128, 8);
+        c.access(0, false, ());
+        let _ = c.contains(1 << 39);
+    }
+
+    #[test]
+    fn keys_sharing_their_low_bits_are_distinct_lines() {
+        // 2^s keys of one low word land in 2^s different sets, and each
+        // eviction reports its own full key.
+        let mut c: SetAssocCache<u32> = SetAssocCache::new(16, 1);
+        let keys: Vec<u64> = (0..16).map(|j| j << 32 | 0xDEAD_BEEF).collect();
+        for (i, &key) in keys.iter().enumerate() {
+            assert_eq!(c.access(key, i.is_multiple_of(2), i as u32), (CacheOutcome::Miss, None));
+        }
+        assert!(keys.iter().enumerate().all(|(i, &key)| c.peek(key) == Some(i as u32)));
+        // One more key in each set evicts exactly the line that set held.
+        let mut evicted: Vec<(u64, bool, u32)> = Vec::new();
+        for key in 0..1_000u64 {
+            if let (CacheOutcome::Miss, Some(line)) = c.access(key, false, 0) {
+                evicted.push(line);
+            }
+        }
+        let shared: Vec<_> = evicted.iter().filter(|(k, _, _)| *k as u32 == 0xDEAD_BEEF).collect();
+        assert_eq!(shared.len(), 16, "every set evicted its shared-low line once");
+        for &&(key, dirty, payload) in &shared {
+            let i = (key >> 32) as usize;
+            assert_eq!((key, dirty, payload), (keys[i], i.is_multiple_of(2), i as u32));
+        }
     }
 
     /// Applies one operation to the store and the stamp reference and
@@ -484,21 +632,43 @@ mod tests {
         }
     }
 
+    /// `n` keys drawn over the whole legal range of a `sets`-set store,
+    /// its top key included.
+    fn legal_keys(rng: &mut SmallRng, sets: usize, n: usize) -> Vec<u64> {
+        let limit = SetAssocCache::<()>::new(sets, 1).key_limit();
+        (1..n).map(|_| rng.gen_range(0..limit)).chain([limit - 1]).collect()
+    }
+
     #[test]
     fn parity_with_stamp_store_reference() {
-        // The TLB: 256 sets of 8 ways holding PPNs, over ~1.5x its reach.
+        // The TLB: 256 sets of 8 ways holding PPNs, over ~1.5x its reach,
+        // then sparse VPNs over its whole 2^40 range.
+        let ppn = |rng: &mut SmallRng| Ppn::new(rng.gen_range(0..1u64 << 40));
         let vpns: Vec<u64> = (0..3_000).collect();
-        parity(256, 8, &vpns, 200_000, 0x71B, |rng| Ppn::new(rng.gen_range(0..1u64 << 40)));
-        // The L1, L2 and a fleet tenant's L3 (128, 512 and 16 384 sets of
-        // 8 ways): sparse block keys over a 40-bit space, enough of them
-        // to fill and evict sets.
+        parity(256, 8, &vpns, 200_000, 0x71B, ppn);
         let mut rng = SmallRng::seed_from_u64(0x13);
+        parity(256, 8, &legal_keys(&mut rng, 256, 3_000), 100_000, 0x71C, ppn);
+        // The L1, L2 and a fleet tenant's L3 (128, 512 and 16 384 sets of
+        // 8 ways): sparse block keys up to each one's top legal key (2^39,
+        // 2^41 and 2^46), enough of them to fill and evict sets.
         for (sets, blocks, steps) in [(128, 2_000, 100_000), (512, 8_000, 150_000)] {
-            let keys: Vec<u64> = (0..blocks).map(|_| rng.gen_range(0..1u64 << 40)).collect();
+            let keys = legal_keys(&mut rng, sets, blocks);
             parity(sets, 8, &keys, steps, 0x11 * sets as u64, |_| ());
         }
-        let blocks: Vec<u64> = (0..200_000).map(|_| rng.gen_range(0..1u64 << 40)).collect();
+        let blocks = legal_keys(&mut rng, 1 << 14, 200_000);
         parity(1 << 14, 8, &blocks, 600_000, 0x13_13, |_| ());
+        // Keys that share their low 32 bits: every high part of a few low
+        // words, so each set holds several of them and evicts them.
+        for (sets, ways) in [(128, 8), (16, 3), (2, 2)] {
+            let high = SetAssocCache::<()>::new(sets, 1).key_limit() >> 32;
+            let keys: Vec<u64> = [0, 1, 0xDEAD_BEEF, 0x8000_0000, u32::MAX]
+                .into_iter()
+                .chain((0..ways as u32 * 2).map(|i| i.wrapping_mul(0x9E37_79B9)))
+                .flat_map(|low| (0..high).map(move |j| j << 32 | u64::from(low)))
+                .collect();
+            let seed = 0x5A5E + sets as u64;
+            parity(sets, ways, &keys, 60_000, seed, |rng| rng.gen_range(0..1_000u32));
+        }
         // Narrow sets, where the order has unused nibbles above the LRU
         // way: 16 sets of 1, 2, 3 and 5 ways, with payloads.
         for ways in [1, 2, 3, 5] {
@@ -530,6 +700,19 @@ mod tests {
             }
             for key in 0..40 {
                 prop_assert_eq!(store.peek(key), stamps.peek(key));
+            }
+        }
+
+        /// At every set count from 1 to 2^15, a legal key's set and low 32
+        /// bits rebuild the key.
+        #[test]
+        fn a_set_and_a_tag_rebuild_the_key(bits in any::<u64>()) {
+            for s in 0..=15 {
+                let mask = (1usize << s) - 1;
+                for key in [bits >> (32 - s), (1 << (32 + s)) - 1 - (bits >> (32 - s))] {
+                    let set = hash(key) as usize & mask;
+                    prop_assert_eq!(key_of(set, key as u32, mask), key, "{} sets", mask + 1);
+                }
             }
         }
     }

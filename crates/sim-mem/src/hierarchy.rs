@@ -131,6 +131,15 @@ impl CacheHierarchy {
         }
     }
 
+    /// One past the largest block address every level takes: each
+    /// level's tags are the low 32 bits of a block address, so this is
+    /// 2^(32+s) for the level with the fewest sets, 2^s of them (2^39, or
+    /// 32 TiB of blocks, for the default 128-set L1). An access or
+    /// invalidation at or past it panics.
+    pub fn block_limit(&self) -> u64 {
+        self.l1.key_limit().min(self.l2.key_limit()).min(self.l3.key_limit())
+    }
+
     /// Accesses `block`. `_compressed_ptb` says whether the block is a
     /// hardware-compressed PTB, the new data bit of §V-A4; no outcome
     /// depends on it, so it is accepted and not stored. It stays in the
@@ -253,6 +262,18 @@ mod tests {
         // 8 MiB plus one line: the division used to drop the partial set.
         let l3_bytes = 8 * 1024 * 1024 + 64;
         let _ = CacheHierarchy::new(HierarchyConfig { l3_bytes, ..Default::default() });
+    }
+
+    #[test]
+    fn block_limit_is_the_narrowest_level_s() {
+        // 128, 512 and 16 384 sets: the L1's 2^(32+7) blocks, 32 TiB.
+        assert_eq!(h().block_limit(), 1 << 39);
+        let cfg = HierarchyConfig { l1_bytes: 1 << 20, l2_bytes: 1 << 17, ..Default::default() };
+        assert_eq!(CacheHierarchy::new(cfg).block_limit(), 1 << 40, "a 256-set L2");
+        let mut h = h();
+        let top = BlockAddr::new((1 << 39) - 1);
+        assert_eq!(h.access(top, true, false).level, HitLevel::Memory);
+        assert_eq!(h.access(top, false, false).level, HitLevel::L1);
     }
 
     #[test]

@@ -43,6 +43,14 @@ impl Tlb {
         Self::new(2048, 8)
     }
 
+    /// One past the largest VPN the TLB takes: its tags are the low 32
+    /// bits of a VPN, so 2^(32+s) for 2^s sets (2^40 for the paper's 256,
+    /// above the 2^36 VPNs of a 48-bit address space). A lookup or fill
+    /// of a VPN at or past it panics.
+    pub fn vpn_limit(&self) -> u64 {
+        self.cache.key_limit()
+    }
+
     /// Looks up a translation; updates recency on hit. One probe of the
     /// set. The caller counts hits and misses (`SimStats`).
     pub fn lookup(&mut self, vpn: Vpn) -> Option<Ppn> {
@@ -90,6 +98,13 @@ mod tests {
         // One of the first entries must have been evicted.
         let resident = (0..9u64).filter(|&i| tlb.lookup(Vpn::new(i)).is_some()).count();
         assert_eq!(resident, 8);
+    }
+
+    #[test]
+    fn vpn_limit_covers_a_48_bit_address_space() {
+        assert_eq!(Tlb::paper_default().vpn_limit(), 1 << 40);
+        assert!(Tlb::paper_default().vpn_limit() >= crate::page_table::VIRTUAL_PAGES);
+        assert_eq!(Tlb::new(8, 8).vpn_limit(), 1 << 32, "one set");
     }
 
     #[test]

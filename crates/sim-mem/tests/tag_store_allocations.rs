@@ -1,6 +1,6 @@
 //! Pins how the cache hierarchy allocates: construction allocates only the
 //! three levels' zeroed `u16` set indexes, and accesses allocate twice per
-//! level (the key and meta slabs, each reserved whole on the level's first
+//! level (the tag and meta slabs, each reserved whole on the level's first
 //! fill; payload-free lines need no payload slab) however many sets they
 //! fill.
 //!
@@ -69,13 +69,14 @@ fn allocations<T>(f: impl FnOnce() -> T) -> ((usize, usize), T) {
     ((after.0 - before.0, after.1 - before.1), out)
 }
 
-/// Deterministic block addresses scattered over a 40-bit space.
+/// Deterministic block addresses scattered over a 39-bit space: every
+/// block the default 128-set L1 takes (2^39, 32 TiB of blocks).
 fn sparse_blocks(n: usize) -> Vec<BlockAddr> {
     let mut state = 0x5EED_u64;
     (0..n)
         .map(|_| {
             state = state.wrapping_mul(0x5851_F42D_4C95_7F2D).wrapping_add(1);
-            BlockAddr::new(state >> 24)
+            BlockAddr::new(state >> 25)
         })
         .collect()
 }
@@ -104,11 +105,11 @@ fn accesses_allocate_once_per_level() {
             })
             .count()
     });
-    assert_eq!(n, 6, "each level reserves its key and meta slabs once, on its first fill");
-    // Per set: a 64 B key block and an 8 B meta word.
+    assert_eq!(n, 6, "each level reserves its tag and meta slabs once, on its first fill");
+    // Per set: a 32 B block of 32-bit tags and an 8 B meta word.
     let sets: usize =
         [cfg.l1_bytes, cfg.l2_bytes, cfg.l3_bytes].map(|b| b / 64 / cfg.ways).iter().sum();
-    assert_eq!(bytes, sets * (64 + 8));
+    assert_eq!(bytes, sets * (32 + 8));
     // The accesses did fill thousands of L3 sets; none of them allocated.
     assert_eq!(writebacks, 0, "5 000 blocks fit in the L3");
     let ((n, _), _) = allocations(|| {

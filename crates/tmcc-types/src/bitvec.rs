@@ -124,6 +124,15 @@ impl BitVec {
         }
     }
 
+    /// Clears every bit and makes the length `len`, reusing the storage:
+    /// allocates only when `len` outgrows its capacity.
+    pub fn reset(&mut self, len: usize) {
+        self.words.clear();
+        self.words.resize(len.div_ceil(WORD_BITS), 0);
+        self.len = len;
+        self.ones = 0;
+    }
+
     /// Drops any excess word capacity (pool-shrink hygiene).
     pub fn shrink_to_fit(&mut self) {
         self.words.shrink_to_fit();
@@ -138,6 +147,18 @@ impl BitVec {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn reset_clears_every_bit_and_keeps_the_storage() {
+        let mut bv = BitVec::with_prefix(200, 150);
+        let bytes = bv.heap_bytes();
+        bv.reset(130);
+        assert_eq!((bv.len(), bv.count_ones(), bv.heap_bytes()), (130, 0, bytes));
+        assert!((0..130).all(|i| !bv.get(i)));
+        bv.reset(200);
+        assert!((0..200).all(|i| !bv.get(i)), "a shrink and regrow leaves no stale bit");
+        assert!(bv.set(199) && bv.count_ones() == 1);
+    }
 
     #[test]
     fn set_clear_get_roundtrip() {
